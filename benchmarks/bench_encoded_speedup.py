@@ -2,18 +2,11 @@
 
 End-to-end ``anonymize()`` on the synthetic QUEST benchmark dataset at the
 paper's default parameters (k=5, m=2, max_cluster_size=30, refine and
-verify enabled), run against
+verify enabled), run on the ``string`` backend -- the seed (reference)
+implementation -- and on the ``encoded`` backend.
 
-* the ``string`` backend -- the seed (reference) implementation,
-* the ``encoded`` backend with ``jobs=1``, and
-* the ``encoded`` backend with ``jobs=4`` (per-cluster VERPART fan-out).
-
-All three must publish *identical* datasets; the timings land in
-``BENCH_speedup.json`` so the perf trajectory is tracked across PRs.  The
-``jobs=4 < jobs=1`` assertion only applies on multi-core hosts: on a
-single core the fan-out is pure process overhead by construction (and
-since the engine caps the effective job count at ``os.cpu_count()``, the
-``jobs=4`` configuration simply runs serially there).
+Both must publish *identical* datasets; the timings land in
+``BENCH_speedup.json`` so the perf trajectory is tracked across PRs.
 
 Each configuration is timed as the best of ``REPEATS`` runs: baselines
 are compared across shared CI runners, and min-of-N strips scheduler
@@ -55,25 +48,19 @@ def _timed_run(dataset, **param_overrides):
 
 
 def run_speedup_comparison() -> dict:
-    """Run the three configurations and return the comparison payload."""
+    """Run both backends and return the comparison payload."""
     dataset = generate_quest(
         num_transactions=QUEST_RECORDS,
         domain_size=QUEST_DOMAIN,
         avg_transaction_size=QUEST_AVG_LEN,
         seed=0,
     )
-    # The encoded configurations run first: the string reference allocates
+    # The encoded backend runs first: the string reference allocates
     # heavily and measurably degrades allocator locality for everything
     # timed after it in the same process (~15% on the encoded pipeline),
     # which would pollute exactly the numbers the perf gate tracks.
     encoded_pub, encoded_seconds, encoded_report = _timed_run(dataset, backend="encoded")
-    jobs4_pub, jobs4_seconds, jobs4_report = _timed_run(
-        dataset, backend="encoded", jobs=4
-    )
     string_pub, string_seconds, string_report = _timed_run(dataset, backend="string")
-    identical = (
-        string_pub.to_dict() == encoded_pub.to_dict() == jobs4_pub.to_dict()
-    )
     return {
         "dataset": {
             "generator": "QUEST",
@@ -84,15 +71,12 @@ def run_speedup_comparison() -> dict:
         "params": "defaults (k=5, m=2, max_cluster_size=30, refine+verify)",
         "cpu_count": os.cpu_count(),
         "string_seconds": string_seconds,
-        "encoded_jobs1_seconds": encoded_seconds,
-        "encoded_jobs4_seconds": jobs4_seconds,
+        "encoded_seconds": encoded_seconds,
         "speedup_encoded_vs_string": string_seconds / encoded_seconds,
-        "jobs4_vs_jobs1": jobs4_seconds / encoded_seconds,
-        "outputs_identical": identical,
+        "outputs_identical": string_pub.to_dict() == encoded_pub.to_dict(),
         "phases": {
             "string": string_report.phase_timings(),
-            "encoded_jobs1": encoded_report.phase_timings(),
-            "encoded_jobs4": jobs4_report.phase_timings(),
+            "encoded": encoded_report.phase_timings(),
         },
     }
 
@@ -108,14 +92,9 @@ def test_encoded_backend_speedup(benchmark):
                 "speedup": 1.0,
             },
             {
-                "backend": "encoded jobs=1",
-                "seconds": payload["encoded_jobs1_seconds"],
+                "backend": "encoded",
+                "seconds": payload["encoded_seconds"],
                 "speedup": payload["speedup_encoded_vs_string"],
-            },
-            {
-                "backend": "encoded jobs=4",
-                "seconds": payload["encoded_jobs4_seconds"],
-                "speedup": payload["string_seconds"] / payload["encoded_jobs4_seconds"],
             },
         ],
         "interned execution core: same output, representation-level speedup.",
@@ -123,7 +102,3 @@ def test_encoded_backend_speedup(benchmark):
     write_bench_json("speedup", payload)
     assert payload["outputs_identical"]
     assert payload["speedup_encoded_vs_string"] >= 3.0
-    if (os.cpu_count() or 1) >= 2:
-        # The fan-out can only beat the serial path when there is real
-        # hardware parallelism; on 1 core it is process overhead only.
-        assert payload["encoded_jobs4_seconds"] < payload["encoded_jobs1_seconds"]

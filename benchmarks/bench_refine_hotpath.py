@@ -8,18 +8,11 @@ m=2, max_cluster_size=30).  Two quantities land in ``BENCH_refine.json``:
   scratch) against the incremental driver (rejected-pair memo, per-leaf
   mask caches, deferred chunk materialization) on the *same* bitset
   selector, so the measured ratio is the driver overhaul alone;
-* a wave-batching comparison on the same clusters -- the incremental
-  driver with the cross-cluster pair wave and sub-record arena enabled
-  (the default) against the same driver with the wave crossover pushed
-  out of reach, so every merge attempt takes the per-cluster bigint
-  path; the measured ratio is the wave batching alone, on the paper's
-  default small-cluster configuration;
-* the full encoded ``jobs=1`` pipeline's phase timings and the driver's
+* the full encoded pipeline's phase timings and the driver's
   merge-attempt counters (attempted / applied / skipped-by-memo /
-  prefiltered / waved), which the CI perf gate tracks alongside the
-  timings -- counter regressions (an accidental extra pass, a dead memo,
-  a silently disengaged wave) are caught even when a fast machine hides
-  them in the wall time.
+  prefiltered), which the CI perf gate tracks alongside the timings --
+  counter regressions (an accidental extra pass, a dead memo) are caught
+  even when a fast machine hides them in the wall time.
 
 Every timed quantity is the best of ``REPEATS`` runs: the committed
 baselines are compared across CI runners and shared laptops, and min-of-N
@@ -32,7 +25,6 @@ from __future__ import annotations
 import os
 import time
 
-from repro.core import kernels
 from repro.core.engine import (
     AnonymizationParams,
     AnonymizationReport,
@@ -70,7 +62,7 @@ def _verpart_clusters(dataset):
     return ctx.clusters
 
 
-def _best_refine_seconds(dataset, memoize: bool, min_rows=None):
+def _best_refine_seconds(dataset, memoize: bool):
     best = float("inf")
     refined = None
     stats = None
@@ -83,16 +75,15 @@ def _best_refine_seconds(dataset, memoize: bool, min_rows=None):
         working = _verpart_clusters(dataset)
         stats = RefineStats()  # fresh per run; the workload is deterministic
         start = time.perf_counter()
-        with kernels.use(None, min_rows):
-            refined = refine(
-                working,
-                PARAMS["k"],
-                PARAMS["m"],
-                max_join_size=MAX_JOIN_SIZE,
-                use_bitsets=True,
-                memoize=memoize,
-                stats=stats,
-            )
+        refined = refine(
+            working,
+            PARAMS["k"],
+            PARAMS["m"],
+            max_join_size=MAX_JOIN_SIZE,
+            use_bitsets=True,
+            memoize=memoize,
+            stats=stats,
+        )
         best = min(best, time.perf_counter() - start)
     return best, refined, stats
 
@@ -130,18 +121,6 @@ def run_refine_hotpath() -> dict:
         c.to_dict() for c in optimized_refined
     ]
 
-    # Wave batching alone: same incremental driver, crossover out of reach
-    # so every merge attempt takes the per-cluster bigint path.
-    per_cluster_seconds, per_cluster_refined, per_cluster_stats = _best_refine_seconds(
-        dataset, memoize=True, min_rows=1 << 30
-    )
-    wave_outputs_identical = [c.to_dict() for c in optimized_refined] == [
-        c.to_dict() for c in per_cluster_refined
-    ]
-    wave_engaged = (
-        stats.pairs_waved > 0 and per_cluster_stats.pairs_waved == 0
-    ) or not kernels.numpy_available()
-
     report, _published = _best_pipeline_report(dataset)
 
     return {
@@ -158,11 +137,6 @@ def run_refine_hotpath() -> dict:
         "refine_optimized_seconds": optimized_seconds,
         "refine_driver_speedup": reference_seconds / optimized_seconds,
         "outputs_identical": outputs_identical,
-        "refine_per_cluster_seconds": per_cluster_seconds,
-        "refine_waved_seconds": optimized_seconds,
-        "wave_speedup": per_cluster_seconds / optimized_seconds,
-        "wave_outputs_identical": wave_outputs_identical,
-        "wave_engaged": wave_engaged,
         # The last optimized run's counters: the workload is deterministic,
         # so these are exact reproducible quantities, gated by perf_gate.
         "counters": stats.as_dict(),
@@ -189,26 +163,8 @@ def test_refine_hotpath(benchmark):
         ],
         "identical joint clusters; the driver skips work instead of redoing it.",
     )
-    emit(
-        "REFINE wave batching: per-cluster bigint checks vs one wave matrix per pass",
-        [
-            {
-                "checks": "per-cluster (crossover out of reach)",
-                "seconds": payload["refine_per_cluster_seconds"],
-                "speedup": 1.0,
-            },
-            {
-                "checks": "waved (default crossover)",
-                "seconds": payload["refine_waved_seconds"],
-                "speedup": payload["wave_speedup"],
-            },
-        ],
-        "identical joint clusters; all pair verdicts from one AND+popcount sweep.",
-    )
     write_bench_json("refine", payload)
     assert payload["outputs_identical"]
-    assert payload["wave_outputs_identical"]
-    assert payload["wave_engaged"]
     # The reference driver shares the per-attempt fast paths, so this
     # isolates the driver-level machinery only; it must never be a loss.
     assert payload["refine_driver_speedup"] >= 1.0

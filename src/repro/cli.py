@@ -32,7 +32,7 @@ Examples::
 
     repro generate --profile POS --scale 0.01 --output pos.txt
     repro anonymize pos.txt --k 5 --m 2 --output pos.published.json
-    repro anonymize huge.jsonl --stream --shards 8 --jobs 4 \\
+    repro anonymize huge.jsonl --stream --shards 8 \\
         --max-records-in-memory 20000 --output huge.published.json
     repro anonymize day1.txt --store-dir ./store --output pub.json
     repro anonymize day2.txt --store-dir ./store --delete churned.txt \\
@@ -97,21 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["encoded", "string"],
         default="encoded",
         help="execution core: interned/bitset fast path (default) or the string reference",
-    )
-    anonymize.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the per-cluster VERPART fan-out (encoded backend)",
-    )
-    anonymize.add_argument(
-        "--kernels",
-        choices=["auto", "python", "numpy"],
-        default=None,
-        help="vectorized-kernel backend for the encoded core: 'numpy' "
-        "(vectorized counting/checking, needs numpy >= 2.0), 'python' "
-        "(pure-Python fallback) or 'auto' (numpy when importable). "
-        "Omitted: $REPRO_KERNELS, then auto. Identical output either way",
     )
     anonymize.add_argument(
         "--stream",
@@ -314,19 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--m", type=int, default=None)
     serve.add_argument("--max-cluster-size", type=int, default=None)
     serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="per-engine worker processes for the VERPART/REFINE fan-outs",
-    )
-    serve.add_argument(
         "--max-pending",
         type=int,
         default=None,
         help="job-queue bound; beyond it POST /anonymize answers 429",
-    )
-    serve.add_argument(
-        "--kernels", choices=["auto", "python", "numpy"], default=None
     )
     serve.add_argument(
         "--pubstore-dir",
@@ -399,8 +375,6 @@ def _cmd_anonymize(args) -> int:
         max_cluster_size=args.max_cluster_size,
         refine=not args.no_refine,
         backend=args.backend,
-        jobs=args.jobs,
-        kernels=args.kernels,
         shards=args.shards,
         max_records_in_memory=args.max_records_in_memory,
         shard_strategy=args.shard_strategy,
@@ -533,9 +507,7 @@ def _serve_config(args) -> ServiceConfig:
             ("k", args.k),
             ("m", args.m),
             ("max_cluster_size", args.max_cluster_size),
-            ("jobs", args.jobs),
             ("max_pending", args.max_pending),
-            ("kernels", args.kernels),
             ("pubstore_dir", args.pubstore_dir),
         ]
         if value is not None
@@ -552,7 +524,7 @@ def _cmd_serve(args) -> int:
     )
     print(
         f"repro serve: listening on {server.url} "
-        f"(workers={config.workers}, jobs={config.jobs}, "
+        f"(workers={config.workers}, "
         f"max_pending={config.max_pending}, k={config.k}, m={config.m})"
     )
     endpoints = "POST /anonymize, GET /jobs/<id>, GET /stats, GET /healthz"

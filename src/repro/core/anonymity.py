@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 from typing import Optional
 
-from repro.core import kernels
 from repro.exceptions import ParameterError
 
 
@@ -56,9 +55,7 @@ def combination_supports(records: Iterable[frozenset], m: int) -> Counter:
     return counts
 
 
-def is_km_anonymous(
-    records: Sequence[frozenset], k: int, m: int, kernels_backend: Optional[str] = None
-) -> bool:
+def is_km_anonymous(records: Sequence[frozenset], k: int, m: int) -> bool:
     """True when every occurring combination of up to ``m`` terms has support >= k.
 
     Short-circuits on the first sub-``k`` combination: terms are interned
@@ -67,13 +64,6 @@ def is_km_anonymous(
     combination.  Unlike :func:`find_km_violation` -- the exhaustive path,
     kept for diagnostics -- no full support Counter is ever built, so a
     violating chunk is rejected as soon as one bad combination is seen.
-
-    On the numpy kernel backend (``kernels_backend``, resolved through
-    :func:`repro.core.kernels.resolve` when ``None``) chunks of at least
-    :func:`~repro.core.kernels.packed_min_rows` rows run the same DFS as
-    one vectorized AND + popcount per level over a packed uint64 mask
-    matrix (:func:`~repro.core.kernels.packed_km_anonymous`); the verdict
-    is identical in both shapes.
     """
     validate_km_parameters(k, m)
     masks: dict = {}
@@ -81,14 +71,7 @@ def is_km_anonymous(
         bit = 1 << row
         for term in record:
             masks[term] = masks.get(term, 0) | bit
-    ordered = list(masks.values())
-    if (
-        m > 1
-        and len(records) >= kernels.packed_min_rows()
-        and kernels.resolve(kernels_backend) == "numpy"
-    ):
-        return kernels.packed_km_anonymous(ordered, len(records), k, m)
-    return _masks_are_km_anonymous(ordered, -1, 0, m, k)
+    return _masks_are_km_anonymous(list(masks.values()), -1, 0, m, k)
 
 
 def _masks_are_km_anonymous(
@@ -110,43 +93,15 @@ def _masks_are_km_anonymous(
 
 
 def km_anonymous_batch(
-    chunks: Sequence[Sequence[frozenset]],
-    k: int,
-    m: int,
-    kernels_backend: Optional[str] = None,
+    chunks: Sequence[Sequence[frozenset]], k: int, m: int
 ) -> list[bool]:
-    """Batch :func:`is_km_anonymous` verdicts for many chunks at once.
+    """:func:`is_km_anonymous` verdicts for many chunks, in order.
 
-    The wave-batched counterpart used by the published-dataset auditor:
-    at the paper's default ``m == 2`` every chunk's term masks are packed
-    into one :class:`~repro.core.kernels.WaveBatch` matrix and all
-    verdicts come out of a single AND + popcount sweep, provided the
-    numpy backend is active and the *total* rows across the batch reach
-    :func:`~repro.core.kernels.packed_min_rows`.  Otherwise each chunk is
-    checked individually.  Verdicts are identical either way (enforced by
-    the parity suite).
+    The published-dataset auditor collects every chunk of a publication
+    first and asks for all verdicts in one call.
     """
     validate_km_parameters(k, m)
-    chunks = list(chunks)
-    if (
-        m == 2
-        and kernels.numpy_available()
-        and kernels.resolve(kernels_backend) == "numpy"
-        and sum(len(chunk) for chunk in chunks) >= kernels.packed_min_rows()
-    ):
-        wave = kernels.WaveBatch(k)
-        for records in chunks:
-            masks: dict = {}
-            for row, record in enumerate(records):
-                bit = 1 << row
-                for term in record:
-                    masks[term] = masks.get(term, 0) | bit
-            wave.add_group(list(masks.values()), len(records))
-        return wave.group_km_verdicts()
-    return [
-        is_km_anonymous(records, k, m, kernels_backend=kernels_backend)
-        for records in chunks
-    ]
+    return [is_km_anonymous(records, k, m) for records in chunks]
 
 
 def find_km_violation(
@@ -199,49 +154,21 @@ class BitsetChunkChecker:
     Accepts any hashable term keys (string terms or int ids); decisions are
     identical to the string checker because combination supports are.
 
-    On the numpy kernel backend, chunks of at least
-    :func:`~repro.core.kernels.packed_min_rows` rows evaluate candidates
-    through :class:`~repro.core.kernels.PackedSelection`: the masks are
-    packed **once** into a uint64 word matrix at construction and each DFS
-    level is one vectorized AND + popcount over the whole accepted batch.
-    Below the threshold (every default-sized cluster) the bigint DFS runs;
-    accept/reject decisions are identical either way.
-
     Args:
         masks: mapping from term to its row bitmask.
         k, m: the anonymity parameters.
         share_masks: adopt ``masks`` without the defensive copy.  The
             checker never mutates it; hot callers that own the dict (and
             build one checker per selection round) pass ``True``.
-        num_rows: the cluster's row count (used only to size the packed
-            matrix); derived from the widest mask when omitted.
-        kernels_backend: kernel-backend override, resolved through
-            :func:`repro.core.kernels.resolve` when ``None``.
     """
 
-    def __init__(
-        self,
-        masks,
-        k: int,
-        m: int,
-        share_masks: bool = False,
-        num_rows: Optional[int] = None,
-        kernels_backend: Optional[str] = None,
-    ):
+    def __init__(self, masks, k: int, m: int, share_masks: bool = False):
         validate_km_parameters(k, m)
         self._masks = masks if share_masks else dict(masks)
         self._k = k
         self._m = m
         self._accepted: list = []          # insertion order (for DFS)
         self._accepted_set: set = set()
-        self._packed = None
-        if m > 1 and kernels.resolve(kernels_backend) == "numpy":
-            if num_rows is None:
-                num_rows = max(
-                    (mask.bit_length() for mask in self._masks.values()), default=0
-                )
-            if num_rows >= kernels.packed_min_rows():
-                self._packed = kernels.PackedSelection(self._masks, num_rows, k)
 
     @property
     def accepted_terms(self) -> frozenset:
@@ -257,8 +184,6 @@ class BitsetChunkChecker:
             return False
         if self._m == 1:
             return True
-        if self._packed is not None:
-            return self._packed.combinations_ok(self._packed.row(term), self._m - 1)
         return self._combinations_ok(mask, 0, self._m - 1)
 
     def _combinations_ok(self, base_mask: int, start: int, depth: int) -> bool:
@@ -290,8 +215,6 @@ class BitsetChunkChecker:
         if term not in self._accepted_set:
             self._accepted.append(term)
             self._accepted_set.add(term)
-            if self._packed is not None:
-                self._packed.add(term)
 
     def remove(self, term) -> None:
         """Remove an accepted term from the chunk domain (no-op if absent).
@@ -304,16 +227,12 @@ class BitsetChunkChecker:
         """
         if term in self._accepted_set:
             self._accepted_set.discard(term)
-            if self._packed is not None:
-                self._packed.remove(self._accepted.index(term))
             self._accepted.remove(term)
 
     def reset(self) -> None:
         """Discard the accepted terms and start a fresh chunk domain."""
         self._accepted.clear()
         self._accepted_set.clear()
-        if self._packed is not None:
-            self._packed.reset()
 
 
 class IncrementalChunkChecker:

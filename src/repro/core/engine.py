@@ -8,10 +8,7 @@ implementing the small :class:`Phase` protocol (``name`` + ``run(ctx)``):
   :class:`~repro.core.vocab.EncodedDataset` first and split via posting
   lists; records are decoded back at the phase boundary.
 * :class:`VerticalPhase` -- VERPART per cluster, over int bitmasks on the
-  encoded backend.  ``jobs=N`` fans the independent per-cluster calls out
-  over ``concurrent.futures`` with a deterministic merge order (cluster
-  labels are assigned before submission, results are merged in label
-  order).
+  encoded backend.
 * :class:`RefinePhase` -- REFINE with bitset shared-chunk construction on
   the encoded backend.
 * :class:`VerifyPhase` -- publishes the dataset and re-audits it.
@@ -38,7 +35,7 @@ Typical usage::
     from repro import Disassociator, AnonymizationParams, TransactionDataset
 
     dataset = TransactionDataset([...])
-    params = AnonymizationParams(k=5, m=2, jobs=4)
+    params = AnonymizationParams(k=5, m=2)
     published = Disassociator(params).anonymize(dataset)
 """
 
@@ -46,13 +43,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from repro import faults
-from repro.core import deadline, kernels
+from repro.core import deadline
 from repro.core.clusters import Cluster, DisassociatedDataset, SimpleCluster
 from repro.core.dataset import TransactionDataset
 from repro.core.horizontal import (
@@ -60,22 +55,10 @@ from repro.core.horizontal import (
     horizontal_partition,
     horizontal_partition_indices,
 )
-from repro.core.refine import RefineStats, effective_jobs, refine
+from repro.core.refine import RefineStats, refine
 from repro.core.verification import verify_km_anonymity
-from repro.core.vertical import (
-    build_cluster_from_domains,
-    partition_domains_fast,
-    vertical_partition,
-    vertical_partition_fast,
-    vertical_partition_wave,
-)
-from repro.core.vocab import (
-    EncodedCluster,
-    EncodedDataset,
-    Vocabulary,
-    discard_cluster_masks,
-    register_cluster_masks,
-)
+from repro.core.vertical import vertical_partition, vertical_partition_fast
+from repro.core.vocab import EncodedDataset, Vocabulary, discard_cluster_masks
 from repro.exceptions import EngineClosedError, ParameterError
 
 #: Execution backends: the interned/bitset core and the string reference.
@@ -102,18 +85,6 @@ class AnonymizationParams:
         backend: ``"encoded"`` (default) runs the interned-term/bitset
             execution core; ``"string"`` runs the reference implementation.
             Both produce identical published datasets.
-        jobs: number of worker processes for the per-cluster VERPART
-            fan-out (encoded backend only); ``1`` runs in-process.
-        kernels: vectorized-kernel backend for the encoded core --
-            ``"numpy"``, ``"python"``, ``"auto"`` or ``None`` (defer to
-            ``$REPRO_KERNELS``, then auto-select).  Both kernel backends
-            produce identical published datasets; see
-            :mod:`repro.core.kernels`.
-        packed_min_rows: row-count crossover for the packed/wave kernels
-            (``None`` defers to ``$REPRO_PACKED_MIN_ROWS``, then the
-            :data:`~repro.core.kernels.PACKED_MIN_ROWS` default); see
-            :func:`repro.core.kernels.packed_min_rows`.  The threshold only
-            moves work between equivalent kernels, never the output.
     """
 
     k: int = 5
@@ -124,9 +95,6 @@ class AnonymizationParams:
     sensitive_terms: frozenset = field(default_factory=frozenset)
     verify: bool = True
     backend: str = "encoded"
-    jobs: int = 1
-    kernels: Optional[str] = None
-    packed_min_rows: Optional[int] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -152,14 +120,6 @@ class AnonymizationParams:
             raise ParameterError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ParameterError(f"jobs must be a positive integer, got {self.jobs!r}")
-        if self.kernels is not None:
-            object.__setattr__(self, "kernels", kernels.validate_choice(self.kernels))
-        if self.packed_min_rows is not None:
-            object.__setattr__(
-                self, "packed_min_rows", kernels.validate_min_rows(self.packed_min_rows)
-            )
         object.__setattr__(
             self, "sensitive_terms", frozenset(str(t) for t in self.sensitive_terms)
         )
@@ -174,17 +134,8 @@ class AnonymizationReport:
     between the string and interned representations; both are sub-intervals
     of ``horizontal_seconds`` (the phase that owns the boundary).
 
-    ``effective_jobs`` is the worker count actually used (requested
-    ``jobs`` capped at the host's CPU count); ``kernels`` is the resolved
-    vectorized-kernel backend (``"python"`` or ``"numpy"``); the
-    ``refine_*`` counters expose the REFINE driver's per-pass work (see
-    :class:`~repro.core.refine.RefineStats`).
-
-    ``packed_min_rows`` is the resolved packed/wave-kernel crossover in
-    effect for the run; the ``verpart_wave_*`` and ``refine_*wave*``
-    counters record how much work went through the cross-cluster wave
-    kernels versus the per-cluster fallback (see
-    :class:`~repro.core.kernels.WaveBatch`).
+    The ``refine_*`` counters expose the REFINE driver's per-pass work
+    (see :class:`~repro.core.refine.RefineStats`).
     """
 
     num_records: int = 0
@@ -199,19 +150,12 @@ class AnonymizationReport:
     verify_seconds: float = 0.0
     encode_seconds: float = 0.0
     decode_seconds: float = 0.0
-    effective_jobs: int = 1
-    kernels: str = "python"
     refine_passes: int = 0
     refine_pairs_considered: int = 0
     refine_merges_attempted: int = 0
     refine_merges_applied: int = 0
     refine_merges_skipped_memo: int = 0
     refine_pairs_prefiltered: int = 0
-    packed_min_rows: int = 0
-    verpart_wave_clusters: int = 0
-    verpart_wave_fallbacks: int = 0
-    refine_pairs_waved: int = 0
-    refine_wave_fallbacks: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -238,18 +182,12 @@ class AnonymizationReport:
     def counters(self) -> dict:
         """Work counters as a plain dict (machine-readable perf output)."""
         return {
-            "effective_jobs": self.effective_jobs,
             "refine_passes": self.refine_passes,
             "refine_pairs_considered": self.refine_pairs_considered,
             "refine_merges_attempted": self.refine_merges_attempted,
             "refine_merges_applied": self.refine_merges_applied,
             "refine_merges_skipped_memo": self.refine_merges_skipped_memo,
             "refine_pairs_prefiltered": self.refine_pairs_prefiltered,
-            "packed_min_rows": self.packed_min_rows,
-            "verpart_wave_clusters": self.verpart_wave_clusters,
-            "verpart_wave_fallbacks": self.verpart_wave_fallbacks,
-            "refine_pairs_waved": self.refine_pairs_waved,
-            "refine_wave_fallbacks": self.refine_wave_fallbacks,
         }
 
 
@@ -266,9 +204,6 @@ class PipelineContext:
         clusters: VERPART output -- one :class:`SimpleCluster` per partition.
         refined: REFINE output -- simple and/or joint clusters.
         published: the final :class:`DisassociatedDataset`.
-        pool_provider: lazily returns the engine's shared worker pool (or
-            ``None``); the vertical and refine phases draw from the same
-            pool, so one ``anonymize`` call spawns processes at most once.
         vocabulary: optional pre-warmed interning table the horizontal
             phase encodes onto (shared across stream windows); ``None``
             interns from scratch.
@@ -282,14 +217,7 @@ class PipelineContext:
     clusters: list[SimpleCluster] = field(default_factory=list)
     refined: Optional[list[Cluster]] = None
     published: Optional[DisassociatedDataset] = None
-    pool_provider: Optional[Callable[[], Optional[ProcessPoolExecutor]]] = None
     vocabulary: Optional[Vocabulary] = None
-
-    def pool(self) -> Optional[ProcessPoolExecutor]:
-        """The shared worker pool, or ``None`` when running in-process."""
-        if self.pool_provider is None:
-            return None
-        return self.pool_provider()
 
     def publish(self) -> DisassociatedDataset:
         """Build (once) and return the published dataset."""
@@ -375,10 +303,7 @@ class HorizontalPhase:
 class VerticalPhase:
     """VERPART: split every partition into record chunks and a term chunk.
 
-    Per-cluster calls are independent; with ``params.jobs > 1`` (encoded
-    backend) they are fanned out over a process pool.  Cluster labels
-    (``P0..Pn``) are assigned before submission and results are merged in
-    that order, so the output is identical for every ``jobs`` value.
+    Cluster labels (``P0..Pn``) follow partition order.
     """
 
     name = "vertical"
@@ -386,29 +311,15 @@ class VerticalPhase:
     def run(self, ctx: PipelineContext) -> None:
         """Fill ``ctx.clusters`` with one published cluster per partition."""
         params = ctx.params
-        partitions = ctx.partitions or []
-        ctx.report.effective_jobs = effective_jobs(params.jobs)
-        if params.backend == "encoded":
-            pool = ctx.pool() if len(partitions) > 1 else None
-            if pool is not None:
-                results = _parallel_vertical(partitions, params.k, params.m, pool)
-                ctx.report.verpart_wave_fallbacks += len(partitions)
-            else:
-                wave_stats = kernels.WaveStats()
-                results = vertical_partition_wave(
-                    partitions, params.k, params.m, stats=wave_stats
-                )
-                ctx.report.verpart_wave_clusters += wave_stats.groups
-                ctx.report.verpart_wave_fallbacks += wave_stats.fallbacks
-        else:
-            results = [
-                vertical_partition(
-                    _as_dataset(part), params.k, params.m, label=f"P{index}"
-                )
-                for index, part in enumerate(partitions)
-            ]
         clusters: list[SimpleCluster] = []
-        for result in results:
+        for index, part in enumerate(ctx.partitions or []):
+            label = f"P{index}"
+            if params.backend == "encoded":
+                result = vertical_partition_fast(part, params.k, params.m, label=label)
+            else:
+                result = vertical_partition(
+                    _as_dataset(part), params.k, params.m, label=label
+                )
             cluster = result.cluster
             if params.sensitive_terms:
                 cluster = _force_sensitive_to_term_chunk(cluster, params.sensitive_terms)
@@ -420,9 +331,8 @@ class RefinePhase:
     """REFINE: merge clusters into joint clusters with shared chunks.
 
     On the encoded backend the incremental driver runs (rejected-pair memo,
-    shared mask cache) and merge attempts fan out over the engine's worker
-    pool when ``effective_jobs > 1``; the string backend keeps the
-    reference driver so backend equivalence tests cover the whole overhaul.
+    shared mask cache); the string backend keeps the reference driver so
+    backend equivalence tests cover the whole overhaul.
     The driver's counters land on the report.
     """
 
@@ -459,7 +369,6 @@ class RefinePhase:
                 excluded_terms=params.sensitive_terms,
                 use_bitsets=encoded,
                 memoize=encoded,
-                executor=ctx.pool() if encoded and len(clusters) > 2 else None,
                 stats=stats,
                 arena=(
                     ctx.vocabulary.subrecord_arena()
@@ -473,8 +382,6 @@ class RefinePhase:
             report.refine_merges_applied = stats.merges_applied
             report.refine_merges_skipped_memo = stats.skipped_by_memo
             report.refine_pairs_prefiltered = stats.prefiltered
-            report.refine_pairs_waved = stats.pairs_waved
-            report.refine_wave_fallbacks = stats.wave_fallbacks
         else:
             ctx.refined = list(clusters)
 
@@ -501,13 +408,6 @@ class Disassociator:
     Args:
         params: the anonymization parameters; defaults to ``k=5, m=2`` as in
             the paper's experiments.
-        keep_pool: keep the worker pool (``jobs > 1``) alive across
-            ``anonymize`` calls instead of shutting it down at the end of
-            each one.  Batch drivers such as
-            :class:`~repro.stream.ShardedPipeline` set this so every window
-            inherits the already-spawned workers; callers that set it own
-            the cleanup (call :meth:`close` or use the engine as a context
-            manager).
         vocabulary: optional :class:`~repro.core.vocab.Vocabulary` the
             encoded horizontal phase interns onto (instead of a fresh table
             per call).  Interning is append-only and id-insensitive
@@ -522,56 +422,12 @@ class Disassociator:
         self,
         params: Optional[AnonymizationParams] = None,
         *,
-        keep_pool: bool = False,
         vocabulary: Optional[Vocabulary] = None,
     ):
         self.params = params if params is not None else AnonymizationParams()
         self.last_report: Optional[AnonymizationReport] = None
-        self.keep_pool = keep_pool
         self.vocabulary = vocabulary
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_unavailable = False
         self._closed = False
-
-    # -- worker-pool lifecycle ------------------------------------------ #
-    def _shared_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The engine's worker pool, spawned lazily on first use.
-
-        Returns ``None`` when the effective job count is 1 (no pool is ever
-        set up) or when the platform cannot spawn worker processes.
-        """
-        workers = effective_jobs(self.params.jobs)
-        if workers <= 1 or self._pool_unavailable:
-            return None
-        if self._pool is None:
-            try:
-                # Workers start fresh interpreters where only $REPRO_KERNELS
-                # would apply; the initializer hands them the backend this
-                # engine's params resolve to, so an explicit kernels choice
-                # governs the fan-out too.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=kernels.set_default,
-                    initargs=(
-                        kernels.resolve(self.params.kernels),
-                        kernels.packed_min_rows(self.params.packed_min_rows),
-                    ),
-                )
-            except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-                self._pool_unavailable = True
-                return None
-        return self._pool
-
-    def _release_pool(self) -> None:
-        """Shut down the worker pool (no-op when none was spawned).
-
-        Internal end-of-run cleanup: unlike :meth:`close` it leaves the
-        engine usable, so an engine without ``keep_pool`` can serve many
-        ``anonymize`` calls (each spawning and releasing its own pool).
-        """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     @property
     def closed(self) -> bool:
@@ -579,21 +435,19 @@ class Disassociator:
         return self._closed
 
     def close(self) -> None:
-        """Retire the engine: shut down the worker pool and refuse reuse.
+        """Retire the engine; a later :meth:`anonymize` raises.
 
         Raises:
-            EngineClosedError: on a double close.  The shared pool is a
-                process-level resource other components (the service layer,
-                the streaming executor) may be drawing from, so a second
-                ``close()`` is a lifecycle bug worth surfacing rather than
-                silently absorbing.
+            EngineClosedError: on a double close.  Engines are shared by
+                other components (the service layer, the streaming
+                executor), so a second ``close()`` is a lifecycle bug worth
+                surfacing rather than silently absorbing.
         """
         if self._closed:
             raise EngineClosedError(
                 "Disassociator.close() called twice; the engine was already closed"
             )
         self._closed = True
-        self._release_pool()
 
     def __enter__(self) -> "Disassociator":
         return self
@@ -623,12 +477,7 @@ class Disassociator:
                 "create a new Disassociator (or do not close this one)"
             )
         params = self.params
-        report = AnonymizationReport(
-            num_records=len(dataset),
-            effective_jobs=effective_jobs(params.jobs),
-            kernels=kernels.resolve(params.kernels),
-            packed_min_rows=kernels.packed_min_rows(params.packed_min_rows),
-        )
+        report = AnonymizationReport(num_records=len(dataset))
         self.last_report = report
         sensitive = params.sensitive_terms
 
@@ -645,27 +494,10 @@ class Disassociator:
             report=report,
             dataset=dataset,
             working=working,
-            pool_provider=self._shared_pool,
             vocabulary=self.vocabulary if params.backend == "encoded" else None,
         )
-        try:
-            # One consistent kernel backend for the whole run: every lazily
-            # resolving helper (checker construction, chunk assembly) sees
-            # the resolved value instead of re-consulting the environment.
-            with kernels.use(report.kernels, report.packed_min_rows):
-                self.build_pipeline().run(ctx)
-                published = ctx.publish()
-        except BrokenProcessPool:
-            # A crashed worker poisons the executor permanently.  Drop it
-            # so the next anonymize call respawns a fresh pool instead of
-            # failing forever -- long-lived keep_pool engines (the service
-            # layer) would otherwise turn one worker crash into a standing
-            # outage.
-            self._release_pool()
-            raise
-        finally:
-            if not self.keep_pool:
-                self._release_pool()
+        self.build_pipeline().run(ctx)
+        published = ctx.publish()
         _fill_report(report, published)
         return published
 
@@ -730,55 +562,6 @@ def _force_sensitive_to_term_chunk(
 
 
 # ------------------------------------------------------------------ #
-# parallel VERPART fan-out
-# ------------------------------------------------------------------ #
-def _vertical_worker(payload):
-    """Process-pool task: VERPART domain selection for one cluster.
-
-    Module-level for pickling.  The selected domains and the term bitmasks
-    the selection already built travel back to the parent; the parent
-    materializes the cluster from its own copy of the records and registers
-    the masks so REFINE inherits them instead of re-encoding every leaf
-    (exactly as the serial path does).
-    """
-    records, k, m = payload
-    record_list = [frozenset(r) for r in records]
-    view = EncodedCluster(record_list)
-    domains = partition_domains_fast(record_list, k, m, view=view)
-    return domains, view.masks, len(record_list)
-
-
-def _parallel_vertical(partitions, k: int, m: int, pool: ProcessPoolExecutor):
-    """Fan independent per-cluster VERPART calls out over a process pool.
-
-    Labels are assigned by partition index and ``Executor.map`` preserves
-    submission order, so the merge is deterministic.  The pool is the
-    engine's shared one (also used by REFINE) and is not shut down here.
-    Falls back to the serial path when the pool breaks mid-run.
-    """
-    payloads = [(tuple(part), k, m) for part in partitions]
-    workers = getattr(pool, "_max_workers", 1) or 1
-    try:
-        chunksize = max(1, len(payloads) // (workers * 4))
-        domain_sets = list(pool.map(_vertical_worker, payloads, chunksize=chunksize))
-    except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-        return [
-            vertical_partition_fast(part, k, m, label=f"P{index}")
-            for index, part in enumerate(partitions)
-        ]
-    results = []
-    for index, (payload, outcome) in enumerate(zip(payloads, domain_sets)):
-        record_list = [frozenset(r) for r in payload[0]]
-        (chunk_domains, term_chunk_terms, demoted), masks, num_rows = outcome
-        result = build_cluster_from_domains(
-            record_list, chunk_domains, term_chunk_terms, demoted, f"P{index}"
-        )
-        register_cluster_masks(result.cluster, masks, num_rows)
-        results.append(result)
-    return results
-
-
-# ------------------------------------------------------------------ #
 def _as_dataset(partition) -> TransactionDataset:
     """Coerce a partition (record sequence) into a :class:`TransactionDataset`."""
     if isinstance(partition, TransactionDataset):
@@ -823,16 +606,14 @@ def anonymize(
     sensitive_terms=(),
     verify: bool = True,
     backend: str = "encoded",
-    jobs: int = 1,
-    kernels: Optional[str] = None,
 ) -> DisassociatedDataset:
     """Functional one-call interface to the disassociation pipeline.
 
     .. deprecated:: 1.1
         Compatibility shim over :class:`repro.service.AnonymizationService`;
         the output is bit-for-bit identical, but a one-shot call rebuilds
-        the warm state (worker pool, vocabulary, kernel resolution) the
-        service exists to amortize.  Serving more than one request?  Hold a
+        the warm state (engines, vocabulary) the service exists to
+        amortize.  Serving more than one request?  Hold a
         service and call :meth:`~repro.service.AnonymizationService.run`.
     """
     warnings.warn(
@@ -853,8 +634,6 @@ def anonymize(
         sensitive_terms=frozenset(sensitive_terms),
         verify=verify,
         backend=backend,
-        jobs=jobs,
-        kernels=kernels,
     )
     with AnonymizationService(config) as service:
         return service.run(AnonymizationRequest(dataset, mode="batch")).publication

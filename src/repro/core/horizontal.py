@@ -19,7 +19,6 @@ from collections import Counter
 from collections.abc import Sequence
 from typing import Optional
 
-from repro.core import kernels
 from repro.core.dataset import TransactionDataset
 from repro.core.vocab import EncodedDataset
 from repro.exceptions import ParameterError
@@ -91,7 +90,6 @@ def horizontal_partition(
 def horizontal_partition_indices(
     encoded: EncodedDataset,
     max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE,
-    kernels_backend: Optional[str] = None,
 ) -> list[list[int]]:
     """HORPART over an :class:`~repro.core.vocab.EncodedDataset`.
 
@@ -109,14 +107,6 @@ def horizontal_partition_indices(
       through one scratch buffer allocated once per call, instead of two
       fresh per-side lists at every node.
 
-    With the numpy kernel backend (``kernels_backend``, resolved through
-    :func:`repro.core.kernels.resolve` when ``None``) the same recursion
-    runs over a contiguous int32 id buffer: node supports are one gather +
-    ``bincount`` (:class:`~repro.core.kernels.RecordIdBuffer`), the split
-    delta is an array subtraction, and the stable partition is a boolean
-    take from per-term posting arrays.  Split decisions, tie-breaks and
-    cluster emission order are identical in both shapes.
-
     Returns:
         List of clusters as index lists; their concatenation is a
         permutation of ``range(len(encoded))``.
@@ -128,9 +118,6 @@ def horizontal_partition_indices(
     total = len(encoded)
     if total == 0:
         return []
-    if kernels.resolve(kernels_backend) == "numpy":
-        return _partition_indices_numpy(encoded, max_cluster_size)
-
     records = encoded.records
     decode = encoded.vocab.decode
     indices = list(range(total))
@@ -216,116 +203,6 @@ def horizontal_partition_indices(
         stack.append((lo + num_with, hi, ignore, without_counts))
         stack.append((lo, lo + num_with, ignore | {split_term}, with_counts))
     return clusters
-
-
-def _partition_indices_numpy(
-    encoded: EncodedDataset, max_cluster_size: int
-) -> list[list[int]]:
-    """The numpy shape of :func:`horizontal_partition_indices`.
-
-    Same recursion, same stack discipline, same lazily-counted root and
-    smaller-side/subtraction delta -- but node supports are dense int64
-    arrays produced by :meth:`~repro.core.kernels.RecordIdBuffer.counts`
-    (one gather + ``bincount`` per counted side) and the stable in-place
-    partition becomes a boolean take against the split term's posting
-    array.  A term absent from a part simply has count 0 in the array,
-    which :func:`_most_frequent_array` excludes exactly like the dict
-    shape's missing keys.
-    """
-    np = kernels.np
-    # Compact ids: under shard-lifetime vocabulary reuse a window can hold
-    # large original ids, and without compaction every per-node count
-    # array would scale with the shard's cumulative vocabulary.
-    buffer = kernels.RecordIdBuffer(encoded.records, compact=True)
-    total = buffer.num_records
-    vocab_decode = encoded.vocab.decode
-    term_ids = buffer.term_ids
-    if term_ids is None:
-        decode = vocab_decode
-    else:
-        def decode(compact_id, _term_ids=term_ids):
-            return vocab_decode(int(_term_ids[compact_id]))
-    member = np.zeros(total, dtype=bool)
-
-    clusters: list[list[int]] = []
-    # Node = (indices, ignore, counts); counts is the part's exact term
-    # supports (dense array), or None when the node is small enough to be
-    # emitted (or is the root, which is counted on first use).
-    stack: list[tuple] = [(np.arange(total, dtype=np.int64), frozenset(), None)]
-    while stack:
-        indices, ignore, counts = stack.pop()
-        size = len(indices)
-        if size == 0:
-            continue
-        if size < max_cluster_size:
-            clusters.append(indices.tolist())
-            continue
-        if counts is None:
-            # The root covers the whole buffer: one plain bincount, no gather.
-            counts = buffer.counts(None if size == total else indices)
-        split_term = _most_frequent_array(counts, ignore, decode)
-        if split_term is None:
-            clusters.extend(
-                indices[start : start + max_cluster_size].tolist()
-                for start in range(0, size, max_cluster_size)
-            )
-            continue
-        num_with = int(counts[split_term])
-        if num_with == size:
-            # The split term appears in all of the records; using it again
-            # would loop forever, so just mark it ignored and retry.
-            stack.append((indices, ignore | {split_term}, counts))
-            continue
-
-        posting = buffer.posting(split_term)
-        member[posting] = True
-        mask = member[indices]
-        member[posting] = False
-        with_indices = indices[mask]
-        without_indices = indices[~mask]
-
-        num_without = size - num_with
-        counts_needed = (
-            num_with >= max_cluster_size or num_without >= max_cluster_size
-        )
-        if counts_needed:
-            if num_with <= num_without:
-                side = buffer.counts(with_indices)
-                with_counts, without_counts = side, counts - side
-            else:
-                side = buffer.counts(without_indices)
-                with_counts, without_counts = counts - side, side
-            if num_without < max_cluster_size:
-                without_counts = None
-            if num_with < max_cluster_size:
-                with_counts = None
-        else:
-            with_counts = without_counts = None
-        stack.append((without_indices, ignore, without_counts))
-        stack.append((with_indices, ignore | {split_term}, with_counts))
-    return clusters
-
-
-def _most_frequent_array(counts, exclude: frozenset, decode) -> Optional[int]:
-    """Most frequent term id in a dense supports array (ties on the string).
-
-    The array shape of :func:`_most_frequent`: zero-count entries stand in
-    for the dict shape's absent keys and are never candidates (a part's
-    present terms all have support >= 1), so both shapes consider exactly
-    the same ``(support, term)`` pairs.
-    """
-    if exclude:
-        counts = counts.copy()
-        counts[list(exclude)] = 0
-    if not len(counts):
-        return None
-    best = int(counts.max())
-    if best <= 0:
-        return None
-    candidates = kernels.np.nonzero(counts == best)[0]
-    if len(candidates) == 1:
-        return int(candidates[0])
-    return min((int(tid) for tid in candidates), key=decode)
 
 
 def _most_frequent(counts: dict, exclude: frozenset, decode) -> Optional[int]:

@@ -15,10 +15,9 @@ from such terms, provided that
 REFINE repeatedly orders the clusters by the contents of their (virtual)
 term chunks and merges adjacent pairs until no merge is applied.
 
-The default driver is incremental, cache-aware and optionally parallel,
-with **bit-for-bit identical output** to the reference formulation (which
-is preserved behind ``memoize=False`` and exercised by the equivalence
-suite):
+The default driver is incremental and cache-aware, with **bit-for-bit
+identical output** to the reference formulation (which is preserved
+behind ``memoize=False`` and exercised by the equivalence suite):
 
 * rejected merge attempts are **memoized** (:class:`MergeMemo`) keyed by
   the pair's ``(identity, virtual-term-chunk)`` fingerprints -- a failed
@@ -30,20 +29,14 @@ suite):
   re-encoding every leaf's records on every attempt and every hold-back
   iteration, and the hold-back loop shrinks an accepted shared-chunk
   domain via :meth:`BitsetChunkChecker.remove` when a full re-selection is
-  provably identical;
-* with ``jobs > 1`` (or an explicit ``executor``) the merge *attempts* of
-  a pass are evaluated speculatively over a process pool and replayed
-  sequentially -- attempts are read-only and adjacent pairs touch disjoint
-  leaves, so the replay applies exactly the merges the serial walk would.
+  provably identical.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +46,6 @@ from repro.core.anonymity import (
     is_km_anonymous,
     validate_km_parameters,
 )
-from repro.core import kernels
 from repro.core.clusters import Cluster, JointCluster, SharedChunk, SimpleCluster, TermChunk
 from repro.core.vocab import SubrecordArena, cluster_masks, iter_mask_bits
 from repro.exceptions import RefinementError
@@ -74,19 +66,6 @@ class MergeOutcome:
     reason: str = ""
 
 
-def effective_jobs(requested: int) -> int:
-    """The worker-process count actually used for a requested ``jobs`` value.
-
-    Capped at ``os.cpu_count()``: oversubscribing a host with more worker
-    processes than cores is pure scheduling and IPC overhead (the committed
-    ``BENCH_speedup.json`` measured ``jobs=4`` 1.16x *slower* end to end on
-    a 1-CPU host).  When the effective value is 1 no process pool is set up
-    at all.  Shared by the engine's pool sizing and :func:`refine`'s own
-    ``jobs`` handling so the capping policy cannot drift between them.
-    """
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 @dataclass
 class RefineStats:
     """Per-run REFINE counters (surfaced on the engine report and benchmarks).
@@ -94,19 +73,12 @@ class RefineStats:
     Attributes:
         passes: merge passes executed.
         pairs_considered: adjacent pairs visited by the merge walks.
-        merges_attempted: full merge attempts evaluated (with ``jobs > 1``
-            this counts speculative evaluations, some of which the replay
-            never consumes).
+        merges_attempted: full merge attempts evaluated.
         merges_applied: attempts that produced a joint cluster.
         skipped_by_memo: pairs skipped because an identical attempt was
             already rejected in an earlier pass.
         prefiltered: pairs rejected by the cheap pre-checks (disjoint
             virtual term chunks, ``max_join_size``) without building chunks.
-        pairs_waved: serial merge attempts whose pairwise k^m verdicts came
-            out of a per-pass :class:`~repro.core.kernels.WaveBatch` matrix.
-        wave_fallbacks: serial merge attempts evaluated per pair instead
-            (python backend, ``m != 2``, no eligible term, or a pass whose
-            total rows stayed under the packed crossover).
     """
 
     passes: int = 0
@@ -115,8 +87,6 @@ class RefineStats:
     merges_applied: int = 0
     skipped_by_memo: int = 0
     prefiltered: int = 0
-    pairs_waved: int = 0
-    wave_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (machine-readable perf output)."""
@@ -127,8 +97,6 @@ class RefineStats:
             "merges_applied": self.merges_applied,
             "skipped_by_memo": self.skipped_by_memo,
             "prefiltered": self.prefiltered,
-            "pairs_waved": self.pairs_waved,
-            "wave_fallbacks": self.wave_fallbacks,
         }
 
 
@@ -316,12 +284,12 @@ class _JointMaskBuilder:
         leaves: Sequence[SimpleCluster],
         arena: Optional[SubrecordArena] = None,
     ):
-        self._sources: list[tuple[SimpleCluster, dict, int, int]] = []
+        self._sources: list[tuple[SimpleCluster, dict, int]] = []
         self._arena = arena
         offset = 0
         for leaf in leaves:
             masks, num_rows = cluster_masks(leaf)
-            self._sources.append((leaf, masks, offset, num_rows))
+            self._sources.append((leaf, masks, offset))
             offset += num_rows
         self.num_rows = offset
 
@@ -333,7 +301,7 @@ class _JointMaskBuilder:
         both a record chunk and a shared chunk).
         """
         joint: dict = {}
-        for leaf, masks, offset, _num_rows in self._sources:
+        for leaf, masks, offset in self._sources:
             for term in leaf.term_chunk.terms & candidates:
                 mask = masks.get(term)
                 if mask:
@@ -365,27 +333,21 @@ class _JointMaskBuilder:
 
         Sub-records are reassembled from the cached leaf masks in original
         record order, with per-leaf contribution counts in leaf order --
-        exactly what projecting every record would produce.  On the numpy
-        kernel backend, leaves of at least
-        :func:`~repro.core.kernels.packed_min_rows` rows assemble through
-        :func:`~repro.core.kernels.assemble_subrecords` (one ``unpackbits``
-        over the packed row matrix) instead of per-row bigint shifts.  When
-        the builder carries a :class:`~repro.core.vocab.SubrecordArena`
-        (the driver threads one per refine call), smaller leaves assemble
+        exactly what projecting every record would produce.  When the
+        builder carries a :class:`~repro.core.vocab.SubrecordArena` (the
+        driver threads one per refine call), leaves assemble
         one *interned* sub-record per distinct row pattern instead of one
         fresh frozenset per row -- the arena canonical instances are reused
         across merge attempts and passes.  The produced sub-records are
         identical on every path.
         """
-        packed_assembly = kernels.resolve(None) == "numpy"
-        packed_rows = kernels.packed_min_rows()
         arena = self._arena
         shared_chunks: list[SharedChunk] = []
         placed: set = set()
         for domain in domains:
             subrecords: list[frozenset] = []
             contributions: dict = {}
-            for leaf, masks, _offset, leaf_rows in self._sources:
+            for leaf, masks, _offset in self._sources:
                 term_masks = []
                 or_mask = 0
                 for term in domain & leaf.term_chunk.terms:
@@ -401,10 +363,6 @@ class _JointMaskBuilder:
                     # One liftable term: every sub-record is the same
                     # singleton (shared, like the projections would be).
                     subrecords.extend([frozenset((term_masks[0][0],))] * count)
-                elif packed_assembly and leaf_rows >= packed_rows:
-                    subrecords.extend(
-                        kernels.assemble_subrecords(term_masks, leaf_rows)
-                    )
                 elif arena is not None:
                     subrecords.extend(
                         arena.subrecords_for(term_masks, or_mask, count)
@@ -428,8 +386,6 @@ def _select_domains_from_masks(
     restricted_terms: frozenset,
     k: int,
     m: int,
-    wave: Optional[tuple] = None,
-    order: Optional[Sequence] = None,
 ) -> tuple[list[frozenset], Optional[BitsetChunkChecker], bool]:
     """Greedy shared-chunk domain selection over prebuilt joint masks.
 
@@ -439,37 +395,19 @@ def _select_domains_from_masks(
     domain touches ``restricted_terms``), and skipped candidates seed the
     next domain.
 
-    ``order`` optionally hands in the candidate order the driver already
-    sorted (all with support >= k); ``wave`` optionally hands in the pair's
-    wave verdicts as ``(bits, bad)`` -- term -> wave bit index, and the
-    per-term "bad partner" bitmasks from the pass-wide
-    :class:`~repro.core.kernels.WaveBatch` sweep (``None`` when the pair
-    has no sub-``k`` term pair at all).  With a wave, the pairwise
-    AND + popcount loop collapses to one small-int test per candidate; the
-    decisions are the same comparisons, precomputed.
-
     Returns ``(domains, last_checker, single_round)``; ``single_round`` is
     ``True`` when the very first round accepted every eligible candidate
     (one domain, nothing skipped), the precondition of the hold-back fast
     path.
     """
-    if order is not None:
-        # The driver's precomputed decreasing-support order; the hold-back
-        # loop re-selects over fewer terms, so filter while preserving the
-        # relative order (identical to re-sorting on the same key).
-        if len(order) == len(supports):
-            remaining = list(order)
-        else:
-            remaining = [t for t in order if t in supports]
-    else:
-        # A term with joint support < k can never join any domain (its
-        # singleton combination is already sub-k); dropping such terms here
-        # skips their per-round re-evaluation without changing a single
-        # accept/skip decision.
-        remaining = sorted(
-            (t for t in supports if supports[t] >= k),
-            key=lambda t: (-supports[t], t),
-        )
+    # A term with joint support < k can never join any domain (its
+    # singleton combination is already sub-k); dropping such terms here
+    # skips their per-round re-evaluation without changing a single
+    # accept/skip decision.
+    remaining = sorted(
+        (t for t in supports if supports[t] >= k),
+        key=lambda t: (-supports[t], t),
+    )
     num_candidates = len(remaining)
 
     # The m <= 2 case (the paper's default) inlines the k^m check to a
@@ -478,21 +416,13 @@ def _select_domains_from_masks(
     # left.  m >= 3 keeps the checker's pruned DFS.  Decisions are
     # identical in both shapes.
     fast_pairs = m <= 2
-    use_wave = wave is not None and m == 2
-    if use_wave:
-        wave_bits, wave_bad = wave
     domains: list[frozenset] = []
     checker: Optional[BitsetChunkChecker] = None
     while remaining:
         if not fast_pairs:
             if checker is None:
-                checker = BitsetChunkChecker(
-                    masks, k, m, share_masks=True, num_rows=num_rows
-                )
+                checker = BitsetChunkChecker(masks, k, m, share_masks=True)
             else:
-                # Only the accepted batch changes between rounds; reusing
-                # the checker keeps the packed mask matrix (numpy backend)
-                # built once instead of re-serialized per domain.
                 checker.reset()
         # Distinct-projection row classes feed the Property-1 k-anonymity
         # check; they are materialized only when a candidate actually
@@ -500,14 +430,11 @@ def _select_domains_from_masks(
         classes: Optional[_ProjectionClasses] = None
         accepted: list = []
         accepted_masks: list = []
-        accepted_bits = 0
         skipped: list = []
         touches_restricted = False
         for term in remaining:
             mask = masks[term]
-            if use_wave:
-                ok = wave_bad is None or not (wave_bad[wave_bits[term]] & accepted_bits)
-            elif fast_pairs:
+            if fast_pairs:
                 ok = True
                 if m == 2:
                     for prior in accepted_masks:
@@ -526,9 +453,7 @@ def _select_domains_from_masks(
                 continue
             accepted.append(term)
             accepted_masks.append(mask)
-            if use_wave:
-                accepted_bits |= 1 << wave_bits[term]
-            elif not fast_pairs:
+            if not fast_pairs:
                 checker.add(term)
             if term in restricted_terms:
                 touches_restricted = True
@@ -542,7 +467,7 @@ def _select_domains_from_masks(
     if single_round and checker is None:
         # The hold-back fast path shrinks the accepted domain through the
         # checker; synthesize one for the inlined m <= 2 rounds.
-        checker = BitsetChunkChecker(masks, k, m, share_masks=True, num_rows=num_rows)
+        checker = BitsetChunkChecker(masks, k, m, share_masks=True)
         for term in domains[0]:
             checker.add(term)
     return domains, checker, single_round
@@ -727,7 +652,6 @@ def try_merge(
     _leaves: Optional[list] = None,
     _restricted_parts: Optional[tuple] = None,
     _pair_masks: Optional[tuple] = None,
-    _waved: Optional[tuple] = None,
     _arena: Optional[SubrecordArena] = None,
 ) -> MergeOutcome:
     """Attempt to merge two clusters into a joint cluster.
@@ -745,23 +669,19 @@ def try_merge(
     ``support_cache`` optionally shares per-cluster liftable supports
     across attempts (the driver passes one per refine call).
     """
-    # A wave table certifies the pair already cleared the size cap and the
-    # common-candidate check in the pass-wide pre-pass; re-deriving either
-    # here would only repeat those exact computations.
+    if max_join_size is not None and (
+        cluster_size(left) + cluster_size(right) > max_join_size
+    ):
+        return MergeOutcome(None, reason="joint cluster would exceed max_join_size")
+    # `_refining_candidates` lets the driver hand over the intersection it
+    # already computed from its per-cluster virtual-term-chunk cache.
     refining_candidates = _refining_candidates
-    if _waved is None:
-        if max_join_size is not None and (
-            cluster_size(left) + cluster_size(right) > max_join_size
-        ):
-            return MergeOutcome(None, reason="joint cluster would exceed max_join_size")
-        # `_refining_candidates` lets the driver hand over the intersection
-        # it already computed from its per-cluster virtual-term-chunk cache.
-        if refining_candidates is None:
-            refining_candidates = (
-                virtual_term_chunk(left) & virtual_term_chunk(right)
-            ) - excluded_terms
-        if not refining_candidates:
-            return MergeOutcome(None, reason="no common term-chunk terms")
+    if refining_candidates is None:
+        refining_candidates = (
+            virtual_term_chunk(left) & virtual_term_chunk(right)
+        ) - excluded_terms
+    if not refining_candidates:
+        return MergeOutcome(None, reason="no common term-chunk terms")
 
     joint_size = cluster_size(left) + cluster_size(right)
     leaves = _leaves if _leaves is not None else (
@@ -774,51 +694,37 @@ def try_merge(
             if _restricted_parts is not None
             else left.record_chunk_terms() | right.record_chunk_terms()
         )
-        wave = None
-        order = None
-        if _waved is not None:
-            # The pass-wide wave already computed this pair's eligible
-            # supports, joint masks, candidate order and pairwise verdicts;
-            # consume them instead of rebuilding any of it.  Only consumed
-            # pairs pay for the mask dict and bit positions -- tables the
-            # walk skips past (their neighbour merged first) stay as the
-            # matrix slice they were born as.
-            row_words, num_rows, eligible_supports, order, bad = _waved
-            pair_masks = dict(zip(order, row_words))
-            bits = {term: position for position, term in enumerate(order)}
-            wave = (bits, bad)
+        # Eligibility first: a refining term's joint support is the sum of
+        # the members' liftable supports, so terms that cannot reach k --
+        # and pairs with no eligible term at all -- are rejected from two
+        # cached dicts before any joint mask is assembled.
+        supports_left = _liftable_supports(left, support_cache)
+        supports_right = _liftable_supports(right, support_cache)
+        eligible_supports = {}
+        get_left = supports_left.get
+        get_right = supports_right.get
+        for term in refining_candidates:
+            support = get_left(term, 0) + get_right(term, 0)
+            if support >= k:
+                eligible_supports[term] = support
+        if not eligible_supports:
+            return MergeOutcome(
+                None, reason="no k^m-anonymous shared chunk could be built"
+            )
+        if _pair_masks is not None:
+            # Cluster-level masks from the driver: the pair's joint masks
+            # are two dict probes and a shift per eligible term, and the
+            # eligibility sums double as the selection supports.
+            (masks_left, rows_left), (masks_right, rows_right) = _pair_masks
+            pair_masks = {
+                term: masks_left.get(term, 0)
+                | (masks_right.get(term, 0) << rows_left)
+                for term in eligible_supports
+            }
+            num_rows = rows_left + rows_right
         else:
-            # Eligibility first: a refining term's joint support is the sum
-            # of the members' liftable supports, so terms that cannot reach
-            # k -- and pairs with no eligible term at all -- are rejected
-            # from two cached dicts before any joint mask is assembled.
-            supports_left = _liftable_supports(left, support_cache)
-            supports_right = _liftable_supports(right, support_cache)
-            eligible_supports = {}
-            get_left = supports_left.get
-            get_right = supports_right.get
-            for term in refining_candidates:
-                support = get_left(term, 0) + get_right(term, 0)
-                if support >= k:
-                    eligible_supports[term] = support
-            if not eligible_supports:
-                return MergeOutcome(
-                    None, reason="no k^m-anonymous shared chunk could be built"
-                )
-            if _pair_masks is not None:
-                # Cluster-level masks from the driver: the pair's joint
-                # masks are two dict probes and a shift per eligible term,
-                # and the eligibility sums double as the selection supports.
-                (masks_left, rows_left), (masks_right, rows_right) = _pair_masks
-                pair_masks = {
-                    term: masks_left.get(term, 0)
-                    | (masks_right.get(term, 0) << rows_left)
-                    for term in eligible_supports
-                }
-                num_rows = rows_left + rows_right
-            else:
-                pair_masks = None
-                num_rows = None
+            pair_masks = None
+            num_rows = None
         eligible = frozenset(eligible_supports)
         # Domains are selected first and the Equation-1 criterion is
         # evaluated straight from the joint-support popcounts; the shared
@@ -828,7 +734,6 @@ def try_merge(
             leaves, eligible, restricted, k, m,
             masks=pair_masks, num_rows=num_rows,
             supports=eligible_supports if pair_masks is not None else None,
-            wave=wave, order=order,
         )
         if failure:
             return MergeOutcome(None, reason=failure)
@@ -870,8 +775,6 @@ def _select_chunks_bitset(
     masks: Optional[dict] = None,
     num_rows: Optional[int] = None,
     supports: Optional[dict] = None,
-    wave: Optional[tuple] = None,
-    order: Optional[Sequence] = None,
 ) -> tuple[list[frozenset], frozenset, dict, str]:
     """Shared-chunk domain selection with the Lemma-2 hold-back loop (bitsets).
 
@@ -917,8 +820,7 @@ def _select_chunks_bitset(
                     if term in supports
                 }
             domains, checker, single_round = _select_domains_from_masks(
-                masks, num_rows, round_supports, restricted, k, m,
-                wave=wave, order=order,
+                masks, num_rows, round_supports, restricted, k, m
             )
             have_selection = True
         placed = frozenset().union(*domains) if domains else frozenset()
@@ -1089,9 +991,8 @@ def _prefilter(
 ) -> tuple[Optional[str], frozenset]:
     """Cheap rejection checks mirroring ``try_merge``'s first two gates.
 
-    Returns ``(reason, refining_candidates)`` -- the single source of
-    truth for both the sequential walk and the speculative dispatch, so
-    the two skip-sets can never desynchronize.
+    Returns ``(reason, refining_candidates)``; the walk hands the
+    candidates on to :func:`try_merge` so it does not recompute them.
     """
     candidates = (vtc_left & vtc_right) - excluded_terms
     if not candidates:
@@ -1099,107 +1000,6 @@ def _prefilter(
     if max_join_size is not None and left.size + right.size > max_join_size:
         return "joint cluster would exceed max_join_size", candidates
     return None, candidates
-
-
-def _pair_worker(payload):
-    """Process-pool task: evaluate one speculative merge attempt.
-
-    The pair travels as pickled cluster trees; only a compact outcome comes
-    back (``None`` for a rejection, otherwise the placed terms plus the
-    shared-chunk contents), and the parent re-applies the merge to its own
-    objects.  The worker's mutations only touch its private copies.
-    """
-    left, right, k, m, max_join_size, excluded_terms, use_bitsets, candidates = payload
-    outcome = try_merge(
-        left,
-        right,
-        k,
-        m,
-        max_join_size=max_join_size,
-        excluded_terms=excluded_terms,
-        use_bitsets=use_bitsets,
-        _refining_candidates=candidates,
-    )
-    if outcome.joint is None:
-        return None
-    return (
-        outcome.refining_terms,
-        [
-            (chunk.domain, chunk.subrecords, chunk.contributions)
-            for chunk in outcome.joint.shared_chunks
-        ],
-    )
-
-
-def _apply_merge(left: Cluster, right: Cluster, placed: frozenset, chunk_payload) -> JointCluster:
-    """Apply a worker-evaluated merge to the parent's own cluster objects.
-
-    Mirrors the tail of :func:`try_merge`: lift the placed terms out of
-    every leaf term chunk and wrap the pair in a joint cluster carrying the
-    shared chunks the worker built.
-    """
-    for leaf in left.leaves() + right.leaves():
-        terms = leaf.term_chunk.terms
-        if terms & placed:
-            leaf.term_chunk = TermChunk(terms - placed)
-    shared = [
-        SharedChunk(domain, subrecords, contributions)
-        for domain, subrecords, contributions in chunk_payload
-    ]
-    return JointCluster(
-        children=[left, right],
-        shared_chunks=shared,
-        label=f"J[{left.label}+{right.label}]",
-    )
-
-
-def _speculative_outcomes(
-    ordered: Sequence[Cluster],
-    vtcs: dict,
-    memo: MergeMemo,
-    k: int,
-    m: int,
-    max_join_size: Optional[int],
-    excluded_terms: frozenset,
-    use_bitsets: bool,
-    pool,
-    stats: RefineStats,
-) -> Optional[dict]:
-    """Evaluate every non-skippable adjacent pair of a pass over the pool.
-
-    Attempts are read-only and adjacent pairs share no leaves, so outcomes
-    computed against the pre-pass state stay valid wherever the sequential
-    replay consumes them.  Returns ``{pair_index: worker_result}`` or
-    ``None`` when the pool is unusable (callers fall back to serial).
-    """
-    indices: list[int] = []
-    payloads: list[tuple] = []
-    for index in range(len(ordered) - 1):
-        left, right = ordered[index], ordered[index + 1]
-        if memo.is_rejected(left, right, vtcs):
-            continue
-        reason, candidates = _prefilter(
-            left, right, vtcs[id(left)], vtcs[id(right)], max_join_size, excluded_terms
-        )
-        if reason:
-            continue
-        indices.append(index)
-        payloads.append(
-            (left, right, k, m, max_join_size, excluded_terms, use_bitsets, candidates)
-        )
-    if not payloads:
-        return {}
-    stats.merges_attempted += len(payloads)
-    try:
-        # chunksize MUST stay 1: overlapping pairs share a cluster, and
-        # pickling several payloads as one chunk would dedupe that shared
-        # object in the worker -- a successful speculative merge for pair
-        # (i, i+1) would then mutate the copy pair (i+1, i+2) is about to
-        # read.  One payload per task gives every attempt isolated copies.
-        results = list(pool.map(_pair_worker, payloads, chunksize=1))
-    except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-        return None
-    return dict(zip(indices, results))
 
 
 class _LazyJointMasks:
@@ -1298,10 +1098,6 @@ class _DriverState:
             _LazyJointMasks(masks_left, masks_right, rows_left, placed),
             rows_left + rows_right,
         )
-        # _liftable_supports fills a member's entry on the fly if the merge
-        # came from a speculative worker (the parent never ran try_merge);
-        # computed post-mutation it already excludes the placed terms, so
-        # the removal below is simply a no-op in that case.
         joint_supports = dict(_liftable_supports(left, self.supports))
         get = joint_supports.get
         for term, support in _liftable_supports(right, self.supports).items():
@@ -1311,151 +1107,23 @@ class _DriverState:
         self.supports[jid] = joint_supports
 
 
-#: Marks a pair the pass-wide wave pre-pass never saw (as opposed to a
-#: ``None`` table entry, which records a pre-pass rejection).
-_WAVE_MISS = object()
-
-
-def _waved_pair_tables(
-    ordered: Sequence[Cluster],
-    state: _DriverState,
-    memo: MergeMemo,
-    k: int,
-    max_join_size: Optional[int],
-    excluded_terms: frozenset,
-) -> Optional[dict]:
-    """Precompute every non-skippable pair's wave verdicts for one pass.
-
-    Mirrors the walk's own gates (memo, prefilter, eligibility) against the
-    pre-pass state -- valid wherever the walk consumes a table because
-    merges only mutate the merged pair's leaves, the same argument that
-    makes :func:`_speculative_outcomes` sound.  All surviving pairs' joint
-    term masks go into one :class:`~repro.core.kernels.WaveBatch`; a single
-    AND + popcount sweep yields each pair's "bad partner" bitmasks.
-
-    Returns ``{pair_index: (row_words, num_rows, eligible_supports,
-    order, bad) | None}``, or ``None`` (no dict at all) when the wave's
-    total rows stay below :func:`~repro.core.kernels.packed_min_rows`
-    (callers fall back to the per-pair path; decisions are identical
-    either way).  ``row_words`` are the pair's joint term masks as plain
-    ints, one per term of ``order`` -- sliced out of the wave matrix, so
-    no per-pair bigint assembly ever runs in Python.  A ``None`` *entry*
-    records a pair the pre-pass already rejected for having no eligible
-    refining term -- the walk records the rejection without re-deriving
-    it.  Every entry (including ``None``) certifies the pair cleared the
-    memo and prefilter gates at pre-pass state, so the walk skips those
-    gates for table pairs.  Pairs whose joint cluster exceeds 64 records
-    are left to the walk: their masks span several uint64 words, where
-    packing costs more than the per-pair bigint checks save.
-    """
-    min_rows = kernels.packed_min_rows()
-    # Cheap bound before any per-pair work: eligible terms rarely
-    # outnumber the pair's records at realistic k, so a wave over these
-    # clusters is very unlikely to reach the crossover when twice their
-    # total rows does not (pure routing -- decisions are unaffected).
-    if 2 * sum(cluster_size(cluster) for cluster in ordered) < min_rows:
-        return None
-    np = kernels.np
-    vtcs = state.vtcs
-    cached_supports = state.supports
-    cluster_masks = state.masks
-    lefts: list[int] = []
-    rights: list[int] = []
-    shifts: list[int] = []
-    sizes: list[int] = []
-    entries: list[tuple] = []
-    tables: dict = {}
-    for index in range(len(ordered) - 1):
-        left, right = ordered[index], ordered[index + 1]
-        if cluster_size(left) + cluster_size(right) > 64:
-            continue
-        if memo.is_rejected(left, right, vtcs):
-            continue
-        reason, candidates = _prefilter(
-            left, right, vtcs[id(left)], vtcs[id(right)], max_join_size, excluded_terms
-        )
-        if reason:
-            continue
-        supports_left = _liftable_supports(left, cached_supports)
-        supports_right = _liftable_supports(right, cached_supports)
-        eligible_supports: dict = {}
-        get_left = supports_left.get
-        get_right = supports_right.get
-        for term in candidates:
-            support = get_left(term, 0) + get_right(term, 0)
-            if support >= k:
-                eligible_supports[term] = support
-        if not eligible_supports:
-            # The walk would reject this pair from the same two cached
-            # dicts before any pairwise check; record the verdict so it
-            # does not have to.
-            tables[index] = None
-            continue
-        masks_left, rows_left = cluster_masks[id(left)]
-        masks_right, rows_right = cluster_masks[id(right)]
-        order = sorted(
-            eligible_supports, key=lambda t: (-eligible_supports[t], t)
-        )
-        get_ml = masks_left.get
-        get_mr = masks_right.get
-        for term in order:
-            lefts.append(get_ml(term, 0))
-            rights.append(get_mr(term, 0))
-        shifts.extend([rows_left] * len(order))
-        sizes.append(len(order))
-        entries.append(
-            (index, len(lefts) - len(order), rows_left + rows_right,
-             eligible_supports, order)
-        )
-    total = len(lefts)
-    if total < min_rows:
-        # Below the crossover the sweep is not worth building, but the
-        # sentinel rejections stand on the cached supports alone.
-        return tables if tables else None
-    # Every pair fits one machine word (<= 64 records), so the whole
-    # wave's joint masks assemble in three vectorized ops -- the
-    # ``left | right << rows_left`` combine never touches Python bigints.
-    matrix = np.fromiter(lefts, dtype=np.uint64, count=total) | (
-        np.fromiter(rights, dtype=np.uint64, count=total)
-        << np.fromiter(shifts, dtype=np.uint64, count=total)
-    )
-    row_words = matrix.tolist()
-    bad_by_group = kernels.bad_pair_masks_from_matrix(
-        matrix.reshape(total, 1), sizes, k
-    )
-    for group, (index, start, num_rows, eligible_supports, order) in enumerate(
-        entries
-    ):
-        tables[index] = (
-            row_words[start : start + len(order)],
-            num_rows,
-            eligible_supports,
-            order,
-            bad_by_group.get(group),
-        )
-    return tables
-
-
 def _merge_pass(
     ordered: Sequence[Cluster],
     state: _DriverState,
     memo: MergeMemo,
-    outcomes: Optional[dict],
     k: int,
     m: int,
     max_join_size: Optional[int],
     excluded_terms: frozenset,
     use_bitsets: bool,
     stats: RefineStats,
-    wave_tables: Optional[dict] = None,
     tcs: Optional[Counter] = None,
 ) -> tuple[list[Cluster], bool, set]:
-    """One greedy adjacent-pair walk, consuming speculative outcomes if any.
+    """One greedy adjacent-pair walk.
 
-    ``wave_tables`` optionally maps pair indices to the pass-wide wave's
-    precomputed tables (:func:`_waved_pair_tables`); ``tcs`` is the global
-    term-chunk support Counter, updated in place for every applied merge
-    so the driver never recounts it from scratch between passes.
+    ``tcs`` is the global term-chunk support Counter, updated in place for
+    every applied merge so the driver never recounts it from scratch
+    between passes.
 
     Returns ``(merged, changed, changed_terms)``; ``changed_terms`` are the
     terms whose global term-chunk support moved this pass (the shared terms
@@ -1474,43 +1142,7 @@ def _merge_pass(
             stats.pairs_considered += 1
             joint: Optional[JointCluster] = None
             placed: frozenset = frozenset()
-            # The walk never reorders mid-pass, so `ordered[index]` is the
-            # exact pair the pre-pass saw: a wave-table entry (even a
-            # pre-rejected None one) certifies the memo and prefilter
-            # gates already passed and the eligibility verdict stands.
-            table = _WAVE_MISS if wave_tables is None else wave_tables.get(
-                index, _WAVE_MISS
-            )
-            if table is not _WAVE_MISS:
-                stats.merges_attempted += 1
-                stats.pairs_waved += 1
-                if table is None:
-                    # Pre-pass verdict: no refining term can reach k.
-                    memo.record_rejection(left, right, vtcs)
-                else:
-                    outcome = try_merge(
-                        left,
-                        right,
-                        k,
-                        m,
-                        max_join_size=max_join_size,
-                        excluded_terms=excluded_terms,
-                        use_bitsets=use_bitsets,
-                        support_cache=state.supports,
-                        _leaves=state.leaves[id(left)] + state.leaves[id(right)],
-                        _restricted_parts=(
-                            state.restricted[id(left)],
-                            state.restricted[id(right)],
-                        ),
-                        _waved=table,
-                        _arena=state.arena,
-                    )
-                    if outcome.joint is not None:
-                        joint = outcome.joint
-                        placed = outcome.refining_terms
-                    else:
-                        memo.record_rejection(left, right, vtcs)
-            elif memo.is_rejected(left, right, vtcs):
+            if memo.is_rejected(left, right, vtcs):
                 stats.skipped_by_memo += 1
             else:
                 reason, candidates = _prefilter(
@@ -1520,16 +1152,8 @@ def _merge_pass(
                 if reason is not None:
                     stats.prefiltered += 1
                     memo.record_rejection(left, right, vtcs)
-                elif outcomes is not None and index in outcomes:
-                    result = outcomes[index]
-                    if result is None:
-                        memo.record_rejection(left, right, vtcs)
-                    else:
-                        placed, chunk_payload = result
-                        joint = _apply_merge(left, right, placed, chunk_payload)
                 else:
                     stats.merges_attempted += 1
-                    stats.wave_fallbacks += 1
                     outcome = try_merge(
                         left,
                         right,
@@ -1589,8 +1213,6 @@ def refine(
     excluded_terms: frozenset = frozenset(),
     use_bitsets: bool = True,
     memoize: bool = True,
-    jobs: int = 1,
-    executor=None,
     stats: Optional[RefineStats] = None,
     arena: Optional[SubrecordArena] = None,
 ) -> list[Cluster]:
@@ -1610,14 +1232,9 @@ def refine(
             identical output, far fewer record scans).  ``False`` selects
             the reference implementation, kept for equivalence testing.
         memoize: run the incremental driver (rejected-pair memo, shared
-            per-leaf mask cache, optional parallel attempts).  ``False``
-            selects the reference driver, which re-attempts every adjacent
-            pair from scratch each pass -- kept as the equivalence oracle.
-        jobs: fan merge attempts out over this many worker processes (the
-            effective value is capped at ``os.cpu_count()``; ``1`` stays
-            in-process and never spawns a pool).
-        executor: optionally, an already-running ``ProcessPoolExecutor`` to
-            reuse (takes precedence over ``jobs``; not shut down here).
+            per-leaf mask cache).  ``False`` selects the reference driver,
+            which re-attempts every adjacent pair from scratch each pass --
+            kept as the equivalence oracle.
         stats: optional :class:`RefineStats` filled with the run's counters.
         arena: optionally, a shared :class:`~repro.core.vocab.SubrecordArena`
             to intern shared-chunk sub-records into (the engine hands over
@@ -1650,90 +1267,40 @@ def refine(
     key_cache = state.keys
     changed_terms: Optional[set] = None  # None = first pass, compute all
     tcs: Optional[Counter] = None        # maintained incrementally across passes
-    pool = executor
-    created_pool = None
-    if pool is None and jobs > 1:
-        workers = effective_jobs(jobs)
-        if workers > 1:
-            try:
-                # Hand workers the caller's resolved kernel backend and
-                # packed crossover (fresh interpreters only see
-                # $REPRO_KERNELS / $REPRO_PACKED_MIN_ROWS otherwise).
-                created_pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=kernels.set_default,
-                    initargs=(kernels.resolve(None), kernels.packed_min_rows()),
-                )
-                pool = created_pool
-            except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-                pool = None
-    pinned = None
-    try:
-        # Pin the resolved backend and crossover for the whole call: the
-        # hot path consults them once per pair, and re-reading
-        # $REPRO_PACKED_MIN_ROWS thousands of times is measurable.
-        pinned = kernels.use(kernels.resolve(None), kernels.packed_min_rows())
-        pinned.__enter__()
-        for _pass in range(max_passes):
-            if len(current) < 2:
-                break
-            stats.passes += 1
+    for _pass in range(max_passes):
+        if len(current) < 2:
+            break
+        stats.passes += 1
+        for cluster in current:
+            if id(cluster) not in vtcs:
+                state.seed(cluster)
+        if tcs is None:
+            tcs = Counter()
             for cluster in current:
-                if id(cluster) not in vtcs:
-                    state.seed(cluster)
-            if tcs is None:
-                tcs = Counter()
-                for cluster in current:
-                    tcs.update(vtcs[id(cluster)])
-            rank = {
-                term: position
-                for position, term in enumerate(
-                    sorted(tcs, key=lambda t: (-tcs[t], t))
-                )
-            }
-            for cluster in current:
-                cid = id(cluster)
-                if cid not in key_cache or changed_terms is None:
-                    key_cache[cid] = _ordering_key_ranked(vtcs[cid], rank)
-                else:
-                    touched = vtcs[cid] & changed_terms
-                    if touched:
-                        key_cache[cid] = _repair_key_ranked(
-                            key_cache[cid], touched, rank
-                        )
-            ordered = sorted(current, key=lambda c: key_cache[id(c)])
-
-            outcomes = None
-            if pool is not None and len(ordered) > 2:
-                outcomes = _speculative_outcomes(
-                    ordered, vtcs, memo, k, m, max_join_size, excluded_terms,
-                    use_bitsets, pool, stats,
-                )
-                if outcomes is None:
-                    pool = None  # broken pool: serial for the rest of the call
-            wave_tables = None
-            if (
-                outcomes is None
-                and use_bitsets
-                and m == 2
-                and kernels.numpy_available()
-                and kernels.resolve(None) == "numpy"
-            ):
-                wave_tables = _waved_pair_tables(
-                    ordered, state, memo, k, max_join_size, excluded_terms
-                )
-            current, changed, changed_terms = _merge_pass(
-                ordered, state, memo, outcomes, k, m, max_join_size,
-                excluded_terms, use_bitsets, stats,
-                wave_tables=wave_tables, tcs=tcs,
+                tcs.update(vtcs[id(cluster)])
+        rank = {
+            term: position
+            for position, term in enumerate(
+                sorted(tcs, key=lambda t: (-tcs[t], t))
             )
-            if not changed:
-                break
-    finally:
-        if pinned is not None:
-            pinned.__exit__(None, None, None)
-        if created_pool is not None:
-            created_pool.shutdown()
+        }
+        for cluster in current:
+            cid = id(cluster)
+            if cid not in key_cache or changed_terms is None:
+                key_cache[cid] = _ordering_key_ranked(vtcs[cid], rank)
+            else:
+                touched = vtcs[cid] & changed_terms
+                if touched:
+                    key_cache[cid] = _repair_key_ranked(
+                        key_cache[cid], touched, rank
+                    )
+        ordered = sorted(current, key=lambda c: key_cache[id(c)])
+        current, changed, changed_terms = _merge_pass(
+            ordered, state, memo, k, m, max_join_size,
+            excluded_terms, use_bitsets, stats, tcs=tcs,
+        )
+        if not changed:
+            break
     return current
 
 
@@ -1748,7 +1315,7 @@ def _refine_reference(
 ) -> list[Cluster]:
     """The reference REFINE driver: every pass re-attempts every adjacent pair.
 
-    No memoization, no mask cache, no pool -- the pre-optimization
+    No memoization, no mask cache -- the pre-optimization
     formulation, preserved verbatim as the oracle the incremental driver is
     tested against.
     """

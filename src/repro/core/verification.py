@@ -19,11 +19,8 @@ violation, while ``audit`` returns a full report for diagnostics and tests.
 The chunk checks run through
 :func:`repro.core.anonymity.km_anonymous_batch`: the auditor first walks the
 cluster tree collecting every record/shared chunk, then asks for all
-k^m verdicts in one call -- on the numpy kernel backend (see
-:mod:`repro.core.kernels`) that packs the whole dataset's chunks into a
-single wave matrix instead of checking cluster by cluster.  The exhaustive
-Counter-based search still runs per failing chunk, and audit verdicts are
-identical on both backends.
+k^m verdicts in one call.  The exhaustive Counter-based search runs only
+per failing chunk, to describe the violation.
 """
 
 from __future__ import annotations

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.core import kernels
 from repro.core.anonymity import (
     BitsetChunkChecker,
     IncrementalChunkChecker,
@@ -129,31 +127,30 @@ def vertical_partition(
     return VerticalPartitionResult(cluster=cluster, demoted_terms=frozenset(demoted))
 
 
-def partition_domains_fast(
-    record_list: Sequence[frozenset],
+def vertical_partition_fast(
+    records,
     k: int,
     m: int,
+    label: str = "P",
     enforce_lemma2: bool = True,
-    view: Optional[EncodedCluster] = None,
-) -> tuple[list[frozenset], set, set]:
-    """Bitset VERPART domain selection: the compute kernel of the phase.
+) -> VerticalPartitionResult:
+    """Bitset VERPART (identical output to :func:`vertical_partition`).
 
     The cluster is interned onto an :class:`~repro.core.vocab.EncodedCluster`
     (term -> row bitmask), combination supports become AND + popcount, and
     the Lemma-2 demotion loop updates only the affected chunk domain instead
     of rescanning every record.  Greedy decisions and tie-breaks mirror the
-    reference implementation exactly, so both produce the same domains.
+    reference implementation exactly, so both produce the same cluster.
 
-    Split out from :func:`vertical_partition_fast` so parallel workers can
-    ship back only ``(chunk_domains, term_chunk_terms, demoted)`` -- a few
-    small term sets -- instead of fully materialized clusters.
-
-    Returns:
-        ``(chunk_domains, term_chunk_terms, demoted_terms)``.
+    Args:
+        records: the cluster's records (any iterable of term sets).
+        k, m: anonymity parameters.
+        label: stable cluster label used downstream.
+        enforce_lemma2: when ``True`` (default) enforce the Lemma-2 bound.
     """
-    if view is None:
-        view = EncodedCluster(record_list)
-    masks = view.masks
+    validate_km_parameters(k, m)
+    record_list = [_as_record(r) for r in records]
+    masks = EncodedCluster(record_list).masks
     supports = {term: mask.bit_count() for term, mask in masks.items()}
 
     term_chunk_terms = {t for t, s in supports.items() if s < k}
@@ -163,16 +160,9 @@ def partition_domains_fast(
     )
 
     chunk_domains: list[frozenset] = []
-    checker: Optional[BitsetChunkChecker] = None
+    checker = BitsetChunkChecker(masks, k, m, share_masks=True)
     while remaining:
-        if checker is None:
-            checker = BitsetChunkChecker(
-                masks, k, m, share_masks=True, num_rows=len(record_list)
-            )
-        else:
-            # Only the accepted set changes between rounds; reuse keeps the
-            # packed mask matrix (numpy backend) built once per cluster.
-            checker.reset()
+        checker.reset()
         accepted: list[str] = []
         skipped: list[str] = []
         for term in remaining:
@@ -194,17 +184,7 @@ def partition_domains_fast(
         chunk_domains = coverage.domains_frozen()
     else:
         chunk_domains = [d for d in chunk_domains if d]
-    return chunk_domains, term_chunk_terms, demoted
 
-
-def build_cluster_from_domains(
-    record_list: Sequence[frozenset],
-    chunk_domains: Sequence[frozenset],
-    term_chunk_terms: set,
-    demoted: set,
-    label: str,
-) -> VerticalPartitionResult:
-    """Materialize a :class:`SimpleCluster` from selected chunk domains."""
     record_chunks = [_project_chunk(record_list, domain) for domain in chunk_domains]
     record_chunks = [chunk for chunk in record_chunks if len(chunk) > 0 and chunk.domain]
     cluster = SimpleCluster._from_normalized(
@@ -212,157 +192,13 @@ def build_cluster_from_domains(
         record_chunks=record_chunks,
         term_chunk=TermChunk(term_chunk_terms),
         label=label,
-        original_records=list(record_list),
-    )
-    return VerticalPartitionResult(cluster=cluster, demoted_terms=frozenset(demoted))
-
-
-def vertical_partition_fast(
-    records,
-    k: int,
-    m: int,
-    label: str = "P",
-    enforce_lemma2: bool = True,
-) -> VerticalPartitionResult:
-    """Bitset-accelerated VERPART (identical output to :func:`vertical_partition`).
-
-    Args:
-        records: the cluster's records (any iterable of term sets).
-        k, m: anonymity parameters.
-        label: stable cluster label used downstream.
-        enforce_lemma2: when ``True`` (default) enforce the Lemma-2 bound.
-    """
-    validate_km_parameters(k, m)
-    record_list = [_as_record(r) for r in records]
-    view = EncodedCluster(record_list)
-    chunk_domains, term_chunk_terms, demoted = partition_domains_fast(
-        record_list, k, m, enforce_lemma2=enforce_lemma2, view=view
-    )
-    result = build_cluster_from_domains(
-        record_list, chunk_domains, term_chunk_terms, demoted, label
+        original_records=record_list,
     )
     # Hand the term bitmasks this phase already built to downstream
     # consumers (REFINE's shared-chunk builder) through the weak per-cluster
     # cache, so the leaf is never re-encoded.
-    register_cluster_masks(result.cluster, view.masks, len(record_list))
-    return result
-
-
-def vertical_partition_wave(
-    partitions: Sequence,
-    k: int,
-    m: int,
-    label_prefix: str = "P",
-    enforce_lemma2: bool = True,
-    stats: Optional[kernels.WaveStats] = None,
-) -> list[VerticalPartitionResult]:
-    """Wave-batched VERPART over a whole list of clusters at once.
-
-    At the paper's default ``m == 2``, the candidate term masks of *every*
-    cluster are packed into one :class:`~repro.core.kernels.WaveBatch`
-    matrix and all pairwise k^m verdicts come out of a single
-    AND + popcount sweep; each cluster's greedy chunk-domain selection then
-    replays against its precomputed "bad partner" bitmasks with one int
-    test per candidate.  The numpy crossover is reached by the wave's
-    *total* row count, so thousands of 30-row clusters vectorize even
-    though none would individually.  Labels are ``{label_prefix}{index}``
-    in partition order, and the decisions are bit-for-bit those of
-    :func:`vertical_partition_fast` (the fallback taken per cluster when
-    the wave cannot engage: python backend, ``m != 2``, or total rows
-    below :func:`~repro.core.kernels.packed_min_rows`).
-    """
-    validate_km_parameters(k, m)
-    partitions = list(partitions)
-    record_lists = [[_as_record(r) for r in part] for part in partitions]
-    total_rows = sum(len(rl) for rl in record_lists)
-    if not (
-        m == 2
-        and kernels.numpy_available()
-        and kernels.resolve(None) == "numpy"
-        and total_rows >= kernels.packed_min_rows()
-    ):
-        if stats is not None:
-            stats.fallbacks += len(record_lists)
-        return [
-            vertical_partition_fast(
-                record_list, k, m, label=f"{label_prefix}{index}",
-                enforce_lemma2=enforce_lemma2,
-            )
-            for index, record_list in enumerate(record_lists)
-        ]
-
-    wave = kernels.WaveBatch(k)
-    prepared = []  # (record_list, masks, supports, term_chunk_terms, eligible)
-    for record_list in record_lists:
-        masks = EncodedCluster(record_list).masks
-        supports = {term: mask.bit_count() for term, mask in masks.items()}
-        term_chunk_terms = {t for t, s in supports.items() if s < k}
-        eligible = sorted(
-            (t for t in supports if t not in term_chunk_terms),
-            key=lambda t: (-supports[t], t),
-        )
-        wave.add_group([masks[t] for t in eligible], len(record_list))
-        prepared.append((record_list, masks, supports, term_chunk_terms, eligible))
-    bad_by_group = wave.bad_pair_masks()
-    if stats is not None:
-        stats.batches += 1
-        stats.groups += len(record_lists)
-
-    results = []
-    for group, (record_list, masks, supports, term_chunk_terms, eligible) in enumerate(
-        prepared
-    ):
-        bad = bad_by_group.get(group)
-        chunk_domains: list[frozenset] = []
-        if bad is None:
-            # No conflicting pair anywhere in the cluster: the greedy pass
-            # accepts every candidate into the first chunk domain.
-            if eligible:
-                chunk_domains.append(frozenset(eligible))
-        else:
-            remaining = list(range(len(eligible)))
-            while remaining:
-                accepted_bits = 0
-                accepted: list[int] = []
-                skipped: list[int] = []
-                for index in remaining:
-                    if bad[index] & accepted_bits:
-                        skipped.append(index)
-                    else:
-                        accepted_bits |= 1 << index
-                        accepted.append(index)
-                # `accepted` is never empty: a round's first candidate has no
-                # accepted partners, and every eligible term has support >= k.
-                chunk_domains.append(frozenset(eligible[i] for i in accepted))
-                remaining = skipped
-        demoted: set = set()
-        if enforce_lemma2 and not term_chunk_terms:
-            coverage = _MaskCoverage(masks, chunk_domains)
-            demoted = demote_for_lemma2(coverage, supports, k, m, len(record_list))
-            term_chunk_terms.update(demoted)
-            chunk_domains = coverage.domains_frozen()
-        else:
-            chunk_domains = [d for d in chunk_domains if d]
-        record_chunks = []
-        for domain in chunk_domains:
-            subrecords = [sub for record in record_list if (sub := record & domain)]
-            if subrecords:
-                # record_list and the domains are normalized frozensets of
-                # str by construction, so skip the public constructor's
-                # per-term re-validation.
-                record_chunks.append(RecordChunk._from_normalized(domain, subrecords))
-        cluster = SimpleCluster(
-            size=len(record_list),
-            record_chunks=record_chunks,
-            term_chunk=TermChunk(term_chunk_terms),
-            label=f"{label_prefix}{group}",
-            original_records=record_list,
-        )
-        register_cluster_masks(cluster, masks, len(record_list))
-        results.append(
-            VerticalPartitionResult(cluster=cluster, demoted_terms=frozenset(demoted))
-        )
-    return results
+    register_cluster_masks(cluster, masks, len(record_list))
+    return VerticalPartitionResult(cluster=cluster, demoted_terms=frozenset(demoted))
 
 
 def _project_chunk(records: Sequence[frozenset], domain: frozenset) -> RecordChunk:

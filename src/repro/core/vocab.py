@@ -385,9 +385,8 @@ class EncodedCluster:
       the member masks.
 
     Keys are the original *string* terms: the cluster is its own local
-    interning scope (clusters are small), which keeps the view picklable
-    and independent of any global vocabulary -- exactly what the parallel
-    VERPART fan-out needs.
+    interning scope (clusters are small), which keeps the view independent
+    of any global vocabulary.
     """
 
     __slots__ = ("records", "masks")

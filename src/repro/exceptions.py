@@ -118,9 +118,8 @@ class FaultInjected(ReproError):
     Only the deterministic fault-injection harness (:mod:`repro.faults`)
     raises this; production code never does.  ``point`` names the injection
     point that fired and ``hit`` the 1-based arrival count that triggered
-    it.  ``transient`` marks the fault as retryable -- the service layer's
-    retry policy treats transient injected faults exactly like a crashed
-    worker pool, which is what the resilience test suite relies on.
+    it.  ``transient`` marks the fault as retryable by the service layer's
+    retry policy, which is what the resilience test suite relies on.
     """
 
     def __init__(self, point: str, hit: int, *, transient: bool = True):
@@ -134,10 +133,7 @@ class EngineClosedError(ReproError):
     """Raised when a closed :class:`~repro.core.engine.Disassociator` is used.
 
     Signals a lifecycle bug in the caller: either ``close()`` was called
-    twice, or ``anonymize()`` was invoked after the engine (and with it the
-    shared worker pool) had already been shut down.  Both used to fail
-    silently -- a double close leaked nothing but hid the bug, and reuse
-    after close quietly respawned a fresh pool behind the caller's back.
+    twice, or ``anonymize()`` was invoked after the engine was retired.
     """
 
 
@@ -160,8 +156,8 @@ class RetriesExhaustedError(ServiceError):
     """Raised when a request keeps failing transiently through every retry.
 
     The service retried the request per its
-    :class:`~repro.service.RetryPolicy` (crashed worker pools and injected
-    transient faults are retryable; parameter and dataset errors are not)
+    :class:`~repro.service.RetryPolicy` (injected transient faults are
+    retryable; parameter and dataset errors are not)
     and every attempt failed.  The last transient failure is chained as
     ``__cause__``; ``attempts`` records how many executions were tried.
     """

@@ -48,11 +48,6 @@ class ExperimentConfig:
         seed: seed shared by data generation and reconstruction.
         datasets: which real-dataset proxies to use.
         backend: execution core passed to the engine (``encoded``/``string``).
-        jobs: worker processes for the per-cluster VERPART fan-out.
-        kernels: vectorized-kernel backend passed to the engine
-            (``numpy``/``python``/``auto``; ``None`` defers to
-            ``$REPRO_KERNELS``, then auto-selection -- see
-            :mod:`repro.core.kernels`).
         stream: route runs through the sharded streaming pipeline
             (:class:`~repro.stream.ShardedPipeline`) instead of the
             single-pass engine.
@@ -74,8 +69,6 @@ class ExperimentConfig:
     seed: int = 7
     datasets: tuple = ("POS", "WV1", "WV2")
     backend: str = "encoded"
-    jobs: int = 1
-    kernels: Optional[str] = None
     stream: bool = False
     shards: int = 4
     max_records_in_memory: Optional[int] = None
@@ -98,8 +91,6 @@ class ExperimentConfig:
             m=self.m,
             max_cluster_size=self.max_cluster_size,
             backend=self.backend,
-            jobs=self.jobs,
-            kernels=self.kernels,
             shards=self.shards,
             shard_strategy=self.shard_strategy,
         )

@@ -4,7 +4,7 @@
 :class:`~repro.stream.ShardStore` style -- WAL journaling, explicit
 transaction boundaries, a versioned schema and a fingerprint-validated
 identity -- holding one disassociated publication in fully indexed form
-(see :mod:`repro.pubstore.schema` for the layout).  It serves two jobs:
+(see :mod:`repro.pubstore.schema` for the layout).  It serves two purposes:
 
 * **queries without scans** -- ``top_terms``, itemset supports,
   frequent pairs and the :class:`~repro.analysis.SupportEstimator`

@@ -3,7 +3,7 @@
 The public surface of the service layer:
 
 * :class:`AnonymizationService` -- a long-lived engine owning the warm
-  state (worker pool, vocabulary, kernel backend) shared across requests,
+  state (warm engines, vocabulary) shared across requests,
   with synchronous (:meth:`~AnonymizationService.run`) and queued
   (:meth:`~AnonymizationService.submit` -> :class:`Job`) execution.
 * :class:`ServiceConfig` -- the single validated configuration consolidating
@@ -18,10 +18,10 @@ The public surface of the service layer:
   job queue mapped to 429/503 backpressure.
 * :class:`~repro.service.metrics.ServiceMetrics` -- per-request latency
   and queue-wait histograms, phase timings, worker utilization and
-  failure accounting (retries, deadline expiries, engine rebuilds) behind
+  failure accounting (retries, deadline expiries) behind
   :meth:`AnonymizationService.stats`.
 * :class:`RetryPolicy` -- bounded exponential-backoff retry of transient
-  failures (crashed worker pools, injected faults), applied per request
+  failures (injected faults), applied per request
   together with its deadline (``AnonymizationRequest.deadline`` /
   ``ServiceConfig.default_deadline``).
 

@@ -46,9 +46,9 @@ _FALSE = frozenset({"0", "false", "no", "off"})
 class RetryPolicy:
     """Bounded retry with exponential backoff for transient request failures.
 
-    The service re-executes a request that failed *transiently* (a crashed
-    worker-process pool, an injected transient fault -- never parameter or
-    dataset errors) up to ``attempts`` total executions, sleeping
+    The service re-executes a request that failed *transiently* (an
+    injected transient fault -- never parameter or dataset errors) up to
+    ``attempts`` total executions, sleeping
     ``backoff * multiplier**(n-1)`` seconds (capped at ``max_backoff``)
     after the ``n``-th failure.  Retries never sleep past a request's
     deadline, and a request whose source cannot be safely re-read (a plain
@@ -149,11 +149,6 @@ class ServiceConfig:
         sensitive_terms: terms forced into term chunks (l-diversity).
         verify: independently re-audit each publication before returning.
         backend: execution core (``"encoded"`` or ``"string"``).
-        jobs: worker processes for the VERPART/REFINE fan-outs; the
-            service spawns this pool once and shares it across requests.
-        kernels: vectorized-kernel backend (``"numpy"`` / ``"python"`` /
-            ``"auto"`` / ``None`` meaning ``$REPRO_KERNELS`` then auto);
-            the service resolves it once at construction.
         shards: shard count for requests routed to the streaming pipeline.
         max_records_in_memory: streaming bound on resident records.
         shard_strategy: streaming record routing (``hash`` / ``horpart``).
@@ -188,17 +183,16 @@ class ServiceConfig:
             :class:`~repro.exceptions.DeadlineExceededError`.  ``None``
             (default): no deadline.
         retry: the :class:`RetryPolicy` for transient request failures
-            (crashed worker pools, injected transient faults).
+            (injected transient faults).
         max_pending: bound on the service's job queue (``submit`` blocks --
             or raises, when non-blocking -- once this many jobs wait).
         workers: service worker threads draining the job queue.  Each
-            worker owns its own warm engine (and, with ``jobs > 1``, its
-            own process pool); all workers share the service-lifetime
-            vocabulary behind an interning lock, so results stay
-            bit-for-bit identical to a single-worker service.  Note that
-            one worker already saturates a single CPU for the pure-Python
-            pipeline; more workers pay off when requests block on I/O or
-            when ``jobs`` fans work out to extra cores (see
+            worker owns its own warm engine; all workers share the
+            service-lifetime vocabulary behind an interning lock, so
+            results stay bit-for-bit identical to a single-worker service.
+            The pipeline is pure Python and its threads share one
+            interpreter lock, so more workers overlap requests that wait
+            on I/O (stores, files), not CPU-bound anonymization (see
             ``docs/OPERATIONS.md``).
     """
 
@@ -210,8 +204,6 @@ class ServiceConfig:
     sensitive_terms: frozenset = field(default_factory=frozenset)
     verify: bool = True
     backend: str = "encoded"
-    jobs: int = 1
-    kernels: Optional[str] = None
     shards: int = DEFAULT_SHARDS
     max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY
     shard_strategy: str = "hash"
@@ -289,8 +281,6 @@ class ServiceConfig:
             sensitive_terms=self.sensitive_terms,
             verify=self.verify,
             backend=self.backend,
-            jobs=self.jobs,
-            kernels=self.kernels,
         )
         values.update(overrides)
         return AnonymizationParams(**values)
@@ -404,7 +394,6 @@ _INT_FIELDS = frozenset(
         "k",
         "m",
         "max_cluster_size",
-        "jobs",
         "shards",
         "max_records_in_memory",
         "max_pending",
@@ -415,9 +404,7 @@ _OPTIONAL_INT_FIELDS = frozenset({"max_join_size", "auto_stream_threshold"})
 _BOOL_FIELDS = frozenset({"refine", "verify", "reuse_vocabulary"})
 _OPTIONAL_BOOL_FIELDS = frozenset({"checkpoint"})
 _OPTIONAL_FLOAT_FIELDS = frozenset({"default_deadline"})
-_OPTIONAL_STR_FIELDS = frozenset(
-    {"kernels", "spill_dir", "store_dir", "pubstore_dir"}
-)
+_OPTIONAL_STR_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
 
 
 def _parse_env_value(name: str, raw: str):

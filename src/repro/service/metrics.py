@@ -12,10 +12,10 @@ calls and queued ``submit()`` jobs alike):
   ones), accumulated from each run's report;
 * **worker utilization**: per-worker busy seconds against the service's
   own lifetime, plus in-flight and saturation counters;
-* **failure accounting**: transient retries, deadline expiries, exhausted
-  retry budgets and crashed-engine rebuilds (the ``failures`` section of
-  the snapshot), so an operator can tell a saturated service from a dying
-  one at a glance.
+* **failure accounting**: transient retries, deadline expiries and
+  exhausted retry budgets (the ``failures`` section of the snapshot), so
+  an operator can tell a saturated service from a failing one at a
+  glance.
 
 Everything is aggregated in one :class:`ServiceMetrics` object behind a
 single lock -- observation is a few dict updates, orders of magnitude
@@ -146,7 +146,6 @@ class ServiceMetrics:
         self._retries = 0
         self._deadline_exceeded = 0
         self._retries_exhausted = 0
-        self._engines_rebuilt = 0
         self._queries = 0
         self.query_latency = LatencyHistogram()
         self._phase_seconds: dict[str, float] = {}
@@ -220,11 +219,6 @@ class ServiceMetrics:
         with self._lock:
             self._retries_exhausted += 1
 
-    def engine_rebuilt(self) -> None:
-        """A crashed pooled engine was replaced with a fresh one."""
-        with self._lock:
-            self._engines_rebuilt += 1
-
     def query_finished(self, seconds: float) -> None:
         """A publication-store query finished (success or failure)."""
         with self._lock:
@@ -263,7 +257,6 @@ class ServiceMetrics:
                     "retries": self._retries,
                     "deadline_exceeded": self._deadline_exceeded,
                     "retries_exhausted": self._retries_exhausted,
-                    "engines_rebuilt": self._engines_rebuilt,
                 },
                 "latency": {
                     "request_seconds": self.request_latency.snapshot(),

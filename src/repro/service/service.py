@@ -4,16 +4,14 @@
 that every one-shot entry point used to rebuild per call:
 
 * a pool of warm :class:`~repro.core.engine.Disassociator` engines (one
-  per configured service worker, each with its own shared process pool
-  spawned lazily and kept across requests via ``keep_pool``),
+  per configured service worker), and
 * one service-lifetime :class:`~repro.core.vocab.Vocabulary`, so the
   encode phase of back-to-back batch requests only interns terms it has
   never seen (interning is append-only and output-invariant -- the same
   property the streaming executor relies on per shard); with more than
   one worker the vocabulary is made thread-safe
   (:meth:`~repro.core.vocab.Vocabulary.make_shared`) so concurrent
-  encoders intern behind one lock, and
-* a once-resolved vectorized-kernel backend.
+  encoders intern behind one lock.
 
 Requests (:class:`~repro.service.request.AnonymizationRequest`) auto-route
 to the in-memory pipeline or the sharded streaming pipeline on input type
@@ -43,7 +41,6 @@ import threading
 import time
 import uuid
 from concurrent.futures import CancelledError, Future
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
@@ -51,7 +48,6 @@ from typing import Iterator, Optional
 
 from repro import faults
 from repro.core import deadline as deadline_mod
-from repro.core import kernels
 from repro.core.dataset import TransactionDataset
 from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.vocab import Vocabulary
@@ -74,32 +70,15 @@ from repro.stream.store import IncrementalPipeline
 _SENTINEL = object()
 
 #: Engine-identity fields: a per-request override touching one of these
-#: cannot reuse a warm engine (its pool/kernel state was built for the
-#: service's own values), so the request runs on a transient engine.
-_ENGINE_IDENTITY_FIELDS = ("backend", "jobs", "kernels")
+#: cannot reuse a warm engine (it was built for the service's own values),
+#: so the request runs on a transient engine.
+_ENGINE_IDENTITY_FIELDS = ("backend",)
 
 #: Keyword arguments of run()/submit() that configure the request itself;
 #: every other keyword is treated as a per-request ServiceConfig override.
 _REQUEST_FIELDS = tuple(
     spec.name for spec in fields(AnonymizationRequest) if spec.name != "source"
 )
-
-
-class _EngineLease:
-    """The engine one executing request holds, swappable mid-request.
-
-    A request checks an engine out of the idle pool for its whole
-    execution.  When that engine's worker-process pool crashes
-    (``BrokenProcessPool``), the service rebuilds the engine *during* the
-    request -- the lease then points at the replacement, and it is the
-    replacement (never the crashed engine) that goes back to the idle pool
-    in the caller's ``finally``.
-    """
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: Disassociator):
-        self.engine = engine
 
 
 class Job:
@@ -201,10 +180,6 @@ class AnonymizationService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config if config is not None else ServiceConfig()
-        #: Resolved once for the service's lifetime; every request (and the
-        #: worker pool initializer) sees this literal backend instead of
-        #: re-consulting the environment.
-        self.kernels = kernels.resolve(self.config.kernels)
         self._vocabulary = Vocabulary()
         if self.config.workers > 1:
             # Concurrent encoders intern behind one lock; single-worker
@@ -212,11 +187,7 @@ class AnonymizationService:
             # the engine pool there).
             self._vocabulary.make_shared()
         self._engines = [
-            Disassociator(
-                self.config.engine_params(kernels=self.kernels),
-                keep_pool=True,
-                vocabulary=self._vocabulary,
-            )
+            Disassociator(self.config.engine_params(), vocabulary=self._vocabulary)
             for _ in range(self.config.workers)
         ]
         #: The first engine, kept as an attribute for introspection/tests.
@@ -252,9 +223,9 @@ class AnonymizationService:
         executed before the workers exit; with ``drain=False`` queued jobs
         are cancelled (their ``result()`` raises
         :class:`~repro.exceptions.ServiceClosedError`) and only jobs
-        already executing finish.  Either way every engine (and its worker
-        pool) is closed -- waiting for in-flight synchronous :meth:`run`
-        calls to return their engines first -- and later ``run`` /
+        already executing finish.  Either way every engine is closed --
+        waiting for in-flight synchronous :meth:`run` calls to return their
+        engines first -- and later ``run`` /
         ``submit`` / ``close`` calls raise
         :class:`~repro.exceptions.ServiceClosedError`.
         """
@@ -311,7 +282,7 @@ class AnonymizationService:
         serves this dict verbatim on ``GET /stats``):
 
         * top-level legacy keys: ``requests_served``, ``vocabulary_terms``,
-          ``kernels``, ``pending_jobs``, ``closed``;
+          ``pending_jobs``, ``closed``;
         * ``queue``: current depth and capacity (``max_pending``);
         * ``workers``: configured vs started counts, per-worker busy
           seconds and utilization;
@@ -334,7 +305,6 @@ class AnonymizationService:
         payload["queue"] = {"depth": depth, "capacity": self.config.max_pending}
         payload["requests_served"] = payload["requests"]["completed"]
         payload["vocabulary_terms"] = len(self._vocabulary)
-        payload["kernels"] = self.kernels
         payload["pending_jobs"] = depth
         payload["closed"] = self._closed
         return payload
@@ -353,13 +323,11 @@ class AnonymizationService:
         busy).
         """
         request = self._coerce(request, kwargs)
-        lease = _EngineLease(self._checkout_engine())
+        engine = self._checkout_engine()
         try:
-            return self._execute(request, lease, worker="caller")
+            return self._execute(request, engine, worker="caller")
         finally:
-            # The lease may point at a rebuilt engine by now; that (healthy)
-            # engine is what rejoins the pool.
-            self._idle.put(lease.engine)
+            self._idle.put(engine)
 
     def query(self, op: str, params: Optional[dict] = None) -> dict:
         """Run one analytics query against the configured publication store.
@@ -517,27 +485,25 @@ class AnonymizationService:
                     self._metrics.job_cancelled()
                     continue
                 queue_wait = time.monotonic() - item._enqueued_at
-                lease = _EngineLease(self._idle.get())
+                engine = self._idle.get()
                 try:
                     try:
                         result = self._execute(
-                            item.request, lease, worker=name, queue_wait=queue_wait
+                            item.request, engine, worker=name, queue_wait=queue_wait
                         )
                     except BaseException as exc:
                         item._future.set_exception(exc)
                     else:
                         item._future.set_result(result)
                 finally:
-                    # A crashed engine was already replaced on the lease;
-                    # only healthy engines rejoin the pool.
-                    self._idle.put(lease.engine)
+                    self._idle.put(engine)
             finally:
                 self._queue.task_done()
 
     def _execute(
         self,
         request: AnonymizationRequest,
-        lease: _EngineLease,
+        engine: Disassociator,
         *,
         worker: str,
         queue_wait: Optional[float] = None,
@@ -561,7 +527,7 @@ class AnonymizationService:
         error = True
         try:
             result = self._execute_with_retry(
-                request, config, lease, queue_wait=queue_wait, state=state
+                request, config, engine, queue_wait=queue_wait, state=state
             )
             error = False
             return result
@@ -583,7 +549,7 @@ class AnonymizationService:
         self,
         request: AnonymizationRequest,
         config: ServiceConfig,
-        lease: _EngineLease,
+        engine: Disassociator,
         *,
         queue_wait: Optional[float],
         state: dict,
@@ -593,10 +559,9 @@ class AnonymizationService:
         The deadline is anchored at *enqueue* time (queue wait spends
         budget), enforced here at dequeue and then cooperatively at every
         pipeline phase boundary through the ambient
-        :mod:`repro.core.deadline` scope.  Transient failures -- a crashed
-        worker-process pool (the engine is rebuilt on the lease first) or
-        an injected transient fault -- are retried with exponential
-        backoff, but only when the request's source can be re-read from
+        :mod:`repro.core.deadline` scope.  Transient failures -- injected
+        faults marked transient -- are retried with exponential backoff,
+        but only when the request's source can be re-read from
         scratch (a file path or an in-memory dataset; a half-consumed
         iterable cannot be safely replayed).  The final transient failure
         surfaces as :class:`RetriesExhaustedError` with the cause chained.
@@ -619,14 +584,10 @@ class AnonymizationService:
             try:
                 faults.check("service.execute")
                 with deadline_mod.scope(request_deadline):
-                    return self._execute_once(request, config, lease, state)
-            except (BrokenProcessPool, FaultInjected) as exc:
-                if isinstance(exc, BrokenProcessPool):
-                    # Never park a crashed engine back in the pool: replace
-                    # it on the lease before deciding whether to retry.
-                    self._rebuild_engine(lease)
+                    return self._execute_once(request, config, engine, state)
+            except FaultInjected as exc:
                 failed_attempts += 1
-                if not self._transient(exc) or not self._replayable(request):
+                if not exc.transient or not self._replayable(request):
                     raise
                 if failed_attempts >= policy.attempts:
                     self._metrics.retries_exhausted()
@@ -651,14 +612,14 @@ class AnonymizationService:
         self,
         request: AnonymizationRequest,
         config: ServiceConfig,
-        lease: _EngineLease,
+        engine: Disassociator,
         state: dict,
     ) -> PublicationResult:
         """One routing + execution attempt (state carries mode/report out)."""
         state["mode"], state["report"] = None, None
         if request.mode == "delta":
             state["mode"] = "delta"
-            published, report = self._run_delta(request, config, lease.engine, state)
+            published, report = self._run_delta(request, config, engine, state)
             state["report"] = report
             return PublicationResult(
                 published, report, "delta", config, tag=request.tag
@@ -666,25 +627,16 @@ class AnonymizationService:
         mode, stream_source, dataset = self._route(request, config)
         state["mode"] = mode
         if mode == "batch":
-            published, report = self._run_batch(dataset, config, lease.engine)
+            published, report = self._run_batch(dataset, config, engine)
             state["report"] = report
             return PublicationResult(
                 published, report, "batch", config, original=dataset, tag=request.tag
             )
         published, report = self._run_stream(
-            stream_source, config, lease.engine, resume=request.resume
+            stream_source, config, engine, resume=request.resume
         )
         state["report"] = report
         return PublicationResult(published, report, "stream", config, tag=request.tag)
-
-    @staticmethod
-    def _transient(exc: BaseException) -> bool:
-        """Whether a failure is worth retrying on a healthy engine."""
-        if isinstance(exc, BrokenProcessPool):
-            return True
-        if isinstance(exc, FaultInjected):
-            return exc.transient
-        return False
 
     @staticmethod
     def _replayable(request: AnonymizationRequest) -> bool:
@@ -705,35 +657,6 @@ class AnonymizationService:
             )
 
         return safe(request.source) and safe(request.delete)
-
-    def _rebuild_engine(self, lease: _EngineLease) -> None:
-        """Replace the lease's crashed engine with a fresh warm one.
-
-        The crashed engine is closed best-effort (its pool may already be
-        gone), a replacement sharing the service vocabulary takes its slot
-        in the engine list, and the lease is repointed -- so whatever the
-        request's outcome, the idle pool only ever gets healthy engines
-        back.
-        """
-        crashed = lease.engine
-        try:
-            crashed.close()
-        except Exception:  # already half-dead; nothing useful to do
-            pass
-        fresh = Disassociator(
-            self.config.engine_params(kernels=self.kernels),
-            keep_pool=True,
-            vocabulary=self._vocabulary,
-        )
-        with self._state_lock:
-            for index, engine in enumerate(self._engines):
-                if engine is crashed:
-                    self._engines[index] = fresh
-                    break
-            if self._engine is crashed:
-                self._engine = fresh
-        lease.engine = fresh
-        self._metrics.engine_rebuilt()
 
     def _route(self, request: AnonymizationRequest, config: ServiceConfig):
         """Decide batch vs stream; returns ``(mode, stream_source, dataset)``.
@@ -766,18 +689,10 @@ class AnonymizationService:
             return "batch", None, TransactionDataset(head)
         return "stream", chain(head, records), None
 
-    def _engine_params(self, config: ServiceConfig) -> AnonymizationParams:
-        # Kernels are normalized to the resolved literal ("python"/"numpy"):
-        # resolution is deterministic per process and both backends publish
-        # identical bytes, so this only skips re-consulting the environment
-        # -- and keeps "auto"/None comparable against the warm engine's
-        # resolved value, so they never silently defeat warm reuse.
-        return config.engine_params(kernels=kernels.resolve(config.kernels))
-
     def _warm_engine_for(
         self, params: AnonymizationParams, engine: Optional[Disassociator] = None
     ) -> Optional[Disassociator]:
-        """The warm engine, when ``params`` can reuse its pool/kernel state."""
+        """The warm engine, when ``params`` can run on it."""
         if engine is None:
             engine = self._engine
         for field_name in _ENGINE_IDENTITY_FIELDS:
@@ -788,16 +703,16 @@ class AnonymizationService:
     def _run_batch(
         self, dataset: TransactionDataset, config: ServiceConfig, engine: Disassociator
     ):
-        params = self._engine_params(config)
+        params = config.engine_params()
         warm = self._warm_engine_for(params, engine)
         if warm is not None:
             engine = warm
             engine.params = params
             engine.vocabulary = self._vocabulary
         else:
-            # Overrides changed the engine's identity (backend/jobs/
-            # kernels): run on a transient engine, still sharing the warm
-            # vocabulary (interning is output-invariant).
+            # Overrides changed the engine's identity (the backend): run on
+            # a transient engine, still sharing the warm vocabulary
+            # (interning is output-invariant).
             engine = Disassociator(params, vocabulary=self._vocabulary)
         published = engine.anonymize(dataset)
         return published, engine.last_report
@@ -810,7 +725,7 @@ class AnonymizationService:
         *,
         resume: bool = False,
     ):
-        params = self._engine_params(config)
+        params = config.engine_params()
         pipeline = ShardedPipeline(
             params,
             config.stream_params(),
@@ -836,7 +751,7 @@ class AnonymizationService:
         retries of a transiently failed delta apply the mutation at most
         once.
         """
-        params = self._engine_params(config)
+        params = config.engine_params()
         pipeline = IncrementalPipeline(
             params,
             config.stream_params(),
@@ -864,5 +779,5 @@ class AnonymizationService:
 
 
 def anonymization_service(**config_fields) -> AnonymizationService:
-    """Convenience constructor: ``anonymization_service(k=5, jobs=4, ...)``."""
+    """Convenience constructor: ``anonymization_service(k=5, workers=2, ...)``."""
     return AnonymizationService(ServiceConfig(**config_fields))

@@ -29,7 +29,7 @@ Typical usage::
     from repro import AnonymizationParams
 
     pipeline = ShardedPipeline(
-        AnonymizationParams(k=5, m=2, jobs=4),
+        AnonymizationParams(k=5, m=2),
         StreamParams(shards=8, max_records_in_memory=10_000),
     )
     published = pipeline.anonymize_file("huge.jsonl")

@@ -34,15 +34,14 @@ only in the operator's ``spill_dir`` and are not part of the published
 output.
 
 The parameter fingerprint covers every field of
-:class:`~repro.core.engine.AnonymizationParams` and
-:class:`~repro.stream.executor.StreamParams` that can change the published
-output.  Execution-only knobs -- ``jobs``, ``kernels`` (output equivalence
-across both is covered by the kernel/parallelism test suites), the
-checkpoint switch and the spill directory itself -- are excluded, so an
-operator may resume with fewer workers or a different kernel after a
-crash.  Anything else differing raises
+:class:`~repro.core.engine.AnonymizationParams` and every field of
+:class:`~repro.stream.executor.StreamParams` except the checkpoint switch
+and the spill/store directories themselves.  Anything differing raises
 :class:`~repro.exceptions.CheckpointError` instead of silently splicing
-incompatible partial results into one publication.
+incompatible partial results into one publication.  Fingerprints written
+by earlier releases can carry keys of since-retired, output-neutral
+knobs; :func:`fingerprint_matches` ignores those, so their checkpoints
+and stores stay usable.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ MANIFEST_NAME = "manifest.json"
 #: Manifest format version; bump on any incompatible schema change.
 MANIFEST_VERSION = 1
 
-#: Parameter fields excluded from the fingerprint (execution-only knobs
-#: proven output-neutral by the equivalence suites).
-_EXCLUDED_PARAM_FIELDS = frozenset({"jobs", "kernels"})
-
 #: Stream fields excluded from the fingerprint (the directories are the
 #: checkpoint's/store's identity, not part of it; the switch toggles
 #: durability).
@@ -103,12 +98,34 @@ def run_fingerprint(params: "AnonymizationParams", stream: "StreamParams") -> di
     """Fingerprint of the output-affecting run parameters (JSON-safe)."""
     fingerprint = {}
     for fld in dataclasses.fields(params):
-        if fld.name not in _EXCLUDED_PARAM_FIELDS:
-            fingerprint[f"params.{fld.name}"] = _json_safe(getattr(params, fld.name))
+        fingerprint[f"params.{fld.name}"] = _json_safe(getattr(params, fld.name))
     for fld in dataclasses.fields(stream):
         if fld.name not in _EXCLUDED_STREAM_FIELDS:
             fingerprint[f"stream.{fld.name}"] = _json_safe(getattr(stream, fld.name))
     return fingerprint
+
+
+#: Fingerprint keys of retired parameters.  Earlier releases stored
+#: ``packed_min_rows`` (an output-neutral kernel crossover) in every shard
+#: store, checkpoint manifest and publication-store source stamp.
+_RETIRED_FINGERPRINT_KEYS = frozenset({"params.packed_min_rows"})
+
+
+def fingerprint_matches(stored, fingerprint: dict) -> bool:
+    """Whether a fingerprint read back from disk names the same run.
+
+    ``stored`` comes from a shard store, a checkpoint manifest or a
+    publication store's source stamp; retired keys are dropped from it
+    before it is compared with the current ``fingerprint``.
+    """
+    if not isinstance(stored, dict):
+        return False
+    current = {
+        key: value
+        for key, value in stored.items()
+        if key not in _RETIRED_FINGERPRINT_KEYS
+    }
+    return current == fingerprint
 
 
 def _write_atomic(path: Path, payload: dict) -> None:
@@ -251,7 +268,7 @@ class RunManifest:
     # -- queries --------------------------------------------------------- #
     def matches(self, fingerprint: dict) -> bool:
         """Whether this manifest was written under the same parameters."""
-        return self.fingerprint == fingerprint
+        return fingerprint_matches(self.fingerprint, fingerprint)
 
 
 # -- shard publication snapshots ----------------------------------------- #

@@ -11,8 +11,7 @@ records (``max_records_in_memory``).  One streaming pass over the input:
    flushed whenever the total buffered count reaches the memory bound;
 3. **anonymize** -- for each shard in order, read the spill file back in
    windows of at most ``max_records_in_memory`` records and run the
-   existing engine on each window (``backend=encoded`` and the ``jobs=N``
-   per-cluster VERPART fan-out apply unchanged inside the window);
+   existing engine on each window;
 4. **merge**  -- concatenate the per-window cluster lists with
    deterministic relabeling (``S<shard>W<window>.<label>``), so the merged
    publication is identical for any interleaving and shared-chunk
@@ -24,9 +23,8 @@ records (``max_records_in_memory``).  One streaming pass over the input:
 
 Shards are processed *sequentially* by design: running shards concurrently
 would multiply resident records by the number of shards and void the memory
-bound.  Intra-window parallelism (``jobs``) is where the cores go; multi-
-host sharding (one shard per host) is the natural next step and only needs
-the spill files shipped.
+bound.  Multi-host sharding (one shard per host) is the natural next step
+and only needs the spill files shipped.
 
 **Checkpointed runs.**  With an explicit ``spill_dir`` the run is
 checkpointed by default (see :mod:`repro.stream.checkpoint`): a durable
@@ -69,7 +67,7 @@ from repro.core.clusters import (
     SharedChunk,
     SimpleCluster,
 )
-from repro.core import deadline, kernels
+from repro.core import deadline
 from repro.core.dataset import Record, TransactionDataset, ensure_record
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
 from repro.core.vocab import Vocabulary
@@ -119,7 +117,7 @@ class StreamParams:
             not seen yet instead of re-interning from scratch.  Interning
             is append-only and id-insensitive decisions tie-break on the
             decoded string, so the published output is identical with and
-            without reuse (covered by the kernel test suite); disable only
+            without reuse (covered by the vocabulary tests); disable only
             to bound the interning table by window instead of by shard.
         checkpoint: whether the run writes the durable manifest and
             per-shard snapshots that make ``resume=True`` possible
@@ -312,11 +310,10 @@ class ShardedPipeline:
 
     ``window_engine`` optionally injects a caller-owned (typically warm)
     :class:`~repro.core.engine.Disassociator` to run the windows on --- the
-    service layer passes its long-lived engine so streamed requests inherit
-    the already-spawned worker pool.  The pipeline temporarily swaps the
-    engine's parameters/vocabulary for the run and restores them; it never
-    closes an injected engine.  Without it, the pipeline owns a private
-    engine per run (the historical behavior).
+    service layer passes its long-lived engine.  The pipeline temporarily
+    swaps the engine's parameters/vocabulary for the run and restores
+    them; it never closes an injected engine.  Without it, the pipeline
+    owns a private engine per run (the historical behavior).
     """
 
     def __init__(
@@ -395,19 +392,12 @@ class ShardedPipeline:
             checkpoint=self.stream.checkpoint_enabled,
         )
         self.last_report = report
-        # One consistent kernel backend for the whole streaming run: the
-        # windows re-enter the same scope through the engine, and the
-        # global boundary audit (which runs outside any engine call) sees
-        # the configured backend instead of re-consulting the environment.
-        with kernels.use(kernels.resolve(self.params.kernels)):
-            if self.stream.spill_dir is None:
-                with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-                    published = self._run(records, Path(tmp), report, resume=False)
-            else:
-                spill_dir = Path(self.stream.spill_dir)
-                spill_dir.mkdir(parents=True, exist_ok=True)
-                published = self._run(records, spill_dir, report, resume=resume)
-        return published
+        if self.stream.spill_dir is None:
+            with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
+                return self._run(records, Path(tmp), report, resume=False)
+        spill_dir = Path(self.stream.spill_dir)
+        spill_dir.mkdir(parents=True, exist_ok=True)
+        return self._run(records, spill_dir, report, resume=resume)
 
     # -- phases --------------------------------------------------------- #
     def _load_resume_manifest(
@@ -605,14 +595,13 @@ class ShardedPipeline:
         ]
         borrowed = self.window_engine
         if borrowed is not None:
-            # Caller-owned warm engine: borrow it for the run (inheriting
-            # its live worker pool), restore its parameters and vocabulary
-            # afterwards, and never close it.
+            # Caller-owned warm engine: borrow it for the run, restore its
+            # parameters and vocabulary afterwards, and never close it.
             engine = borrowed
             saved_params, saved_vocabulary = engine.params, engine.vocabulary
             engine.params = window_params
         else:
-            engine = Disassociator(window_params, keep_pool=True)
+            engine = Disassociator(window_params)
         try:
             for shard, path in enumerate(spill_paths):
                 if manifest is not None and snapshot_path(spill_dir, shard).exists():

@@ -84,7 +84,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro import faults
-from repro.core import deadline, kernels
+from repro.core import deadline
 from repro.core.clusters import Cluster, DisassociatedDataset, paused_gc
 from repro.core.dataset import TransactionDataset, ensure_record, normalize_record
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
@@ -94,6 +94,7 @@ from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
 from repro.stream.checkpoint import (
     cluster_from_payload,
     cluster_to_payload,
+    fingerprint_matches,
     run_fingerprint,
 )
 from repro.stream.executor import StreamParams, _without_private_records, relabel_cluster
@@ -378,7 +379,7 @@ class ShardStore:
             stored = json.loads(stored) if stored is not None else None
         except ValueError as exc:
             raise StoreError(f"malformed fingerprint in {self.path}: {exc}") from exc
-        if stored != fingerprint:
+        if not fingerprint_matches(stored, fingerprint):
             raise StoreError(
                 f"shard store {self.path} was created under different "
                 "output-affecting parameters; refusing the delta (use a fresh "
@@ -827,21 +828,16 @@ class IncrementalPipeline:
             strategy=self.stream.strategy,
         )
         self.last_report = report
-        # One consistent kernel backend for the whole run, exactly like the
-        # cold streaming executor (windows, merge and boundary audit all see
-        # the configured backend).
-        with kernels.use(kernels.resolve(self.params.kernels)):
-            start = time.perf_counter()
-            # Exclusive: one run per store at a time.  Concurrent deltas
-            # (other service workers, other processes on the same
-            # store_dir) queue on the advisory lock instead of tearing
-            # each other's reconcile scans.
-            store = ShardStore(self.stream.store_dir, exclusive=True)
-            report.open_seconds = time.perf_counter() - start
-            try:
-                return self._run(store, list(append), list(delete), delta_id, report)
-            finally:
-                store.close()
+        start = time.perf_counter()
+        # Exclusive: one run per store at a time.  Concurrent deltas (other
+        # service workers, other processes on the same store_dir) queue on
+        # the advisory lock instead of tearing each other's reconcile scans.
+        store = ShardStore(self.stream.store_dir, exclusive=True)
+        report.open_seconds = time.perf_counter() - start
+        try:
+            return self._run(store, list(append), list(delete), delta_id, report)
+        finally:
+            store.close()
 
     def compact(self) -> None:
         """Compact the pipeline's store (see :meth:`ShardStore.compact`)."""
@@ -980,7 +976,7 @@ class IncrementalPipeline:
             if not (
                 pub.initialized
                 and pub.generation == generation
-                and pub.source == fingerprint
+                and fingerprint_matches(pub.source, fingerprint)
             ):
                 pub.build(
                     published,
@@ -1036,7 +1032,7 @@ class IncrementalPipeline:
             saved_params, saved_vocabulary = engine.params, engine.vocabulary
             engine.params = window_params
         else:
-            engine = Disassociator(window_params, keep_pool=True)
+            engine = Disassociator(window_params)
         try:
             # GC pauses are scoped to the snapshot (de)serialization
             # bursts -- the allocation storms whose garbage is all

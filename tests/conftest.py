@@ -111,8 +111,8 @@ def make_uniform_dataset(num_records: int, domain: int, record_length: int, seed
 
 
 # --------------------------------------------------------------------------- #
-# the paper-shaped synthetic workloads shared by the resilience, kernel,
-# wave-batching and incremental suites
+# the paper-shaped synthetic workloads shared by the resilience, vocabulary
+# and incremental suites
 # --------------------------------------------------------------------------- #
 
 #: The three workload families every cross-cutting suite exercises.

@@ -142,10 +142,6 @@ class TestPipelineAPI:
         with pytest.raises(ParameterError):
             AnonymizationParams(backend="numpy")
 
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ParameterError):
-            AnonymizationParams(jobs=0)
-
     def test_report_includes_encode_decode_time(self, paper_dataset):
         engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))
         engine.anonymize(paper_dataset)

@@ -27,6 +27,7 @@ import urllib.request
 import pytest
 
 from repro import (
+    AnonymizationParams,
     AnonymizationService,
     ParameterError,
     ServiceConfig,
@@ -494,3 +495,50 @@ class TestServeCli:
         config = _serve_config(args)
         assert config.workers == 2  # flag beats env
         assert config.k == 7  # env beats default
+
+
+# --------------------------------------------------------------------------- #
+# retired execution knobs are refused, never silently ignored
+# --------------------------------------------------------------------------- #
+RETIRED = [
+    ("http", "jobs", 2),
+    ("http", "kernels", "numpy"),
+    ("env", "jobs", 2),
+    ("cli-anonymize", "jobs", 2),
+    ("cli-serve", "kernels", "numpy"),
+    ("params", "jobs", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "surface, name, value", RETIRED, ids=[f"{s}-{n}" for s, n, _ in RETIRED]
+)
+def test_retired_option_is_refused(request, surface, name, value):
+    """The process fan-out and kernel knobs are gone; every entry point
+    rejects them with its own typed error."""
+    if surface == "http":
+        served = request.getfixturevalue("served")
+        status, body = http(
+            served.url,
+            "POST",
+            "/anonymize",
+            {"records": [["a", "b"]] * 4, "overrides": {name: value}},
+        )
+        assert (status, body["kind"]) == (400, "bad_request")
+        assert f"override keys: {name} " in body["error"]
+    elif surface == "env":
+        with pytest.raises(ParameterError, match=rf"REPRO_SERVICE_\*\): {name} "):
+            ServiceConfig.from_env({f"REPRO_SERVICE_{name.upper()}": str(value)})
+    elif surface == "params":
+        with pytest.raises(TypeError, match=name):
+            AnonymizationParams(**{name: value})
+    else:
+        from repro.cli import main
+
+        command = surface.removeprefix("cli-")
+        argv = [command, f"--{name}", str(value)]
+        if command == "anonymize":
+            argv[1:1] = ["in.txt", "--output", "out.json"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

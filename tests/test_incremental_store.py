@@ -147,6 +147,20 @@ class TestStoreValidation:
         b = run_fingerprint(PARAMS, _stream(tmp_path / "b"))
         assert a == b
 
+    def test_store_fingerprinted_with_retired_knob_accepts_deltas(self, tmp_path):
+        """Stores written while ``packed_min_rows`` existed carry
+        ``"params.packed_min_rows": null`` in their fingerprint; the knob
+        never affected the output, so deltas must still apply."""
+        legacy = dict(run_fingerprint(PARAMS, _stream(tmp_path / "s")))
+        legacy["params.packed_min_rows"] = None
+        with ShardStore(tmp_path / "s") as store:
+            store.initialize(legacy)
+        pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s"))
+        pipeline.run(append=RECORDS)
+        published = pipeline.run(append=[frozenset({"z1", "z2"})], delete=RECORDS[:3])
+        mutated = RECORDS[3:] + [frozenset({"z1", "z2"})]
+        assert _canonical(published) == _canonical(_cold(mutated))
+
     def test_store_survives_relocation(self, tmp_path):
         """Moving the store directory keeps it usable (location != identity)."""
         pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "a"))

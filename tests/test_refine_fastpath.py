@@ -1,7 +1,7 @@
 """Fast-path coverage for the incremental REFINE/HORPART subsystems.
 
 The profile-guided overhaul (memoized merge rejections, cached per-leaf
-masks, zero-recount HORPART splits, speculative parallel merge attempts)
+masks, zero-recount HORPART splits)
 promises **bit-for-bit identical output** to the reference formulations.
 This suite is that promise's enforcement:
 
@@ -16,7 +16,6 @@ This suite is that promise's enforcement:
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -27,7 +26,7 @@ from repro.core.anonymity import (
 )
 from repro.core.clusters import SimpleCluster, TermChunk
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, effective_jobs
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
 from repro.core.refine import (
     MergeMemo,
@@ -145,44 +144,6 @@ class TestRandomizedEquivalence:
             assert [c.to_dict() for c in reference] == [
                 c.to_dict() for c in optimized
             ], f"trial {trial}"
-
-
-class TestParallelRefine:
-    def test_executor_attempts_match_serial(self):
-        dataset = _scenario_dataset("quest", 3)
-        serial = refine(_verpart_clusters(dataset, 3, 2, 20), 3, 2)
-        try:
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                parallel = refine(
-                    _verpart_clusters(dataset, 3, 2, 20), 3, 2, executor=pool
-                )
-        except (OSError, RuntimeError):  # pragma: no cover - no subprocess support
-            pytest.skip("process pools unavailable")
-        assert [c.to_dict() for c in serial] == [c.to_dict() for c in parallel]
-
-    def test_jobs_request_spawns_pool_only_when_useful(self):
-        # jobs=1 must never pay pool setup; the capped value is reported.
-        dataset = _scenario_dataset("zipf", 4)
-        engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=20, jobs=64))
-        engine.anonymize(dataset)
-        assert engine.last_report.effective_jobs == effective_jobs(64)
-
-    def test_engine_parallel_refine_is_equivalent(self, monkeypatch):
-        # Force a multi-worker effective value regardless of the host's CPU
-        # count so the speculative evaluate + replay path actually runs.
-        # (`effective_jobs` lives in repro.core.refine; engine re-uses it.)
-        import sys
-
-        refine_module = sys.modules["repro.core.refine"]
-        monkeypatch.setattr(refine_module.os, "cpu_count", lambda: 2)
-        dataset = _scenario_dataset("quest", 5)
-        serial = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=20)
-        ).anonymize(dataset)
-        parallel = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=20, jobs=2)
-        ).anonymize(dataset)
-        assert serial.to_dict() == parallel.to_dict()
 
 
 class TestMergeMemo:

@@ -187,6 +187,24 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError):
             pipeline.run(iter(records), resume=True)
 
+    def test_resume_from_manifest_with_retired_knob(self, workloads, tmp_path):
+        """A manifest written while ``packed_min_rows`` existed still
+        resumes: the retired, output-neutral key is ignored."""
+        records = list(workloads["quest"])
+        oracle, _ = _publish(records, tmp_path / "oracle")
+        spill_dir = tmp_path / "crashed"
+        with faults.active(
+            faults.FaultPlan([faults.FaultSpec("stream.merge", hit=1)])
+        ):
+            with pytest.raises(FaultInjected):
+                _publish(records, spill_dir)
+        manifest = RunManifest.load(spill_dir)
+        manifest.fingerprint["params.packed_min_rows"] = None
+        manifest.save(spill_dir)
+        resumed, report = _publish(records, spill_dir, resume=True)
+        assert report.resumed
+        assert _canonical(resumed) == _canonical(oracle)
+
     def test_resume_over_corrupt_manifest_fails(self, workloads, tmp_path):
         records = list(workloads["quest"])
         with faults.active(

@@ -70,7 +70,6 @@ class TestServiceConfig:
             {"m": 0},
             {"max_cluster_size": 4, "k": 5},
             {"backend": "fortran"},
-            {"jobs": 0},
             {"shards": 0},
             {"max_records_in_memory": 1},
             {"shard_strategy": "roulette"},
@@ -87,10 +86,11 @@ class TestServiceConfig:
 
     def test_engine_and_stream_projections(self):
         config = ServiceConfig(
-            k=3, m=1, max_cluster_size=10, jobs=2, shards=2, shard_strategy="horpart"
+            k=3, m=1, max_cluster_size=10, backend="string", shards=2,
+            shard_strategy="horpart",
         )
         params = config.engine_params()
-        assert (params.k, params.m, params.jobs) == (3, 1, 2)
+        assert (params.k, params.m, params.backend) == (3, 1, "string")
         stream = config.stream_params()
         assert (stream.shards, stream.strategy) == (2, "horpart")
 
@@ -120,7 +120,6 @@ class TestServiceConfig:
             max_cluster_size=20,
             refine=False,
             sensitive_terms={"a", "b"},
-            jobs=2,
             shards=2,
             max_records_in_memory=50,
             reuse_vocabulary=False,
@@ -143,7 +142,6 @@ class TestServiceConfig:
             "REPRO_SERVICE_REFINE": "off",
             "REPRO_SERVICE_VERIFY": "Yes",
             "REPRO_SERVICE_MAX_JOIN_SIZE": "none",
-            "REPRO_SERVICE_KERNELS": "python",
             "REPRO_SERVICE_SENSITIVE_TERMS": " flu , viagra ",
             "UNRELATED": "ignored",
         }
@@ -152,7 +150,6 @@ class TestServiceConfig:
         assert config.refine is False
         assert config.verify is True
         assert config.max_join_size is None
-        assert config.kernels == "python"
         assert config.sensitive_terms == frozenset({"flu", "viagra"})
 
     @pytest.mark.parametrize(
@@ -326,17 +323,6 @@ class TestEquivalence:
         assert result.to_dict() == expected.to_dict()
         assert warm_after.to_dict() == expected.to_dict()  # backends are equivalent
 
-    def test_auto_kernels_config_keeps_warm_engine(self):
-        # "auto" must normalize to the same resolved literal as the warm
-        # engine's, not silently force a transient engine per request.
-        with AnonymizationService(
-            ROUTING_CONFIG.with_overrides(kernels="auto")
-        ) as service:
-            params = service._engine_params(service.config)
-            assert service._warm_engine_for(params) is service._engine
-            service.run(quest(30), mode="batch")
-            assert service._warm_engine_for(params) is service._engine
-
     def test_per_request_k_override(self):
         dataset = quest(120)
         config = ServiceConfig(k=3, max_cluster_size=12, verify=False)
@@ -498,35 +484,6 @@ class TestEngineLifecycle:
         assert engine.closed
         with pytest.raises(EngineClosedError):
             engine.close()
-
-    def test_broken_pool_is_released_for_the_next_call(self, paper_dataset):
-        from concurrent.futures.process import BrokenProcessPool
-
-        engine = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=6), keep_pool=True
-        )
-
-        class _DeadPool:
-            shut_down = False
-
-            def shutdown(self, *args, **kwargs):
-                self.shut_down = True
-
-        dead_pool = _DeadPool()
-        engine._pool = dead_pool
-
-        def broken_pipeline():
-            raise BrokenProcessPool("worker died")
-
-        engine.build_pipeline = broken_pipeline  # type: ignore[method-assign]
-        with pytest.raises(BrokenProcessPool):
-            engine.anonymize(paper_dataset)
-        # The poisoned executor is gone; a later call respawns from scratch.
-        assert dead_pool.shut_down
-        assert engine._pool is None
-        del engine.build_pipeline
-        assert engine.anonymize(paper_dataset) is not None
-        engine.close()
 
 
 class TestServiceLifecycle:

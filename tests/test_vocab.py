@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
@@ -12,13 +13,21 @@ from repro.core.anonymity import (
     combination_supports,
 )
 from repro.core.dataset import TransactionDataset
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.vocab import (
     EncodedCluster,
     EncodedDataset,
+    SubrecordArena,
     Vocabulary,
     iter_mask_bits,
 )
-from tests.conftest import PAPER_RECORDS, make_uniform_dataset
+from repro.stream import ShardedPipeline, StreamParams
+from tests.conftest import (
+    PAPER_RECORDS,
+    WORKLOAD_NAMES,
+    make_uniform_dataset,
+    make_workload,
+)
 
 
 class TestVocabulary:
@@ -136,3 +145,111 @@ class TestBitsetChunkChecker:
         assert checker.try_add("a")
         checker.reset()
         assert checker.accepted_terms == frozenset()
+
+
+# --------------------------------------------------------------------------- #
+# shard-lifetime vocabulary reuse
+# --------------------------------------------------------------------------- #
+def _scenario_dataset(name: str, seed: int) -> TransactionDataset:
+    if name == "quest":
+        return make_workload("quest", records=400, domain=120, avg_len=6.0, seed=seed)
+    if name == "zipf":
+        return make_workload("zipf", records=400, domain=150, avg_len=5.0, seed=seed)
+    return make_workload(
+        "clickstream", records=400, domain=150, avg_len=5.0, seed=seed, sections=6
+    )
+
+
+class TestVocabularyReuse:
+    def test_from_dataset_accepts_prewarmed_vocab(self):
+        dataset = TransactionDataset([{"b", "a"}, {"c", "a"}])
+        vocab = Vocabulary(["z", "a"])
+        encoded = EncodedDataset.from_dataset(dataset, vocab=vocab)
+        assert encoded.vocab is vocab
+        assert vocab.id_of("z") == 0 and vocab.id_of("a") == 1
+        assert {vocab.decode(tid) for tid in encoded.records[0]} == {"a", "b"}
+
+    @pytest.mark.parametrize("scenario", WORKLOAD_NAMES)
+    def test_stream_identical_with_and_without_reuse(self, scenario):
+        dataset = _scenario_dataset(scenario, seed=31)
+        params = AnonymizationParams(k=4, m=2, max_cluster_size=12)
+        outputs = []
+        for reuse in (True, False):
+            pipeline = ShardedPipeline(
+                params,
+                StreamParams(
+                    shards=3, max_records_in_memory=120, reuse_vocabulary=reuse
+                ),
+            )
+            outputs.append(pipeline.anonymize(dataset).to_dict())
+        assert outputs[0] == outputs[1]
+
+    def test_engine_reuses_vocabulary_across_calls(self):
+        dataset = _scenario_dataset("quest", seed=8)
+        vocab = Vocabulary()
+        engine = Disassociator(
+            AnonymizationParams(k=4, m=2, max_cluster_size=12), vocabulary=vocab
+        )
+        baseline = Disassociator(AnonymizationParams(k=4, m=2, max_cluster_size=12))
+        first = engine.anonymize(dataset).to_dict()
+        grown = len(vocab)
+        assert grown > 0
+        second = engine.anonymize(dataset).to_dict()
+        assert len(vocab) == grown  # append-only: nothing re-interned
+        assert first == second == baseline.anonymize(dataset).to_dict()
+
+
+# --------------------------------------------------------------------------- #
+# SubrecordArena
+# --------------------------------------------------------------------------- #
+class TestSubrecordArena:
+    def test_interning_is_canonical(self):
+        arena = SubrecordArena()
+        first = arena.intern(("a", "b"))
+        again = arena.intern(frozenset(("b", "a")))
+        assert first == again
+        assert len(arena) == 1
+        assert arena.subrecord(first) == frozenset(("a", "b"))
+        assert arena.id_of(("a", "b")) == first
+        assert arena.id_of(("z",)) is None
+
+    def test_subrecords_for_matches_projection(self):
+        rng = random.Random(17)
+        arena = SubrecordArena()
+        for _ in range(50):
+            rows = rng.randint(1, 40)
+            terms = [f"t{i}" for i in range(rng.randint(1, 6))]
+            term_masks = []
+            row_sets: list[set] = [set() for _ in range(rows)]
+            for term in terms:
+                mask = 0
+                for row in range(rows):
+                    if rng.random() < 0.5:
+                        mask |= 1 << row
+                        row_sets[row].add(term)
+                if mask:
+                    term_masks.append((term, mask))
+            or_mask = 0
+            for _term, mask in term_masks:
+                or_mask |= mask
+            covered = [row for row in range(rows) if row_sets[row]]
+            expected = [frozenset(row_sets[row]) for row in covered]
+            got = arena.subrecords_for(term_masks, or_mask, len(covered))
+            assert got == expected
+
+    def test_subrecords_for_shares_instances(self):
+        arena = SubrecordArena()
+        # Three rows, all with the identical pattern {x, y}.
+        term_masks = [("x", 0b111), ("y", 0b111)]
+        subs = arena.subrecords_for(term_masks, 0b111, 3)
+        assert len(subs) == 3
+        assert subs[0] is subs[1] is subs[2]
+        # The same pattern from a later call resolves to the same instance.
+        again = arena.subrecords_for(term_masks, 0b111, 3)
+        assert again[0] is subs[0]
+
+    def test_vocabulary_arena_is_lazy_and_stable(self):
+        vocab = Vocabulary()
+        arena = vocab.subrecord_arena()
+        assert isinstance(arena, SubrecordArena)
+        assert vocab.subrecord_arena() is arena
