@@ -217,11 +217,19 @@ def read_dataset_json(path: PathLike) -> TransactionDataset:
     return TransactionDataset.from_lists(payload)
 
 
+def canonical_json(payload) -> str:
+    """Canonical compact JSON: sorted keys, no whitespace.
+
+    The form publications are written and fingerprinted in.  Indentation
+    would force the standard library's pure-Python encoder, several
+    times slower and larger on a full publication.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def write_dataset_json(dataset: TransactionDataset, path: PathLike) -> None:
     """Write a plain dataset as a JSON list of sorted term lists."""
-    Path(path).write_text(
-        json.dumps(dataset.to_lists(), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    Path(path).write_text(canonical_json(dataset.to_lists()), encoding="utf-8")
 
 
 def read_disassociated_json(path: PathLike) -> DisassociatedDataset:
@@ -236,6 +244,4 @@ def read_disassociated_json(path: PathLike) -> DisassociatedDataset:
 
 def write_disassociated_json(published: DisassociatedDataset, path: PathLike) -> None:
     """Write a disassociated publication as JSON (clusters, chunks, k, m)."""
-    Path(path).write_text(
-        json.dumps(published.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    Path(path).write_text(canonical_json(published.to_dict()), encoding="utf-8")

@@ -9,7 +9,8 @@ per-term support aggregates, so the analyst queries from
 the whole publication per query.
 
 * :class:`PublicationStore` -- the store itself (WAL, versioned schema,
-  fingerprint-validated, atomic generation-stamped rebuilds).
+  fingerprint-validated, atomic generation-stamped refreshes that
+  rewrite only the top-level clusters a publication changed).
 * :class:`QueryEngine` -- one query surface over either a live
   publication (the bit-for-bit equivalence oracle) or a store.
 * :class:`StoreSupportEstimator` -- the store-backed twin of

@@ -9,7 +9,7 @@ the publication object graph.
 Bit-for-bit parity is a design constraint, not an aspiration, so the
 float arithmetic replays the oracle exactly:
 
-* candidate clusters are visited in publication order (pre-order ids);
+* candidate clusters are visited in publication order (``tops.pos``);
   clusters whose domain does not cover the itemset contribute an exact
   ``0.0`` in the oracle, so skipping them leaves the running sum
   unchanged (``x + 0.0 == x`` for every finite ``x``);

@@ -12,10 +12,17 @@ in :mod:`repro.analysis` answer without scanning the publication:
     ``total_subrecords``).
 ``terms``
     Interned term strings; every other table refers to terms by id.
+``tops``
+    One row per top-level cluster: its id, its position (``pos``) in the
+    publication's cluster list, and the digest of its canonical JSON.  A
+    refresh matches digests to find the top-level clusters a new
+    publication kept, so it rewrites only the ones that changed.
 ``clusters``
-    The cluster tree (simple and joint), pre-order ids, with each row
-    carrying its top-level ancestor (``top``) so per-cluster work never
-    walks the tree at query time.
+    The cluster tree (simple and joint), with each row carrying its
+    top-level ancestor (``top``) so per-cluster work never walks the
+    tree at query time.  Ids are pre-order *inside* one top-level
+    cluster; across top-level clusters they only reflect insertion
+    order, so publication order comes from ``tops.pos``.
 ``chunks``
     Record and shared chunks with two orderings: ``ord`` (position in
     the owning cluster, used to reload the publication faithfully) and
@@ -46,9 +53,10 @@ in :mod:`repro.analysis` answer without scanning the publication:
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Tuple, Union
+
+from repro.datasets.io import canonical_json
 
 #: File name of the publication store inside its directory.
 PUBSTORE_NAME = "publication.sqlite"
@@ -58,7 +66,7 @@ PUBSTORE_LOCK_NAME = "publication.lock"
 
 #: Bumped whenever the schema below changes shape; a store written by a
 #: different version is refused rather than silently misread.
-PUBSTORE_VERSION = 1
+PUBSTORE_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -71,6 +79,12 @@ CREATE TABLE IF NOT EXISTS terms (
     term TEXT NOT NULL UNIQUE
 );
 
+CREATE TABLE IF NOT EXISTS tops (
+    id     INTEGER PRIMARY KEY,
+    pos    INTEGER NOT NULL,
+    digest TEXT NOT NULL
+);
+
 CREATE TABLE IF NOT EXISTS clusters (
     id     INTEGER PRIMARY KEY,
     parent INTEGER,
@@ -81,6 +95,7 @@ CREATE TABLE IF NOT EXISTS clusters (
     size   INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_clusters_parent ON clusters (parent, ord);
+CREATE INDEX IF NOT EXISTS idx_clusters_top ON clusters (top);
 
 CREATE TABLE IF NOT EXISTS chunks (
     id      INTEGER PRIMARY KEY,
@@ -156,10 +171,10 @@ CREATE TABLE IF NOT EXISTS contributions (
 ) WITHOUT ROWID;
 """
 
-#: Every data table the writer clears before a rebuild (``meta`` is
-#: restamped, not cleared, so version/fingerprint survive a rebuild of
-#: the same publication).
+#: Every data table a refresh clears when it has no snapshot to diff
+#: against (``meta`` is restamped, never cleared).
 DATA_TABLES = (
+    "tops",
     "terms",
     "clusters",
     "chunks",
@@ -186,5 +201,38 @@ def publication_fingerprint(payload: Dict[str, Any]) -> str:
     compact separators) so logically identical publications fingerprint
     identically regardless of how the payload dict was assembled.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    return hashlib.blake2b(
+        canonical_json(payload).encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
+def cluster_digests(payload: Dict[str, Any]) -> Tuple[List[str], str]:
+    """Digest every top-level cluster of a ``to_dict`` payload.
+
+    Returns ``(digests, fingerprint)``: ``digests[i]`` hashes the
+    canonical JSON of ``payload["clusters"][i]``, and ``fingerprint``
+    equals :func:`publication_fingerprint` of the whole payload.  The
+    whole-publication hash is fed the same per-cluster encodings, in the
+    byte order ``json.dumps(payload, sort_keys=True)`` would produce, so
+    the publication is encoded once rather than twice.
+    """
+    whole = hashlib.blake2b(digest_size=16)
+    digests: List[str] = []
+    whole.update(b"{")
+    for index, key in enumerate(sorted(payload)):
+        if index:
+            whole.update(b",")
+        whole.update(f"{canonical_json(key)}:".encode("utf-8"))
+        if key != "clusters":
+            whole.update(canonical_json(payload[key]).encode("utf-8"))
+            continue
+        whole.update(b"[")
+        for position, cluster in enumerate(payload[key]):
+            text = canonical_json(cluster).encode("utf-8")
+            if position:
+                whole.update(b",")
+            whole.update(text)
+            digests.append(hashlib.blake2b(text, digest_size=16).hexdigest())
+        whole.update(b"]")
+    whole.update(b"}")
+    return digests, whole.hexdigest()

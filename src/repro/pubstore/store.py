@@ -17,13 +17,16 @@ identity -- holding one disassociated publication in fully indexed form
   anything the indexes cannot answer falls back to the in-memory path
   with bit-for-bit identical results.
 
-Durability mirrors the shard store: a (re)build is **one** atomic
-transaction -- old rows out, new rows in, meta restamped, commit -- so a
-crash mid-build rolls back to the previous consistent snapshot and the
-next build simply runs again.  The ``generation`` meta slot is stamped
-by the builder (:class:`~repro.stream.IncrementalPipeline` passes the
-shard store's generation), which is what keeps a pubstore from ever
-being ahead of or behind the publication it indexes.  Faults and
+Durability mirrors the shard store: a refresh is **one** atomic
+transaction -- the rows of vanished top-level clusters out, the rows of
+new ones in, aggregates adjusted, meta restamped, commit -- so a crash
+mid-refresh rolls back to the previous consistent snapshot and the next
+refresh simply runs again.  A refresh costs in proportion to the
+top-level clusters that changed, not to the publication.  The
+``generation`` meta slot is stamped by the builder
+(:class:`~repro.stream.IncrementalPipeline` passes the shard store's
+generation), which is what keeps a pubstore from ever being ahead of or
+behind the publication it indexes.  Faults and
 deadlines are honored at the ``pubstore.open`` / ``pubstore.build`` /
 ``pubstore.query`` phase boundaries, so the resilience harness drives
 this store like every other subsystem.
@@ -35,8 +38,21 @@ import json
 import sqlite3
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro import faults
 from repro.core import deadline
@@ -55,16 +71,33 @@ from repro.pubstore.schema import (
     PUBSTORE_LOCK_NAME,
     PUBSTORE_VERSION,
     _SCHEMA,
+    cluster_digests,
     publication_fingerprint,
     pubstore_path,
 )
-from repro.pubstore.writer import build_rows, insert_rows
+from repro.pubstore.writer import (
+    DELETE_GONE,
+    Stats,
+    build_rows,
+    insert_rows,
+    merge_stats,
+    removed_stats,
+)
 
 PathLike = Union[str, Path]
 
 #: Default seconds an exclusive open waits for the writer lock before
 #: failing with :class:`~repro.exceptions.StoreError`.
 LOCK_TIMEOUT = 30.0
+
+
+class BuildStats(NamedTuple):
+    """What one :meth:`PublicationStore.build` wrote and kept."""
+
+    #: Top-level clusters whose rows the refresh wrote.
+    tops_written: int
+    #: Top-level clusters whose rows the refresh left in place.
+    tops_kept: int
 
 
 def _marks(values: Sequence) -> str:
@@ -76,14 +109,14 @@ class PublicationStore:
     """One publication, persisted and indexed, in a single SQLite file.
 
     Open is cheap (schema is idempotent); writes go through
-    :meth:`build`, which replaces the whole snapshot atomically.  All
+    :meth:`build`, which refreshes the snapshot atomically.  All
     methods raise :class:`~repro.exceptions.StoreError` on an unusable
     or foreign database.  Use as a context manager (or call
     :meth:`close`).
 
     ``exclusive=True`` acquires an advisory writer lock (a write
     transaction on the sibling ``publication.lock`` file) held until
-    :meth:`close`, serializing rebuilds across threads and processes;
+    :meth:`close`, serializing refreshes across threads and processes;
     read-only query opens stay lock-free.
     """
 
@@ -142,7 +175,7 @@ class PublicationStore:
                     if time.monotonic() >= give_up:
                         raise StoreError(
                             f"another writer holds the lock on publication store "
-                            f"{self.path} (waited {timeout:.1f}s); rebuilds "
+                            f"{self.path} (waited {timeout:.1f}s); refreshes "
                             "serialize per store"
                         ) from None
         except sqlite3.Error as exc:
@@ -175,6 +208,25 @@ class PublicationStore:
         """Close the database connection and release the writer lock."""
         self._db.close()
         self._release_lock()
+
+    @contextmanager
+    def read_transaction(self) -> Iterator["PublicationStore"]:
+        """Run a block of reads against one committed snapshot.
+
+        A multi-statement query (``expected_support`` walks
+        ``candidate_tops`` -> ``top_size`` -> ``chunk_parts`` ->
+        ``matching_count``) must not straddle a refresh's commit: a
+        refresh deletes the rows of the top-level clusters it replaced,
+        so a later statement could miss a cluster an earlier one
+        returned.  Inside this block every read sees the snapshot that
+        was current at its first statement (WAL readers never block the
+        writer, nor it them).
+        """
+        self._db.execute("BEGIN")
+        try:
+            yield self
+        finally:
+            self._db.execute("COMMIT")
 
     # -- meta ------------------------------------------------------------ #
     def _meta(self, key: str) -> Optional[str]:
@@ -303,48 +355,143 @@ class PublicationStore:
         generation: int = 0,
         payload: Optional[dict] = None,
         source: Optional[dict] = None,
-    ) -> None:
-        """(Re)index ``published`` into the store as one atomic snapshot.
+    ) -> BuildStats:
+        """Bring the store in step with ``published`` as one atomic snapshot.
 
-        The whole build -- clearing the previous snapshot, inserting
-        every row, restamping the meta header -- commits as a single
-        transaction: a crash at any instant leaves the *previous*
-        committed snapshot (or an unbuilt store) behind, never a half
-        index.  ``payload`` may pass a precomputed ``to_dict()`` form to
-        avoid serializing the publication twice; ``generation`` and
-        ``source`` stamp which upstream state the snapshot reflects.
+        A publication is a list of independent top-level clusters, so the
+        store diffs it against the current snapshot instead of
+        rebuilding: top-level clusters whose digest (see
+        :func:`~repro.pubstore.schema.cluster_digests`) is already stored
+        keep their rows, vanished ones are deleted, new ones are written,
+        and the aggregates are adjusted by the difference.  An unbuilt
+        store, one of another schema version, or one built from a
+        different ``source`` diffs against nothing.
+
+        The whole refresh -- deletes, inserts, positions, meta header --
+        commits as a single transaction: a crash at any instant leaves
+        the *previous* committed snapshot (or an unbuilt store) behind,
+        never a half index.  ``payload`` may pass a precomputed
+        ``to_dict()`` form to avoid serializing the publication twice;
+        ``generation`` and ``source`` stamp which upstream state the
+        snapshot reflects.  Returns how many top-level clusters were
+        written and kept.
         """
         faults.check("pubstore.build")
         deadline.check("pubstore.build")
         if payload is None:
             payload = published.to_dict()
-        fingerprint = publication_fingerprint(payload)
-        with paused_gc():
-            builder = build_rows(published)
-        deadline.check("pubstore.build")
+        digests, fingerprint = cluster_digests(payload)
+        encoded_source = json.dumps(source, sort_keys=True)
         self._db.execute("BEGIN IMMEDIATE")
         try:
-            for table in DATA_TABLES:
-                self._db.execute(f"DELETE FROM {table}")
-            derived = insert_rows(self._db, builder, published)
+            with paused_gc():
+                stats = self._refresh(published, digests, encoded_source)
             self._set_meta("version", str(PUBSTORE_VERSION))
             self._set_meta("fingerprint", fingerprint)
             self._set_meta("generation", str(int(generation)))
-            self._set_meta("source", json.dumps(source, sort_keys=True))
-            for key, value in derived.items():
-                self._set_meta(key, value)
+            self._set_meta("source", encoded_source)
+            self._set_meta("k", str(published.k))
+            self._set_meta("m", str(published.m))
+            self._set_meta("total_records", str(published.total_records()))
+            (subrecords,) = self._db.execute("SELECT COUNT(*) FROM subrecords").fetchone()
+            (singletons,) = self._db.execute("SELECT COUNT(*) FROM term_chunks").fetchone()
+            self._set_meta("total_subrecords", str(subrecords))
+            self._set_meta("chunk_rows", str(subrecords + singletons))
             self._set_meta("built", "1")
             # A second injection point *inside* the transaction: the
-            # crash-during-index-build test arms it to prove a mid-build
+            # crash-during-refresh test arms it to prove a mid-refresh
             # death rolls back to the previous consistent snapshot.
             faults.check("pubstore.build")
             self._db.execute("COMMIT")
         except BaseException:
             self._db.execute("ROLLBACK")
             raise
+        return stats
+
+    def _refresh(
+        self, published: DisassociatedDataset, digests: List[str], source: str
+    ) -> BuildStats:
+        """Diff-and-apply ``published`` inside the open write transaction."""
+        db = self._db
+        stored: Dict[str, List[int]] = defaultdict(list)
+        if (
+            self._meta("built") == "1"
+            and self._meta("version") == str(PUBSTORE_VERSION)
+            and self._meta("source") == source
+        ):
+            for top, digest in db.execute("SELECT id, digest FROM tops ORDER BY id"):
+                stored[digest].append(top)
+        else:
+            for table in DATA_TABLES:
+                db.execute(f"DELETE FROM {table}")
+        positions: List[Tuple[int, int, str]] = []
+        fresh: List[int] = []
+        for position, digest in enumerate(digests):
+            matches = stored.get(digest)
+            if matches:
+                positions.append((matches.pop(0), position, digest))
+            else:
+                fresh.append(position)
+        gone = [top for tops in stored.values() for top in tops]
+
+        term_ids: Dict[str, int] = dict(db.execute("SELECT term, id FROM terms"))
+        next_ids = [
+            db.execute(f"SELECT COALESCE(MAX(id), 0) + 1 FROM {table}").fetchone()[0]
+            for table in ("terms", "clusters", "chunks", "subrecords")
+        ]
+        removed, gone_pairs = Stats(), []
+        if gone:
+            db.execute("CREATE TEMP TABLE IF NOT EXISTS gone_tops (id INTEGER PRIMARY KEY)")
+            db.execute("DELETE FROM gone_tops")
+            db.executemany("INSERT INTO gone_tops (id) VALUES (?)", ((top,) for top in gone))
+            term_names = {tid: term for term, tid in term_ids.items()}
+            removed, gone_pairs = removed_stats(db, term_names)
+            for statement in DELETE_GONE:
+                db.execute(statement)
+            db.executemany(
+                "DELETE FROM cluster_terms WHERE term = ? AND top = ?", gone_pairs
+            )
+        builder = build_rows(
+            ((position, published.clusters[position]) for position in fresh),
+            term_ids=term_ids,
+            next_ids=next_ids,
+        )
+        deadline.check("pubstore.build")
+        insert_rows(db, builder)
+        merge_stats(db, builder.stats, removed, (tid for tid, _ in builder.new_terms))
+        vanished = [
+            (tid,)
+            for tid in sorted({tid for tid, _ in gone_pairs})
+            if db.execute(
+                "SELECT 1 FROM cluster_terms WHERE term = ? LIMIT 1", (tid,)
+            ).fetchone()
+            is None
+        ]
+        db.executemany("DELETE FROM term_stats WHERE term = ?", vanished)
+        db.executemany("DELETE FROM terms WHERE id = ?", vanished)
+        positions.extend(
+            (top, position, digests[position])
+            for top, position in zip(builder.top_ids, fresh)
+        )
+        db.execute("DELETE FROM tops")
+        db.executemany(
+            "INSERT INTO tops (id, pos, digest) VALUES (?, ?, ?)", sorted(positions)
+        )
+        return BuildStats(tops_written=len(fresh), tops_kept=len(digests) - len(fresh))
 
     # -- validation ------------------------------------------------------ #
     def _require_built(self) -> None:
+        """Refuse a store of another schema version, or an unbuilt one.
+
+        A version-1 store has no ``tops`` table; read through this
+        version's queries it would silently look empty.
+        """
+        version = self._meta("version")
+        if version is not None and version != str(PUBSTORE_VERSION):
+            raise StoreError(
+                f"publication store {self.path} has version {version!r}, "
+                f"this library reads version {PUBSTORE_VERSION}"
+            )
         if not self.initialized:
             raise StoreError(
                 f"publication store {self.path} holds no publication; "
@@ -357,12 +504,6 @@ class PublicationStore:
         """Refuse a store this library version cannot read, or an unbuilt one."""
         faults.check("pubstore.query")
         deadline.check("pubstore.query")
-        version = self._meta("version")
-        if version is not None and version != str(PUBSTORE_VERSION):
-            raise StoreError(
-                f"publication store {self.path} has version {version!r}, "
-                f"this library reads version {PUBSTORE_VERSION}"
-            )
         self._require_built()
 
     # -- term lookups ---------------------------------------------------- #
@@ -474,15 +615,15 @@ class PublicationStore:
     def candidate_tops(self, term_ids: Iterable[int], size: int) -> List[int]:
         """Top-level clusters whose full domain covers all ``size`` terms.
 
-        Ordered ascending by cluster id -- the pre-order walk ids make
-        that exactly the publication's top-level cluster order, so the
-        store-backed estimator sums per-cluster contributions in the
-        same order as the in-memory oracle.
+        Ordered by ``tops.pos`` -- the publication's top-level cluster
+        order -- so the store-backed estimator sums per-cluster
+        contributions in the same order as the in-memory oracle.
         """
         wanted = sorted(set(term_ids))
         rows = self._db.execute(
+            "SELECT id FROM tops WHERE id IN ("
             f"SELECT top FROM cluster_terms WHERE term IN ({_marks(wanted)})"
-            " GROUP BY top HAVING COUNT(*) = ? ORDER BY top",
+            " GROUP BY top HAVING COUNT(*) = ?) ORDER BY pos",
             (*wanted, size),
         ).fetchall()
         return [top for (top,) in rows]
@@ -604,8 +745,9 @@ class PublicationStore:
             ).fetchall()
             children_of: Dict[Optional[int], List[Tuple[int, int]]] = defaultdict(list)
             built_clusters: Dict[int, Union[SimpleCluster, JointCluster]] = {}
-            # Pre-order ids guarantee every child id exceeds its parent's,
-            # so a reverse walk always finds children already built.
+            # Ids are pre-order inside each top-level cluster, so every
+            # child id exceeds its parent's and a reverse walk always
+            # finds children already built.
             for cid, parent, ord_, kind, label, size in reversed(cluster_rows):
                 if kind == "joint":
                     children = [
@@ -625,7 +767,8 @@ class PublicationStore:
                     )
                 children_of[parent].append((ord_, cid))
             tops = [
-                built_clusters[cid] for _, cid in sorted(children_of.get(None, []))
+                built_clusters[cid]
+                for (cid,) in db.execute("SELECT id FROM tops ORDER BY pos")
             ]
             return DisassociatedDataset(tops, k=self.k, m=self.m)
 
@@ -635,4 +778,4 @@ class PublicationStore:
         return self.fingerprint == publication_fingerprint(published.to_dict())
 
 
-__all__ = ["PublicationStore", "LOCK_TIMEOUT"]
+__all__ = ["BuildStats", "PublicationStore", "LOCK_TIMEOUT"]

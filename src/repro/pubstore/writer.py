@@ -1,8 +1,8 @@
-"""Decompose a publication into the store's relational rows.
+"""Decompose top-level clusters into the store's relational rows.
 
-The writer walks a :class:`~repro.core.clusters.DisassociatedDataset`
-once and produces every table's rows, including the two orderings the
-query engine depends on:
+The writer walks a sequence of top-level clusters once and produces
+every table's rows, including the two orderings the query engine
+depends on:
 
 * ``ord`` -- the chunk's position inside its owning cluster, used by
   :meth:`PublicationStore.load_publication` to rebuild the exact tree;
@@ -13,28 +13,54 @@ query engine depends on:
   estimator multiply its per-chunk probabilities in exactly the same
   order as the in-memory oracle, keeping the floats bit-for-bit equal.
 
-The aggregates (``term_stats``, ``pair_stats``) are accumulated during
-the same walk, so building the store is a single pass over the
-publication regardless of how many queries it later serves.
+The per-term and per-pair contributions to ``term_stats`` and
+``pair_stats`` are accumulated during the same walk.  A refresh writes
+only the top-level clusters a publication gained, so the walk starts
+from the store's interned terms and from ids past the store's current
+maxima, and :func:`removed_stats` prices the clusters it lost with the
+same counting rules so the aggregates can be adjusted in place.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.clusters import DisassociatedDataset, JointCluster, RecordChunk
+from repro.core.clusters import JointCluster, RecordChunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import sqlite3
 
 
-class _RowBuilder:
-    """Accumulates every table's rows during one publication walk."""
+class Stats:
+    """Per-term and per-pair contributions of some top-level clusters.
+
+    ``pair_counts`` is keyed by ``(a, b)`` term ids ordered by term
+    *string*, the orientation ``pair_stats`` stores.
+    """
 
     def __init__(self) -> None:
-        self.term_ids: Dict[str, int] = {}
+        self.chunk_support: Counter = Counter()
+        self.term_chunk_count: Counter = Counter()
+        self.pair_counts: Counter = Counter()
+
+    def add_subrecord(self, ids: Sequence[int]) -> None:
+        """Count one sub-record whose term ids are ordered by term string."""
+        support, pairs = self.chunk_support, self.pair_counts
+        for tid in ids:
+            support[tid] += 1
+        for pair in combinations(ids, 2):
+            pairs[pair] += 1
+
+
+class _RowBuilder:
+    """Accumulates every table's rows during one walk over top-level clusters."""
+
+    def __init__(self, term_ids: Dict[str, int], next_ids: Sequence[int]) -> None:
+        self.term_ids = term_ids
+        self.new_terms: List[Tuple[int, str]] = []
+        self.top_ids: List[int] = []
         self.cluster_rows: List[tuple] = []
         self.chunk_rows: List[list] = []
         self.chunk_term_rows: List[tuple] = []
@@ -42,27 +68,28 @@ class _RowBuilder:
         self.posting_rows: List[tuple] = []
         self.term_chunk_rows: List[tuple] = []
         self.contribution_rows: List[tuple] = []
-        self.chunk_support: Counter = Counter()
-        self.term_chunk_count: Counter = Counter()
-        self.pair_counts: Counter = Counter()
+        self.stats = Stats()
         self.cluster_term_pairs: set = set()
         # eord assignment: per top-level cluster, shared chunks (walk
         # order == iter_shared_chunks pre-order) then record chunks
         # (walk order == leaves() DFS order).
         self.shared_by_top: Dict[int, List[int]] = defaultdict(list)
         self.record_by_top: Dict[int, List[int]] = defaultdict(list)
-        self.total_subrecords = 0
-        self.total_term_chunk_terms = 0
-        self._next_cluster = 1
-        self._next_chunk = 1
-        self._next_subrecord = 1
+        (
+            self._next_term,
+            self._next_cluster,
+            self._next_chunk,
+            self._next_subrecord,
+        ) = next_ids
 
     def term_id(self, term: str) -> int:
         """Intern ``term`` and return its id."""
         tid = self.term_ids.get(term)
         if tid is None:
-            tid = len(self.term_ids) + 1
+            tid = self._next_term
+            self._next_term += 1
             self.term_ids[term] = tid
+            self.new_terms.append((tid, term))
         return tid
 
     def add_chunk(
@@ -80,15 +107,11 @@ class _RowBuilder:
         for position, subrecord in enumerate(chunk.subrecords):
             subrecord_id = self._next_subrecord
             self._next_subrecord += 1
-            self.total_subrecords += 1
             self.subrecord_rows.append((subrecord_id, chunk_id, position))
-            terms = sorted(subrecord)
-            for term in terms:
-                tid = self.term_id(term)
+            ids = [self.term_id(term) for term in sorted(subrecord)]
+            for tid in ids:
                 self.posting_rows.append((tid, subrecord_id, chunk_id))
-                self.chunk_support[tid] += 1
-            for first, second in combinations(terms, 2):
-                self.pair_counts[(first, second)] += 1
+            self.stats.add_subrecord(ids)
         contributions = getattr(chunk, "contributions", None)
         if contributions:
             for position, (label, count) in enumerate(contributions.items()):
@@ -121,9 +144,8 @@ class _RowBuilder:
             for term in cluster.term_chunk.terms:
                 tid = self.term_id(term)
                 self.term_chunk_rows.append((tid, cluster_id, my_top))
-                self.term_chunk_count[tid] += 1
+                self.stats.term_chunk_count[tid] += 1
                 self.cluster_term_pairs.add((tid, my_top))
-                self.total_term_chunk_terms += 1
         return cluster_id
 
     def assign_eord(self) -> None:
@@ -138,28 +160,34 @@ class _RowBuilder:
             row[4] = eord_of[row[0]]
 
 
-def build_rows(published: DisassociatedDataset) -> _RowBuilder:
-    """Walk ``published`` and return every table's rows."""
-    builder = _RowBuilder()
-    for position, cluster in enumerate(published.clusters):
-        builder.walk(cluster, None, None, position)
+def build_rows(
+    clusters: Iterable[Tuple[int, object]],
+    *,
+    term_ids: Dict[str, int],
+    next_ids: Sequence[int],
+) -> _RowBuilder:
+    """Walk ``(position, top-level cluster)`` pairs and return every table's rows.
+
+    ``term_ids`` (updated in place) maps the terms already interned in
+    the store to their ids; ``next_ids`` are the first free term,
+    cluster, chunk and sub-record ids.  Inside each top-level cluster
+    the ids are assigned in pre-order.
+    """
+    builder = _RowBuilder(term_ids, next_ids)
+    for position, cluster in clusters:
+        builder.top_ids.append(builder.walk(cluster, None, None, position))
     builder.assign_eord()
     return builder
 
 
-def insert_rows(
-    db: "sqlite3.Connection", builder: _RowBuilder, published: DisassociatedDataset
-) -> Dict[str, str]:
-    """Bulk-insert the builder's rows; returns the data-derived meta entries.
+def insert_rows(db: "sqlite3.Connection", builder: _RowBuilder) -> None:
+    """Bulk-insert the builder's structural rows (everything but the aggregates).
 
     Must be called inside an open transaction: the caller (the store)
-    owns BEGIN/COMMIT so a crash mid-build rolls back to the previous
+    owns BEGIN/COMMIT so a crash mid-refresh rolls back to the previous
     consistent snapshot instead of leaving half an index behind.
     """
-    db.executemany(
-        "INSERT INTO terms (id, term) VALUES (?, ?)",
-        ((tid, term) for term, tid in builder.term_ids.items()),
-    )
+    db.executemany("INSERT INTO terms (id, term) VALUES (?, ?)", builder.new_terms)
     db.executemany(
         "INSERT INTO clusters (id, parent, top, ord, kind, label, size)"
         " VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -191,36 +219,99 @@ def insert_rows(
         sorted(builder.cluster_term_pairs),
     )
     db.executemany(
-        "INSERT INTO term_stats (term, chunk_support, term_chunk_count, total)"
-        " VALUES (?, ?, ?, ?)",
-        (
-            (
-                tid,
-                builder.chunk_support.get(tid, 0),
-                builder.term_chunk_count.get(tid, 0),
-                builder.chunk_support.get(tid, 0) + builder.term_chunk_count.get(tid, 0),
-            )
-            for tid in builder.term_ids.values()
-        ),
-    )
-    db.executemany(
-        "INSERT INTO pair_stats (a, b, support) VALUES (?, ?, ?)",
-        (
-            (builder.term_ids[a], builder.term_ids[b], support)
-            for (a, b), support in builder.pair_counts.items()
-        ),
-    )
-    db.executemany(
         "INSERT INTO contributions (chunk, ord, label, count) VALUES (?, ?, ?, ?)",
         builder.contribution_rows,
     )
-    return {
-        "k": str(published.k),
-        "m": str(published.m),
-        "total_records": str(published.total_records()),
-        "total_subrecords": str(builder.total_subrecords),
-        "chunk_rows": str(builder.total_subrecords + builder.total_term_chunk_terms),
-    }
 
 
-__all__ = ["build_rows", "insert_rows"]
+def removed_stats(
+    db: "sqlite3.Connection", term_names: Dict[int, str]
+) -> Tuple[Stats, List[Tuple[int, int]]]:
+    """Contributions of the top-level clusters listed in ``temp.gone_tops``.
+
+    Returns the clusters' :class:`Stats`, counted exactly like the
+    writer counts them, and their ``(term, top)`` full-domain pairs.
+    """
+    stats = Stats()
+    subrecords: Dict[int, List[int]] = defaultdict(list)
+    for subrecord, tid in db.execute(
+        "SELECT p.subrecord, p.term FROM gone_tops g"
+        " JOIN chunks c ON c.top = g.id JOIN postings p ON p.chunk = c.id"
+    ):
+        subrecords[subrecord].append(tid)
+    for ids in subrecords.values():
+        ids.sort(key=term_names.__getitem__)
+        stats.add_subrecord(ids)
+    stats.term_chunk_count.update(
+        dict(
+            db.execute(
+                "SELECT t.term, COUNT(*) FROM gone_tops g"
+                " JOIN term_chunks t ON t.top = g.id GROUP BY t.term"
+            )
+        )
+    )
+    pairs = db.execute(
+        "SELECT ct.term, ct.top FROM gone_tops g JOIN chunk_terms ct ON ct.top = g.id"
+        " UNION SELECT t.term, t.top FROM gone_tops g JOIN term_chunks t ON t.top = g.id"
+    ).fetchall()
+    return stats, pairs
+
+
+#: Deletes the rows of the top-level clusters listed in ``temp.gone_tops``,
+#: children before the chunks and clusters they hang off.
+DELETE_GONE = (
+    "DELETE FROM postings WHERE chunk IN"
+    " (SELECT c.id FROM gone_tops g JOIN chunks c ON c.top = g.id)",
+    "DELETE FROM subrecords WHERE chunk IN"
+    " (SELECT c.id FROM gone_tops g JOIN chunks c ON c.top = g.id)",
+    "DELETE FROM contributions WHERE chunk IN"
+    " (SELECT c.id FROM gone_tops g JOIN chunks c ON c.top = g.id)",
+    "DELETE FROM chunk_terms WHERE top IN (SELECT id FROM gone_tops)",
+    "DELETE FROM term_chunks WHERE top IN (SELECT id FROM gone_tops)",
+    "DELETE FROM chunks WHERE top IN (SELECT id FROM gone_tops)",
+    "DELETE FROM clusters WHERE top IN (SELECT id FROM gone_tops)",
+)
+
+
+def merge_stats(
+    db: "sqlite3.Connection", added: Stats, removed: Stats, new_terms: Iterable[int]
+) -> None:
+    """Adjust ``term_stats``/``pair_stats`` by ``added - removed``.
+
+    Every id in ``new_terms`` gets a ``term_stats`` row even when its
+    net contribution is zero (a term seen only in a chunk domain), like
+    a fresh build.  Pair rows that reach zero are deleted.
+    """
+    chunk_support = Counter(added.chunk_support)
+    chunk_support.subtract(removed.chunk_support)
+    term_chunk_count = Counter(added.term_chunk_count)
+    term_chunk_count.subtract(removed.term_chunk_count)
+    touched = set(chunk_support) | set(term_chunk_count) | set(new_terms)
+    db.executemany(
+        "INSERT INTO term_stats (term, chunk_support, term_chunk_count, total)"
+        " VALUES (?, ?, ?, ?) ON CONFLICT (term) DO UPDATE SET"
+        " chunk_support = chunk_support + excluded.chunk_support,"
+        " term_chunk_count = term_chunk_count + excluded.term_chunk_count,"
+        " total = total + excluded.total",
+        (
+            (
+                tid,
+                chunk_support[tid],
+                term_chunk_count[tid],
+                chunk_support[tid] + term_chunk_count[tid],
+            )
+            for tid in sorted(touched)
+        ),
+    )
+    pairs = Counter(added.pair_counts)
+    pairs.subtract(removed.pair_counts)
+    db.executemany(
+        "INSERT INTO pair_stats (a, b, support) VALUES (?, ?, ?)"
+        " ON CONFLICT (a, b) DO UPDATE SET support = support + excluded.support",
+        ((a, b, delta) for (a, b), delta in sorted(pairs.items()) if delta),
+    )
+    if removed.pair_counts:
+        db.execute("DELETE FROM pair_stats WHERE support = 0")
+
+
+__all__ = ["DELETE_GONE", "Stats", "build_rows", "insert_rows", "merge_stats", "removed_stats"]

@@ -164,6 +164,7 @@ class PublicationResult:
         config: ServiceConfig,
         original: Optional[TransactionDataset] = None,
         tag: Optional[str] = None,
+        payload: Optional[dict] = None,
     ):
         self.publication = publication
         self.report = report
@@ -171,7 +172,7 @@ class PublicationResult:
         self.config = config
         self.original = original
         self.tag = tag
-        self._dict_cache: Optional[dict] = None
+        self._dict_cache: Optional[dict] = payload
         self._metrics_cache: dict = {}
 
     def __repr__(self) -> str:

@@ -342,7 +342,9 @@ class AnonymizationService:
         publication.  Queries execute on the caller's thread (they are
         index lookups, not anonymization runs) against a per-call store
         handle, so they never contend with the engine pool; the
-        configured ``default_deadline`` still applies.
+        configured ``default_deadline`` still applies.  Each query reads
+        one committed snapshot, so a concurrent refresh is seen either
+        wholly or not at all.
 
         Raises :class:`~repro.exceptions.ParameterError` for a missing
         ``pubstore_dir`` or a malformed op/parameters, and
@@ -364,7 +366,8 @@ class AnonymizationService:
         try:
             with deadline_mod.scope(query_deadline):
                 with PublicationStore(self.config.pubstore_dir) as store:
-                    return QueryEngine(store).execute(op, params)
+                    with store.read_transaction():
+                        return QueryEngine(store).execute(op, params)
         finally:
             self._metrics.query_finished(time.perf_counter() - start)
 
@@ -619,10 +622,12 @@ class AnonymizationService:
         state["mode"], state["report"] = None, None
         if request.mode == "delta":
             state["mode"] = "delta"
-            published, report = self._run_delta(request, config, engine, state)
+            published, report, payload = self._run_delta(
+                request, config, engine, state
+            )
             state["report"] = report
             return PublicationResult(
-                published, report, "delta", config, tag=request.tag
+                published, report, "delta", config, tag=request.tag, payload=payload
             )
         mode, stream_source, dataset = self._route(request, config)
         state["mode"] = mode
@@ -749,7 +754,9 @@ class AnonymizationService:
         whenever the merged config can reuse it, exactly like streamed
         requests, and the request-scoped ``delta_id`` makes transparent
         retries of a transiently failed delta apply the mutation at most
-        once.
+        once.  Returns the pipeline's ``to_dict`` payload with the
+        publication, so the response reuses it instead of serializing the
+        publication again.
         """
         params = config.engine_params()
         pipeline = IncrementalPipeline(
@@ -762,7 +769,7 @@ class AnonymizationService:
             delete=self._delta_records(request.delete, request),
             delta_id=state["delta_id"],
         )
-        return published, pipeline.last_report
+        return published, pipeline.last_report, pipeline.last_payload
 
     @staticmethod
     def _delta_records(source, request: AnonymizationRequest) -> list:

@@ -681,6 +681,8 @@ class IncrementalReport:
     verify_seconds: float = 0.0
     pubstore_seconds: float = 0.0
     pubstore_refreshed: bool = False
+    pubstore_tops_written: int = 0
+    pubstore_tops_kept: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -717,6 +719,8 @@ class IncrementalReport:
             "deleted": self.deleted,
             "windows_reused": self.windows_reused,
             "windows_recomputed": self.windows_recomputed,
+            "pubstore_tops_written": self.pubstore_tops_written,
+            "pubstore_tops_kept": self.pubstore_tops_kept,
         }
 
     def summary(self) -> str:
@@ -728,14 +732,20 @@ class IncrementalReport:
                 f"({self.num_clusters} clusters) in {self.total_seconds:.2f}s"
             )
         kind = "initialized" if self.initialized else "delta"
+        pubstore = (
+            f", pubstore {self.pubstore_tops_written} top-level cluster(s) "
+            f"written / {self.pubstore_tops_kept} kept"
+            if self.pubstore_refreshed
+            else ""
+        )
         return (
             f"incremental run ({kind}): {self.num_records} records over "
             f"{self.num_shards} shard(s) ({self.strategy}), "
             f"+{self.appended}/-{self.deleted} record(s), "
             f"{self.windows_recomputed} window(s) recomputed / "
             f"{self.windows_reused} reused, {self.num_clusters} clusters, "
-            f"{self.repair.total_demoted()} boundary demotion(s) "
-            f"in {self.total_seconds:.2f}s"
+            f"{self.repair.total_demoted()} boundary demotion(s)"
+            f"{pubstore} in {self.total_seconds:.2f}s"
         )
 
 
@@ -782,6 +792,9 @@ class IncrementalPipeline:
             )
         self.window_engine = window_engine
         self.last_report: Optional[IncrementalReport] = None
+        #: The last run's publication in ``to_dict`` form, built once per
+        #: run and shared with callers that serialize it again.
+        self.last_payload: Optional[dict] = None
         # In-process cluster cache: (shard, win) -> (fingerprint, clusters).
         # A long-lived pipeline skips re-deserializing the snapshots of
         # windows whose fingerprint is unchanged since its last run; safe
@@ -828,6 +841,7 @@ class IncrementalPipeline:
             strategy=self.stream.strategy,
         )
         self.last_report = report
+        self.last_payload = None
         start = time.perf_counter()
         # Exclusive: one run per store at a time.  Concurrent deltas (other
         # service workers, other processes on the same store_dir) queue on
@@ -910,13 +924,15 @@ class IncrementalPipeline:
             # both an empty delta and the idempotent replay of a fully
             # completed one).  No engine, no merge, no repair.
             report.noop = True
-            published = DisassociatedDataset.from_dict(json.loads(stored[1]))
+            payload = json.loads(stored[1])
+            published = DisassociatedDataset.from_dict(payload)
+            self.last_payload = payload
             report.shard_windows = [0] * self.stream.shards
             _fill_report(report, published)
             # A crash between the publication commit and the pubstore
             # refresh leaves the pubstore one generation behind; the
             # no-op path heals it (and is itself a no-op when fresh).
-            self._refresh_pubstore(published, generation, fingerprint, report)
+            self._refresh_pubstore(published, generation, fingerprint, report, payload)
             return published
 
         clusters = self._reconcile_windows(store, report)
@@ -940,11 +956,12 @@ class IncrementalPipeline:
 
         start = time.perf_counter()
         payload = merged.to_dict()
+        self.last_payload = payload
         store.put_publication(generation, json.dumps(payload, separators=(",", ":")))
         report.store_seconds += time.perf_counter() - start
 
         _fill_report(report, merged)
-        self._refresh_pubstore(merged, generation, fingerprint, report, payload=payload)
+        self._refresh_pubstore(merged, generation, fingerprint, report, payload)
         return merged
 
     def _refresh_pubstore(
@@ -953,7 +970,7 @@ class IncrementalPipeline:
         generation: int,
         fingerprint: dict,
         report: IncrementalReport,
-        payload: Optional[dict] = None,
+        payload: dict,
     ) -> None:
         """Bring the queryable publication store in step with this run.
 
@@ -963,7 +980,8 @@ class IncrementalPipeline:
         is current and is left untouched (the common no-op delta), while
         any mismatch -- a fresh delta, a crash between the publication
         commit and the previous refresh, or a directory that belonged to
-        a different run -- triggers one atomic rebuild.  The shard
+        a different run -- triggers one atomic refresh, which rewrites
+        only the top-level clusters that changed.  The shard
         store's advisory lock is still held here, so refreshes serialize
         with the runs that produce them.
         """
@@ -978,13 +996,15 @@ class IncrementalPipeline:
                 and pub.generation == generation
                 and fingerprint_matches(pub.source, fingerprint)
             ):
-                pub.build(
+                written, kept = pub.build(
                     published,
                     generation=generation,
                     payload=payload,
                     source=fingerprint,
                 )
                 report.pubstore_refreshed = True
+                report.pubstore_tops_written = written
+                report.pubstore_tops_kept = kept
         report.pubstore_seconds += time.perf_counter() - start
 
     def _planner(self, store: ShardStore):

@@ -82,6 +82,23 @@ class TestJsonIO:
         assert loaded.total_records() == paper_published.total_records()
         assert loaded.domain() == paper_published.domain()
 
+    def test_json_writers_emit_canonical_compact_bytes(
+        self, paper_dataset, paper_published, tmp_path
+    ):
+        canonical = {"sort_keys": True, "separators": (",", ":")}
+        published_path = tmp_path / "published.json"
+        write_disassociated_json(paper_published, published_path)
+        assert published_path.read_bytes() == json.dumps(
+            paper_published.to_dict(), **canonical
+        ).encode("utf-8")
+        loaded = read_disassociated_json(published_path)
+        assert loaded.to_dict() == paper_published.to_dict()
+        dataset_path = tmp_path / "data.json"
+        write_dataset_json(paper_dataset, dataset_path)
+        assert dataset_path.read_bytes() == json.dumps(
+            paper_dataset.to_lists(), **canonical
+        ).encode("utf-8")
+
     def test_published_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             read_disassociated_json(tmp_path / "missing.json")

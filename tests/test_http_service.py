@@ -34,8 +34,10 @@ from repro import (
     TransactionDataset,
     Vocabulary,
 )
-from repro.service import LatencyHistogram, ServiceHTTPServer
+from repro.core.clusters import DisassociatedDataset
 from repro.datasets.quest import generate_quest
+from repro.service import LatencyHistogram, ServiceHTTPServer
+from repro.stream import ShardedPipeline, StreamParams
 
 
 def quest(records=120, domain=40, seed=0) -> TransactionDataset:
@@ -361,6 +363,52 @@ class TestHttpEndpoints:
         )
         assert status == 200
         assert payload["publication"] == expected.to_dict()
+
+
+class TestHttpDelta:
+    def test_delta_serializes_its_publication_once(self, tmp_path, monkeypatch):
+        """The response reuses the pipeline's payload, same bytes as a cold run."""
+        records = [sorted(record) for record in quest(150, seed=3)]
+        appended = [sorted(record) for record in quest(20, seed=4)]
+        config = BASE_CONFIG.with_overrides(
+            m=2,
+            verify=True,
+            shards=2,
+            max_records_in_memory=60,
+            store_dir=str(tmp_path / "shards"),
+            pubstore_dir=str(tmp_path / "pub"),
+        )
+        calls = []
+        to_dict = DisassociatedDataset.to_dict
+
+        def counting_to_dict(self):
+            calls.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(DisassociatedDataset, "to_dict", counting_to_dict)
+        server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
+        try:
+            for batch, delete, token in [
+                (records, [], "base"),
+                (appended, records[:5], "d1"),
+            ]:
+                calls.clear()
+                status, payload = http(
+                    server.url,
+                    "POST",
+                    "/anonymize",
+                    {"mode": "delta", "records": batch, "delete": delete, "delta_id": token},
+                )
+                assert status == 200 and payload["mode"] == "delta"
+                assert len(calls) == 1
+        finally:
+            server.close()
+        monkeypatch.undo()
+        cold = ShardedPipeline(
+            config.engine_params(),
+            StreamParams(shards=2, max_records_in_memory=60),
+        ).run([frozenset(r) for r in records[5:] + appended])
+        assert payload["publication"] == cold.to_dict()
 
 
 # --------------------------------------------------------------------------- #

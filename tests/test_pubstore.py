@@ -26,6 +26,7 @@ import pytest
 from repro import faults
 from repro.analysis import SupportEstimator, queries
 from repro.core import deadline as deadline_mod
+from repro.core.clusters import DisassociatedDataset
 from repro.core.engine import AnonymizationParams, Disassociator
 from repro.exceptions import (
     DeadlineExceededError,
@@ -401,20 +402,27 @@ class TestFaultsAndDeadlines:
 
     def test_crash_mid_build_rolls_back_to_previous_snapshot(self, tmp_path):
         first = self._publication()
-        second = Disassociator(PARAMS).anonymize(
+        other = Disassociator(PARAMS).anonymize(
             make_workload("quest", records=150, domain=40, avg_len=4.0, seed=6)
         )
-        with PublicationStore.from_publication(first, tmp_path / "s") as store:
+        # Shares most top-level clusters with ``first``: a partial refresh.
+        second = DisassociatedDataset(
+            first.clusters[3:] + other.clusters[:4], k=first.k, m=first.m
+        )
+        with PublicationStore.from_publication(first, tmp_path / "s", generation=1) as store:
             before = store.describe()
-            # hit 2 fires *inside* the rebuild transaction, just before
-            # its COMMIT: everything already deleted and re-inserted.
+            # hit 2 fires *inside* the refresh transaction, just before
+            # its COMMIT: vanished clusters deleted, new ones inserted.
             with faults.active(faults.FaultPlan.from_text("pubstore.build:2")):
                 with pytest.raises(FaultInjected):
                     store.build(second, generation=9)
             assert store.describe() == before
+            assert store.generation == 1
             assert store.load_publication().to_dict() == first.to_dict()
-            # and the interrupted rebuild completes cleanly when re-run
-            store.build(second, generation=9)
+            # and the interrupted refresh completes cleanly when re-run
+            stats = store.build(second, generation=9)
+            assert stats.tops_kept == len(first.clusters) - 3
+            assert stats.tops_written == 4
             assert store.load_publication().to_dict() == second.to_dict()
 
     def test_query_honors_the_fault_point(self, tmp_path):
