@@ -194,16 +194,9 @@ def pubstore_path(store_dir: Union[str, Path]) -> Path:
     return Path(store_dir) / PUBSTORE_NAME
 
 
-def publication_fingerprint(payload: Dict[str, Any]) -> str:
-    """Fingerprint a publication's serialized form (``to_dict`` payload).
-
-    The digest is taken over the canonical JSON encoding (sorted keys,
-    compact separators) so logically identical publications fingerprint
-    identically regardless of how the payload dict was assembled.
-    """
-    return hashlib.blake2b(
-        canonical_json(payload).encode("utf-8"), digest_size=16
-    ).hexdigest()
+def _digest(value: Any) -> str:
+    """Hash the canonical JSON encoding (sorted keys, compact separators)."""
+    return hashlib.blake2b(canonical_json(value).encode("utf-8"), digest_size=16).hexdigest()
 
 
 def cluster_digests(payload: Dict[str, Any]) -> Tuple[List[str], str]:
@@ -211,28 +204,19 @@ def cluster_digests(payload: Dict[str, Any]) -> Tuple[List[str], str]:
 
     Returns ``(digests, fingerprint)``: ``digests[i]`` hashes the
     canonical JSON of ``payload["clusters"][i]``, and ``fingerprint``
-    equals :func:`publication_fingerprint` of the whole payload.  The
-    whole-publication hash is fed the same per-cluster encodings, in the
-    byte order ``json.dumps(payload, sort_keys=True)`` would produce, so
-    the publication is encoded once rather than twice.
+    hashes the payload's other keys together with the ordered cluster
+    digests, so the publication is encoded once for both.
     """
-    whole = hashlib.blake2b(digest_size=16)
-    digests: List[str] = []
-    whole.update(b"{")
-    for index, key in enumerate(sorted(payload)):
-        if index:
-            whole.update(b",")
-        whole.update(f"{canonical_json(key)}:".encode("utf-8"))
-        if key != "clusters":
-            whole.update(canonical_json(payload[key]).encode("utf-8"))
-            continue
-        whole.update(b"[")
-        for position, cluster in enumerate(payload[key]):
-            text = canonical_json(cluster).encode("utf-8")
-            if position:
-                whole.update(b",")
-            whole.update(text)
-            digests.append(hashlib.blake2b(text, digest_size=16).hexdigest())
-        whole.update(b"]")
-    whole.update(b"}")
-    return digests, whole.hexdigest()
+    digests = [_digest(cluster) for cluster in payload.get("clusters", [])]
+    header = {key: value for key, value in payload.items() if key != "clusters"}
+    return digests, _digest({"clusters": digests, "header": header})
+
+
+def publication_fingerprint(payload: Dict[str, Any]) -> str:
+    """Fingerprint a publication's serialized form (``to_dict`` payload).
+
+    Built on :func:`cluster_digests`, so logically identical publications
+    fingerprint identically regardless of how the payload dict was
+    assembled.
+    """
+    return cluster_digests(payload)[1]

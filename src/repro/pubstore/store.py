@@ -253,6 +253,15 @@ class PublicationStore:
         return self._meta("built") == "1"
 
     @property
+    def current(self) -> bool:
+        """Whether the store holds a publication in this library's schema version.
+
+        A built store of another version is stale: reads refuse it and
+        the next :meth:`build` rebuilds it from empty.
+        """
+        return self.initialized and self._meta("version") == str(PUBSTORE_VERSION)
+
+    @property
     def generation(self) -> int:
         """The generation stamp the current snapshot was built from."""
         value = self._meta("generation")
@@ -414,11 +423,7 @@ class PublicationStore:
         """Diff-and-apply ``published`` inside the open write transaction."""
         db = self._db
         stored: Dict[str, List[int]] = defaultdict(list)
-        if (
-            self._meta("built") == "1"
-            and self._meta("version") == str(PUBSTORE_VERSION)
-            and self._meta("source") == source
-        ):
+        if self.current and self._meta("source") == source:
             for top, digest in db.execute("SELECT id, digest FROM tops ORDER BY id"):
                 stored[digest].append(top)
         else:

@@ -725,19 +725,19 @@ class IncrementalReport:
 
     def summary(self) -> str:
         """One-line human readable summary of the run."""
-        if self.noop:
-            return (
-                f"incremental run: no-op, publication of {self.num_records} "
-                f"record(s) served from the store "
-                f"({self.num_clusters} clusters) in {self.total_seconds:.2f}s"
-            )
-        kind = "initialized" if self.initialized else "delta"
         pubstore = (
             f", pubstore {self.pubstore_tops_written} top-level cluster(s) "
             f"written / {self.pubstore_tops_kept} kept"
             if self.pubstore_refreshed
             else ""
         )
+        if self.noop:
+            return (
+                f"incremental run: no-op, publication of {self.num_records} "
+                f"record(s) served from the store "
+                f"({self.num_clusters} clusters){pubstore} in {self.total_seconds:.2f}s"
+            )
+        kind = "initialized" if self.initialized else "delta"
         return (
             f"incremental run ({kind}): {self.num_records} records over "
             f"{self.num_shards} shard(s) ({self.strategy}), "
@@ -976,11 +976,12 @@ class IncrementalPipeline:
 
         No-op unless ``stream.pubstore_dir`` is configured.  The pubstore
         snapshot is stamped with the shard store's generation and this
-        run's parameter fingerprint; a snapshot that already carries both
-        is current and is left untouched (the common no-op delta), while
-        any mismatch -- a fresh delta, a crash between the publication
-        commit and the previous refresh, or a directory that belonged to
-        a different run -- triggers one atomic refresh, which rewrites
+        run's parameter fingerprint; a snapshot of this schema version
+        that already carries both is current and is left untouched (the
+        common no-op delta), while any mismatch -- a fresh delta, a crash
+        between the publication commit and the previous refresh, a store
+        written by an older schema version, or a directory that belonged
+        to a different run -- triggers one atomic refresh, which rewrites
         only the top-level clusters that changed.  The shard
         store's advisory lock is still held here, so refreshes serialize
         with the runs that produce them.
@@ -992,7 +993,7 @@ class IncrementalPipeline:
         start = time.perf_counter()
         with PublicationStore(self.stream.pubstore_dir, exclusive=True) as pub:
             if not (
-                pub.initialized
+                pub.current
                 and pub.generation == generation
                 and fingerprint_matches(pub.source, fingerprint)
             ):

@@ -136,12 +136,15 @@ def assert_matches_fresh_build(store_dir, published, scratch) -> None:
 # the digest helper and the diff itself
 # --------------------------------------------------------------------------- #
 class TestDigests:
-    def test_fingerprint_matches_the_whole_publication_hash(self):
+    def test_fingerprint_covers_clusters_order_and_header(self):
         payload = _publication(1).to_dict()
         digests, fingerprint = cluster_digests(payload)
         assert fingerprint == publication_fingerprint(payload)
         assert len(digests) == len(payload["clusters"])
         assert digests == cluster_digests({"clusters": payload["clusters"]})[0]
+        reordered = dict(payload, clusters=payload["clusters"][::-1])
+        assert publication_fingerprint(reordered) != fingerprint
+        assert publication_fingerprint(dict(payload, k=payload["k"] + 1)) != fingerprint
 
     def test_identical_rebuild_keeps_every_top_level_cluster(self, tmp_path):
         published = _publication(2)
@@ -398,6 +401,42 @@ class TestVersionUpgrade:
             assert stats.tops_written == len(second.clusters)
             assert store.describe()["version"] == PUBSTORE_VERSION == 2
         assert_matches_fresh_build(tmp_path / "s", second, tmp_path)
+
+    def test_reconcile_only_run_upgrades_a_v1_store(self, tmp_path):
+        """An empty delta at an unchanged generation still rebuilds a v1 store."""
+        records = list(make_workload("quest", records=120, domain=30, avg_len=4.0, seed=14))
+        stream = StreamParams(
+            shards=2,
+            max_records_in_memory=40,
+            store_dir=tmp_path / "shards",
+            pubstore_dir=tmp_path / "pub",
+        )
+        published = IncrementalPipeline(PARAMS, stream).run(append=records)
+        with PublicationStore(tmp_path / "pub") as store:
+            generation = store.generation
+        _downgrade_to_v1(tmp_path / "pub")
+        config = ServiceConfig(k=3, m=2, pubstore_dir=str(tmp_path / "pub"))
+        with AnonymizationService(config) as service:
+            with pytest.raises(StoreError, match="version '1'"):
+                service.query("top_terms", {"count": 3})
+
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        assert pipeline.run().to_dict() == published.to_dict()
+        assert pipeline.last_report.noop
+        assert pipeline.last_report.pubstore_refreshed
+        assert pipeline.last_report.pubstore_tops_written == len(published.clusters)
+        assert "pubstore" in pipeline.last_report.summary()
+        with PublicationStore(tmp_path / "pub") as store:
+            assert store.describe()["version"] == PUBSTORE_VERSION
+            assert store.generation == generation
+        assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
+        with AnonymizationService(config) as service:
+            answer = service.query("top_terms", {"count": 3})
+        assert answer["result"] == [list(row) for row in QueryEngine(published).top_terms(3)]
+
+        # now current: the next empty run leaves the store alone
+        pipeline.run()
+        assert not pipeline.last_report.pubstore_refreshed
 
     def test_failed_upgrade_leaves_the_v1_store_untouched(self, tmp_path):
         first = _publication(7)
