@@ -30,9 +30,9 @@ Quickstart::
     sample_world = reconstruct(published, seed=0)
 
 The long-lived :class:`AnonymizationService` (:mod:`repro.service`) is
-the recommended entry point; the one-shot :func:`anonymize` /
-:func:`anonymize_stream` helpers remain as deprecation-shimmed wrappers
-with bit-for-bit identical output.
+the recommended entry point; the one-shot :func:`anonymize` helper
+remains as a deprecation-shimmed wrapper with bit-for-bit identical
+output.
 """
 
 from repro.core import (
@@ -58,12 +58,7 @@ from repro.core import (
     reconstruct,
     verify_km_anonymity,
 )
-from repro.stream import (
-    ShardedPipeline,
-    ShardedReport,
-    StreamParams,
-    anonymize_stream,
-)
+from repro.stream import ShardedPipeline, ShardedReport, StreamParams
 from repro.service import (
     AnonymizationRequest,
     AnonymizationService,
@@ -130,7 +125,6 @@ __all__ = [
     "TermChunk",
     "TransactionDataset",
     "anonymization_service",
-    "anonymize_stream",
     "anonymize",
     "audit",
     "reconstruct",

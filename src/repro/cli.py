@@ -128,16 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument(
         "--spill-dir",
         default=None,
-        help="directory for --stream spill files; setting it also enables "
-        "durable checkpointing (manifest + per-shard snapshots) there, so "
-        "a crashed run can be finished with --resume",
-    )
-    anonymize.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a crashed checkpointed run from the manifest in "
-        "--spill-dir instead of starting over (requires --stream and "
-        "--spill-dir; completed shards are loaded, not re-run)",
+        help="directory for --stream spill files (default: a temporary "
+        "directory); spills are throwaway -- to make a run recoverable, "
+        "use --store-dir with --delta-id",
     )
     anonymize.add_argument(
         "--deadline",
@@ -326,13 +319,6 @@ def _cmd_anonymize(args) -> int:
     # The CLI is a one-request caller of the same service facade that
     # long-lived deployments hold open; --stream simply forces the routing
     # the service would otherwise decide from input size.
-    if args.resume and not (args.stream and args.spill_dir):
-        print(
-            "error: --resume requires --stream and --spill-dir (only "
-            "checkpointed streaming runs leave a manifest to resume from)",
-            file=sys.stderr,
-        )
-        return 2
     if args.store_dir is None:
         if args.append or args.delete:
             print(
@@ -351,24 +337,13 @@ def _cmd_anonymize(args) -> int:
         if args.input is None:
             print("error: an input dataset file is required", file=sys.stderr)
             return 2
-    else:
-        if args.resume:
-            print(
-                "error: --store-dir runs are incremental, not resumed "
-                "checkpoint runs; drop --resume (to recover an interrupted "
-                "delta, re-run it with the same --delta-id, or run a "
-                "reconcile-only delta -- no input/--append/--delete -- "
-                "which finishes stale windows without mutating anything)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.input is not None and args.append is not None:
-            print(
-                "error: give the records to append either as the input "
-                "positional or as --append, not both",
-                file=sys.stderr,
-            )
-            return 2
+    elif args.input is not None and args.append is not None:
+        print(
+            "error: give the records to append either as the input "
+            "positional or as --append, not both",
+            file=sys.stderr,
+        )
+        return 2
     config = ServiceConfig(
         k=args.k,
         m=args.m,
@@ -395,7 +370,6 @@ def _cmd_anonymize(args) -> int:
             args.input,
             mode="stream" if args.stream else "batch",
             deadline=args.deadline,
-            resume=args.resume,
         )
     with AnonymizationService(config) as service:
         result = service.run(request)

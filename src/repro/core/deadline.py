@@ -7,8 +7,8 @@ VERPART / REFINE / VERIFY in the engine, and between plan / spill / window
 / merge / repair steps in the streaming executor).  A request that blows
 its budget therefore aborts at the *next* boundary with
 :class:`~repro.exceptions.DeadlineExceededError` rather than being killed
-mid-phase -- partial per-shard checkpoints stay consistent and the engine
-pool stays healthy.
+mid-phase -- committed store state stays consistent and the engine pool
+stays healthy.
 
 The context variable makes the deadline flow through nested calls (service
 -> engine -> streaming executor) without threading a parameter through

@@ -70,14 +70,12 @@ class MiningError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """Raised when a streaming run checkpoint cannot be used.
+    """Raised when durable run state cannot be used.
 
-    Signals a missing, corrupt or incompatible run manifest: resuming
-    without a manifest in the spill directory, a manifest written by an
-    incompatible library version, or a manifest whose recorded parameters
-    do not match the resuming pipeline's (silently resuming with different
-    ``k``/``m``/sharding would splice incompatible partial results into one
-    publication).
+    The base of :class:`StoreError`, and raised directly for a malformed
+    private cluster payload (:mod:`repro.core.codec`).  Callers guarding
+    durable state with ``except CheckpointError`` catch both; the HTTP
+    front door maps both to ``409`` (kind ``checkpoint_conflict``).
     """
 
 
@@ -91,9 +89,7 @@ class StoreError(CheckpointError):
     does not hold, or a delta that would change the shard plan fingerprint
     (re-anonymizing only dirty shards under a different routing would
     silently diverge from a cold run).  Subclasses
-    :class:`CheckpointError`: a store is the long-lived generalization of
-    the one-shot run checkpoint, and callers guarding resume paths with
-    ``except CheckpointError`` should treat both alike.
+    :class:`CheckpointError`, the base of every durable-state error.
     """
 
 

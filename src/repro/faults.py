@@ -2,8 +2,8 @@
 
 Production code is threaded with named **injection points** -- cheap
 ``faults.check("stream.merge")`` calls at the places a real deployment can
-die: between engine phases, around the streaming executor's spill /
-window / checkpoint / merge / repair steps, and in the service layer's
+die: between engine phases, around the streaming spill / window / merge
+/ repair steps, in the persistent stores, and in the service layer's
 request execution.  With no plan armed a check is a single attribute read;
 tests and CI arm a :class:`FaultPlan` to make a *specific* arrival of a
 *specific* point raise :class:`~repro.exceptions.FaultInjected`, so
@@ -35,7 +35,6 @@ enumerate "crash at every point"):
 ``stream.plan``           before the shard planner is built
 ``stream.spill``          at every spill-buffer flush
 ``stream.window``         before each window's engine run
-``stream.checkpoint``     before each per-shard snapshot write
 ``stream.merge``          before the merge phase
 ``stream.verify``         before the global boundary repair
 ``service.execute``       at the start of each request execution attempt
@@ -56,8 +55,8 @@ Typical test usage::
     plan = faults.FaultPlan.from_text("stream.window:2")
     with faults.active(plan):
         with pytest.raises(FaultInjected):
-            pipeline.run(records)        # dies entering the second window
-    resumed = pipeline.run(records, resume=True)
+            pipeline.run(append=records, delta_id="load")  # dies in window 2
+    recovered = pipeline.run(append=records, delta_id="load")
 """
 
 from __future__ import annotations
@@ -87,7 +86,6 @@ INJECTION_POINTS = (
     "stream.plan",
     "stream.spill",
     "stream.window",
-    "stream.checkpoint",
     "stream.merge",
     "stream.verify",
     "service.execute",

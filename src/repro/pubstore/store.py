@@ -1,9 +1,11 @@
 """The persistent, indexed publication store.
 
-:class:`PublicationStore` is a single-file stdlib-SQLite database in the
-:class:`~repro.stream.ShardStore` style -- WAL journaling, explicit
-transaction boundaries, a versioned schema and a fingerprint-validated
-identity -- holding one disassociated publication in fully indexed form
+:class:`PublicationStore` is a single-file stdlib-SQLite database on the
+same substrate as :class:`~repro.stream.ShardStore`
+(:class:`repro.storage.SQLiteStore`: WAL journaling, explicit
+transaction boundaries, an advisory writer lock) with a versioned schema
+and a fingerprint-validated identity, holding one disassociated
+publication in fully indexed form
 (see :mod:`repro.pubstore.schema` for the layout).  It serves two purposes:
 
 * **queries without scans** -- ``top_terms``, itemset supports,
@@ -35,8 +37,6 @@ this store like every other subsystem.
 from __future__ import annotations
 
 import json
-import sqlite3
-import time
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,11 +69,11 @@ from repro.exceptions import StoreError
 from repro.pubstore.schema import (
     DATA_TABLES,
     PUBSTORE_LOCK_NAME,
+    PUBSTORE_NAME,
     PUBSTORE_VERSION,
     _SCHEMA,
     cluster_digests,
     publication_fingerprint,
-    pubstore_path,
 )
 from repro.pubstore.writer import (
     DELETE_GONE,
@@ -83,12 +83,9 @@ from repro.pubstore.writer import (
     merge_stats,
     removed_stats,
 )
+from repro.storage import LOCK_TIMEOUT, SQLiteStore
 
 PathLike = Union[str, Path]
-
-#: Default seconds an exclusive open waits for the writer lock before
-#: failing with :class:`~repro.exceptions.StoreError`.
-LOCK_TIMEOUT = 30.0
 
 
 class BuildStats(NamedTuple):
@@ -105,7 +102,7 @@ def _marks(values: Sequence) -> str:
     return ",".join("?" * len(values))
 
 
-class PublicationStore:
+class PublicationStore(SQLiteStore):
     """One publication, persisted and indexed, in a single SQLite file.
 
     Open is cheap (schema is idempotent); writes go through
@@ -120,94 +117,16 @@ class PublicationStore:
     read-only query opens stay lock-free.
     """
 
-    def __init__(
-        self,
-        store_dir: PathLike,
-        *,
-        exclusive: bool = False,
-        lock_timeout: float = LOCK_TIMEOUT,
-    ):
-        faults.check("pubstore.open")
-        deadline.check("pubstore.open")
-        self.directory = Path(store_dir)
-        self._lock_db: Optional[sqlite3.Connection] = None
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StoreError(
-                f"cannot create publication store directory {store_dir}: {exc}"
-            ) from exc
-        self.path = pubstore_path(self.directory)
-        if exclusive:
-            self._acquire_lock(lock_timeout)
-        try:
-            # Autocommit mode, same as ShardStore: every transaction
-            # boundary below is explicit and deliberate.
-            self._db = sqlite3.connect(self.path, isolation_level=None)
-        except sqlite3.Error as exc:
-            self._release_lock()
-            raise StoreError(f"cannot open publication store {self.path}: {exc}") from exc
-        try:
-            self._db.execute("PRAGMA journal_mode=WAL").fetchone()
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.executescript(_SCHEMA)
-        except sqlite3.Error as exc:
-            self._db.close()
-            self._release_lock()
-            raise StoreError(f"cannot open publication store {self.path}: {exc}") from exc
-
-    def _acquire_lock(self, timeout: float) -> None:
-        """Take the writer lock, waiting up to ``timeout`` seconds."""
-        try:
-            self._lock_db = sqlite3.connect(
-                self.directory / PUBSTORE_LOCK_NAME, isolation_level=None
-            )
-            self._lock_db.execute("PRAGMA busy_timeout=100")
-            give_up = time.monotonic() + timeout
-            while True:
-                try:
-                    self._lock_db.execute("BEGIN IMMEDIATE")
-                    return
-                except sqlite3.OperationalError as exc:
-                    if "lock" not in str(exc) and "busy" not in str(exc):
-                        raise
-                    deadline.check("pubstore.open")
-                    if time.monotonic() >= give_up:
-                        raise StoreError(
-                            f"another writer holds the lock on publication store "
-                            f"{self.path} (waited {timeout:.1f}s); refreshes "
-                            "serialize per store"
-                        ) from None
-        except sqlite3.Error as exc:
-            self._release_lock()
-            raise StoreError(
-                f"cannot lock publication store {self.path}: {exc}"
-            ) from exc
-        except BaseException:
-            self._release_lock()
-            raise
-
-    def _release_lock(self) -> None:
-        """Drop the writer lock (no-op for read-only opens)."""
-        if self._lock_db is None:
-            return
-        try:
-            self._lock_db.close()  # closing rolls back the open transaction
-        except sqlite3.Error:  # pragma: no cover - defensive
-            pass
-        self._lock_db = None
-
-    # -- lifecycle ------------------------------------------------------- #
-    def __enter__(self) -> "PublicationStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close the database connection and release the writer lock."""
-        self._db.close()
-        self._release_lock()
+    DB_NAME = PUBSTORE_NAME
+    LOCK_NAME = PUBSTORE_LOCK_NAME
+    SCHEMA = _SCHEMA
+    OPEN_POINT = "pubstore.open"
+    KIND = "publication store"
+    DIR_KIND = "publication store"
+    LOCK_BUSY = (
+        "another writer holds the lock on publication store {path} "
+        "(waited {timeout:.1f}s); refreshes serialize per store"
+    )
 
     @contextmanager
     def read_transaction(self) -> Iterator["PublicationStore"]:
@@ -229,15 +148,6 @@ class PublicationStore:
             self._db.execute("COMMIT")
 
     # -- meta ------------------------------------------------------------ #
-    def _meta(self, key: str) -> Optional[str]:
-        row = self._db.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
-        return None if row is None else row[0]
-
-    def _set_meta(self, key: str, value: str) -> None:
-        self._db.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", (key, value)
-        )
-
     def _meta_int(self, key: str) -> int:
         value = self._meta(key)
         if value is None:
@@ -391,8 +301,7 @@ class PublicationStore:
             payload = published.to_dict()
         digests, fingerprint = cluster_digests(payload)
         encoded_source = json.dumps(source, sort_keys=True)
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._write():
             with paused_gc():
                 stats = self._refresh(published, digests, encoded_source)
             self._set_meta("version", str(PUBSTORE_VERSION))
@@ -411,10 +320,6 @@ class PublicationStore:
             # crash-during-refresh test arms it to prove a mid-refresh
             # death rolls back to the previous consistent snapshot.
             faults.check("pubstore.build")
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
         return stats
 
     def _refresh(

@@ -25,8 +25,8 @@ The public surface of the service layer:
   together with its deadline (``AnonymizationRequest.deadline`` /
   ``ServiceConfig.default_deadline``).
 
-The legacy one-shot entry points (:func:`repro.anonymize`,
-:func:`repro.anonymize_stream`, the CLI) are thin shims over this layer.
+The legacy one-shot entry point :func:`repro.anonymize` and the CLI are
+thin shims over this layer.
 """
 
 from repro.service.config import ENV_PREFIX, RetryPolicy, ServiceConfig

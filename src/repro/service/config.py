@@ -170,10 +170,6 @@ class ServiceConfig:
         auto_stream_threshold: record count above which an ``"auto"``
             request is routed to the streaming pipeline instead of the
             in-memory one; ``None`` uses ``max_records_in_memory``.
-        checkpoint: streaming checkpoint switch, passed straight through to
-            :class:`StreamParams`: ``None`` (default) checkpoints exactly
-            when ``spill_dir`` is set, ``False`` disables the manifest on
-            an explicit ``spill_dir``, ``True`` requires one.
         default_deadline: execution budget in seconds applied to every
             request that does not set its own
             :attr:`~repro.service.request.AnonymizationRequest.deadline`.
@@ -211,7 +207,6 @@ class ServiceConfig:
     store_dir: Optional[str] = None
     pubstore_dir: Optional[str] = None
     reuse_vocabulary: bool = True
-    checkpoint: Optional[bool] = None
     auto_stream_threshold: Optional[int] = None
     default_deadline: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -295,7 +290,6 @@ class ServiceConfig:
             store_dir=self.store_dir,
             pubstore_dir=self.pubstore_dir,
             reuse_vocabulary=self.reuse_vocabulary,
-            checkpoint=self.checkpoint,
         )
         values.update(overrides)
         return StreamParams(**values)
@@ -402,7 +396,6 @@ _INT_FIELDS = frozenset(
 )
 _OPTIONAL_INT_FIELDS = frozenset({"max_join_size", "auto_stream_threshold"})
 _BOOL_FIELDS = frozenset({"refine", "verify", "reuse_vocabulary"})
-_OPTIONAL_BOOL_FIELDS = frozenset({"checkpoint"})
 _OPTIONAL_FLOAT_FIELDS = frozenset({"default_deadline"})
 _OPTIONAL_STR_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
 
@@ -410,10 +403,8 @@ _OPTIONAL_STR_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
 def _parse_env_value(name: str, raw: str):
     """Parse one ``REPRO_SERVICE_*`` value into its field's type."""
     text = raw.strip()
-    if name in _BOOL_FIELDS or name in _OPTIONAL_BOOL_FIELDS:
+    if name in _BOOL_FIELDS:
         lowered = text.lower()
-        if name in _OPTIONAL_BOOL_FIELDS and lowered in ("", "none"):
-            return None
         if lowered in _TRUE:
             return True
         if lowered in _FALSE:

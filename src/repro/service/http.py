@@ -46,8 +46,8 @@ failures outlived its retry budget ``503`` with ``Retry-After`` (kind
 ``retries_exhausted``); an expired request deadline ``504`` (kind
 ``deadline_exceeded``); anything unexpected ``500`` (kind ``internal``).
 ``POST /anonymize`` additionally accepts ``"deadline"`` (seconds budget
-for this request) and ``"resume"`` (resume a checkpointed streaming run;
-requires ``"mode": "stream"``).  With ``"mode": "delta"`` the body
+for this request); a body key outside the documented set answers ``400``
+naming it.  With ``"mode": "delta"`` the body
 mutates the service's persistent shard store instead: ``"records"``
 (alias ``"append"``) holds the records to append, ``"delete"`` the
 records to remove, either side may be empty or absent (an empty delta
@@ -91,6 +91,22 @@ DEFAULT_PORT = 8350
 #: Hard cap on request bodies (a dataset larger than this should be
 #: streamed from a file or object store, not POSTed inline).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Keys a ``POST /anonymize`` body may carry; any other key is refused
+#: (a misspelled or retired field must not be silently ignored).
+_ANONYMIZE_KEYS = frozenset(
+    {
+        "mode",
+        "records",
+        "append",
+        "delete",
+        "delta_id",
+        "async",
+        "overrides",
+        "tag",
+        "deadline",
+    }
+)
 
 #: Finished jobs retained for ``GET /jobs/<id>`` before the oldest are
 #: evicted (pending/running jobs are never evicted).
@@ -344,6 +360,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _handle_anonymize(self, payload: dict) -> None:
+        unknown = sorted(set(payload) - _ANONYMIZE_KEYS)
+        if unknown:
+            raise _HttpError(
+                400,
+                f"unknown /anonymize body keys: {', '.join(unknown)} "
+                f"(known: {', '.join(sorted(_ANONYMIZE_KEYS))})",
+            )
         mode = payload.get("mode", "auto")
         delta_id = payload.get("delta_id")
         if mode == "delta":
@@ -375,7 +398,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             "overrides": payload.get("overrides") or {},
             "tag": payload.get("tag"),
             "deadline": payload.get("deadline"),
-            "resume": bool(payload.get("resume", False)),
             "delete": delete,
             "delta_id": delta_id,
         }

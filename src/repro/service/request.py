@@ -60,10 +60,6 @@ class AnonymizationRequest:
             request enters the service (queue wait counts) and expiry
             aborts at the next pipeline phase boundary with
             :class:`~repro.exceptions.DeadlineExceededError`.
-        resume: resume a crashed checkpointed streaming run from the
-            manifest in the configured ``spill_dir`` instead of starting
-            over (requires ``mode="stream"``; see
-            :meth:`repro.stream.ShardedPipeline.run`).
         delete: records to remove from the persistent store (the earliest
             surviving occurrence of each), applied together with the
             appends in ``source`` as one atomic delta.  Only meaningful
@@ -86,7 +82,6 @@ class AnonymizationRequest:
     overrides: Mapping = field(default_factory=dict)
     tag: Optional[str] = None
     deadline: Optional[float] = None
-    resume: bool = False
     delete: Union[TransactionDataset, PathLike, Any] = None
     delta_id: Optional[str] = None
 
@@ -96,11 +91,6 @@ class AnonymizationRequest:
         if self.deadline is not None and not self.deadline > 0:
             raise ParameterError(
                 f"deadline must be positive seconds, got {self.deadline!r}"
-            )
-        if self.resume and self.mode != "stream":
-            raise ParameterError(
-                'resume=True requires mode="stream": only checkpointed '
-                "streaming runs leave a manifest to resume from"
             )
         if self.delete is not None and self.mode != "delta":
             raise ParameterError(

@@ -637,9 +637,7 @@ class AnonymizationService:
             return PublicationResult(
                 published, report, "batch", config, original=dataset, tag=request.tag
             )
-        published, report = self._run_stream(
-            stream_source, config, engine, resume=request.resume
-        )
+        published, report = self._run_stream(stream_source, config, engine)
         state["report"] = report
         return PublicationResult(published, report, "stream", config, tag=request.tag)
 
@@ -722,21 +720,14 @@ class AnonymizationService:
         published = engine.anonymize(dataset)
         return published, engine.last_report
 
-    def _run_stream(
-        self,
-        records,
-        config: ServiceConfig,
-        engine: Disassociator,
-        *,
-        resume: bool = False,
-    ):
+    def _run_stream(self, records, config: ServiceConfig, engine: Disassociator):
         params = config.engine_params()
         pipeline = ShardedPipeline(
             params,
             config.stream_params(),
             window_engine=self._warm_engine_for(params, engine),
         )
-        published = pipeline.run(records, resume=resume)
+        published = pipeline.run(records)
         return published, pipeline.last_report
 
     def _run_delta(

@@ -13,15 +13,16 @@ stream and anonymizing each shard in bounded-memory windows:
   re-audits the merged publication across shard boundaries and demotes
   boundary-violating terms (the shard-boundary verification rule is
   documented in that module's docstring);
-* :mod:`repro.stream.checkpoint` -- the durable :class:`RunManifest` and
-  per-shard publication snapshots behind checkpointed runs, so
-  ``ShardedPipeline.run(resume=True)`` restarts only the shard a crash
-  interrupted and still publishes bit-for-bit identical output;
 * :mod:`repro.stream.store` -- the persistent :class:`ShardStore` (one
   SQLite file) and :class:`IncrementalPipeline`: long-lived delta runs
   that append/delete records and re-anonymize only the windows whose
   content changed, publishing bit-for-bit what a cold run over the
-  mutated dataset would.
+  mutated dataset would.  It is the one recoverable path: a build or
+  delta interrupted at any point finishes when re-run (same
+  ``delta_id``, or no delta at all).
+
+:class:`ShardedPipeline` runs are cold and keep no durable state; their
+spill files are throwaway.
 
 Typical usage::
 
@@ -41,21 +42,12 @@ from repro.stream.boundary import (
     demote_terms,
     verify_and_repair,
 )
-from repro.stream.checkpoint import (
-    MANIFEST_VERSION,
-    RunManifest,
-    load_shard_snapshot,
-    run_fingerprint,
-    save_shard_snapshot,
-    snapshot_path,
-)
 from repro.stream.executor import (
     DEFAULT_MAX_RECORDS_IN_MEMORY,
     DEFAULT_SHARDS,
     ShardedPipeline,
     ShardedReport,
     StreamParams,
-    anonymize_stream,
     relabel_cluster,
 )
 from repro.stream.planner import (
@@ -71,13 +63,13 @@ from repro.stream.store import (
     IncrementalPipeline,
     IncrementalReport,
     ShardStore,
+    run_fingerprint,
     store_path,
 )
 
 __all__ = [
     "DEFAULT_MAX_RECORDS_IN_MEMORY",
     "DEFAULT_SHARDS",
-    "MANIFEST_VERSION",
     "STORE_VERSION",
     "STRATEGIES",
     "BoundaryRepairSummary",
@@ -85,21 +77,16 @@ __all__ = [
     "HorpartShardPlanner",
     "IncrementalPipeline",
     "IncrementalReport",
-    "RunManifest",
     "ShardPlanner",
     "ShardStore",
     "ShardedPipeline",
     "ShardedReport",
     "StreamParams",
-    "anonymize_stream",
     "build_planner",
     "demote_terms",
-    "load_shard_snapshot",
     "record_fingerprint",
     "relabel_cluster",
     "run_fingerprint",
-    "save_shard_snapshot",
-    "snapshot_path",
     "store_path",
     "verify_and_repair",
 ]

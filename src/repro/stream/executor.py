@@ -26,18 +26,15 @@ would multiply resident records by the number of shards and void the memory
 bound.  Multi-host sharding (one shard per host) is the natural next step
 and only needs the spill files shipped.
 
-**Checkpointed runs.**  With an explicit ``spill_dir`` the run is
-checkpointed by default (see :mod:`repro.stream.checkpoint`): a durable
-``manifest.json`` records the plan and the spill completion, and each
-shard's relabeled cluster list is snapshotted once the shard finishes.
-After a crash, ``run(resume=True)`` (or ``repro anonymize --resume``)
-skips every completed shard, re-runs only the interrupted one from its
-spill file, and re-merges -- producing a publication bit-for-bit identical
-to an uninterrupted run, because shards share no state (each gets a fresh
-vocabulary) and merge/verify are deterministic functions of the per-shard
-cluster lists.  The streaming phases double as cooperative cancellation
-points: each visits a :mod:`repro.faults` injection point and checks the
-ambient request deadline (:mod:`repro.core.deadline`).
+Runs are deliberately not durable: spill files are throwaway, and a
+crashed run is simply re-run.  The recoverable path is the persistent
+shard store (:mod:`repro.stream.store`), whose
+:class:`~repro.stream.store.IncrementalPipeline` publishes the same bytes
+and finishes an interrupted build on re-run.  Both pipelines share this
+module's run tail (:func:`publish_merged`) and window-engine handling
+(:func:`window_engine_for`).  The streaming phases double as cooperative
+cancellation points: each visits a :mod:`repro.faults` injection point
+and checks the ambient request deadline (:mod:`repro.core.deadline`).
 
 **Scope of the memory bound.**  ``max_records_in_memory`` bounds the
 *original-record working set*: the planner sample, the spill buffers and
@@ -52,9 +49,9 @@ from the returned clusters so they hold only what would be serialized.
 
 from __future__ import annotations
 
-import gc
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -72,17 +69,8 @@ from repro.core.dataset import Record, TransactionDataset, ensure_record
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
 from repro.core.vocab import Vocabulary
 from repro.datasets.io import append_jsonl, iter_batches, iter_jsonl, iter_records
-from repro.exceptions import CheckpointError, ParameterError
+from repro.exceptions import ParameterError
 from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
-from repro.stream.checkpoint import (
-    RunManifest,
-    load_shard_snapshot,
-    run_fingerprint,
-    serialize_shard_snapshot,
-    snapshot_path,
-    spill_path,
-    write_atomic_blob,
-)
 from repro.stream.planner import STRATEGIES, build_planner
 
 PathLike = Union[str, Path]
@@ -110,7 +98,8 @@ class StreamParams:
         spill_dir: directory for the shard spill files.  ``None`` (default)
             uses a temporary directory removed after the run; an explicit
             path is created if needed and the spill files are left in place
-            for inspection.
+            for inspection.  Spills are never read back by a later run:
+            crash recovery goes through ``store_dir``.
         reuse_vocabulary: share one shard-lifetime
             :class:`~repro.core.vocab.Vocabulary` across a shard's windows
             (encoded backend), so later windows only intern terms they have
@@ -119,22 +108,14 @@ class StreamParams:
             decoded string, so the published output is identical with and
             without reuse (covered by the vocabulary tests); disable only
             to bound the interning table by window instead of by shard.
-        checkpoint: whether the run writes the durable manifest and
-            per-shard snapshots that make ``resume=True`` possible
-            (:mod:`repro.stream.checkpoint`).  ``None`` (default) enables
-            checkpointing exactly when ``spill_dir`` is set -- durable
-            spills imply a durable run.  ``False`` keeps an explicit
-            ``spill_dir`` manifest-free (e.g. to measure checkpoint
-            overhead); ``True`` without a ``spill_dir`` is rejected, since
-            a checkpoint inside an auto-removed temporary directory could
-            never be resumed.
         store_dir: directory of the persistent incremental shard store
             (:mod:`repro.stream.store`).  Ignored by :class:`ShardedPipeline`
             itself; it configures where
             :class:`~repro.stream.store.IncrementalPipeline` keeps the
             long-lived store that delta runs (record appends/deletes)
-            re-anonymize incrementally.  Like ``spill_dir``, the location
-            is the store's identity, not part of its parameter fingerprint.
+            re-anonymize incrementally, and that an interrupted build
+            recovers from.  Like ``spill_dir``, the location is the
+            store's identity, not part of its parameter fingerprint.
         pubstore_dir: directory of the indexed publication store
             (:mod:`repro.pubstore`).  When set,
             :class:`~repro.stream.store.IncrementalPipeline` refreshes the
@@ -150,7 +131,6 @@ class StreamParams:
     strategy: str = "hash"
     spill_dir: Optional[PathLike] = None
     reuse_vocabulary: bool = True
-    checkpoint: Optional[bool] = None
     store_dir: Optional[PathLike] = None
     pubstore_dir: Optional[PathLike] = None
 
@@ -165,18 +145,6 @@ class StreamParams:
             raise ParameterError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.checkpoint and self.spill_dir is None:
-            raise ParameterError(
-                "checkpoint=True requires an explicit spill_dir: a manifest "
-                "in an auto-removed temporary directory cannot be resumed"
-            )
-
-    @property
-    def checkpoint_enabled(self) -> bool:
-        """Effective checkpoint switch (``None`` means 'iff spill_dir set')."""
-        if self.checkpoint is None:
-            return self.spill_dir is not None
-        return bool(self.checkpoint)
 
 
 @dataclass
@@ -199,9 +167,6 @@ class ShardedReport:
     peak_resident_records: int = 0
     max_records_in_memory: int = 0
     strategy: str = "hash"
-    checkpoint: bool = False
-    resumed: bool = False
-    shards_skipped: int = 0
     planner: dict = field(default_factory=dict)
     num_clusters: int = 0
     num_joint_clusters: int = 0
@@ -212,7 +177,6 @@ class ShardedReport:
     plan_seconds: float = 0.0
     shard_seconds: float = 0.0
     anonymize_seconds: float = 0.0
-    checkpoint_seconds: float = 0.0
     merge_seconds: float = 0.0
     verify_seconds: float = 0.0
 
@@ -223,7 +187,6 @@ class ShardedReport:
             self.plan_seconds
             + self.shard_seconds
             + self.anonymize_seconds
-            + self.checkpoint_seconds
             + self.merge_seconds
             + self.verify_seconds
         )
@@ -234,7 +197,6 @@ class ShardedReport:
             "plan_seconds": self.plan_seconds,
             "shard_seconds": self.shard_seconds,
             "anonymize_seconds": self.anonymize_seconds,
-            "checkpoint_seconds": self.checkpoint_seconds,
             "merge_seconds": self.merge_seconds,
             "verify_seconds": self.verify_seconds,
             "total_seconds": self.total_seconds,
@@ -242,19 +204,19 @@ class ShardedReport:
 
     def summary(self) -> str:
         """One-line human readable summary of the run."""
-        resumed = (
-            f", resumed ({self.shards_skipped} shard(s) from checkpoint)"
-            if self.resumed
-            else ""
-        )
         return (
             f"sharded run: {self.num_records} records over {self.num_shards} shard(s) "
             f"({self.strategy}), {sum(self.shard_windows)} window(s), "
             f"peak resident {self.peak_resident_records}/{self.max_records_in_memory} "
             f"records, {self.num_clusters} clusters, "
             f"{self.repair.total_demoted()} boundary demotion(s) "
-            f"in {self.total_seconds:.2f}s{resumed}"
+            f"in {self.total_seconds:.2f}s"
         )
+
+
+def spill_path(spill_dir: Path, shard: int) -> Path:
+    """Location of one shard's spilled records inside ``spill_dir``."""
+    return Path(spill_dir) / f"shard-{shard:04d}.jsonl"
 
 
 class _ShardSpiller:
@@ -295,6 +257,68 @@ class _ShardSpiller:
         self.buffered = 0
 
 
+@contextmanager
+def window_engine_for(
+    params: AnonymizationParams, borrowed: Optional[Disassociator] = None
+) -> Iterator[Disassociator]:
+    """The engine a run executes its windows on (``verify`` off).
+
+    Without ``borrowed`` a private engine is built and closed afterwards.
+    A caller-owned (typically warm) engine is borrowed instead: its
+    parameters are swapped for the run and its parameters and vocabulary
+    restored afterwards; it is never closed.
+    """
+    window_params = replace(params, verify=False)
+    if borrowed is None:
+        engine = Disassociator(window_params)
+        try:
+            yield engine
+        finally:
+            engine.close()
+        return
+    saved_params, saved_vocabulary = borrowed.params, borrowed.vocabulary
+    borrowed.params = window_params
+    try:
+        yield borrowed
+    finally:
+        borrowed.params = saved_params
+        borrowed.vocabulary = saved_vocabulary
+
+
+def publish_merged(
+    clusters: list, params: AnonymizationParams, report
+) -> DisassociatedDataset:
+    """The shared run tail: merge, global boundary repair, strip, report.
+
+    ``clusters`` are the relabeled per-window cluster lists in shard and
+    window order; relabeling already made labels unique, so the merge is
+    a concatenation.  The global audit then repairs shard-boundary
+    violations by demotion, and the private original records (needed by
+    the repair's demotion decisions) are dropped, so the returned
+    publication holds only what would be serialized.  Fills ``report``'s
+    ``merge_seconds``, ``verify_seconds``, ``repair`` and cluster
+    statistics.
+    """
+    faults.check("stream.merge")
+    deadline.check("stream.merge")
+    start = time.perf_counter()
+    merged = DisassociatedDataset(clusters, k=params.k, m=params.m)
+    report.merge_seconds = time.perf_counter() - start
+
+    faults.check("stream.verify")
+    deadline.check("stream.verify")
+    start = time.perf_counter()
+    merged, report.repair = verify_and_repair(merged)
+    merged = DisassociatedDataset(
+        [_without_private_records(cluster) for cluster in merged.clusters],
+        k=merged.k,
+        m=merged.m,
+    )
+    report.verify_seconds = time.perf_counter() - start
+    _fill_report(report, merged)
+    return merged
+
+
 class ShardedPipeline:
     """Bounded-memory sharded counterpart of :class:`~repro.core.engine.Pipeline`.
 
@@ -313,7 +337,7 @@ class ShardedPipeline:
     service layer passes its long-lived engine.  The pipeline temporarily
     swaps the engine's parameters/vocabulary for the run and restores
     them; it never closes an injected engine.  Without it, the pipeline
-    owns a private engine per run (the historical behavior).
+    owns a private engine per run.
     """
 
     def __init__(
@@ -336,20 +360,10 @@ class ShardedPipeline:
 
     # -- public entry points ------------------------------------------- #
     def anonymize_file(
-        self,
-        path: PathLike,
-        format: str = "auto",
-        delimiter: Optional[str] = None,
-        *,
-        resume: bool = False,
+        self, path: PathLike, format: str = "auto", delimiter: Optional[str] = None
     ) -> DisassociatedDataset:
-        """Stream a dataset file through the sharded pipeline.
-
-        With ``resume=True`` (checkpointed runs only) a usable manifest in
-        ``spill_dir`` takes over and the file is not re-read; without one
-        the run transparently restarts from the file.
-        """
-        return self.run(iter_records(path, format=format, delimiter=delimiter), resume=resume)
+        """Stream a dataset file through the sharded pipeline."""
+        return self.run(iter_records(path, format=format, delimiter=delimiter))
 
     def anonymize(self, dataset: TransactionDataset) -> DisassociatedDataset:
         """Anonymize an in-memory dataset through the sharded path.
@@ -360,152 +374,33 @@ class ShardedPipeline:
         """
         return self.run(iter(dataset))
 
-    def run(
-        self,
-        records: Optional[Iterator[Iterable]] = None,
-        *,
-        resume: bool = False,
-    ) -> DisassociatedDataset:
-        """Run the five streaming phases over an iterator of records.
-
-        ``resume=True`` (requires a checkpointed run: explicit ``spill_dir``
-        with checkpointing enabled) picks up after a crash: completed
-        shards load from their snapshots, the interrupted shard re-runs
-        from its spill file, and merge + global verification re-execute, so
-        the result is identical to an uninterrupted run.  ``records`` is
-        then optional -- it is consumed only if the manifest shows the
-        spill phase never completed (the run restarts from scratch); with
-        no manifest at all and no ``records``, :class:`CheckpointError` is
-        raised.
-        """
-        if resume and not self.stream.checkpoint_enabled:
-            raise ParameterError(
-                "resume=True requires a checkpointed run: set "
-                "StreamParams.spill_dir (and leave checkpointing enabled)"
-            )
-        if records is None and not resume:
-            raise ParameterError("records are required when not resuming")
+    def run(self, records: Iterator[Iterable]) -> DisassociatedDataset:
+        """Run the five streaming phases over an iterator of records."""
         report = ShardedReport(
             num_shards=self.stream.shards,
             max_records_in_memory=self.stream.max_records_in_memory,
             strategy=self.stream.strategy,
-            checkpoint=self.stream.checkpoint_enabled,
         )
         self.last_report = report
         if self.stream.spill_dir is None:
             with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-                return self._run(records, Path(tmp), report, resume=False)
+                return self._run(records, Path(tmp), report)
         spill_dir = Path(self.stream.spill_dir)
         spill_dir.mkdir(parents=True, exist_ok=True)
-        return self._run(records, spill_dir, report, resume=resume)
+        return self._run(records, spill_dir, report)
 
     # -- phases --------------------------------------------------------- #
-    def _load_resume_manifest(
-        self, spill_dir: Path, fingerprint: dict, records_available: bool
-    ) -> Optional[RunManifest]:
-        """The manifest to resume from, or ``None`` to restart from records.
-
-        A missing manifest or an incomplete spill phase means the durable
-        state cannot seed a run: with the original records at hand the run
-        transparently restarts from scratch; without them resuming is
-        impossible and :class:`CheckpointError` says so.  A manifest written
-        under different output-affecting parameters is always an error --
-        silently splicing its snapshots into this run would publish a
-        Frankenstein dataset.
-        """
-        manifest = RunManifest.load(spill_dir)
-        if manifest is not None:
-            if manifest.num_shards != self.stream.shards or not manifest.matches(
-                fingerprint
-            ):
-                raise CheckpointError(
-                    f"run manifest in {spill_dir} was written under different "
-                    "parameters; refusing to resume (rerun without --resume, "
-                    "or restore the original parameters)"
-                )
-            if not manifest.spill_complete:
-                manifest = None
-        if manifest is None and not records_available:
-            raise CheckpointError(
-                f"no resumable run in {spill_dir}: no complete spill manifest "
-                "found and no input records were provided"
-            )
-        return manifest
-
     def _run(
-        self,
-        records: Optional[Iterator[Iterable]],
-        spill_dir: Path,
-        report: ShardedReport,
-        *,
-        resume: bool,
+        self, records: Iterator[Iterable], spill_dir: Path, report: ShardedReport
     ) -> DisassociatedDataset:
-        bound = self.stream.max_records_in_memory
-        checkpointing = self.stream.checkpoint_enabled
-        fingerprint = run_fingerprint(self.params, self.stream) if checkpointing else {}
-
-        manifest: Optional[RunManifest] = None
-        if resume:
-            manifest = self._load_resume_manifest(
-                spill_dir, fingerprint, records_available=records is not None
-            )
-        report.resumed = manifest is not None
-
-        if manifest is None:
-            manifest = self._plan_and_spill(records, spill_dir, report, fingerprint)
-        else:
-            # Plan + spill already durable: adopt their recorded outcome.
-            report.planner = dict(manifest.planner)
-            report.shard_records = list(manifest.shard_records)
-            report.num_records = manifest.num_records
-
-        clusters = self._anonymize_shards(spill_dir, report, manifest)
-
-        # merge: one publication; relabeling already made labels unique.
-        faults.check("stream.merge")
-        deadline.check("stream.merge")
-        start = time.perf_counter()
-        merged = DisassociatedDataset(clusters, k=self.params.k, m=self.params.m)
-        report.merge_seconds = time.perf_counter() - start
-
-        # verify: global audit across shard boundaries, demotion repair.
-        # Private original records (needed by the repair's demotion
-        # decisions) are dropped afterwards: the returned publication holds
-        # only what would be serialized.
-        faults.check("stream.verify")
-        deadline.check("stream.verify")
-        start = time.perf_counter()
-        merged, report.repair = verify_and_repair(merged)
-        merged = DisassociatedDataset(
-            [_without_private_records(cluster) for cluster in merged.clusters],
-            k=merged.k,
-            m=merged.m,
-        )
-        report.verify_seconds = time.perf_counter() - start
-
-        _fill_report(report, merged)
-        return merged
+        self._plan_and_spill(records, spill_dir, report)
+        clusters = self._anonymize_shards(spill_dir, report)
+        return publish_merged(clusters, self.params, report)
 
     def _plan_and_spill(
-        self,
-        records: Iterator[Iterable],
-        spill_dir: Path,
-        report: ShardedReport,
-        fingerprint: dict,
-    ) -> Optional[RunManifest]:
-        """Phases 1+2 (plan, shard); returns the durable manifest if any.
-
-        On checkpointed runs any stale manifest is removed *before* the
-        spill files are truncated, and the new manifest (with
-        ``spill_complete=True``) is written only after the final flush --
-        so a crash anywhere in between leaves no manifest and a resume
-        restarts from the original records instead of trusting half-written
-        spills (or a previous run's snapshots).
-        """
-        checkpointing = self.stream.checkpoint_enabled
-        if checkpointing:
-            RunManifest.invalidate(spill_dir)
-
+        self, records: Iterator[Iterable], spill_dir: Path, report: ShardedReport
+    ) -> None:
+        """Phases 1+2: plan the shard routing, then spill every record."""
         # plan: sample the stream head (only when the strategy needs one;
         # hash routing is data-oblivious and streams straight through).
         faults.check("stream.plan")
@@ -545,84 +440,22 @@ class ShardedPipeline:
         )
         report.shard_seconds = time.perf_counter() - start
 
-        if not checkpointing:
-            return None
-        manifest = RunManifest(
-            fingerprint=fingerprint,
-            num_shards=self.stream.shards,
-            planner=report.planner,
-            num_records=report.num_records,
-            shard_records=report.shard_records,
-            spill_complete=True,
-        )
-        start = time.perf_counter()
-        manifest.save(spill_dir)
-        report.checkpoint_seconds += time.perf_counter() - start
-        return manifest
-
     def _anonymize_shards(
-        self,
-        spill_dir: Path,
-        report: ShardedReport,
-        manifest: Optional[RunManifest],
+        self, spill_dir: Path, report: ShardedReport
     ) -> list[Cluster]:
-        """Phase 3: per-shard windowed engine runs (+ snapshots/skip).
-
-        With a manifest, shards whose snapshot already exists load it
-        instead of re-running, and every live shard publishes its own
-        snapshot the moment it finishes -- the atomic rename that makes
-        the snapshot visible *is* the durable completion marker, so no
-        per-shard manifest rewrite is needed and a crash mid-checkpoint
-        only repeats that one shard's work.  The writes are synchronous
-        on purpose: a background
-        writer thread was measured *slower* end-to-end (serialization is
-        pure Python and fights the window compute for the GIL, and the
-        fsyncs it could overlap cost ~1-2 ms each), while the synchronous
-        cost is tracked in ``report.checkpoint_seconds`` and the
-        resilience benchmark gates the end-to-end overhead.
-        """
+        """Phase 3: per-shard windowed engine runs over the spill files."""
         bound = self.stream.max_records_in_memory
         start = time.perf_counter()
-        checkpoint_seconds = 0.0
-        window_params = replace(self.params, verify=False)
         clusters: list[Cluster] = []
         report.shard_windows = [0] * self.stream.shards
-        reuse_vocab = (
-            self.stream.reuse_vocabulary and window_params.backend == "encoded"
-        )
-        spill_paths = [
-            spill_path(spill_dir, index) for index in range(self.stream.shards)
-        ]
-        borrowed = self.window_engine
-        if borrowed is not None:
-            # Caller-owned warm engine: borrow it for the run, restore its
-            # parameters and vocabulary afterwards, and never close it.
-            engine = borrowed
-            saved_params, saved_vocabulary = engine.params, engine.vocabulary
-            engine.params = window_params
-        else:
-            engine = Disassociator(window_params)
-        try:
-            for shard, path in enumerate(spill_paths):
-                if manifest is not None and snapshot_path(spill_dir, shard).exists():
-                    # Completed before the crash: the atomically published
-                    # snapshot *is* the durable completion marker.
-                    snapshot, windows = load_shard_snapshot(spill_dir, shard)
-                    clusters.extend(snapshot)
-                    report.shard_windows[shard] = windows
-                    report.shards_skipped += 1
-                    continue
+        reuse_vocab = self.stream.reuse_vocabulary and self.params.backend == "encoded"
+        with window_engine_for(self.params, self.window_engine) as engine:
+            for shard in range(self.stream.shards):
                 # One interning table per shard: every window of the shard
                 # encodes onto it, so only first-seen terms pay the intern
                 # cost (ids are append-only; relabeling keys are untouched).
                 engine.vocabulary = Vocabulary() if reuse_vocab else None
-                shard_clusters: list[Cluster] = []
-                # Spill-order positions of each distinct record, so the
-                # snapshot can reference original records by index instead
-                # of re-serializing them (they are already durable in the
-                # spill file).
-                record_index: dict = {}
-                records_seen = 0
+                path = spill_path(spill_dir, shard)
                 for window, batch in enumerate(iter_batches(iter_jsonl(path), bound)):
                     faults.check("stream.window")
                     deadline.check("stream.window")
@@ -630,53 +463,13 @@ class ShardedPipeline:
                         report.peak_resident_records, len(batch)
                     )
                     report.shard_windows[shard] += 1
-                    dataset = TransactionDataset(batch)
-                    published = engine.anonymize(dataset)
-                    if manifest is not None:
-                        index_start = time.perf_counter()
-                        for record in dataset:
-                            record_index.setdefault(record, []).append(records_seen)
-                            records_seen += 1
-                        checkpoint_seconds += time.perf_counter() - index_start
+                    published = engine.anonymize(TransactionDataset(batch))
                     prefix = f"S{shard}W{window}."
-                    shard_clusters.extend(
+                    clusters.extend(
                         relabel_cluster(cluster, prefix)
                         for cluster in published.clusters
                     )
-                if manifest is not None:
-                    faults.check("stream.checkpoint")
-                    deadline.check("stream.checkpoint")
-                    checkpoint_start = time.perf_counter()
-                    # Snapshot serialization allocates one short burst of
-                    # containers that all die by refcount; pausing the
-                    # cyclic collector keeps that burst from triggering
-                    # full-heap collections mid-checkpoint (measured at
-                    # 2-3x the serialization cost itself).
-                    gc_was_enabled = gc.isenabled()
-                    gc.disable()
-                    try:
-                        write_atomic_blob(
-                            snapshot_path(spill_dir, shard),
-                            serialize_shard_snapshot(
-                                shard,
-                                shard_clusters,
-                                record_index,
-                                report.shard_windows[shard],
-                            ),
-                        )
-                    finally:
-                        if gc_was_enabled:
-                            gc.enable()
-                    checkpoint_seconds += time.perf_counter() - checkpoint_start
-                clusters.extend(shard_clusters)
-        finally:
-            if borrowed is None:
-                engine.close()
-            else:
-                borrowed.params = saved_params
-                borrowed.vocabulary = saved_vocabulary
-        report.checkpoint_seconds += checkpoint_seconds
-        report.anonymize_seconds = time.perf_counter() - start - checkpoint_seconds
+        report.anonymize_seconds = time.perf_counter() - start
         return clusters
 
 
@@ -723,45 +516,3 @@ def relabel_cluster(cluster: Cluster, prefix: str) -> Cluster:
         label=f"{prefix}{cluster.label}",
         original_records=cluster.original_records,
     )
-
-
-def anonymize_stream(
-    source: Union[PathLike, TransactionDataset, Iterable[Iterable]],
-    k: int = 5,
-    m: int = 2,
-    shards: int = DEFAULT_SHARDS,
-    max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY,
-    strategy: str = "hash",
-    **engine_params,
-) -> DisassociatedDataset:
-    """Functional one-call interface to the sharded streaming pipeline.
-
-    ``source`` may be a dataset file path (format sniffed from the
-    extension), a :class:`TransactionDataset` or any iterable of records.
-    Extra keyword arguments go to :class:`AnonymizationParams`.
-
-    .. deprecated:: 1.1
-        Compatibility shim over :class:`repro.service.AnonymizationService`
-        (a ``mode="stream"`` request); output is bit-for-bit identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "anonymize_stream() is a one-shot compatibility shim; use "
-        "repro.service.AnonymizationService with a mode='stream' request",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported lazily: the service layer builds on this module.
-    from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
-
-    config = ServiceConfig(
-        k=k,
-        m=m,
-        shards=shards,
-        max_records_in_memory=max_records_in_memory,
-        shard_strategy=strategy,
-        **engine_params,
-    )
-    with AnonymizationService(config) as service:
-        return service.run(AnonymizationRequest(source, mode="stream")).publication

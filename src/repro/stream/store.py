@@ -2,8 +2,9 @@
 
 The sharded streaming executor (:mod:`repro.stream.executor`) recomputes
 every shard from throwaway spill files on each run, even when one record
-changed.  This module upgrades PR 8's one-shot checkpoints into a
-long-lived incremental substrate:
+changed, and keeps nothing a crashed run could resume from.  This module
+is the durable path -- a long-lived incremental substrate that is also
+how an interrupted run recovers:
 
 * :class:`ShardStore` -- a single-file SQLite database (stdlib
   :mod:`sqlite3`, no extra dependencies) under ``store_dir`` holding the
@@ -44,7 +45,7 @@ existing equivalence suites):
 4. window labels (``S<shard>W<window>.``) depend only on shard and
    window index, and merge + global boundary repair + private-record
    stripping are deterministic functions of the per-window cluster
-   lists (the crash/resume suite's identity property).
+   lists (the crash-recovery suite's identity property).
 
 Durability: every mutation is one atomic SQLite transaction (records,
 plan, generation and the delta's idempotency token commit together), each
@@ -75,45 +76,37 @@ other's tokens.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sqlite3
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro import faults
 from repro.core import deadline
 from repro.core.clusters import Cluster, DisassociatedDataset, paused_gc
+from repro.core.codec import cluster_from_payload, cluster_to_payload
 from repro.core.dataset import TransactionDataset, ensure_record, normalize_record
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
 from repro.core.vocab import Vocabulary
 from repro.exceptions import ParameterError, StoreError
-from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
-from repro.stream.checkpoint import (
-    cluster_from_payload,
-    cluster_to_payload,
-    fingerprint_matches,
-    run_fingerprint,
+from repro.storage import LOCK_TIMEOUT, SQLiteStore
+from repro.stream.boundary import BoundaryRepairSummary
+from repro.stream.executor import (
+    StreamParams,
+    publish_merged,
+    relabel_cluster,
+    window_engine_for,
 )
-from repro.stream.executor import StreamParams, _without_private_records, relabel_cluster
 from repro.stream.planner import HashShardPlanner, HorpartShardPlanner, build_planner
 
 PathLike = Union[str, Path]
 
 #: File name of the SQLite database inside ``store_dir``.
 STORE_NAME = "store.sqlite"
-
-#: File name of the advisory lock database next to the store.  Exclusive
-#: opens hold a write transaction on it for the store's whole lifetime;
-#: SQLite's file locking makes that exclusion work across threads and
-#: processes alike, and drops it automatically if the holder crashes.
-LOCK_NAME = "store.lock"
-
-#: Default seconds an exclusive open waits for the store lock before
-#: failing with :class:`~repro.exceptions.StoreError`.
-LOCK_TIMEOUT = 30.0
 
 #: Store schema version; bump on any incompatible change.
 STORE_VERSION = 1
@@ -149,6 +142,63 @@ CREATE TABLE IF NOT EXISTS applied_deltas (
     digest     TEXT NOT NULL
 );
 """
+
+
+#: Stream fields excluded from the fingerprint: the directories are the
+#: stores' identity, not part of it.
+_EXCLUDED_STREAM_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
+
+#: Fingerprint keys of retired parameters.  Earlier releases stored
+#: ``packed_min_rows`` (an output-neutral kernel crossover) in every shard
+#: store and publication-store source stamp.
+_RETIRED_FINGERPRINT_KEYS = frozenset({"params.packed_min_rows"})
+
+
+def _json_safe(value):
+    """Coerce a parameter value to its JSON round-trip form."""
+    if isinstance(value, (frozenset, set)):
+        return sorted(_json_safe(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, Path):
+        return str(value)
+    return value
+
+
+def run_fingerprint(params: AnonymizationParams, stream: StreamParams) -> dict:
+    """Fingerprint of the output-affecting run parameters (JSON-safe).
+
+    Covers every field of :class:`~repro.core.engine.AnonymizationParams`
+    and every field of :class:`~repro.stream.executor.StreamParams` except
+    the store and spill directories.  A store written under a different
+    fingerprint is refused instead of silently splicing incompatible
+    window snapshots into one publication.
+    """
+    fingerprint = {}
+    for fld in dataclasses.fields(params):
+        fingerprint[f"params.{fld.name}"] = _json_safe(getattr(params, fld.name))
+    for fld in dataclasses.fields(stream):
+        if fld.name not in _EXCLUDED_STREAM_FIELDS:
+            fingerprint[f"stream.{fld.name}"] = _json_safe(getattr(stream, fld.name))
+    return fingerprint
+
+
+def fingerprint_matches(stored, fingerprint: dict) -> bool:
+    """Whether a fingerprint read back from disk names the same run.
+
+    ``stored`` comes from a shard store or a publication store's source
+    stamp; keys of retired, output-neutral knobs are dropped from it
+    before it is compared with the current ``fingerprint``, so stores
+    written by earlier releases stay usable.
+    """
+    if not isinstance(stored, dict):
+        return False
+    current = {
+        key: value
+        for key, value in stored.items()
+        if key not in _RETIRED_FINGERPRINT_KEYS
+    }
+    return current == fingerprint
 
 
 def record_text(record: Iterable) -> str:
@@ -195,7 +245,7 @@ def store_path(store_dir: PathLike) -> Path:
     return Path(store_dir) / STORE_NAME
 
 
-class ShardStore:
+class ShardStore(SQLiteStore):
     """The persistent substrate of incremental anonymization runs.
 
     One SQLite file per store directory, holding four tables:
@@ -224,6 +274,18 @@ class ShardStore:
     open exclusively; plain opens are for read-only inspection.
     """
 
+    DB_NAME = STORE_NAME
+    LOCK_NAME = "store.lock"
+    SCHEMA = _SCHEMA
+    OPEN_POINT = "store.open"
+    KIND = "shard store"
+    DIR_KIND = "store"
+    LOCK_BUSY = (
+        "another run holds the lock on shard store {path} (waited "
+        "{timeout:.1f}s); incremental runs serialize per store -- retry "
+        "once the other delta finishes"
+    )
+
     def __init__(
         self,
         store_dir: PathLike,
@@ -231,116 +293,13 @@ class ShardStore:
         exclusive: bool = False,
         lock_timeout: float = LOCK_TIMEOUT,
     ):
-        faults.check("store.open")
-        deadline.check("store.open")
-        self.directory = Path(store_dir)
-        self._lock_db: Optional[sqlite3.Connection] = None
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StoreError(f"cannot create store directory {store_dir}: {exc}") from exc
-        self.path = store_path(self.directory)
-        if exclusive:
-            self._acquire_lock(lock_timeout)
-        try:
-            # Autocommit mode: transaction boundaries are explicit (BEGIN
-            # IMMEDIATE/COMMIT), so every commit in this module is a
-            # deliberate durability point, never a driver side effect.
-            self._db = sqlite3.connect(self.path, isolation_level=None)
-        except sqlite3.Error as exc:
-            self._release_lock()
-            raise StoreError(f"cannot open shard store {self.path}: {exc}") from exc
-        try:
-            # WAL + synchronous=NORMAL: commits stay atomic but no longer
-            # fsync individually -- a power loss may roll the store back
-            # to an earlier committed generation, which the delta protocol
-            # absorbs by design (re-running the delta re-applies a lost
-            # mutation, or no-ops via its delta_id when it survived).  An
-            # application crash loses nothing.  The alternative (a full
-            # fsync per window snapshot) costs more than the windows'
-            # recompute saves on small deltas.
-            self._db.execute("PRAGMA journal_mode=WAL").fetchone()
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.executescript(_SCHEMA)
-        except sqlite3.Error as exc:
-            # Never abandon a half-opened connection: a leaked handle also
-            # pins the WAL lock, and store.open sits in fault-injection
-            # retry loops that would leak one per failed attempt.
-            self._db.close()
-            self._release_lock()
-            raise StoreError(f"cannot open shard store {self.path}: {exc}") from exc
+        """Open (creating if needed) the store under ``store_dir``.
 
-    def _acquire_lock(self, timeout: float) -> None:
-        """Take the store's advisory lock, waiting up to ``timeout`` seconds.
-
-        The lock is ``BEGIN IMMEDIATE`` on the (otherwise empty)
-        ``store.lock`` database: SQLite allows exactly one pending write
-        transaction per database file, tracked correctly across threads
-        and processes, and abandons it with the holder's process.  The
-        wait loop honors the ambient deadline so a deadlined request
-        fails fast instead of burning its budget queueing on the lock.
+        Defined on this class, not only inherited, so the open -- the
+        wait for the advisory lock included -- stays one entry point
+        that tracers and profilers can time per store.
         """
-        try:
-            self._lock_db = sqlite3.connect(
-                self.directory / LOCK_NAME, isolation_level=None
-            )
-            self._lock_db.execute("PRAGMA busy_timeout=100")
-            give_up = time.monotonic() + timeout
-            while True:
-                try:
-                    self._lock_db.execute("BEGIN IMMEDIATE")
-                    return
-                except sqlite3.OperationalError as exc:
-                    if "lock" not in str(exc) and "busy" not in str(exc):
-                        raise
-                    deadline.check("store.open")
-                    if time.monotonic() >= give_up:
-                        raise StoreError(
-                            f"another run holds the lock on shard store "
-                            f"{self.path} (waited {timeout:.1f}s); incremental "
-                            "runs serialize per store -- retry once the "
-                            "other delta finishes"
-                        ) from None
-        except sqlite3.Error as exc:
-            self._release_lock()
-            raise StoreError(
-                f"cannot lock shard store {self.path}: {exc}"
-            ) from exc
-        except BaseException:
-            self._release_lock()
-            raise
-
-    def _release_lock(self) -> None:
-        """Drop the advisory lock (no-op for non-exclusive opens)."""
-        if self._lock_db is None:
-            return
-        try:
-            self._lock_db.close()  # closing rolls back the open transaction
-        except sqlite3.Error:  # pragma: no cover - defensive
-            pass
-        self._lock_db = None
-
-    # -- lifecycle ------------------------------------------------------- #
-    def __enter__(self) -> "ShardStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close the database connection and release the advisory lock."""
-        self._db.close()
-        self._release_lock()
-
-    # -- meta ------------------------------------------------------------- #
-    def _meta(self, key: str) -> Optional[str]:
-        row = self._db.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
-        return None if row is None else row[0]
-
-    def _set_meta(self, key: str, value: str) -> None:
-        self._db.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", (key, value)
-        )
+        super().__init__(store_dir, exclusive=exclusive, lock_timeout=lock_timeout)
 
     @property
     def initialized(self) -> bool:
@@ -349,15 +308,10 @@ class ShardStore:
 
     def initialize(self, fingerprint: dict) -> None:
         """Record the store's identity; one atomic commit."""
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._write():
             self._set_meta("version", str(STORE_VERSION))
             self._set_meta("fingerprint", json.dumps(fingerprint, sort_keys=True))
             self._set_meta("generation", "0")
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
 
     def validate(self, fingerprint: dict) -> None:
         """Refuse a store written under a different identity.
@@ -495,8 +449,7 @@ class ShardStore:
         """
         faults.check("store.mutate")
         deadline.check("store.mutate")
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._write():
             for record in delete:
                 text = record_text(record)
                 row = self._db.execute(
@@ -534,10 +487,6 @@ class ShardStore:
                     "(delta_id, generation, digest) VALUES (?, ?, ?)",
                     (delta_id, generation, digest if digest is not None else ""),
                 )
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
         return planner
 
     def _reconcile_plan(self, planner, stream: StreamParams):
@@ -578,18 +527,13 @@ class ShardStore:
         self, shard: int, win: int, fingerprint: str, num_records: int, clusters: str
     ) -> None:
         """Durably replace one window snapshot (its own commit)."""
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
-            self._db.execute(
+        with self._write() as db:
+            db.execute(
                 "INSERT OR REPLACE INTO windows "
                 "(shard, win, fingerprint, num_records, clusters) "
                 "VALUES (?, ?, ?, ?, ?)",
                 (shard, win, fingerprint, num_records, clusters),
             )
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
 
     def drop_windows_from(self, shard: int, win: int) -> int:
         """Delete the shard's window snapshots at indices ``>= win``.
@@ -613,17 +557,12 @@ class ShardStore:
 
     def put_publication(self, generation: int, payload: str) -> None:
         """Durably replace the merged publication (its own commit)."""
-        self._db.execute("BEGIN IMMEDIATE")
-        try:
-            self._db.execute(
+        with self._write() as db:
+            db.execute(
                 "INSERT OR REPLACE INTO publication (id, generation, payload) "
                 "VALUES (0, ?, ?)",
                 (generation, payload),
             )
-            self._db.execute("COMMIT")
-        except BaseException:
-            self._db.execute("ROLLBACK")
-            raise
 
     # -- maintenance ---------------------------------------------------------- #
     def compact(self) -> None:
@@ -936,23 +875,7 @@ class IncrementalPipeline:
             return published
 
         clusters = self._reconcile_windows(store, report)
-
-        faults.check("stream.merge")
-        deadline.check("stream.merge")
-        start = time.perf_counter()
-        merged = DisassociatedDataset(clusters, k=self.params.k, m=self.params.m)
-        report.merge_seconds = time.perf_counter() - start
-
-        faults.check("stream.verify")
-        deadline.check("stream.verify")
-        start = time.perf_counter()
-        merged, report.repair = verify_and_repair(merged)
-        merged = DisassociatedDataset(
-            [_without_private_records(cluster) for cluster in merged.clusters],
-            k=merged.k,
-            m=merged.m,
-        )
-        report.verify_seconds = time.perf_counter() - start
+        merged = publish_merged(clusters, self.params, report)
 
         start = time.perf_counter()
         payload = merged.to_dict()
@@ -960,7 +883,6 @@ class IncrementalPipeline:
         store.put_publication(generation, json.dumps(payload, separators=(",", ":")))
         report.store_seconds += time.perf_counter() - start
 
-        _fill_report(report, merged)
         self._refresh_pubstore(merged, generation, fingerprint, report, payload)
         return merged
 
@@ -1039,22 +961,12 @@ class IncrementalPipeline:
         mid-reconcile repeats at most one window.
         """
         bound = self.stream.max_records_in_memory
-        window_params = replace(self.params, verify=False)
-        reuse_vocab = (
-            self.stream.reuse_vocabulary and window_params.backend == "encoded"
-        )
+        reuse_vocab = self.stream.reuse_vocabulary and self.params.backend == "encoded"
         clusters: list[Cluster] = []
         report.shard_windows = [0] * self.stream.shards
         start = time.perf_counter()
         store_seconds = 0.0
-        borrowed = self.window_engine
-        if borrowed is not None:
-            engine = borrowed
-            saved_params, saved_vocabulary = engine.params, engine.vocabulary
-            engine.params = window_params
-        else:
-            engine = Disassociator(window_params)
-        try:
+        with window_engine_for(self.params, self.window_engine) as engine:
             # GC pauses are scoped to the snapshot (de)serialization
             # bursts -- the allocation storms whose garbage is all
             # retained anyway -- never across engine.anonymize, whose
@@ -1134,12 +1046,6 @@ class IncrementalPipeline:
                     if k[0] == shard and k[1] >= win
                 ]:
                     del self._window_cache[key]
-        finally:
-            if borrowed is None:
-                engine.close()
-            else:
-                borrowed.params = saved_params
-                borrowed.vocabulary = saved_vocabulary
         report.store_seconds += store_seconds
         report.anonymize_seconds = time.perf_counter() - start - store_seconds
         return clusters

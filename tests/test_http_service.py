@@ -551,10 +551,16 @@ class TestServeCli:
 RETIRED = [
     ("http", "jobs", 2),
     ("http", "kernels", "numpy"),
+    ("http", "checkpoint", True),
+    ("http-body", "resume", True),
     ("env", "jobs", 2),
+    ("env", "checkpoint", 1),
     ("cli-anonymize", "jobs", 2),
+    ("cli-anonymize", "resume", ""),
     ("cli-serve", "kernels", "numpy"),
     ("params", "jobs", 2),
+    ("stream-params", "checkpoint", True),
+    ("pipeline-run", "resume", True),
 ]
 
 
@@ -562,8 +568,8 @@ RETIRED = [
     "surface, name, value", RETIRED, ids=[f"{s}-{n}" for s, n, _ in RETIRED]
 )
 def test_retired_option_is_refused(request, surface, name, value):
-    """The process fan-out and kernel knobs are gone; every entry point
-    rejects them with its own typed error."""
+    """The process fan-out, kernel and checkpoint/resume knobs are gone;
+    every entry point rejects them with its own typed error."""
     if surface == "http":
         served = request.getfixturevalue("served")
         status, body = http(
@@ -574,6 +580,25 @@ def test_retired_option_is_refused(request, surface, name, value):
         )
         assert (status, body["kind"]) == (400, "bad_request")
         assert f"override keys: {name} " in body["error"]
+    elif surface == "http-body":
+        served = request.getfixturevalue("served")
+        status, body = http(
+            served.url,
+            "POST",
+            "/anonymize",
+            {"records": [["a", "b"]] * 4, "mode": "stream", name: value},
+        )
+        assert (status, body["kind"]) == (400, "bad_request")
+        assert f"body keys: {name} " in body["error"]
+    elif surface == "stream-params":
+        with pytest.raises(TypeError, match=name):
+            StreamParams(**{name: value})
+    elif surface == "pipeline-run":
+        pipeline = ShardedPipeline(
+            AnonymizationParams(k=2, m=2, max_cluster_size=4), StreamParams()
+        )
+        with pytest.raises(TypeError, match=name):
+            pipeline.run(iter([["a", "b"]] * 4), **{name: value})
     elif surface == "env":
         with pytest.raises(ParameterError, match=rf"REPRO_SERVICE_\*\): {name} "):
             ServiceConfig.from_env({f"REPRO_SERVICE_{name.upper()}": str(value)})
@@ -584,7 +609,8 @@ def test_retired_option_is_refused(request, surface, name, value):
         from repro.cli import main
 
         command = surface.removeprefix("cli-")
-        argv = [command, f"--{name}", str(value)]
+        # An empty value retires a flag that took no argument.
+        argv = [command, f"--{name}"] + ([str(value)] if value != "" else [])
         if command == "anonymize":
             argv[1:1] = ["in.txt", "--output", "out.json"]
         with pytest.raises(SystemExit) as excinfo:

@@ -410,18 +410,6 @@ class TestCliDelta:
         assert code == 2
         assert "input" in capsys.readouterr().err
 
-    def test_cli_store_dir_conflicts_with_resume(self, tmp_path, capsys):
-        code = main(
-            [
-                "anonymize", "in.txt", "--stream", "--resume",
-                "--spill-dir", str(tmp_path / "spill"),
-                "--store-dir", str(tmp_path / "store"),
-                "--output", str(tmp_path / "o.json"),
-            ]
-        )
-        assert code == 2
-        assert "incremental" in capsys.readouterr().err
-
     def test_cli_input_and_append_both_rejected(self, tmp_path, capsys):
         code = main(
             [

@@ -36,6 +36,7 @@ from hypothesis.stateful import (
 
 from repro import faults
 from repro.core.clusters import DisassociatedDataset, RecordChunk, SimpleCluster
+from repro.core.codec import cluster_from_payload, cluster_to_payload
 from repro.core.engine import AnonymizationParams, Disassociator
 from repro.exceptions import FaultInjected, StoreError
 from repro.pubstore import PUBSTORE_VERSION, PublicationStore, QueryEngine, pubstore_path
@@ -43,7 +44,6 @@ from repro.pubstore.schema import cluster_digests, publication_fingerprint
 from repro.service import AnonymizationService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
 from repro.stream import IncrementalPipeline, StreamParams
-from repro.stream.checkpoint import cluster_from_payload, cluster_to_payload
 from repro.stream.store import STORE_NAME
 from tests.conftest import make_workload
 

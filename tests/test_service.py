@@ -10,8 +10,8 @@ Covers the :mod:`repro.service` facade end to end:
   wrap, including warm back-to-back runs sharing one vocabulary;
 * concurrent ``submit()`` determinism against sequential ``run()``;
 * engine and service lifecycle (double close, reuse after close, drain);
-* the deprecation shims (``anonymize`` / ``anonymize_stream``) emitting
-  warnings while producing identical publications.
+* the ``anonymize`` deprecation shim emitting a warning while producing
+  an identical publication.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro import (
     StreamParams,
     TransactionDataset,
     anonymize,
-    anonymize_stream,
 )
 from repro.core.engine import AnonymizationReport
 from repro.datasets.io import write_jsonl
@@ -272,6 +271,18 @@ class TestEquivalence:
         with AnonymizationService(config) as service:
             result = service.run(dataset, mode="stream")
         assert result.to_dict() == expected.to_dict()
+
+    def test_stream_request_matches_pipeline(self):
+        dataset = quest(150)
+        params = AnonymizationParams(k=3, max_cluster_size=12)
+        stream = StreamParams(shards=2, max_records_in_memory=60)
+        expected = ShardedPipeline(params, stream).anonymize(dataset)
+        config = ServiceConfig(
+            k=3, max_cluster_size=12, shards=2, max_records_in_memory=60
+        )
+        with AnonymizationService(config) as service:
+            result = service.run(AnonymizationRequest(dataset, mode="stream"))
+        assert result.publication.to_dict() == expected.to_dict()
 
     def test_warm_back_to_back_runs_match_cold_runs(self):
         datasets = [quest(150, seed=seed) for seed in range(3)]
@@ -545,21 +556,6 @@ class TestDeprecationShims:
         expected = Disassociator(params).anonymize(paper_dataset)
         with pytest.warns(DeprecationWarning, match="compatibility shim"):
             published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
-        assert published.to_dict() == expected.to_dict()
-
-    def test_anonymize_stream_warns_and_matches_pipeline(self):
-        dataset = quest(150)
-        params = AnonymizationParams(k=3, max_cluster_size=12)
-        stream = StreamParams(shards=2, max_records_in_memory=60)
-        expected = ShardedPipeline(params, stream).anonymize(dataset)
-        with pytest.warns(DeprecationWarning, match="compatibility shim"):
-            published = anonymize_stream(
-                dataset,
-                k=3,
-                max_cluster_size=12,
-                shards=2,
-                max_records_in_memory=60,
-            )
         assert published.to_dict() == expected.to_dict()
 
     def test_shim_parameter_validation_unchanged(self, paper_dataset):

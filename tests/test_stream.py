@@ -30,7 +30,6 @@ from repro.stream import (
     HorpartShardPlanner,
     ShardedPipeline,
     StreamParams,
-    anonymize_stream,
     build_planner,
     record_fingerprint,
     relabel_cluster,
@@ -198,13 +197,34 @@ class TestShardedPipeline:
         with pytest.raises(AttributeError):
             engine.NoSuchThing
 
-    def test_anonymize_stream_function(self, quest, tmp_path):
+    def test_service_stream_request_from_file(self, quest, tmp_path):
+        """A ``mode="stream"`` service request over a file publishes the
+        pipeline's bytes."""
+        from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
+
         path = tmp_path / "quest.jsonl"
         write_jsonl(quest, path)
-        published = anonymize_stream(
-            path, k=3, m=2, shards=3, max_records_in_memory=100, max_cluster_size=12
+        config = ServiceConfig(
+            k=3, m=2, shards=3, max_records_in_memory=100, max_cluster_size=12
         )
-        assert audit(published, k=3, m=2).ok
+        expected = ShardedPipeline(
+            config.engine_params(), config.stream_params()
+        ).anonymize_file(path)
+        with AnonymizationService(config) as service:
+            result = service.run(AnonymizationRequest(str(path), mode="stream"))
+        assert result.mode == "stream"
+        assert result.to_dict() == expected.to_dict()
+        assert audit(result.publication, k=3, m=2).ok
+
+    def test_explicit_spill_dir_holds_only_spills(self, quest, tmp_path):
+        """An explicit ``spill_dir`` is where spills go -- nothing else."""
+        stream = StreamParams(shards=3, max_records_in_memory=100, spill_dir=tmp_path)
+        ShardedPipeline(PARAMS, stream).anonymize(quest)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "shard-0000.jsonl",
+            "shard-0001.jsonl",
+            "shard-0002.jsonl",
+        ]
 
 
 class TestRelabel:
