@@ -23,7 +23,7 @@ import pytest
 from repro import faults
 from repro.core.engine import AnonymizationParams
 from repro.core.verification import audit
-from repro.exceptions import FaultInjected
+from repro.exceptions import FaultInjected, StoreError
 from repro.pubstore import PublicationStore
 from repro.stream import IncrementalPipeline, ShardedPipeline, ShardStore, StreamParams
 from tests.conftest import make_workload
@@ -180,6 +180,37 @@ class TestCrashRecoveryIdentity:
         assert report.windows_recomputed == 0
         assert _canonical(recovered) == _cold(records)
         _assert_pubstore_current(tmp_path, recovered)
+
+    def test_recovery_with_changed_params_is_refused(self, workloads, tmp_path):
+        """A re-run with other parameters must not splice into a crashed
+        build; the store stays recoverable with the original ones."""
+        records = workloads["quest"]
+        _crash(tmp_path, records, "stream.merge", 1)
+        other = AnonymizationParams(k=4, m=2, max_cluster_size=12)
+        with pytest.raises(StoreError, match="output-affecting parameters"):
+            IncrementalPipeline(other, _stream(tmp_path)).run(
+                append=records, delta_id=LOAD
+            )
+        recovered, report = _build(tmp_path, records)
+        assert report.delta_replayed
+        assert _canonical(recovered) == _cold(records)
+        _assert_pubstore_current(tmp_path, recovered)
+
+
+class TestColdRunAfterCrash:
+    def test_crashed_spills_do_not_leak_into_next_run(self, workloads, tmp_path):
+        """Spill files are throwaway: a cold run in the spill directory of
+        a run that died mid-spill publishes only its own records."""
+        spill = StreamParams(shards=3, max_records_in_memory=100, spill_dir=tmp_path)
+        plan = faults.FaultPlan([faults.FaultSpec("stream.spill", hit=2)])
+        with faults.active(plan):
+            with pytest.raises(FaultInjected):
+                ShardedPipeline(PARAMS, spill).run(iter(workloads["quest"]))
+        assert any(tmp_path.iterdir())
+        records = workloads["zipf"]
+        published = ShardedPipeline(PARAMS, spill).run(iter(records))
+        assert _canonical(published) == _cold(records)
+        assert published.total_records() == len(records)
 
 
 class TestEnvDrivenFaults:
