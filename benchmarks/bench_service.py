@@ -5,8 +5,7 @@ the same deployment.  Two ways to serve them:
 
 * **warm** -- one long-lived :class:`~repro.service.AnonymizationService`
   handles all N requests, so the interpreter, the imported libraries, the
-  resolved kernel backend, the engine and the interning vocabulary are paid
-  once and shared;
+  engine and the interning vocabulary are paid once and shared;
 * **cold** -- each request is a fresh one-shot invocation (the pre-service
   pattern: a CLI call or a script invoking ``anonymize()`` per request),
   i.e. a new Python process that imports the library, reads the input and

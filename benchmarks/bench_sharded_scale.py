@@ -8,7 +8,7 @@ HORPART-guided routing should beat hash routing on utility).
 
 For each workload the benchmark runs
 
-* the single-pass engine (the PR-1 encoded backend), and
+* the single-pass engine, and
 * the sharded streaming pipeline (4 shards, bounded windows) with both
   routing strategies,
 

@@ -44,7 +44,7 @@ def main() -> None:
 
     # --- anonymize -------------------------------------------------------
     # The service facade is the production entry point: it keeps the worker
-    # pool, vocabulary and kernel backend warm across requests.  (The
+    # pool, engines and vocabulary warm across requests.  (The
     # one-shot ``anonymize(dataset, k=3, m=2)`` shim produces bit-for-bit
     # the same publication.)
     with AnonymizationService(ServiceConfig(k=3, m=2, max_cluster_size=6)) as service:

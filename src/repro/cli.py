@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument("--max-cluster-size", type=int, default=30)
     anonymize.add_argument("--no-refine", action="store_true", help="skip the REFINE step")
     anonymize.add_argument(
-        "--backend",
-        choices=["encoded", "string"],
-        default="encoded",
-        help="execution core: interned/bitset fast path (default) or the string reference",
-    )
-    anonymize.add_argument(
         "--stream",
         action="store_true",
         help="sharded streaming mode: bounded-memory anonymization of files "
@@ -349,7 +343,6 @@ def _cmd_anonymize(args) -> int:
         m=args.m,
         max_cluster_size=args.max_cluster_size,
         refine=not args.no_refine,
-        backend=args.backend,
         shards=args.shards,
         max_records_in_memory=args.max_records_in_memory,
         shard_strategy=args.shard_strategy,

@@ -96,8 +96,9 @@ class TransactionDataset:
     """
 
     def __init__(self, records: Iterable[Iterable], allow_empty: bool = False):
+        # Records the readers already normalized are kept as they are.
         self._records: list[Record] = [
-            normalize_record(r, allow_empty=allow_empty) for r in records
+            ensure_record(r, allow_empty=allow_empty) for r in records
         ]
         self._allow_empty = allow_empty
         self._support_cache: Optional[Counter] = None

@@ -3,14 +3,12 @@
 The engine is a pluggable :class:`Pipeline` of phase objects, each
 implementing the small :class:`Phase` protocol (``name`` + ``run(ctx)``):
 
-* :class:`HorizontalPhase` -- HORPART.  With the default ``encoded``
-  backend the dataset is interned onto an
+* :class:`HorizontalPhase` -- HORPART.  The dataset is interned onto an
   :class:`~repro.core.vocab.EncodedDataset` first and split via posting
   lists; records are decoded back at the phase boundary.
-* :class:`VerticalPhase` -- VERPART per cluster, over int bitmasks on the
-  encoded backend.
-* :class:`RefinePhase` -- REFINE with bitset shared-chunk construction on
-  the encoded backend.
+* :class:`VerticalPhase` -- VERPART per cluster, over int bitmasks.
+* :class:`RefinePhase` -- REFINE (the incremental driver) with bitset
+  shared-chunk construction.
 * :class:`VerifyPhase` -- publishes the dataset and re-audits it.
 
 Phases communicate through a :class:`PipelineContext`; the pipeline times
@@ -20,10 +18,12 @@ builds the default pipeline; replace :meth:`Disassociator.build_pipeline`
 phases.  Parameters are grouped in :class:`AnonymizationParams`, validated
 once, and recorded on the output.
 
-The ``backend`` parameter selects the execution core: ``"encoded"``
-(default) runs the interned/bitset fast paths, ``"string"`` runs the
-original reference implementation.  Both produce identical published
-datasets (covered by the equivalence test suite).
+There is one execution core.  The string transcription of the algorithm
+(:func:`~repro.core.horizontal.horizontal_partition`,
+:func:`~repro.core.vertical.vertical_partition` and the reference REFINE
+driver) is kept as the equivalence oracle only: the test suite plugs it in
+through :meth:`Disassociator.build_pipeline` and checks that both publish
+identical datasets.
 
 For datasets too large for one pass, :class:`ShardedPipeline` (re-exported
 here from :mod:`repro.stream`) runs this same pipeline per bounded-memory
@@ -50,20 +50,12 @@ from repro import faults
 from repro.core import deadline
 from repro.core.clusters import Cluster, DisassociatedDataset, SimpleCluster
 from repro.core.dataset import TransactionDataset
-from repro.core.horizontal import (
-    DEFAULT_MAX_CLUSTER_SIZE,
-    horizontal_partition,
-    horizontal_partition_indices,
-)
+from repro.core.horizontal import DEFAULT_MAX_CLUSTER_SIZE, horizontal_partition_indices
 from repro.core.refine import RefineStats, refine
 from repro.core.verification import verify_km_anonymity
-from repro.core.vertical import vertical_partition, vertical_partition_fast
+from repro.core.vertical import VerticalPartitionResult, vertical_partition_fast
 from repro.core.vocab import EncodedDataset, Vocabulary, discard_cluster_masks
 from repro.exceptions import EngineClosedError, ParameterError
-
-#: Execution backends: the interned/bitset core and the string reference.
-BACKENDS = ("encoded", "string")
-
 
 @dataclass(frozen=True)
 class AnonymizationParams:
@@ -82,9 +74,6 @@ class AnonymizationParams:
             into term chunks, which yields cluster-size l-diversity for them
             (paper, Section 5, "Diversity").
         verify: re-audit the published dataset before returning it.
-        backend: ``"encoded"`` (default) runs the interned-term/bitset
-            execution core; ``"string"`` runs the reference implementation.
-            Both produce identical published datasets.
     """
 
     k: int = 5
@@ -94,7 +83,6 @@ class AnonymizationParams:
     max_join_size: Optional[int] = None
     sensitive_terms: frozenset = field(default_factory=frozenset)
     verify: bool = True
-    backend: str = "encoded"
 
     def __post_init__(self):
         if self.k < 1:
@@ -115,10 +103,6 @@ class AnonymizationParams:
                 "max_join_size must be at least max_cluster_size "
                 f"(got max_join_size={self.max_join_size}, "
                 f"max_cluster_size={self.max_cluster_size})"
-            )
-        if self.backend not in BACKENDS:
-            raise ParameterError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         object.__setattr__(
             self, "sensitive_terms", frozenset(str(t) for t in self.sensitive_terms)
@@ -280,24 +264,25 @@ class HorizontalPhase:
 
     def run(self, ctx: PipelineContext) -> None:
         """Fill ``ctx.partitions`` with bounded-size record groups (HORPART)."""
-        params, report = ctx.params, ctx.report
-        if params.backend == "encoded":
-            start = time.perf_counter()
-            encoded = EncodedDataset.from_dataset(ctx.working, vocab=ctx.vocabulary)
-            report.encode_seconds += time.perf_counter() - start
-            index_parts = horizontal_partition_indices(encoded, params.max_cluster_size)
-            start = time.perf_counter()
-            records = list(ctx.working)
-            ctx.partitions = [[records[i] for i in part] for part in index_parts]
-            report.decode_seconds += time.perf_counter() - start
-        else:
-            ctx.partitions = horizontal_partition(ctx.working, params.max_cluster_size)
-        if params.sensitive_terms:
+        ctx.partitions = self.partition(ctx)
+        sensitive = ctx.params.sensitive_terms
+        if sensitive:
             # Re-attach sensitive terms to the records of each partition so
             # the vertical step can place them in term chunks.
-            ctx.partitions = _reattach_sensitive(
-                ctx.dataset, ctx.partitions, params.sensitive_terms
-            )
+            ctx.partitions = _reattach_sensitive(ctx.dataset, ctx.partitions, sensitive)
+
+    def partition(self, ctx: PipelineContext) -> list:
+        """HORPART over the interned working records (posting-list splits)."""
+        report = ctx.report
+        start = time.perf_counter()
+        encoded = EncodedDataset.from_dataset(ctx.working, vocab=ctx.vocabulary)
+        report.encode_seconds += time.perf_counter() - start
+        index_parts = horizontal_partition_indices(encoded, ctx.params.max_cluster_size)
+        start = time.perf_counter()
+        records = list(ctx.working)
+        partitions = [[records[i] for i in part] for part in index_parts]
+        report.decode_seconds += time.perf_counter() - start
+        return partitions
 
 
 class VerticalPhase:
@@ -313,35 +298,37 @@ class VerticalPhase:
         params = ctx.params
         clusters: list[SimpleCluster] = []
         for index, part in enumerate(ctx.partitions or []):
-            label = f"P{index}"
-            if params.backend == "encoded":
-                result = vertical_partition_fast(part, params.k, params.m, label=label)
-            else:
-                result = vertical_partition(
-                    _as_dataset(part), params.k, params.m, label=label
-                )
-            cluster = result.cluster
+            cluster = self.partition(part, params.k, params.m, f"P{index}").cluster
             if params.sensitive_terms:
                 cluster = _force_sensitive_to_term_chunk(cluster, params.sensitive_terms)
             clusters.append(cluster)
         ctx.clusters = clusters
 
+    def partition(self, part, k: int, m: int, label: str) -> VerticalPartitionResult:
+        """VERPART of one partition over int term bitmasks."""
+        return vertical_partition_fast(part, k, m, label=label)
+
 
 class RefinePhase:
     """REFINE: merge clusters into joint clusters with shared chunks.
 
-    On the encoded backend the incremental driver runs (rejected-pair memo,
-    shared mask cache); the string backend keeps the reference driver so
-    backend equivalence tests cover the whole overhaul.
-    The driver's counters land on the report.
+    Runs the incremental driver (rejected-pair memo, shared mask cache);
+    the driver's counters land on the report.
     """
 
     name = "refine"
 
     def run(self, ctx: PipelineContext) -> None:
         """Fill ``ctx.refined`` with the merged clusters; release mask caches."""
+        params = ctx.params
         try:
-            self._refine(ctx)
+            if params.refine and len(ctx.clusters) > 1:
+                join_cap = params.max_join_size
+                if join_cap is None:
+                    join_cap = 8 * params.max_cluster_size
+                ctx.refined = self.merge(ctx, join_cap)
+            else:
+                ctx.refined = list(ctx.clusters)
         finally:
             # The per-cluster term masks VERPART registered are only read
             # up to this point; publishing keeps the cluster objects (and
@@ -352,38 +339,30 @@ class RefinePhase:
                 for leaf in cluster.leaves():
                     discard_cluster_masks(leaf)
 
-    def _refine(self, ctx: PipelineContext) -> None:
+    def merge(self, ctx: PipelineContext, max_join_size: int) -> list[Cluster]:
+        """Run the REFINE driver over ``ctx.clusters``; fill the report counters."""
         params, report = ctx.params, ctx.report
-        clusters = ctx.clusters
-        encoded = params.backend == "encoded"
-        if params.refine and len(clusters) > 1:
-            join_cap = params.max_join_size
-            if join_cap is None:
-                join_cap = 8 * params.max_cluster_size
-            stats = RefineStats()
-            ctx.refined = refine(
-                clusters,
-                params.k,
-                params.m,
-                max_join_size=join_cap,
-                excluded_terms=params.sensitive_terms,
-                use_bitsets=encoded,
-                memoize=encoded,
-                stats=stats,
-                arena=(
-                    ctx.vocabulary.subrecord_arena()
-                    if ctx.vocabulary is not None
-                    else None
-                ),
-            )
-            report.refine_passes = stats.passes
-            report.refine_pairs_considered = stats.pairs_considered
-            report.refine_merges_attempted = stats.merges_attempted
-            report.refine_merges_applied = stats.merges_applied
-            report.refine_merges_skipped_memo = stats.skipped_by_memo
-            report.refine_pairs_prefiltered = stats.prefiltered
-        else:
-            ctx.refined = list(clusters)
+        stats = RefineStats()
+        refined = refine(
+            ctx.clusters,
+            params.k,
+            params.m,
+            max_join_size=max_join_size,
+            excluded_terms=params.sensitive_terms,
+            stats=stats,
+            arena=(
+                ctx.vocabulary.subrecord_arena()
+                if ctx.vocabulary is not None
+                else None
+            ),
+        )
+        report.refine_passes = stats.passes
+        report.refine_pairs_considered = stats.pairs_considered
+        report.refine_merges_attempted = stats.merges_attempted
+        report.refine_merges_applied = stats.merges_applied
+        report.refine_merges_skipped_memo = stats.skipped_by_memo
+        report.refine_pairs_prefiltered = stats.prefiltered
+        return refined
 
 
 class VerifyPhase:
@@ -409,7 +388,7 @@ class Disassociator:
         params: the anonymization parameters; defaults to ``k=5, m=2`` as in
             the paper's experiments.
         vocabulary: optional :class:`~repro.core.vocab.Vocabulary` the
-            encoded horizontal phase interns onto (instead of a fresh table
+            horizontal phase interns onto (instead of a fresh table
             per call).  Interning is append-only and id-insensitive
             decisions break ties on the decoded string, so reuse never
             changes the output; the streaming executor hands one
@@ -494,7 +473,7 @@ class Disassociator:
             report=report,
             dataset=dataset,
             working=working,
-            vocabulary=self.vocabulary if params.backend == "encoded" else None,
+            vocabulary=self.vocabulary,
         )
         self.build_pipeline().run(ctx)
         published = ctx.publish()
@@ -561,17 +540,10 @@ def _force_sensitive_to_term_chunk(
     )
 
 
-# ------------------------------------------------------------------ #
-def _as_dataset(partition) -> TransactionDataset:
-    """Coerce a partition (record sequence) into a :class:`TransactionDataset`."""
-    if isinstance(partition, TransactionDataset):
-        return partition
-    return TransactionDataset(partition, allow_empty=False)
-
-
 def _fill_report(report, published: DisassociatedDataset) -> None:
-    # `report` is any object with the cluster-stat fields: used for both
-    # AnonymizationReport and repro.stream's ShardedReport.
+    # `report` is any object with the cluster-stat fields: used for
+    # AnonymizationReport and repro.stream's ShardedReport and
+    # IncrementalReport.
     from repro.core.clusters import JointCluster
 
     leaves = published.simple_clusters()
@@ -605,7 +577,6 @@ def anonymize(
     max_join_size: Optional[int] = None,
     sensitive_terms=(),
     verify: bool = True,
-    backend: str = "encoded",
 ) -> DisassociatedDataset:
     """Functional one-call interface to the disassociation pipeline.
 
@@ -633,7 +604,6 @@ def anonymize(
         max_join_size=max_join_size,
         sensitive_terms=frozenset(sensitive_terms),
         verify=verify,
-        backend=backend,
     )
     with AnonymizationService(config) as service:
         return service.run(AnonymizationRequest(dataset, mode="batch")).publication

@@ -38,7 +38,9 @@ def horizontal_partition(
     This is Algorithm HORPART.  The split term at each level is the most
     frequent term among those not already used on the path from the root
     (the ``ignore`` set of the paper); records containing the split term go
-    to the left part, the rest to the right part.
+    to the left part, the rest to the right part.  The engine runs
+    :func:`horizontal_partition_indices`; this string formulation is the
+    reference it is tested against.
 
     Args:
         dataset: the original transaction dataset.

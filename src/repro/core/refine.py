@@ -15,9 +15,9 @@ from such terms, provided that
 REFINE repeatedly orders the clusters by the contents of their (virtual)
 term chunks and merges adjacent pairs until no merge is applied.
 
-The default driver is incremental and cache-aware, with **bit-for-bit
-identical output** to the reference formulation (which is preserved
-behind ``memoize=False`` and exercised by the equivalence suite):
+:func:`refine` runs the incremental, cache-aware driver, with **bit-for-bit
+identical output** to the reference formulation (:func:`_refine_reference`,
+preserved as the oracle the equivalence suite holds it to):
 
 * rejected merge attempts are **memoized** (:class:`MergeMemo`) keyed by
   the pair's ``(identity, virtual-term-chunk)`` fingerprints -- a failed
@@ -1115,7 +1115,6 @@ def _merge_pass(
     m: int,
     max_join_size: Optional[int],
     excluded_terms: frozenset,
-    use_bitsets: bool,
     stats: RefineStats,
     tcs: Optional[Counter] = None,
 ) -> tuple[list[Cluster], bool, set]:
@@ -1161,7 +1160,6 @@ def _merge_pass(
                         m,
                         max_join_size=max_join_size,
                         excluded_terms=excluded_terms,
-                        use_bitsets=use_bitsets,
                         support_cache=state.supports,
                         _refining_candidates=candidates,
                         _leaves=state.leaves[id(left)] + state.leaves[id(right)],
@@ -1211,8 +1209,6 @@ def refine(
     max_passes: int = 50,
     max_join_size: Optional[int] = 240,
     excluded_terms: frozenset = frozenset(),
-    use_bitsets: bool = True,
-    memoize: bool = True,
     stats: Optional[RefineStats] = None,
     arena: Optional[SubrecordArena] = None,
 ) -> list[Cluster]:
@@ -1228,13 +1224,6 @@ def refine(
             cluster (``None`` disables the cap); see :func:`try_merge`.
         excluded_terms: terms that must never be lifted into shared chunks
             (sensitive terms stay in term chunks for l-diversity).
-        use_bitsets: run shared-chunk selection over term bitmasks (default;
-            identical output, far fewer record scans).  ``False`` selects
-            the reference implementation, kept for equivalence testing.
-        memoize: run the incremental driver (rejected-pair memo, shared
-            per-leaf mask cache).  ``False`` selects the reference driver,
-            which re-attempts every adjacent pair from scratch each pass --
-            kept as the equivalence oracle.
         stats: optional :class:`RefineStats` filled with the run's counters.
         arena: optionally, a shared :class:`~repro.core.vocab.SubrecordArena`
             to intern shared-chunk sub-records into (the engine hands over
@@ -1248,10 +1237,6 @@ def refine(
     excluded_terms = frozenset(str(t) for t in excluded_terms)
     if stats is None:
         stats = RefineStats()
-    if not memoize:
-        return _refine_reference(
-            clusters, k, m, max_passes, max_join_size, excluded_terms, use_bitsets
-        )
 
     current: list[Cluster] = list(clusters)
     memo = MergeMemo()
@@ -1297,7 +1282,7 @@ def refine(
         ordered = sorted(current, key=lambda c: key_cache[id(c)])
         current, changed, changed_terms = _merge_pass(
             ordered, state, memo, k, m, max_join_size,
-            excluded_terms, use_bitsets, stats, tcs=tcs,
+            excluded_terms, stats, tcs=tcs,
         )
         if not changed:
             break
@@ -1308,16 +1293,20 @@ def _refine_reference(
     clusters: Sequence[Cluster],
     k: int,
     m: int,
-    max_passes: int,
-    max_join_size: Optional[int],
-    excluded_terms: frozenset,
-    use_bitsets: bool,
+    max_passes: int = 50,
+    max_join_size: Optional[int] = 240,
+    excluded_terms: frozenset = frozenset(),
+    use_bitsets: bool = True,
 ) -> list[Cluster]:
     """The reference REFINE driver: every pass re-attempts every adjacent pair.
 
-    No memoization, no mask cache -- the pre-optimization
-    formulation, preserved verbatim as the oracle the incremental driver is
-    tested against.
+    No memoization, no mask cache -- the pre-optimization formulation,
+    preserved verbatim as the oracle :func:`refine` is tested against.  It
+    is not called by the engine.  ``use_bitsets=False`` also swaps the
+    per-attempt shared-chunk selection for the record-scanning reference
+    (:func:`try_merge`'s string path), as the string oracle engine does;
+    the default keeps the bitset selector so the two drivers can be
+    compared on their own.
     """
     current: list[Cluster] = list(clusters)
     for _pass in range(max_passes):

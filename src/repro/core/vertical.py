@@ -60,6 +60,9 @@ def vertical_partition(
 ) -> VerticalPartitionResult:
     """Vertically partition one cluster into record chunks and a term chunk.
 
+    The engine runs :func:`vertical_partition_fast`; this record-scanning
+    formulation is the reference it is tested against.
+
     Args:
         records: the cluster's records (output of HORPART).
         k, m: anonymity parameters.

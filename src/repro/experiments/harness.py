@@ -47,7 +47,6 @@ class ExperimentConfig:
             of the re results) in a realistic regime at laptop scale.
         seed: seed shared by data generation and reconstruction.
         datasets: which real-dataset proxies to use.
-        backend: execution core passed to the engine (``encoded``/``string``).
         stream: route runs through the sharded streaming pipeline
             (:class:`~repro.stream.ShardedPipeline`) instead of the
             single-pass engine.
@@ -68,7 +67,6 @@ class ExperimentConfig:
     domain_scale: float = 0.2
     seed: int = 7
     datasets: tuple = ("POS", "WV1", "WV2")
-    backend: str = "encoded"
     stream: bool = False
     shards: int = 4
     max_records_in_memory: Optional[int] = None
@@ -90,7 +88,6 @@ class ExperimentConfig:
             k=self.k,
             m=self.m,
             max_cluster_size=self.max_cluster_size,
-            backend=self.backend,
             shards=self.shards,
             shard_strategy=self.shard_strategy,
         )

@@ -16,7 +16,7 @@ process environment variables (:meth:`from_env`).
 Validation is delegated to the legacy parameter classes: constructing a
 ``ServiceConfig`` builds (and discards) an ``AnonymizationParams`` and a
 ``StreamParams``, so every invariant those classes enforce (``k >= 1``,
-``max_cluster_size > k``, a known backend, ...) holds here too and raises
+``max_cluster_size > k``, a known shard strategy, ...) holds here too and raises
 the same :class:`~repro.exceptions.ParameterError`.
 """
 
@@ -148,7 +148,6 @@ class ServiceConfig:
             ``8 * max_cluster_size`` inside the engine).
         sensitive_terms: terms forced into term chunks (l-diversity).
         verify: independently re-audit each publication before returning.
-        backend: execution core (``"encoded"`` or ``"string"``).
         shards: shard count for requests routed to the streaming pipeline.
         max_records_in_memory: streaming bound on resident records.
         shard_strategy: streaming record routing (``hash`` / ``horpart``).
@@ -165,8 +164,6 @@ class ServiceConfig:
             store's indexes on every publish (generation-stamped against
             the shard store).  ``None`` (default): query requests are
             rejected.
-        reuse_vocabulary: share one shard-lifetime vocabulary across a
-            shard's windows (output-invariant; see :mod:`repro.stream`).
         auto_stream_threshold: record count above which an ``"auto"``
             request is routed to the streaming pipeline instead of the
             in-memory one; ``None`` uses ``max_records_in_memory``.
@@ -199,14 +196,12 @@ class ServiceConfig:
     max_join_size: Optional[int] = None
     sensitive_terms: frozenset = field(default_factory=frozenset)
     verify: bool = True
-    backend: str = "encoded"
     shards: int = DEFAULT_SHARDS
     max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY
     shard_strategy: str = "hash"
     spill_dir: Optional[str] = None
     store_dir: Optional[str] = None
     pubstore_dir: Optional[str] = None
-    reuse_vocabulary: bool = True
     auto_stream_threshold: Optional[int] = None
     default_deadline: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -275,7 +270,6 @@ class ServiceConfig:
             max_join_size=self.max_join_size,
             sensitive_terms=self.sensitive_terms,
             verify=self.verify,
-            backend=self.backend,
         )
         values.update(overrides)
         return AnonymizationParams(**values)
@@ -289,7 +283,6 @@ class ServiceConfig:
             spill_dir=self.spill_dir,
             store_dir=self.store_dir,
             pubstore_dir=self.pubstore_dir,
-            reuse_vocabulary=self.reuse_vocabulary,
         )
         values.update(overrides)
         return StreamParams(**values)
@@ -395,7 +388,7 @@ _INT_FIELDS = frozenset(
     }
 )
 _OPTIONAL_INT_FIELDS = frozenset({"max_join_size", "auto_stream_threshold"})
-_BOOL_FIELDS = frozenset({"refine", "verify", "reuse_vocabulary"})
+_BOOL_FIELDS = frozenset({"refine", "verify"})
 _OPTIONAL_FLOAT_FIELDS = frozenset({"default_deadline"})
 _OPTIONAL_STR_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
 

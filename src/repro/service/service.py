@@ -49,7 +49,7 @@ from typing import Iterator, Optional
 from repro import faults
 from repro.core import deadline as deadline_mod
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator
+from repro.core.engine import Disassociator
 from repro.core.vocab import Vocabulary
 from repro.datasets.io import iter_records
 from repro.exceptions import (
@@ -68,11 +68,6 @@ from repro.stream.store import IncrementalPipeline
 
 #: Queue item telling a worker thread to exit.
 _SENTINEL = object()
-
-#: Engine-identity fields: a per-request override touching one of these
-#: cannot reuse a warm engine (it was built for the service's own values),
-#: so the request runs on a transient engine.
-_ENGINE_IDENTITY_FIELDS = ("backend",)
 
 #: Keyword arguments of run()/submit() that configure the request itself;
 #: every other keyword is treated as a per-request ServiceConfig override.
@@ -692,40 +687,17 @@ class AnonymizationService:
             return "batch", None, TransactionDataset(head)
         return "stream", chain(head, records), None
 
-    def _warm_engine_for(
-        self, params: AnonymizationParams, engine: Optional[Disassociator] = None
-    ) -> Optional[Disassociator]:
-        """The warm engine, when ``params`` can run on it."""
-        if engine is None:
-            engine = self._engine
-        for field_name in _ENGINE_IDENTITY_FIELDS:
-            if getattr(params, field_name) != getattr(engine.params, field_name):
-                return None
-        return engine
-
     def _run_batch(
         self, dataset: TransactionDataset, config: ServiceConfig, engine: Disassociator
     ):
-        params = config.engine_params()
-        warm = self._warm_engine_for(params, engine)
-        if warm is not None:
-            engine = warm
-            engine.params = params
-            engine.vocabulary = self._vocabulary
-        else:
-            # Overrides changed the engine's identity (the backend): run on
-            # a transient engine, still sharing the warm vocabulary
-            # (interning is output-invariant).
-            engine = Disassociator(params, vocabulary=self._vocabulary)
+        engine.params = config.engine_params()
+        engine.vocabulary = self._vocabulary
         published = engine.anonymize(dataset)
         return published, engine.last_report
 
     def _run_stream(self, records, config: ServiceConfig, engine: Disassociator):
-        params = config.engine_params()
         pipeline = ShardedPipeline(
-            params,
-            config.stream_params(),
-            window_engine=self._warm_engine_for(params, engine),
+            config.engine_params(), config.stream_params(), window_engine=engine
         )
         published = pipeline.run(records)
         return published, pipeline.last_report
@@ -741,19 +713,15 @@ class AnonymizationService:
 
         Appends come from ``request.source`` (``None``: none), deletes from
         ``request.delete``; both accept the same shapes as any request
-        source.  The recomputed windows run on the service's warm engine
-        whenever the merged config can reuse it, exactly like streamed
-        requests, and the request-scoped ``delta_id`` makes transparent
+        source.  The recomputed windows run on the service's warm engine,
+        exactly like streamed requests, and the request-scoped ``delta_id`` makes transparent
         retries of a transiently failed delta apply the mutation at most
         once.  Returns the pipeline's ``to_dict`` payload with the
         publication, so the response reuses it instead of serializing the
         publication again.
         """
-        params = config.engine_params()
         pipeline = IncrementalPipeline(
-            params,
-            config.stream_params(),
-            window_engine=self._warm_engine_for(params, engine),
+            config.engine_params(), config.stream_params(), window_engine=engine
         )
         published = pipeline.run(
             append=self._delta_records(request.source, request),

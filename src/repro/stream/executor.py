@@ -100,14 +100,6 @@ class StreamParams:
             path is created if needed and the spill files are left in place
             for inspection.  Spills are never read back by a later run:
             crash recovery goes through ``store_dir``.
-        reuse_vocabulary: share one shard-lifetime
-            :class:`~repro.core.vocab.Vocabulary` across a shard's windows
-            (encoded backend), so later windows only intern terms they have
-            not seen yet instead of re-interning from scratch.  Interning
-            is append-only and id-insensitive decisions tie-break on the
-            decoded string, so the published output is identical with and
-            without reuse (covered by the vocabulary tests); disable only
-            to bound the interning table by window instead of by shard.
         store_dir: directory of the persistent incremental shard store
             (:mod:`repro.stream.store`).  Ignored by :class:`ShardedPipeline`
             itself; it configures where
@@ -130,7 +122,6 @@ class StreamParams:
     max_records_in_memory: int = DEFAULT_MAX_RECORDS_IN_MEMORY
     strategy: str = "hash"
     spill_dir: Optional[PathLike] = None
-    reuse_vocabulary: bool = True
     store_dir: Optional[PathLike] = None
     pubstore_dir: Optional[PathLike] = None
 
@@ -448,13 +439,14 @@ class ShardedPipeline:
         start = time.perf_counter()
         clusters: list[Cluster] = []
         report.shard_windows = [0] * self.stream.shards
-        reuse_vocab = self.stream.reuse_vocabulary and self.params.backend == "encoded"
         with window_engine_for(self.params, self.window_engine) as engine:
             for shard in range(self.stream.shards):
                 # One interning table per shard: every window of the shard
                 # encodes onto it, so only first-seen terms pay the intern
-                # cost (ids are append-only; relabeling keys are untouched).
-                engine.vocabulary = Vocabulary() if reuse_vocab else None
+                # cost.  Interning is append-only and id-insensitive
+                # decisions tie-break on the decoded string, so the output
+                # is the same as with a fresh table per window.
+                engine.vocabulary = Vocabulary()
                 path = spill_path(spill_dir, shard)
                 for window, batch in enumerate(iter_batches(iter_jsonl(path), bound)):
                     faults.check("stream.window")

@@ -40,7 +40,7 @@ existing equivalence suites):
    boundaries and contents match the cold run's spill batches; a window
    with unchanged content produces unchanged clusters (vocabulary reuse
    is output-invariant, so re-running an isolated window with a fresh
-   vocabulary is equivalent -- the kernel suite's reuse-equivalence
+   vocabulary is equivalent -- the vocabulary suite's reuse-equivalence
    test);
 4. window labels (``S<shard>W<window>.``) depend only on shard and
    window index, and merge + global boundary repair + private-record
@@ -148,10 +148,14 @@ CREATE TABLE IF NOT EXISTS applied_deltas (
 #: stores' identity, not part of it.
 _EXCLUDED_STREAM_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
 
-#: Fingerprint keys of retired parameters.  Earlier releases stored
-#: ``packed_min_rows`` (an output-neutral kernel crossover) in every shard
-#: store and publication-store source stamp.
-_RETIRED_FINGERPRINT_KEYS = frozenset({"params.packed_min_rows"})
+#: Fingerprint keys of retired parameters.  Earlier releases stored these
+#: output-neutral knobs in every shard store and publication-store source
+#: stamp: a kernel crossover, the execution-core switch (its ``"string"``
+#: core published the same bytes) and the vocabulary-reuse switch
+#: (shard-lifetime interning is now always on).
+_RETIRED_FINGERPRINT_KEYS = frozenset(
+    {"params.packed_min_rows", "params.backend", "stream.reuse_vocabulary"}
+)
 
 
 def _json_safe(value):
@@ -961,7 +965,6 @@ class IncrementalPipeline:
         mid-reconcile repeats at most one window.
         """
         bound = self.stream.max_records_in_memory
-        reuse_vocab = self.stream.reuse_vocabulary and self.params.backend == "encoded"
         clusters: list[Cluster] = []
         report.shard_windows = [0] * self.stream.shards
         start = time.perf_counter()
@@ -975,7 +978,7 @@ class IncrementalPipeline:
                 # One interning table per shard (lazy: only shards that
                 # actually recompute a window pay for it); reuse across
                 # the shard's recomputed windows mirrors the cold
-                # executor and is output-invariant either way.
+                # executor and is output-invariant.
                 shard_vocab: Optional[Vocabulary] = None
                 after_seq, win = -1, 0
                 while True:
@@ -1005,7 +1008,7 @@ class IncrementalPipeline:
                     else:
                         faults.check("stream.window")
                         deadline.check("stream.window")
-                        if reuse_vocab and shard_vocab is None:
+                        if shard_vocab is None:
                             shard_vocab = Vocabulary()
                         engine.vocabulary = shard_vocab
                         batch = [

@@ -66,6 +66,22 @@ class TestConstructionAndContainer:
         with pytest.raises(DatasetError):
             TransactionDataset([{"a"}, set()])
 
+    def test_normal_records_are_stored_as_given(self):
+        """Records the readers already normalized are not rebuilt."""
+        record = frozenset({"a", "b"})
+        dataset = TransactionDataset([record, ["a", 1]])
+        assert dataset[0] is record
+        assert dataset[1] == frozenset({"a", "1"})
+
+    @pytest.mark.parametrize("record", [frozenset(), 42, None])
+    def test_empty_or_non_iterable_record_raises(self, record):
+        with pytest.raises(DatasetError):
+            TransactionDataset([frozenset({"a"}), record])
+
+    def test_allow_empty_accepts_empty_frozenset(self):
+        dataset = TransactionDataset([frozenset(), frozenset({"a"})], allow_empty=True)
+        assert list(dataset) == [frozenset(), frozenset({"a"})]
+
     def test_repr_mentions_size_and_domain(self, tiny_dataset):
         assert "n=6" in repr(tiny_dataset)
 

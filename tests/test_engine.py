@@ -138,10 +138,6 @@ class TestPipelineAPI:
         assert CountingPhase.calls == 1
         assert engine.last_report.refine_seconds >= 0
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            AnonymizationParams(backend="numpy")
-
     def test_report_includes_encode_decode_time(self, paper_dataset):
         engine = Disassociator(AnonymizationParams(k=3, m=2, max_cluster_size=6))
         engine.anonymize(paper_dataset)

@@ -1,10 +1,11 @@
-"""Equivalence suite: the encoded execution core vs the string reference.
+"""Equivalence suite: the execution core vs the string reference engine.
 
-The interned/bitset fast paths (``backend="encoded"``) must produce
-*identical* published datasets to the pre-refactor string pipeline
-(``backend="string"``), for every phase individually and end to end, and
-the incremental REFINE driver must match the reference driver
-(``refine(memoize=False)``).  The bitset chunk checker and the sub-record
+The interned/bitset engine (:class:`~repro.core.engine.Disassociator`)
+must produce *identical* published datasets to the pre-refactor string
+pipeline (:class:`~tests.reference_engine.ReferenceDisassociator`), for
+every phase individually and end to end, batch and streamed, and the
+incremental REFINE driver (:func:`~repro.core.refine.refine`) must match
+the reference driver (:func:`~repro.core.refine._refine_reference`).  The bitset chunk checker and the sub-record
 assembly are held to the record-scanning checker, the exhaustive violation
 search and the plain row projection.  Each oracle runs on the paper-shaped
 generators and on stress shapes: many small clusters, clusters past a
@@ -28,14 +29,15 @@ from repro.core.anonymity import (
     km_anonymous_batch,
 )
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
-from repro.core.refine import refine
+from repro.core.refine import _refine_reference, refine
 from repro.core.verification import verify_km_anonymity
 from repro.core.vertical import vertical_partition, vertical_partition_fast
 from repro.core.vocab import EncodedDataset, SubrecordArena
 from repro.stream import ShardedPipeline, StreamParams
 from tests.conftest import PAPER_RECORDS, make_workload
+from tests.reference_engine import ReferenceDisassociator
 
 
 def make_seeded_dataset(seed: int, num_records: int = 400) -> TransactionDataset:
@@ -129,8 +131,8 @@ class TestPhaseEquivalence:
                 for i, part in enumerate(horizontal_partition(dataset, 20))
             ]
 
-        reference = refine(clusters(), 3, 2, use_bitsets=False)
-        fast = refine(clusters(), 3, 2, use_bitsets=True)
+        reference = _refine_reference(clusters(), 3, 2, use_bitsets=False)
+        fast = refine(clusters(), 3, 2)
         assert [c.to_dict() for c in reference] == [c.to_dict() for c in fast]
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -147,7 +149,7 @@ class TestPhaseEquivalence:
             ]
 
         kwargs = dict(max_join_size=8 * size, excluded_terms=excluded)
-        reference = refine(clusters(), k, m, memoize=False, **kwargs)
+        reference = _refine_reference(clusters(), k, m, **kwargs)
         fast = refine(clusters(), k, m, **kwargs)
         assert [c.to_dict() for c in reference] == [c.to_dict() for c in fast]
 
@@ -187,7 +189,7 @@ class TestPhaseEquivalence:
                 for i, part in enumerate(horizontal_partition(dataset, 30))
             ]
 
-        reference = refine(clusters(), 3, m, memoize=False)
+        reference = _refine_reference(clusters(), 3, m)
         fast = refine(clusters(), 3, m)
         assert [c.to_dict() for c in reference] == [c.to_dict() for c in fast]
 
@@ -313,67 +315,66 @@ class TestSubrecordAssembly:
         assert SubrecordArena().subrecords_for([], 0, 0) == []
 
 
+def _publish_both(dataset, **params) -> tuple:
+    """``(reference, production)`` publications of one dataset."""
+    return tuple(
+        engine(AnonymizationParams(**params)).anonymize(dataset)
+        for engine in (ReferenceDisassociator, Disassociator)
+    )
+
+
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_backends_publish_identical_datasets(self, seed):
         dataset = make_seeded_dataset(seed)
-        string_pub = anonymize(dataset, k=4, m=2, max_cluster_size=25, backend="string")
-        encoded_pub = anonymize(dataset, k=4, m=2, max_cluster_size=25, backend="encoded")
-        assert string_pub.to_dict() == encoded_pub.to_dict()
-        verify_km_anonymity(encoded_pub)
+        reference, production = _publish_both(dataset, k=4, m=2, max_cluster_size=25)
+        assert reference.to_dict() == production.to_dict()
+        verify_km_anonymity(production)
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_backends_agree_on_stress_shapes(self, shape):
         seed, records, params = SHAPES[shape]
         dataset = make_seeded_dataset(seed, num_records=records)
-        string_pub = Disassociator(
-            AnonymizationParams(backend="string", **params)
-        ).anonymize(dataset)
-        encoded_pub = Disassociator(AnonymizationParams(**params)).anonymize(dataset)
-        assert string_pub.to_dict() == encoded_pub.to_dict()
+        reference, production = _publish_both(dataset, **params)
+        assert reference.to_dict() == production.to_dict()
         if shape == "large-clusters":
-            assert max(leaf.size for leaf in encoded_pub.simple_clusters()) >= 1024
+            assert max(leaf.size for leaf in production.simple_clusters()) >= 1024
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_backends_agree_on_workloads(self, scenario, m):
         dataset = _scenario_dataset(scenario, seed=21)
-        params = dict(k=4, m=m, max_cluster_size=12)
-        string_pub = Disassociator(
-            AnonymizationParams(backend="string", **params)
-        ).anonymize(dataset)
-        encoded_pub = Disassociator(AnonymizationParams(**params)).anonymize(dataset)
-        assert string_pub.to_dict() == encoded_pub.to_dict()
+        reference, production = _publish_both(dataset, k=4, m=m, max_cluster_size=12)
+        assert reference.to_dict() == production.to_dict()
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_backends_agree_with_sensitive_terms_on_workloads(self, scenario):
         dataset = _scenario_dataset(scenario, seed=22)
         supports = Counter(term for record in dataset for term in record)
         sensitive = {term for term, _count in supports.most_common(3)}
-        params = dict(k=4, m=2, max_cluster_size=12, sensitive_terms=sensitive)
-        string_pub = Disassociator(
-            AnonymizationParams(backend="string", **params)
-        ).anonymize(dataset)
-        encoded_pub = Disassociator(AnonymizationParams(**params)).anonymize(dataset)
-        assert string_pub.to_dict() == encoded_pub.to_dict()
+        reference, production = _publish_both(
+            dataset, k=4, m=2, max_cluster_size=12, sensitive_terms=sensitive
+        )
+        assert reference.to_dict() == production.to_dict()
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_stream_backends_agree_on_workloads(self, scenario):
         dataset = _scenario_dataset(scenario, seed=31)
+        params = AnonymizationParams(k=4, m=2, max_cluster_size=12)
+        stream = StreamParams(shards=3, max_records_in_memory=120)
         outputs = [
-            ShardedPipeline(
-                AnonymizationParams(k=4, m=2, max_cluster_size=12, backend=backend),
-                StreamParams(shards=3, max_records_in_memory=120),
-            ).anonymize(dataset).to_dict()
-            for backend in ("string", "encoded")
+            ShardedPipeline(params, stream, window_engine=engine)
+            .anonymize(dataset)
+            .to_dict()
+            for engine in (ReferenceDisassociator(params), None)
         ]
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_warm_engine_repeats_match_string_backend(self, seed):
         dataset = make_seeded_dataset(seed, num_records=500)
-        serial = Disassociator(
-            AnonymizationParams(backend="string", verify=False)
+        serial = ReferenceDisassociator(
+            AnonymizationParams(verify=False)
         ).anonymize(dataset)
         engine = Disassociator(AnonymizationParams(verify=False))
         first = engine.anonymize(dataset)
@@ -383,20 +384,36 @@ class TestPipelineEquivalence:
 
     def test_paper_dataset_equivalence_with_sensitive_terms(self):
         dataset = TransactionDataset(PAPER_RECORDS)
-        kwargs = dict(k=3, m=2, max_cluster_size=6, sensitive_terms={"viagra"})
-        string_pub = anonymize(dataset, backend="string", **kwargs)
-        encoded_pub = anonymize(dataset, backend="encoded", **kwargs)
-        assert string_pub.to_dict() == encoded_pub.to_dict()
+        reference, production = _publish_both(
+            dataset, k=3, m=2, max_cluster_size=6, sensitive_terms={"viagra"}
+        )
+        assert reference.to_dict() == production.to_dict()
 
-    def test_default_backend_is_encoded(self):
-        assert AnonymizationParams().backend == "encoded"
+    def test_reference_engine_never_reaches_the_production_core(self, monkeypatch):
+        """The oracle must not share the implementations it is held to."""
+        import repro.core.engine as engine_module
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the reference engine called the production core")
+
+        for name in ("horizontal_partition_indices", "vertical_partition_fast", "refine"):
+            monkeypatch.setattr(engine_module, name, forbidden)
+        params = AnonymizationParams(
+            k=3, m=2, max_cluster_size=6, sensitive_terms={"viagra"}
+        )
+        published = ReferenceDisassociator(params).anonymize(
+            TransactionDataset(PAPER_RECORDS)
+        )
+        assert len(published.simple_clusters()) > 1
+        verify_km_anonymity(published)
 
     def test_reports_agree_on_structure(self):
         dataset = make_seeded_dataset(9)
-        string_engine = Disassociator(AnonymizationParams(backend="string", verify=False))
-        encoded_engine = Disassociator(AnonymizationParams(backend="encoded", verify=False))
-        string_engine.anonymize(dataset)
-        encoded_engine.anonymize(dataset)
+        params = AnonymizationParams(verify=False)
+        reference_engine = ReferenceDisassociator(params)
+        production_engine = Disassociator(params)
+        reference_engine.anonymize(dataset)
+        production_engine.anonymize(dataset)
         fields = (
             "num_records",
             "num_clusters",
@@ -406,6 +423,6 @@ class TestPipelineEquivalence:
             "term_chunk_terms",
         )
         for field in fields:
-            assert getattr(string_engine.last_report, field) == getattr(
-                encoded_engine.last_report, field
+            assert getattr(reference_engine.last_report, field) == getattr(
+                production_engine.last_report, field
             ), field

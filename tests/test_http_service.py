@@ -552,14 +552,21 @@ RETIRED = [
     ("http", "jobs", 2),
     ("http", "kernels", "numpy"),
     ("http", "checkpoint", True),
+    ("http", "backend", "string"),
+    ("http", "reuse_vocabulary", False),
     ("http-body", "resume", True),
     ("env", "jobs", 2),
     ("env", "checkpoint", 1),
+    ("env", "backend", "string"),
+    ("env", "reuse_vocabulary", 0),
     ("cli-anonymize", "jobs", 2),
     ("cli-anonymize", "resume", ""),
+    ("cli-anonymize", "backend", "string"),
     ("cli-serve", "kernels", "numpy"),
     ("params", "jobs", 2),
+    ("params", "backend", "string"),
     ("stream-params", "checkpoint", True),
+    ("stream-params", "reuse_vocabulary", False),
     ("pipeline-run", "resume", True),
 ]
 
@@ -568,8 +575,9 @@ RETIRED = [
     "surface, name, value", RETIRED, ids=[f"{s}-{n}" for s, n, _ in RETIRED]
 )
 def test_retired_option_is_refused(request, surface, name, value):
-    """The process fan-out, kernel and checkpoint/resume knobs are gone;
-    every entry point rejects them with its own typed error."""
+    """The process fan-out, kernel, checkpoint/resume, execution-core and
+    vocabulary-reuse knobs are gone; every entry point rejects them with
+    its own typed error."""
     if surface == "http":
         served = request.getfixturevalue("served")
         status, body = http(

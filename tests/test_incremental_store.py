@@ -26,6 +26,7 @@ from repro.exceptions import (
     ParameterError,
     StoreError,
 )
+from repro.pubstore import PublicationStore
 from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
 from repro.service.http import ServiceHTTPServer, classify_error
 from repro.stream import (
@@ -47,6 +48,24 @@ def _stream(store_dir, **overrides) -> StreamParams:
     values = dict(shards=3, max_records_in_memory=100, store_dir=store_dir)
     values.update(overrides)
     return StreamParams(**values)
+
+
+#: Fingerprint entries of retired knobs, as stores written by earlier
+#: releases carry them.
+RETIRED_FINGERPRINT_VALUES = {
+    "params.packed_min_rows": None,
+    "params.backend": "string",
+    "stream.reuse_vocabulary": False,
+}
+
+
+def _stamp_retired_knobs(store_dir) -> None:
+    """Rewrite a shard store's fingerprint as an earlier release wrote it."""
+    with ShardStore(store_dir) as store:
+        legacy = dict(json.loads(store._meta("fingerprint")))
+        legacy.update(RETIRED_FINGERPRINT_VALUES)
+        with store._write():
+            store._set_meta("fingerprint", json.dumps(legacy, sort_keys=True))
 
 
 def _canonical(published) -> str:
@@ -148,18 +167,45 @@ class TestStoreValidation:
         assert a == b
 
     def test_store_fingerprinted_with_retired_knob_accepts_deltas(self, tmp_path):
-        """Stores written while ``packed_min_rows`` existed carry
-        ``"params.packed_min_rows": null`` in their fingerprint; the knob
-        never affected the output, so deltas must still apply."""
-        legacy = dict(run_fingerprint(PARAMS, _stream(tmp_path / "s")))
-        legacy["params.packed_min_rows"] = None
-        with ShardStore(tmp_path / "s") as store:
-            store.initialize(legacy)
+        """Stores written by earlier releases carry retired, output-neutral
+        knobs in their fingerprint -- ``packed_min_rows``, the execution
+        ``backend`` (``"string"`` published the same bytes) and
+        ``reuse_vocabulary``; deltas must still apply, reusing every
+        window they leave unchanged."""
+        records = RECORDS * 5  # several windows per shard
+        IncrementalPipeline(PARAMS, _stream(tmp_path / "s")).run(append=records)
+        _stamp_retired_knobs(tmp_path / "s")
+
         pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s"))
-        pipeline.run(append=RECORDS)
-        published = pipeline.run(append=[frozenset({"z1", "z2"})], delete=RECORDS[:3])
-        mutated = RECORDS[3:] + [frozenset({"z1", "z2"})]
-        assert _canonical(published) == _canonical(_cold(mutated))
+        published = pipeline.run(append=[frozenset({"z1", "z2"})])
+        report = pipeline.last_report
+        assert report.windows_recomputed == 1  # the appended-to window only
+        assert report.windows_reused == sum(report.shard_windows) - 1 > 0
+        grown = records + [frozenset({"z1", "z2"})]
+        assert _canonical(published) == _canonical(_cold(grown))
+
+        published = pipeline.run(delete=records[:3])
+        assert _canonical(published) == _canonical(_cold(grown[3:]))
+
+    def test_pubstore_stamped_with_retired_knobs_stays_current(self, tmp_path):
+        """A publication store whose source stamp carries the retired knobs
+        names the same run: a no-op run leaves it as it is."""
+        stream = _stream(tmp_path / "s", pubstore_dir=tmp_path / "pub")
+        published = IncrementalPipeline(PARAMS, stream).run(append=RECORDS)
+        with PublicationStore(tmp_path / "pub") as pub:
+            source = dict(pub.source, **RETIRED_FINGERPRINT_VALUES)
+            with pub._write():
+                pub._set_meta("source", json.dumps(source, sort_keys=True))
+            generation = pub.generation
+
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        assert _canonical(pipeline.run()) == _canonical(published)
+        assert pipeline.last_report.noop
+        assert not pipeline.last_report.pubstore_refreshed
+        with PublicationStore(tmp_path / "pub") as pub:
+            assert pub.current
+            assert pub.generation == generation
+            assert pub.source == source
 
     def test_store_survives_relocation(self, tmp_path):
         """Moving the store directory keeps it usable (location != identity)."""

@@ -33,6 +33,7 @@ from repro.core.refine import (
     RefineStats,
     _candidate_is_k_anonymous,
     _ProjectionClasses,
+    _refine_reference,
     refine,
     try_merge,
 )
@@ -40,6 +41,7 @@ from repro.core.vertical import vertical_partition
 from repro.core.vocab import EncodedDataset
 from repro.datasets.quest import generate_quest
 from repro.datasets.scenarios import generate_clickstream, generate_zipf_basket
+from tests.reference_engine import ReferenceDisassociator
 
 
 # --------------------------------------------------------------------------- #
@@ -92,13 +94,12 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_refine_old_vs_new(self, scenario, seed):
         dataset = _scenario_dataset(scenario, seed)
-        reference = refine(
+        reference = _refine_reference(
             _verpart_clusters(dataset, 3, 2, 20),
             3,
             2,
             max_join_size=160,
             use_bitsets=False,
-            memoize=False,
         )
         stats = RefineStats()
         optimized = refine(
@@ -116,12 +117,9 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_full_pipeline_old_vs_new(self, scenario):
         dataset = _scenario_dataset(scenario, 2)
-        old = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=20, backend="string")
-        ).anonymize(dataset)
-        new = Disassociator(
-            AnonymizationParams(k=3, m=2, max_cluster_size=20, backend="encoded")
-        ).anonymize(dataset)
+        params = AnonymizationParams(k=3, m=2, max_cluster_size=20)
+        old = ReferenceDisassociator(params).anonymize(dataset)
+        new = Disassociator(params).anonymize(dataset)
         assert old.to_dict() == new.to_dict()
 
     def test_random_fuzz_refine(self):
@@ -133,12 +131,11 @@ class TestRandomizedEquivalence:
                 for _ in range(200)
             ]
             dataset = TransactionDataset(records)
-            reference = refine(
+            reference = _refine_reference(
                 _verpart_clusters(dataset, 2, 2, 12),
                 2,
                 2,
                 use_bitsets=False,
-                memoize=False,
             )
             optimized = refine(_verpart_clusters(dataset, 2, 2, 12), 2, 2)
             assert [c.to_dict() for c in reference] == [

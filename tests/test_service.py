@@ -68,7 +68,7 @@ class TestServiceConfig:
             {"k": 0},
             {"m": 0},
             {"max_cluster_size": 4, "k": 5},
-            {"backend": "fortran"},
+            {"workers": 0},
             {"shards": 0},
             {"max_records_in_memory": 1},
             {"shard_strategy": "roulette"},
@@ -85,11 +85,10 @@ class TestServiceConfig:
 
     def test_engine_and_stream_projections(self):
         config = ServiceConfig(
-            k=3, m=1, max_cluster_size=10, backend="string", shards=2,
-            shard_strategy="horpart",
+            k=3, m=1, max_cluster_size=10, shards=2, shard_strategy="horpart",
         )
         params = config.engine_params()
-        assert (params.k, params.m, params.backend) == (3, 1, "string")
+        assert (params.k, params.m, params.max_cluster_size) == (3, 1, 10)
         stream = config.stream_params()
         assert (stream.shards, stream.strategy) == (2, "horpart")
 
@@ -121,7 +120,7 @@ class TestServiceConfig:
             sensitive_terms={"a", "b"},
             shards=2,
             max_records_in_memory=50,
-            reuse_vocabulary=False,
+            verify=False,
             max_join_size=60,
         )
         environ = {
@@ -321,18 +320,6 @@ class TestEquivalence:
             config.engine_params(), config.stream_params()
         ).anonymize(dataset)
         assert stream.to_dict() == expected_stream.to_dict()
-
-    def test_per_request_override_of_engine_identity(self):
-        dataset = quest(120)
-        config = ServiceConfig(k=3, max_cluster_size=12, verify=False)
-        expected = Disassociator(
-            config.engine_params(backend="string")
-        ).anonymize(dataset)
-        with AnonymizationService(config) as service:
-            result = service.run(dataset, mode="batch", backend="string")
-            warm_after = service.run(dataset, mode="batch")
-        assert result.to_dict() == expected.to_dict()
-        assert warm_after.to_dict() == expected.to_dict()  # backends are equivalent
 
     def test_per_request_k_override(self):
         dataset = quest(120)

@@ -160,6 +160,18 @@ def _scenario_dataset(name: str, seed: int) -> TransactionDataset:
     )
 
 
+class _FreshVocabularyEngine(Disassociator):
+    """An engine that ignores any shared vocabulary it is handed."""
+
+    @property
+    def vocabulary(self):
+        return None
+
+    @vocabulary.setter
+    def vocabulary(self, _value):
+        pass
+
+
 class TestVocabularyReuse:
     def test_from_dataset_accepts_prewarmed_vocab(self):
         dataset = TransactionDataset([{"b", "a"}, {"c", "a"}])
@@ -173,15 +185,15 @@ class TestVocabularyReuse:
     def test_stream_identical_with_and_without_reuse(self, scenario):
         dataset = _scenario_dataset(scenario, seed=31)
         params = AnonymizationParams(k=4, m=2, max_cluster_size=12)
-        outputs = []
-        for reuse in (True, False):
-            pipeline = ShardedPipeline(
-                params,
-                StreamParams(
-                    shards=3, max_records_in_memory=120, reuse_vocabulary=reuse
-                ),
-            )
-            outputs.append(pipeline.anonymize(dataset).to_dict())
+        stream = StreamParams(shards=3, max_records_in_memory=120)
+        outputs = [
+            ShardedPipeline(params, stream, window_engine=engine)
+            .anonymize(dataset)
+            .to_dict()
+            # The pipeline hands its engine one Vocabulary per shard; the
+            # second engine drops it and interns every window from scratch.
+            for engine in (Disassociator(params), _FreshVocabularyEngine(params))
+        ]
         assert outputs[0] == outputs[1]
 
     def test_engine_reuses_vocabulary_across_calls(self):
