@@ -199,17 +199,31 @@ def _digest(value: Any) -> str:
     return hashlib.blake2b(canonical_json(value).encode("utf-8"), digest_size=16).hexdigest()
 
 
+def top_digest(cluster: Dict[str, Any]) -> str:
+    """Digest of one top-level cluster's ``to_dict`` form (its ``tops`` key)."""
+    return _digest(cluster)
+
+
+def digests_fingerprint(digests: List[str], header: Dict[str, Any]) -> str:
+    """Publication fingerprint from its ordered top-level cluster digests.
+
+    ``header`` is the payload without its ``"clusters"`` key (``k`` and
+    ``m`` for a ``to_dict`` payload).
+    """
+    return _digest({"clusters": digests, "header": header})
+
+
 def cluster_digests(payload: Dict[str, Any]) -> Tuple[List[str], str]:
     """Digest every top-level cluster of a ``to_dict`` payload.
 
-    Returns ``(digests, fingerprint)``: ``digests[i]`` hashes the
-    canonical JSON of ``payload["clusters"][i]``, and ``fingerprint``
-    hashes the payload's other keys together with the ordered cluster
-    digests, so the publication is encoded once for both.
+    Returns ``(digests, fingerprint)``: ``digests[i]`` is the
+    :func:`top_digest` of ``payload["clusters"][i]``, and ``fingerprint``
+    is the :func:`digests_fingerprint` of those digests and the payload's
+    other keys, so the publication is encoded once for both.
     """
-    digests = [_digest(cluster) for cluster in payload.get("clusters", [])]
+    digests = [top_digest(cluster) for cluster in payload.get("clusters", [])]
     header = {key: value for key, value in payload.items() if key != "clusters"}
-    return digests, _digest({"clusters": digests, "header": header})
+    return digests, digests_fingerprint(digests, header)
 
 
 def publication_fingerprint(payload: Dict[str, Any]) -> str:

@@ -65,7 +65,7 @@ from repro.core.clusters import (
     TermChunk,
     paused_gc,
 )
-from repro.exceptions import StoreError
+from repro.exceptions import ParameterError, StoreError
 from repro.pubstore.schema import (
     DATA_TABLES,
     PUBSTORE_LOCK_NAME,
@@ -73,6 +73,7 @@ from repro.pubstore.schema import (
     PUBSTORE_VERSION,
     _SCHEMA,
     cluster_digests,
+    digests_fingerprint,
     publication_fingerprint,
 )
 from repro.pubstore.writer import (
@@ -252,7 +253,7 @@ class PublicationStore(SQLiteStore):
         store_dir: PathLike,
         *,
         generation: int = 0,
-        payload: Optional[dict] = None,
+        digests: Optional[List[str]] = None,
         source: Optional[dict] = None,
         lock_timeout: float = LOCK_TIMEOUT,
     ) -> "PublicationStore":
@@ -260,7 +261,7 @@ class PublicationStore(SQLiteStore):
         store = cls(store_dir, exclusive=True, lock_timeout=lock_timeout)
         try:
             store.build(
-                published, generation=generation, payload=payload, source=source
+                published, generation=generation, digests=digests, source=source
             )
         except BaseException:
             store.close()
@@ -272,7 +273,7 @@ class PublicationStore(SQLiteStore):
         published: DisassociatedDataset,
         *,
         generation: int = 0,
-        payload: Optional[dict] = None,
+        digests: Optional[List[str]] = None,
         source: Optional[dict] = None,
     ) -> BuildStats:
         """Bring the store in step with ``published`` as one atomic snapshot.
@@ -289,17 +290,28 @@ class PublicationStore(SQLiteStore):
         The whole refresh -- deletes, inserts, positions, meta header --
         commits as a single transaction: a crash at any instant leaves
         the *previous* committed snapshot (or an unbuilt store) behind,
-        never a half index.  ``payload`` may pass a precomputed
-        ``to_dict()`` form to avoid serializing the publication twice;
+        never a half index.  ``digests`` may pass the top-level cluster
+        digests a caller already holds (``digests[i]`` the
+        :func:`~repro.pubstore.schema.top_digest` of
+        ``published.clusters[i].to_dict()``), so the publication is not
+        serialized again; without them they are computed here.
         ``generation`` and ``source`` stamp which upstream state the
         snapshot reflects.  Returns how many top-level clusters were
         written and kept.
         """
         faults.check("pubstore.build")
         deadline.check("pubstore.build")
-        if payload is None:
-            payload = published.to_dict()
-        digests, fingerprint = cluster_digests(payload)
+        if digests is None:
+            digests, fingerprint = cluster_digests(published.to_dict())
+        else:
+            if len(digests) != len(published.clusters):
+                raise ParameterError(
+                    f"{len(digests)} digest(s) given for "
+                    f"{len(published.clusters)} top-level cluster(s)"
+                )
+            fingerprint = digests_fingerprint(
+                digests, {"k": published.k, "m": published.m}
+            )
         encoded_source = json.dumps(source, sort_keys=True)
         with self._write():
             with paused_gc():

@@ -22,8 +22,11 @@ the same :class:`~repro.exceptions.ParameterError`.
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Mapping, Optional
 
 from repro.core.engine import AnonymizationParams, DEFAULT_MAX_CLUSTER_SIZE
@@ -209,6 +212,9 @@ class ServiceConfig:
     workers: int = 1
 
     def __post_init__(self):
+        self.validate_values(
+            {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        )
         object.__setattr__(
             self, "sensitive_terms", frozenset(str(t) for t in self.sensitive_terms)
         )
@@ -229,11 +235,6 @@ class ServiceConfig:
                 f"retry must be a RetryPolicy (or its dict/text form), "
                 f"got {self.retry!r}"
             )
-        if self.default_deadline is not None and not self.default_deadline > 0:
-            raise ParameterError(
-                f"default_deadline must be positive seconds, "
-                f"got {self.default_deadline!r}"
-            )
         # Delegate the cross-field invariants to the legacy parameter
         # classes: building them validates them.
         self.engine_params()
@@ -250,11 +251,11 @@ class ServiceConfig:
             raise ParameterError(
                 f"auto_stream_threshold must be >= 1, got {self.auto_stream_threshold}"
             )
-        if not isinstance(self.max_pending, int) or self.max_pending < 1:
+        if self.max_pending < 1:
             raise ParameterError(
                 f"max_pending must be a positive integer, got {self.max_pending!r}"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if self.workers < 1:
             raise ParameterError(
                 f"workers must be a positive integer, got {self.workers!r}"
             )
@@ -312,6 +313,40 @@ class ServiceConfig:
                 value = value.to_text()
             payload[spec.name] = value
         return payload
+
+    @staticmethod
+    def validate_values(values: Mapping) -> None:
+        """Refuse a field value of the wrong type (shared by requests).
+
+        Each value must have its field's type: a ``bool`` is not an
+        integer, a string is not a number or a term collection.  A wrong
+        type raises :class:`~repro.exceptions.ParameterError` naming the
+        field, before any engine or store sees the value; ranges are
+        checked when the configuration is built.
+        """
+        for name, value in values.items():
+            if name in _INT_FIELDS or (
+                name in _OPTIONAL_INT_FIELDS and value is not None
+            ):
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise ParameterError(f"{name} must be an integer, got {value!r}")
+            elif name in _BOOL_FIELDS:
+                if not isinstance(value, bool):
+                    raise ParameterError(f"{name} must be a boolean, got {value!r}")
+            elif name in _OPTIONAL_FLOAT_FIELDS:
+                if value is not None:
+                    check_seconds(name, value)
+            elif name == "shard_strategy":
+                if not isinstance(value, str):
+                    raise ParameterError(f"{name} must be a string, got {value!r}")
+            elif name in _OPTIONAL_STR_FIELDS:
+                if value is not None and not isinstance(value, (str, os.PathLike)):
+                    raise ParameterError(f"{name} must be a path, got {value!r}")
+            elif name == "sensitive_terms":
+                if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+                    raise ParameterError(
+                        f"sensitive_terms must be a collection of terms, got {value!r}"
+                    )
 
     @classmethod
     def validate_keys(cls, keys, *, what: str = "keys") -> None:
@@ -391,6 +426,19 @@ _OPTIONAL_INT_FIELDS = frozenset({"max_join_size", "auto_stream_threshold"})
 _BOOL_FIELDS = frozenset({"refine", "verify"})
 _OPTIONAL_FLOAT_FIELDS = frozenset({"default_deadline"})
 _OPTIONAL_STR_FIELDS = frozenset({"spill_dir", "store_dir", "pubstore_dir"})
+
+
+def check_seconds(name: str, value) -> None:
+    """Refuse anything but a finite, positive number of seconds."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ParameterError(
+            f"{name} must be a finite positive number of seconds, got {value!r}"
+        )
 
 
 def _parse_env_value(name: str, raw: str):

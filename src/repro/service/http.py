@@ -51,7 +51,8 @@ naming it.  With ``"mode": "delta"`` the body
 mutates the service's persistent shard store instead: ``"records"``
 (alias ``"append"``) holds the records to append, ``"delete"`` the
 records to remove, either side may be empty or absent (an empty delta
-answers with the stored publication), ``"delta_id"`` optionally carries
+answers with the current publication, assembled from the stored window
+snapshots), ``"delta_id"`` optionally carries
 a client idempotency token (re-POSTing the same delta with the same
 token after a crash or ambiguous timeout never double-applies it), and
 a request conflicting with the store's durable identity (wrong
@@ -373,7 +374,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # Delta bodies mutate the configured store: "records" (alias
             # "append") holds the appends and "delete" the removals; either
             # side may be absent, and an entirely empty delta is the no-op
-            # fast path answered from the stored publication.  "delta_id"
+            # fast path, assembled from the stored window snapshots.  "delta_id"
             # is the client's idempotency token -- re-POSTing the same
             # delta with the same token never double-applies it.
             records = payload.get("records", payload.get("append"))
@@ -406,9 +407,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # 429 immediately instead of parking connection threads, and
             # the queue-wait of every HTTP request lands in the metrics.
             job = self.service.submit(records, block=False, **request_fields)
-        except (TypeError, ValueError) as exc:
-            # e.g. a non-numeric "deadline" in the body: caller error.
-            raise _HttpError(400, str(exc)) from None
         except ReproError as exc:
             status, kind, headers = classify_error(exc)
             self._send_json(

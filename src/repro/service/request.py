@@ -23,7 +23,7 @@ from typing import Any, Mapping, Optional, Union
 from repro.core.clusters import DisassociatedDataset
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import ParameterError
-from repro.service.config import ServiceConfig
+from repro.service.config import ServiceConfig, check_seconds
 
 PathLike = Union[str, Path]
 
@@ -88,10 +88,8 @@ class AnonymizationRequest:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.deadline is not None and not self.deadline > 0:
-            raise ParameterError(
-                f"deadline must be positive seconds, got {self.deadline!r}"
-            )
+        if self.deadline is not None:
+            check_seconds("deadline", self.deadline)
         if self.delete is not None and self.mode != "delta":
             raise ParameterError(
                 'delete requires mode="delta": only incremental runs over a '
@@ -112,10 +110,17 @@ class AnonymizationRequest:
                 "source is required (only a delta request may omit it, "
                 "meaning an empty append)"
             )
+        if not isinstance(self.overrides, Mapping):
+            raise ParameterError(
+                f"overrides must be a mapping of ServiceConfig fields, "
+                f"got {self.overrides!r}"
+            )
         overrides = dict(self.overrides)
-        # Fail fast on misspelled knobs (the values themselves are
-        # validated when the merged ServiceConfig is built at execution).
+        # Fail fast on misspelled knobs and mistyped values (ranges and
+        # cross-field invariants are validated when the merged
+        # ServiceConfig is built at execution).
         ServiceConfig.validate_keys(overrides, what="override keys")
+        ServiceConfig.validate_values(overrides)
         object.__setattr__(self, "overrides", overrides)
 
     @property
@@ -196,10 +201,10 @@ class PublicationResult:
         saving both JSON and a store serializes the publication once.
         """
         from repro.pubstore import PublicationStore
+        from repro.pubstore.schema import cluster_digests
 
-        return PublicationStore.from_publication(
-            self.publication, path, payload=self.to_dict()
-        )
+        digests, _ = cluster_digests(self.to_dict())
+        return PublicationStore.from_publication(self.publication, path, digests=digests)
 
     def metrics(
         self,

@@ -63,7 +63,7 @@ from repro.exceptions import (
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import AnonymizationRequest, PublicationResult
-from repro.stream.executor import ShardedPipeline
+from repro.stream.executor import ShardedPipeline, WindowMemo
 from repro.stream.store import IncrementalPipeline
 
 #: Queue item telling a worker thread to exit.
@@ -196,6 +196,9 @@ class AnonymizationService:
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.max_pending)
         self._workers: list[threading.Thread] = []
         self._metrics = ServiceMetrics()
+        #: The audited public products of the windows of the latest delta
+        #: publication, lent to every delta's pipeline (thread-safe).
+        self._memo = WindowMemo()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------- #
@@ -716,12 +719,17 @@ class AnonymizationService:
         source.  The recomputed windows run on the service's warm engine,
         exactly like streamed requests, and the request-scoped ``delta_id`` makes transparent
         retries of a transiently failed delta apply the mutation at most
-        once.  Returns the pipeline's ``to_dict`` payload with the
-        publication, so the response reuses it instead of serializing the
-        publication again.
+        once.  The service's window memo is lent to the pipeline the same
+        way, so windows whose snapshots an earlier delta already published
+        are not decoded, audited or serialized again.  Returns the
+        pipeline's ``to_dict`` payload with the publication, so the
+        response reuses it instead of serializing the publication again.
         """
         pipeline = IncrementalPipeline(
-            config.engine_params(), config.stream_params(), window_engine=engine
+            config.engine_params(),
+            config.stream_params(),
+            window_engine=engine,
+            memo=self._memo,
         )
         published = pipeline.run(
             append=self._delta_records(request.source, request),

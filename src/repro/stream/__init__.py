@@ -48,6 +48,7 @@ from repro.stream.executor import (
     ShardedPipeline,
     ShardedReport,
     StreamParams,
+    WindowMemo,
     relabel_cluster,
 )
 from repro.stream.planner import (
@@ -82,6 +83,7 @@ __all__ = [
     "ShardedPipeline",
     "ShardedReport",
     "StreamParams",
+    "WindowMemo",
     "build_planner",
     "demote_terms",
     "record_fingerprint",

@@ -30,6 +30,12 @@ post hoc:
   downstream consumers (metrics, reconstruction) need no sharding
   awareness.
 
+Because the audit has no cross-cluster condition, the run tail
+(:func:`repro.stream.executor.publish_merged`) first audits each window
+on its own and runs this global pass only when some window fails: a
+merge whose windows all pass is exactly what the pass would return
+unchanged.
+
 Clusters that fail the structural conditions (Lemma 2 / Property 1) rather
 than a chunk-support condition are repaired coarsely: every record-chunk
 term of the offending cluster is demoted.  These conditions cannot be

@@ -16,10 +16,11 @@ records (``max_records_in_memory``).  One streaming pass over the input:
    deterministic relabeling (``S<shard>W<window>.<label>``), so the merged
    publication is identical for any interleaving and shared-chunk
    contribution keys stay consistent for reconstruction;
-5. **verify** -- run the global boundary pass
-   (:mod:`repro.stream.boundary`): re-audit the merged dataset across shard
-   boundaries and demote boundary-violating terms until the independent
-   audit passes.
+5. **verify** -- audit every window's clusters with the independent
+   auditor (the guarantee is per cluster, so the windows' verdicts are
+   the merged dataset's); if one fails, run the global boundary pass
+   (:mod:`repro.stream.boundary`) over the merged dataset and demote
+   boundary-violating terms until the audit passes.
 
 Shards are processed *sequentially* by design: running shards concurrently
 would multiply resident records by the number of shards and void the memory
@@ -31,8 +32,9 @@ crashed run is simply re-run.  The recoverable path is the persistent
 shard store (:mod:`repro.stream.store`), whose
 :class:`~repro.stream.store.IncrementalPipeline` publishes the same bytes
 and finishes an interrupted build on re-run.  Both pipelines share this
-module's run tail (:func:`publish_merged`) and window-engine handling
-(:func:`window_engine_for`).  The streaming phases double as cooperative
+module's run tail (:func:`publish_merged`, which the incremental pipeline
+runs with a :class:`WindowMemo` of audited window products) and
+window-engine handling (:func:`window_engine_for`).  The streaming phases double as cooperative
 cancellation points: each visits a :mod:`repro.faults` injection point
 and checks the ambient request deadline (:mod:`repro.core.deadline`).
 
@@ -49,27 +51,36 @@ from the returned clusters so they hold only what would be serialized.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from repro import faults
 from repro.core.clusters import (
     Cluster,
     DisassociatedDataset,
     JointCluster,
+    RecordChunk,
     SharedChunk,
     SimpleCluster,
+    TermChunk,
+    paused_gc,
 )
 from repro.core import deadline
+from repro.core.codec import cluster_from_payload
 from repro.core.dataset import Record, TransactionDataset, ensure_record
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
+from repro.core.verification import audit
 from repro.core.vocab import Vocabulary
 from repro.datasets.io import append_jsonl, iter_batches, iter_jsonl, iter_records
 from repro.exceptions import ParameterError
+from repro.pubstore.schema import cluster_digests, top_digest
 from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
 from repro.stream.planner import STRATEGIES, build_planner
 
@@ -276,38 +287,215 @@ def window_engine_for(
         borrowed.vocabulary = saved_vocabulary
 
 
+@dataclass
+class Window:
+    """One engine window's relabeled private clusters, as the run tail sees them.
+
+    Attributes:
+        clusters: the private clusters when the run holds them in memory
+            (windows the engine just ran); ``None`` to decode them from
+            ``snapshot`` on demand.
+        snapshot: the window's stored payload text
+            (:func:`~repro.core.codec.cluster_to_payload` list), or
+            ``None`` for a cold run's in-memory windows.
+        digest: the content digest of ``snapshot``'s exact text; the key
+            under which a :class:`WindowMemo` keeps the window's product.
+            ``None``: never memoized.
+    """
+
+    clusters: Optional[list] = None
+    snapshot: Optional[str] = None
+    digest: Optional[str] = None
+
+    @classmethod
+    def stored(cls, snapshot: str, clusters: Optional[list] = None) -> "Window":
+        """A window read from (or just written to) a store, digest computed."""
+        digest = hashlib.blake2b(snapshot.encode("utf-8"), digest_size=16)
+        return cls(clusters, snapshot, digest.hexdigest())
+
+    def private_clusters(self) -> list:
+        """The in-memory private clusters, else a fresh decode of the snapshot."""
+        if self.clusters is not None:
+            return self.clusters
+        with paused_gc():
+            return [cluster_from_payload(item) for item in json.loads(self.snapshot)]
+
+
+@dataclass(frozen=True)
+class WindowProduct:
+    """What one window contributes to a publication.
+
+    Disassociation's guarantee is per top-level cluster (see
+    :mod:`repro.stream.boundary`), so a window's audit verdict, its
+    public clusters and their serialized forms depend on the window's
+    clusters and ``(k, m)`` alone.
+
+    Attributes:
+        ok: whether the window's clusters pass
+            :func:`~repro.core.verification.audit` on their own.
+        public: the clusters without their private original records.
+        fragments: the compact JSON text of ``public``'s ``to_dict``
+            forms (``None`` unless asked).  Text, not dicts: every run
+            parses its own payload from it, so no caller ever holds an
+            object the memo keeps.
+        digests: the publication store's top-level digests of those
+            forms (``None`` unless asked).
+    """
+
+    ok: bool
+    public: list
+    fragments: Optional[str] = None
+    digests: Optional[list] = None
+
+
+def _window_product(
+    clusters: list, k: int, m: int, *, serialize: bool
+) -> tuple[WindowProduct, Optional[list]]:
+    """Audit, strip and (with ``serialize``) serialize one window's clusters.
+
+    Returns the product and, with ``serialize``, the ``to_dict`` forms its
+    JSON text was encoded from -- fresh objects the memo never holds.
+    """
+    ok = audit(DisassociatedDataset(clusters, k=k, m=m)).ok
+    public = [_without_private_records(cluster) for cluster in clusters]
+    if not serialize:
+        return WindowProduct(ok, public), None
+    forms = [cluster.to_dict() for cluster in public]
+    digests = [top_digest(form) for form in forms]
+    text = json.dumps(forms, separators=(",", ":"))
+    return WindowProduct(ok, public, text, digests), forms
+
+
+class WindowMemo:
+    """Process-lived products of the windows of the latest publication.
+
+    Maps ``(window digest, k, m)`` to the :class:`WindowProduct` of a
+    window whose audit passed.  The key is the digest of the window's
+    snapshot bytes, computed when the window is built or read and never
+    trusted from storage, so a snapshot that changed on disk misses and
+    is audited again.  :func:`publish_merged` replaces the contents after
+    every run with the products of the publication it assembled, which
+    bounds the memo by one publication without a size knob.  Thread-safe:
+    a service lends one memo to the pipelines of all its workers.  Runs
+    over different stores replace each other's products; that costs
+    the next run its hits, never its correctness, because a product
+    depends only on the key.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._products: dict = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._products)
+
+    def get(self, key: tuple) -> Optional[WindowProduct]:
+        """The product memoized under ``key``, or ``None``."""
+        with self._lock:
+            return self._products.get(key)
+
+    def replace(self, products: dict) -> None:
+        """Keep exactly ``products`` (key -> :class:`WindowProduct`)."""
+        with self._lock:
+            self._products = products
+
+
+class MergedPublication(NamedTuple):
+    """The run tail's result (see :func:`publish_merged`)."""
+
+    #: The published dataset.
+    published: DisassociatedDataset
+    #: ``published.to_dict()`` (memoized runs only, else ``None``).
+    payload: Optional[dict]
+    #: The top-level digests of ``payload`` (memoized runs only).
+    digests: Optional[list]
+
+
 def publish_merged(
-    clusters: list, params: AnonymizationParams, report
-) -> DisassociatedDataset:
+    windows: list,
+    params: AnonymizationParams,
+    report,
+    memo: Optional[WindowMemo] = None,
+) -> MergedPublication:
     """The shared run tail: merge, global boundary repair, strip, report.
 
-    ``clusters`` are the relabeled per-window cluster lists in shard and
-    window order; relabeling already made labels unique, so the merge is
-    a concatenation.  The global audit then repairs shard-boundary
-    violations by demotion, and the private original records (needed by
-    the repair's demotion decisions) are dropped, so the returned
-    publication holds only what would be serialized.  Fills ``report``'s
-    ``merge_seconds``, ``verify_seconds``, ``repair`` and cluster
-    statistics.
+    ``windows`` are the relabeled per-window :class:`Window` s in shard
+    and window order; relabeling already made labels unique, so the
+    merge is a concatenation.  The guarantee is audited per window: each
+    window yields a :class:`WindowProduct` (its verdict and public
+    clusters), served from ``memo`` when it holds the window's digest.
+    When every window passes, the publication is the concatenation of
+    the products -- exactly what a global audit with nothing to repair
+    publishes.  Otherwise the global boundary repair runs over every
+    window's private clusters (decoded afresh from their snapshots; the
+    repair's demotions consult the private original records), and its
+    stripped result is published.  Fills ``report``'s ``merge_seconds``,
+    ``verify_seconds``, ``repair`` and cluster statistics.
+
+    With a ``memo`` the result also carries the ``to_dict`` payload and
+    the publication store's top-level digests, and the memo keeps the
+    passing products of this publication afterwards.  The returned
+    publication and payload are the caller's own copies: mutating them
+    never reaches the memo.  Without a memo (a cold run) nothing is
+    serialized or digested here.
     """
     faults.check("stream.merge")
     deadline.check("stream.merge")
-    start = time.perf_counter()
-    merged = DisassociatedDataset(clusters, k=params.k, m=params.m)
-    report.merge_seconds = time.perf_counter() - start
-
     faults.check("stream.verify")
     deadline.check("stream.verify")
     start = time.perf_counter()
-    merged, report.repair = verify_and_repair(merged)
-    merged = DisassociatedDataset(
-        [_without_private_records(cluster) for cluster in merged.clusters],
-        k=merged.k,
-        m=merged.m,
-    )
-    report.verify_seconds = time.perf_counter() - start
-    _fill_report(report, merged)
-    return merged
+    k, m = params.k, params.m
+    # (memo key, product, to_dict forms this run built or None) per window.
+    entries = []
+    # Products are retained and the audit's garbage is acyclic, so the
+    # collector would only rescan the growing live set here.
+    with paused_gc():
+        for window in windows:
+            key = None if memo is None else (window.digest, k, m)
+            product, forms = None if key is None else memo.get(key), None
+            if product is None:
+                product, forms = _window_product(
+                    window.private_clusters(), k, m, serialize=memo is not None
+                )
+            entries.append((key, product, forms))
+    payload = digests = None
+    if all(product.ok for _, product, _ in entries):
+        report.repair = BoundaryRepairSummary()
+        verified = time.perf_counter()
+        public = [cluster for _, product, _ in entries for cluster in product.public]
+        if memo is not None:
+            # The caller gets its own objects: fresh cluster copies, and
+            # each window's forms as this run built them or parsed afresh
+            # from the memoized text.
+            with paused_gc():
+                public = [_public_copy(cluster) for cluster in public]
+                clusters: list = []
+                for _, product, forms in entries:
+                    clusters.extend(
+                        forms if forms is not None else json.loads(product.fragments)
+                    )
+            payload = {"k": k, "m": m, "clusters": clusters}
+            digests = [d for _, product, _ in entries for d in product.digests]
+        published = DisassociatedDataset(public, k=k, m=m)
+    else:
+        merged = DisassociatedDataset(
+            [c for window in windows for c in window.private_clusters()], k=k, m=m
+        )
+        merged, report.repair = verify_and_repair(merged)
+        published = DisassociatedDataset(
+            [_public_copy(cluster) for cluster in merged.clusters], k=k, m=m
+        )
+        verified = time.perf_counter()
+        if memo is not None:
+            payload = published.to_dict()
+            digests, _ = cluster_digests(payload)
+    if memo is not None:
+        memo.replace({key: product for key, product, _ in entries if product.ok})
+    report.verify_seconds = verified - start
+    report.merge_seconds = time.perf_counter() - verified
+    _fill_report(report, published)
+    return MergedPublication(published, payload, digests)
 
 
 class ShardedPipeline:
@@ -385,8 +573,8 @@ class ShardedPipeline:
         self, records: Iterator[Iterable], spill_dir: Path, report: ShardedReport
     ) -> DisassociatedDataset:
         self._plan_and_spill(records, spill_dir, report)
-        clusters = self._anonymize_shards(spill_dir, report)
-        return publish_merged(clusters, self.params, report)
+        windows = self._anonymize_shards(spill_dir, report)
+        return publish_merged(windows, self.params, report).published
 
     def _plan_and_spill(
         self, records: Iterator[Iterable], spill_dir: Path, report: ShardedReport
@@ -433,11 +621,11 @@ class ShardedPipeline:
 
     def _anonymize_shards(
         self, spill_dir: Path, report: ShardedReport
-    ) -> list[Cluster]:
+    ) -> list[Window]:
         """Phase 3: per-shard windowed engine runs over the spill files."""
         bound = self.stream.max_records_in_memory
         start = time.perf_counter()
-        clusters: list[Cluster] = []
+        windows: list[Window] = []
         report.shard_windows = [0] * self.stream.shards
         with window_engine_for(self.params, self.window_engine) as engine:
             for shard in range(self.stream.shards):
@@ -457,16 +645,24 @@ class ShardedPipeline:
                     report.shard_windows[shard] += 1
                     published = engine.anonymize(TransactionDataset(batch))
                     prefix = f"S{shard}W{window}."
-                    clusters.extend(
-                        relabel_cluster(cluster, prefix)
-                        for cluster in published.clusters
+                    windows.append(
+                        Window(
+                            [
+                                relabel_cluster(cluster, prefix)
+                                for cluster in published.clusters
+                            ]
+                        )
                     )
         report.anonymize_seconds = time.perf_counter() - start
-        return clusters
+        return windows
 
 
 def _without_private_records(cluster: Cluster) -> Cluster:
-    """A copy of the cluster tree without the private original records."""
+    """The cluster tree without the private original records.
+
+    Shares the chunks with ``cluster``; see :func:`_public_copy` for a
+    copy that shares nothing mutable.
+    """
     if isinstance(cluster, JointCluster):
         return JointCluster(
             [_without_private_records(child) for child in cluster.children],
@@ -480,6 +676,36 @@ def _without_private_records(cluster: Cluster) -> Cluster:
         record_chunks=cluster.record_chunks,
         term_chunk=cluster.term_chunk,
         label=cluster.label,
+    )
+
+
+def _public_copy(cluster: Cluster) -> Cluster:
+    """A copy of the cluster tree without the private original records.
+
+    Every cluster, chunk, list and dict of the copy is its own; only the
+    immutable term sets are shared, so mutating the copy never reaches
+    the original.
+    """
+    if isinstance(cluster, JointCluster):
+        return JointCluster(
+            [_public_copy(child) for child in cluster.children],
+            [
+                SharedChunk._from_normalized(
+                    chunk.domain, list(chunk.subrecords), dict(chunk.contributions)
+                )
+                for chunk in cluster.shared_chunks
+            ],
+            label=cluster.label,
+        )
+    return SimpleCluster._from_normalized(
+        cluster.size,
+        [
+            RecordChunk._from_normalized(chunk.domain, list(chunk.subrecords))
+            for chunk in cluster.record_chunks
+        ],
+        TermChunk(cluster.term_chunk.terms),
+        cluster.label,
+        None,
     )
 
 

@@ -9,12 +9,14 @@ how an interrupted run recovers:
 * :class:`ShardStore` -- a single-file SQLite database (stdlib
   :mod:`sqlite3`, no extra dependencies) under ``store_dir`` holding the
   run's identity (parameter fingerprint + shard plan), every routed record
-  in arrival order, one relabeled cluster snapshot per *engine window*,
-  and the merged publication;
+  in arrival order, and one relabeled cluster snapshot per *engine
+  window*; the publication is the concatenation of the window snapshots,
+  so it is never stored a second time;
 * :class:`IncrementalPipeline` -- accepts record appends/deletes, routes
   them with the stored plan, re-anonymizes **only the windows whose
-  content changed**, re-runs the global boundary repair, and publishes a
-  dataset **bit-for-bit identical** to a cold
+  content changed**, audits every window whose snapshot bytes the process
+  has not audited yet (falling back to the global boundary repair when
+  one fails), and publishes a dataset **bit-for-bit identical** to a cold
   :class:`~repro.stream.executor.ShardedPipeline` run over the mutated
   dataset.
 
@@ -49,11 +51,12 @@ existing equivalence suites):
 
 Durability: every mutation is one atomic SQLite transaction (records,
 plan, generation and the delta's idempotency token commit together), each
-recomputed window commits independently, and the publication commits
-last with the generation it was computed from.  A crash at any instant
-leaves a consistent store; the next :meth:`IncrementalPipeline.run` --
-with the same ``delta_id`` or with no delta at all -- reconciles the
-stale windows by fingerprint and completes the publication.  Faults and
+recomputed window commits independently, and the ``published_generation``
+meta slot commits last, once the window snapshots are reconciled and
+published at that generation.  A crash at any instant leaves a
+consistent store; the next :meth:`IncrementalPipeline.run` -- with the
+same ``delta_id`` or with no delta at all -- reconciles the stale windows
+by fingerprint and completes the publication.  Faults and
 deadlines are honored at every phase boundary (``store.open``,
 ``store.validate``, ``store.mutate``, ``store.compact``, plus the
 streaming ``stream.window`` / ``stream.merge`` / ``stream.verify``
@@ -87,16 +90,18 @@ from typing import Iterable, Optional, Union
 
 from repro import faults
 from repro.core import deadline
-from repro.core.clusters import Cluster, DisassociatedDataset, paused_gc
-from repro.core.codec import cluster_from_payload, cluster_to_payload
+from repro.core.clusters import DisassociatedDataset, paused_gc
+from repro.core.codec import cluster_to_payload
 from repro.core.dataset import TransactionDataset, ensure_record, normalize_record
-from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.vocab import Vocabulary
 from repro.exceptions import ParameterError, StoreError
 from repro.storage import LOCK_TIMEOUT, SQLiteStore
 from repro.stream.boundary import BoundaryRepairSummary
 from repro.stream.executor import (
     StreamParams,
+    Window,
+    WindowMemo,
     publish_merged,
     relabel_cluster,
     window_engine_for,
@@ -130,11 +135,6 @@ CREATE TABLE IF NOT EXISTS windows (
     num_records INTEGER NOT NULL,
     clusters    TEXT NOT NULL,
     PRIMARY KEY (shard, win)
-);
-CREATE TABLE IF NOT EXISTS publication (
-    id         INTEGER PRIMARY KEY CHECK (id = 0),
-    generation INTEGER NOT NULL,
-    payload    TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS applied_deltas (
     delta_id   TEXT PRIMARY KEY,
@@ -256,15 +256,17 @@ class ShardStore(SQLiteStore):
 
     ======================  ================================================
     ``meta``                schema version, parameter fingerprint, shard
-                            plan, mutation generation, last applied
+                            plan, mutation generation, the generation the
+                            windows were last published at, last applied
                             ``delta_id``
     ``records``             every routed record: global arrival order
                             (``seq``), owning shard, canonical text
     ``windows``             one relabeled cluster snapshot per engine
                             window, keyed by ``(shard, window)`` with the
-                            window's content fingerprint
-    ``publication``         the merged + repaired publication and the
-                            generation it was computed from
+                            window's content fingerprint; in shard and
+                            window order they are the publication
+    ``applied_deltas``      the idempotency token and content digest of
+                            every committed delta
     ======================  ================================================
 
     All methods raise :class:`~repro.exceptions.StoreError` on an
@@ -553,20 +555,26 @@ class ShardStore(SQLiteStore):
         return cursor.rowcount
 
     # -- publication --------------------------------------------------------- #
-    def get_publication(self) -> Optional[tuple]:
-        """The stored ``(generation, payload_json)`` publication, or ``None``."""
-        return self._db.execute(
-            "SELECT generation, payload FROM publication WHERE id = 0"
-        ).fetchone()
+    @property
+    def published_generation(self) -> Optional[int]:
+        """The generation the window snapshots were last published at.
 
-    def put_publication(self, generation: int, payload: str) -> None:
-        """Durably replace the merged publication (its own commit)."""
+        ``None`` until a run publishes.  Equal to :attr:`generation` when
+        every window snapshot is current, so the publication can be
+        assembled from the snapshots without re-reading any record.
+        """
+        value = self._meta("published_generation")
+        return None if value is None else int(value)
+
+    def mark_published(self, generation: int) -> None:
+        """Record that the window snapshots publish ``generation`` (one commit).
+
+        Also drops the whole-publication table that stores written by
+        earlier releases kept; the windows are the publication now.
+        """
         with self._write() as db:
-            db.execute(
-                "INSERT OR REPLACE INTO publication (id, generation, payload) "
-                "VALUES (0, ?, ?)",
-                (generation, payload),
-            )
+            self._set_meta("published_generation", str(generation))
+            db.execute("DROP TABLE IF EXISTS publication")
 
     # -- maintenance ---------------------------------------------------------- #
     def compact(self) -> None:
@@ -592,7 +600,8 @@ class IncrementalReport:
     statistics, filled by the same helper) and adds the delta-specific
     quantities: how many records the delta appended/deleted, how many
     windows were reused from the store versus re-anonymized, and whether
-    the run was a no-op served straight from the stored publication.
+    the run was a no-op: every window snapshot was already current, so
+    the publication was assembled from them without reading a record.
     """
 
     num_records: int = 0
@@ -706,6 +715,13 @@ class IncrementalPipeline:
             windows on; the service layer passes its long-lived engine.
             Borrowed engines get their parameters/vocabulary restored and
             are never closed.
+        memo: optionally a caller-owned
+            :class:`~repro.stream.executor.WindowMemo` holding the audited
+            public products of the windows of the latest publication; the
+            service layer lends one memo to every delta's pipeline, so
+            windows whose snapshot bytes did not change are not decoded,
+            audited or serialized again.  Without it the pipeline owns a
+            private memo, warm across its own runs.
 
     :meth:`run` handles both the initial build (an empty store appends the
     whole dataset) and every later delta uniformly, and always returns the
@@ -719,6 +735,7 @@ class IncrementalPipeline:
         stream: Optional[StreamParams] = None,
         *,
         window_engine: Optional[Disassociator] = None,
+        memo: Optional[WindowMemo] = None,
     ):
         self.params = params if params is not None else AnonymizationParams()
         self.stream = stream if stream is not None else StreamParams()
@@ -734,18 +751,11 @@ class IncrementalPipeline:
                 f"{self.params.max_cluster_size})"
             )
         self.window_engine = window_engine
+        self.memo = memo if memo is not None else WindowMemo()
         self.last_report: Optional[IncrementalReport] = None
         #: The last run's publication in ``to_dict`` form, built once per
         #: run and shared with callers that serialize it again.
         self.last_payload: Optional[dict] = None
-        # In-process cluster cache: (shard, win) -> (fingerprint, clusters).
-        # A long-lived pipeline skips re-deserializing the snapshots of
-        # windows whose fingerprint is unchanged since its last run; safe
-        # because the merge / boundary-repair / strip pipeline never
-        # mutates a cluster in place (repairs rebuild).  The store stays
-        # the source of truth -- a fresh pipeline starts cold and reads
-        # the same snapshots.
-        self._window_cache: dict = {}
 
     # -- public entry points ------------------------------------------- #
     def run(
@@ -761,8 +771,9 @@ class IncrementalPipeline:
         removes the earliest surviving occurrence of each given record
         (a record the store does not hold raises
         :class:`~repro.exceptions.StoreError` and nothing is mutated).
-        An empty delta on an up-to-date store is a no-op fast path served
-        straight from the stored publication.
+        An empty delta on an up-to-date store is a no-op fast path: the
+        publication is assembled from the stored window snapshots, with no
+        record scan and no engine run.
 
         ``delta_id`` is an optional idempotency token: a mutation is
         committed at most once per token, so the service layer (or an
@@ -861,34 +872,29 @@ class IncrementalPipeline:
         report.shard_records = store.shard_counts(self.stream.shards)
 
         generation = store.generation
-        stored = store.get_publication()
-        if stored is not None and stored[0] == generation:
-            # No-op fast path: the stored publication is current (covers
+        if store.published_generation == generation:
+            # No-op fast path: every window snapshot is current (covers
             # both an empty delta and the idempotent replay of a fully
-            # completed one).  No engine, no merge, no repair.
+            # completed one).  No record scan, no engine: the publication
+            # is assembled from the stored windows.
             report.noop = True
-            payload = json.loads(stored[1])
-            published = DisassociatedDataset.from_dict(payload)
-            self.last_payload = payload
             report.shard_windows = [0] * self.stream.shards
-            _fill_report(report, published)
-            # A crash between the publication commit and the pubstore
-            # refresh leaves the pubstore one generation behind; the
-            # no-op path heals it (and is itself a no-op when fresh).
-            self._refresh_pubstore(published, generation, fingerprint, report, payload)
-            return published
-
-        clusters = self._reconcile_windows(store, report)
-        merged = publish_merged(clusters, self.params, report)
-
-        start = time.perf_counter()
-        payload = merged.to_dict()
-        self.last_payload = payload
-        store.put_publication(generation, json.dumps(payload, separators=(",", ":")))
-        report.store_seconds += time.perf_counter() - start
-
-        self._refresh_pubstore(merged, generation, fingerprint, report, payload)
-        return merged
+            windows = self._stored_windows(store)
+        else:
+            windows = self._reconcile_windows(store, report)
+        merged = publish_merged(windows, self.params, report, self.memo)
+        self.last_payload = merged.payload
+        if not report.noop:
+            start = time.perf_counter()
+            store.mark_published(generation)
+            report.store_seconds += time.perf_counter() - start
+        # A crash between the publication and the pubstore refresh leaves
+        # the pubstore one generation behind; the next run (a no-op when
+        # nothing else changed) heals it.
+        self._refresh_pubstore(
+            merged.published, generation, fingerprint, report, merged.digests
+        )
+        return merged.published
 
     def _refresh_pubstore(
         self,
@@ -896,7 +902,7 @@ class IncrementalPipeline:
         generation: int,
         fingerprint: dict,
         report: IncrementalReport,
-        payload: dict,
+        digests: list,
     ) -> None:
         """Bring the queryable publication store in step with this run.
 
@@ -905,7 +911,7 @@ class IncrementalPipeline:
         run's parameter fingerprint; a snapshot of this schema version
         that already carries both is current and is left untouched (the
         common no-op delta), while any mismatch -- a fresh delta, a crash
-        between the publication commit and the previous refresh, a store
+        between the publication and the previous refresh, a store
         written by an older schema version, or a directory that belonged
         to a different run -- triggers one atomic refresh, which rewrites
         only the top-level clusters that changed.  The shard
@@ -926,7 +932,7 @@ class IncrementalPipeline:
                 written, kept = pub.build(
                     published,
                     generation=generation,
-                    payload=payload,
+                    digests=digests,
                     source=fingerprint,
                 )
                 report.pubstore_refreshed = True
@@ -952,28 +958,36 @@ class IncrementalPipeline:
             )
         return HorpartShardPlanner(self.stream.shards, plan.get("split_terms", []))
 
+    def _stored_windows(self, store: ShardStore) -> list[Window]:
+        """Every stored window snapshot, in shard and window order."""
+        windows: list[Window] = []
+        for shard in range(self.stream.shards):
+            win = 0
+            while (stored := store.get_window(shard, win)) is not None:
+                windows.append(Window.stored(stored[1]))
+                win += 1
+        return windows
+
     def _reconcile_windows(
         self, store: ShardStore, report: IncrementalReport
-    ) -> list[Cluster]:
-        """Rebuild the per-window cluster lists, reusing unchanged windows.
+    ) -> list[Window]:
+        """Bring every window snapshot up to date, reusing unchanged windows.
 
         Walks every shard's records in arrival order in bounded batches of
         ``max_records_in_memory`` (the exact batches a cold run's spill
         reader would produce), fingerprints each batch, and only runs the
         engine on windows whose fingerprint is absent or stale.  Each
         recomputed window commits its snapshot independently, so a crash
-        mid-reconcile repeats at most one window.
+        mid-reconcile repeats at most one window.  Reused windows are
+        returned as their snapshot text, decoded only if the run tail
+        needs their clusters.
         """
         bound = self.stream.max_records_in_memory
-        clusters: list[Cluster] = []
+        windows: list[Window] = []
         report.shard_windows = [0] * self.stream.shards
         start = time.perf_counter()
         store_seconds = 0.0
         with window_engine_for(self.params, self.window_engine) as engine:
-            # GC pauses are scoped to the snapshot (de)serialization
-            # bursts -- the allocation storms whose garbage is all
-            # retained anyway -- never across engine.anonymize, whose
-            # cyclic garbage must stay collectable on large builds.
             for shard in range(self.stream.shards):
                 # One interning table per shard (lazy: only shards that
                 # actually recompute a window pay for it); reuse across
@@ -990,20 +1004,7 @@ class IncrementalPipeline:
                     fingerprint = window_fingerprint(texts)
                     stored = store.get_window(shard, win)
                     if stored is not None and stored[0] == fingerprint:
-                        cached = self._window_cache.get((shard, win))
-                        if cached is not None and cached[0] == fingerprint:
-                            window_clusters = cached[1]
-                        else:
-                            with paused_gc():
-                                window_clusters = [
-                                    cluster_from_payload(payload)
-                                    for payload in json.loads(stored[1])
-                                ]
-                            self._window_cache[(shard, win)] = (
-                                fingerprint,
-                                window_clusters,
-                            )
-                        clusters.extend(window_clusters)
+                        windows.append(Window.stored(stored[1]))
                         report.windows_reused += 1
                     else:
                         faults.check("stream.window")
@@ -1023,6 +1024,10 @@ class IncrementalPipeline:
                             for cluster in published.clusters
                         ]
                         store_start = time.perf_counter()
+                        # GC pauses are scoped to the snapshot encoding
+                        # burst -- whose garbage is all retained anyway --
+                        # never across engine.anonymize, whose cyclic
+                        # garbage must stay collectable on large builds.
                         with paused_gc():
                             snapshot = json.dumps(
                                 [cluster_to_payload(c) for c in relabeled],
@@ -1032,26 +1037,16 @@ class IncrementalPipeline:
                             shard, win, fingerprint, len(texts), snapshot
                         )
                         store_seconds += time.perf_counter() - store_start
-                        self._window_cache[(shard, win)] = (
-                            fingerprint,
-                            relabeled,
-                        )
-                        clusters.extend(relabeled)
+                        windows.append(Window.stored(snapshot, relabeled))
                         report.windows_recomputed += 1
                     win += 1
                     if len(rows) < bound:
                         break
                 report.shard_windows[shard] = win
                 store.drop_windows_from(shard, win)
-                for key in [
-                    k
-                    for k in self._window_cache
-                    if k[0] == shard and k[1] >= win
-                ]:
-                    del self._window_cache[key]
         report.store_seconds += store_seconds
         report.anonymize_seconds = time.perf_counter() - start - store_seconds
-        return clusters
+        return windows
 
 
 class _PrefixRoutingPlanner:

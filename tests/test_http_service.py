@@ -34,10 +34,10 @@ from repro import (
     TransactionDataset,
     Vocabulary,
 )
-from repro.core.clusters import DisassociatedDataset
+from repro.core.clusters import DisassociatedDataset, SimpleCluster
 from repro.datasets.quest import generate_quest
 from repro.service import LatencyHistogram, ServiceHTTPServer
-from repro.stream import ShardedPipeline, StreamParams
+from repro.stream import ShardedPipeline, ShardStore, StreamParams
 
 
 def quest(records=120, domain=40, seed=0) -> TransactionDataset:
@@ -367,8 +367,11 @@ class TestHttpEndpoints:
 
 class TestHttpDelta:
     def test_delta_serializes_its_publication_once(self, tmp_path, monkeypatch):
-        """The response reuses the pipeline's payload, same bytes as a cold run."""
-        records = [sorted(record) for record in quest(150, seed=3)]
+        """The response is assembled from per-window products, same bytes as
+        a cold run: the load serializes every leaf cluster once, a delta
+        only the leaves of the windows it recomputed, and neither
+        serializes the whole publication again."""
+        records = [sorted(record) for record in quest(300, seed=3)]
         appended = [sorted(record) for record in quest(20, seed=4)]
         config = BASE_CONFIG.with_overrides(
             m=2,
@@ -378,21 +381,35 @@ class TestHttpDelta:
             store_dir=str(tmp_path / "shards"),
             pubstore_dir=str(tmp_path / "pub"),
         )
-        calls = []
-        to_dict = DisassociatedDataset.to_dict
+        calls = {"publication": 0, "leaf": 0}
+        publication_to_dict = DisassociatedDataset.to_dict
+        leaf_to_dict = SimpleCluster.to_dict
 
-        def counting_to_dict(self):
-            calls.append(self)
-            return to_dict(self)
+        def counting_publication(self):
+            calls["publication"] += 1
+            return publication_to_dict(self)
 
-        monkeypatch.setattr(DisassociatedDataset, "to_dict", counting_to_dict)
+        def counting_leaf(self):
+            calls["leaf"] += 1
+            return leaf_to_dict(self)
+
+        def leaves(cluster) -> int:
+            if cluster["type"] == "simple":
+                return 1
+            return sum(leaves(child) for child in cluster["children"])
+
+        monkeypatch.setattr(DisassociatedDataset, "to_dict", counting_publication)
+        monkeypatch.setattr(SimpleCluster, "to_dict", counting_leaf)
         server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
+        serialized = []
         try:
+            # The delete comes from the tail, so only the last windows of
+            # each shard change.
             for batch, delete, token in [
                 (records, [], "base"),
-                (appended, records[:5], "d1"),
+                (appended, records[-5:], "d1"),
             ]:
-                calls.clear()
+                calls.update(publication=0, leaf=0)
                 status, payload = http(
                     server.url,
                     "POST",
@@ -400,14 +417,19 @@ class TestHttpDelta:
                     {"mode": "delta", "records": batch, "delete": delete, "delta_id": token},
                 )
                 assert status == 200 and payload["mode"] == "delta"
-                assert len(calls) == 1
+                total = sum(leaves(c) for c in payload["publication"]["clusters"])
+                serialized.append((calls["publication"], calls["leaf"], total))
         finally:
             server.close()
         monkeypatch.undo()
+        (load_whole, load_leaves, load_total), (delta_whole, delta_leaves, total) = serialized
+        assert load_whole == delta_whole == 0
+        assert load_leaves == load_total
+        assert 0 < delta_leaves < total
         cold = ShardedPipeline(
             config.engine_params(),
             StreamParams(shards=2, max_records_in_memory=60),
-        ).run([frozenset(r) for r in records[5:] + appended])
+        ).run([frozenset(r) for r in records[:-5] + appended])
         assert payload["publication"] == cold.to_dict()
 
 
@@ -624,3 +646,50 @@ def test_retired_option_is_refused(request, surface, name, value):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+# --------------------------------------------------------------------------- #
+# mistyped override and deadline values are refused before anything runs
+# --------------------------------------------------------------------------- #
+BAD_VALUES = [
+    ("overrides", {"k": "5"}, "k"),
+    ("overrides", {"m": True}, "m"),
+    ("overrides", {"verify": 1}, "verify"),
+    ("deadline", True, "deadline"),
+    ("deadline", "nan", "deadline"),
+    ("deadline", float("inf"), "deadline"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    BAD_VALUES,
+    ids=[f"{key}-{value!r}" for key, value, _ in BAD_VALUES],
+)
+def test_mistyped_value_is_refused(tmp_path, key, value, named):
+    """A wrong-typed override (a bool is not an integer) or a deadline that
+    is not a finite positive number answers 400 naming the field, and the
+    store is left exactly as it was."""
+    config = BASE_CONFIG.with_overrides(store_dir=str(tmp_path / "s"))
+    server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
+    records = [["a", "b"]] * 6
+    try:
+        status, _ = http(
+            server.url, "POST", "/anonymize", {"mode": "delta", "records": records}
+        )
+        assert status == 200
+        with ShardStore(tmp_path / "s") as store:
+            before = (store.generation, store.num_records())
+        # json.dumps writes inf as "Infinity", which json.loads reads back.
+        status, body = http(
+            server.url,
+            "POST",
+            "/anonymize",
+            {"mode": "delta", "records": records, key: value},
+        )
+    finally:
+        server.close()
+    assert (status, body["kind"]) == (400, "bad_request")
+    assert body["error"].startswith(f"{named} must be ")
+    with ShardStore(tmp_path / "s") as store:
+        assert (store.generation, store.num_records()) == before

@@ -13,6 +13,10 @@ which makes it an ideal fuzz target:
   sequences (append-only, delete-only, mixed; 30 sequences per workload
   family, 2 delta steps each) over the three paper-shaped workloads and
   compares canonical publication JSON after the final step;
+* :class:`TestWarmMemo` keeps one pipeline (one window memo) across a
+  random delta sequence and checks every generation against the full
+  audit, a process-cold pipeline and a cold run, and that callers
+  mutating what a run returned never change what the next run publishes;
 * :class:`TestCrashResume` kills a delta run at every injection point it
   crosses (store open/validate/mutate, window, merge, verify) and checks
   that re-running the *same* delta -- same ``delta_id`` -- converges to
@@ -31,9 +35,10 @@ import pytest
 
 from repro import faults
 from repro.core.engine import AnonymizationParams
+from repro.core.verification import audit
 from repro.exceptions import FaultInjected
 from repro.service import AnonymizationService, ServiceConfig
-from repro.stream import IncrementalPipeline, ShardedPipeline, StreamParams
+from repro.stream import IncrementalPipeline, ShardedPipeline, StreamParams, WindowMemo
 from tests.conftest import make_workload
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
@@ -178,6 +183,92 @@ class TestDifferentialFuzz:
         assert _canonical(published) == _canonical(
             _cold(current, strategy="horpart")
         )
+
+
+#: Delta steps per warm-memo sequence; every one is checked.
+MEMO_STEPS = 4
+
+
+def _payload_text(pipeline) -> str:
+    return json.dumps(pipeline.last_payload, sort_keys=True)
+
+
+class TestWarmMemo:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_generation_equals_full_audit_and_cold_runs(
+        self, kind, seed, base_records, tmp_path
+    ):
+        """The memo is the full audit, not a weaker check: one warm
+        pipeline's publication passes ``audit`` after every delta and
+        matches, byte for byte, a process-cold pipeline (empty memo) over
+        the same store and a cold ``ShardedPipeline`` over the records."""
+        records = base_records["quest"]
+        rng = random.Random(seed * 1000 + KINDS.index(kind) + 500)
+        pool = _term_pool(records)
+        stream = _stream(tmp_path / "store", max_records_in_memory=40)
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        pipeline.run(append=records)
+        current = list(records)
+        for _ in range(MEMO_STEPS):
+            appends, deletes = _random_delta(rng, current, pool, kind)
+            published = pipeline.run(append=appends, delete=deletes)
+            current = _apply_oracle(current, appends, deletes)
+            report = pipeline.last_report
+            assert audit(published).ok
+            text = _canonical(published)
+            assert _payload_text(pipeline) == text
+            assert len(pipeline.memo) <= sum(report.shard_windows)
+            cold_process = IncrementalPipeline(PARAMS, stream, memo=WindowMemo())
+            assert _canonical(cold_process.run()) == text
+            assert cold_process.last_report.noop
+            assert text == _canonical(_cold(current, max_records_in_memory=40))
+
+    def test_caller_mutations_never_reach_the_memo(self, base_records, tmp_path):
+        """Mutating the returned publication and payload, at any depth,
+        leaves the next runs' bytes unchanged."""
+        records = base_records["zipf"]
+        stream = _stream(tmp_path / "store", max_records_in_memory=40)
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        appended = [frozenset({"m-a", "m-b"})]
+        pipeline.run(append=records)
+        first = pipeline.run(append=appended)
+        expected = _canonical(first)
+        assert expected == _canonical(_cold(records + appended, max_records_in_memory=40))
+
+        def vandalize(published, payload):
+            leaf = published.simple_clusters()[0]
+            leaf.label = "vandal"
+            leaf.term_chunk.terms = frozenset({"vandal"})
+            if leaf.record_chunks:
+                leaf.record_chunks[0].subrecords.append(frozenset({"vandal"}))
+                leaf.record_chunks.clear()
+            for cluster in published.clusters:
+                for chunk in cluster.iter_shared_chunks():
+                    chunk.contributions["vandal"] = 1
+                    chunk.subrecords.clear()
+            published.clusters.reverse()
+            form = payload["clusters"][0]
+            form["label"] = "vandal"
+            if form["type"] == "simple" and form["record_chunks"]:
+                form["record_chunks"][0]["subrecords"][0].append("vandal")
+            form.clear()
+            payload["clusters"].pop()
+            payload["k"] = 99
+
+        vandalize(first, pipeline.last_payload)
+        again = pipeline.run()
+        assert pipeline.last_report.noop
+        assert _canonical(again) == expected
+        assert _payload_text(pipeline) == expected
+
+        vandalize(again, pipeline.last_payload)
+        appended.append(frozenset({"m-c", "m-d"}))
+        later = pipeline.run(append=appended[-1:])
+        assert pipeline.last_report.windows_reused > 0
+        text = _canonical(later)
+        assert text == _canonical(_cold(records + appended, max_records_in_memory=40))
+        assert _payload_text(pipeline) == text
 
 
 #: Every injection point a delta run crosses, with the 1-based hit that

@@ -13,12 +13,17 @@ config/request model, the HTTP front door and the CLI.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import faults
 from repro.cli import main
+from repro.core.clusters import RecordChunk
+from repro.core.codec import cluster_from_payload, cluster_to_payload
 from repro.core.engine import AnonymizationParams
+from repro.core.verification import audit
 from repro.datasets.io import write_jsonl
 from repro.exceptions import (
     CheckpointError,
@@ -677,3 +682,216 @@ class TestStoreConcurrency:
             with pytest.raises(StoreError):
                 ShardStore(tmp_path / "s")
         assert len(os.listdir(fd_dir)) == before
+
+
+def _tamper_window(store_dir, shard: int, win: int) -> str:
+    """Rewrite one stored window snapshot so a record chunk breaks k^m.
+
+    A term held by a single sub-record joins the first record chunk of
+    the window's first simple cluster that has one.  The window's
+    record-text fingerprint is kept, so the reconcile pass still reuses
+    the snapshot.  Returns the planted term.
+    """
+    term = "tampered-term"
+    with ShardStore(store_dir) as store:
+        fingerprint, text = store.get_window(shard, win)
+        clusters = [cluster_from_payload(item) for item in json.loads(text)]
+        leaf = next(
+            leaf
+            for cluster in clusters
+            for leaf in cluster.leaves()
+            if leaf.record_chunks
+        )
+        chunk = leaf.record_chunks[0]
+        leaf.record_chunks[0] = RecordChunk(
+            chunk.domain | {term},
+            [chunk.subrecords[0] | {term}] + chunk.subrecords[1:],
+        )
+        snapshot = json.dumps([cluster_to_payload(c) for c in clusters])
+        with store._write() as db:
+            db.execute(
+                "UPDATE windows SET clusters = ? WHERE shard = ? AND win = ?",
+                (snapshot, shard, win),
+            )
+        assert store.get_window(shard, win)[0] == fingerprint
+    return term
+
+
+class TestWindowMemo:
+    def test_tampered_snapshot_is_audited_again_and_repaired(self, tmp_path):
+        """A warm memo never vouches for bytes it has not seen: a window
+        snapshot rewritten on disk (same record-text fingerprint) is
+        audited again by the next delta and repaired by demotion."""
+        stream = _stream(tmp_path / "s", max_records_in_memory=40)
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        pipeline.run(append=RECORDS)
+        pipeline.run(append=[frozenset({"warm-a", "warm-b"})])
+        assert len(pipeline.memo) == sum(pipeline.last_report.shard_windows)
+        term = _tamper_window(tmp_path / "s", shard=0, win=0)
+
+        published = pipeline.run(append=[frozenset({"next-a", "next-b"})])
+        report = pipeline.last_report
+        assert report.windows_reused > 0
+        assert report.repair.total_demoted() > 0
+        assert any(term in terms for terms in report.repair.demoted_terms.values())
+        assert audit(published).ok
+        assert term not in published.record_chunk_terms()
+        assert json.dumps(pipeline.last_payload, sort_keys=True) == _canonical(published)
+
+        # The no-op path assembles from the same snapshots: it repairs the
+        # tampered window again rather than trusting any earlier verdict.
+        again = pipeline.run()
+        assert pipeline.last_report.noop
+        assert pipeline.last_report.repair.total_demoted() > 0
+        assert _canonical(again) == _canonical(published)
+
+    def test_service_lends_one_memo_to_every_delta(self, tmp_path):
+        """Back-to-back service deltas (a fresh pipeline each) share the
+        service's memo: only the windows a delta recomputed are new."""
+        config = ServiceConfig(
+            k=3,
+            m=2,
+            max_cluster_size=12,
+            shards=3,
+            max_records_in_memory=40,
+            store_dir=str(tmp_path / "s"),
+        )
+        with AnonymizationService(config) as service:
+            service.run(RECORDS, mode="delta")
+            products = dict(service._memo._products)
+            result = service.run([frozenset({"svc-a", "svc-b"})], mode="delta")
+            current = service._memo._products
+        assert result.report.windows_reused > 0
+        assert len(current) == sum(result.report.shard_windows)
+        kept = [key for key in current if key in products]
+        assert len(kept) == result.report.windows_reused
+        assert all(current[key] is products[key] for key in kept)
+        assert _canonical(result.publication) == _canonical(
+            _cold(RECORDS + [frozenset({"svc-a", "svc-b"})], max_records_in_memory=40)
+        )
+
+
+    def test_concurrent_deltas_on_two_stores_share_one_memo(self, tmp_path):
+        """Three service workers interleave delta chains over two stores
+        through the one memo (switch interval shortened to force thread
+        switches inside it): every publication still matches its cold
+        oracle, and the memo holds at most one publication's windows."""
+        config = ServiceConfig(
+            k=3,
+            m=2,
+            max_cluster_size=12,
+            shards=3,
+            max_records_in_memory=40,
+            store_dir=str(tmp_path / "unused"),
+            workers=3,
+        )
+        failures: list = []
+
+        def chain(service, name):
+            records = [frozenset(record | {name}) for record in RECORDS]
+            overrides = {"store_dir": str(tmp_path / name)}
+            try:
+                current = []
+                for step in range(4):
+                    batch = records[step * 35 : (step + 1) * 35]
+                    job = service.submit(batch, mode="delta", overrides=overrides)
+                    result = job.result(timeout=120)
+                    current += batch
+                    expected = _cold(current, max_records_in_memory=40)
+                    if _canonical(result.publication) != _canonical(expected):
+                        failures.append((name, step))
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append((name, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AnonymizationService(config) as service:
+                threads = [
+                    threading.Thread(target=chain, args=(service, name))
+                    for name in ("left", "right")
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+                assert not any(thread.is_alive() for thread in threads)
+                windows = []
+                for name in ("left", "right"):
+                    with ShardStore(tmp_path / name) as store:
+                        counts = store.shard_counts(3)
+                    windows.append(sum(-(-count // 40) for count in counts))
+                assert len(service._memo) <= max(windows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
+def _downgrade_to_publication_blob(store_dir) -> None:
+    """Rewrite a shard store in the layout earlier releases wrote.
+
+    Those kept the merged publication as one JSON blob in a
+    ``publication`` table and marked it current by its generation; they
+    had no ``published_generation`` slot.
+    """
+    with ShardStore(store_dir) as store:
+        generation = store.generation
+        published = IncrementalPipeline(
+            PARAMS, _stream(store_dir, max_records_in_memory=40)
+        )._stored_windows(store)
+        payload = {
+            "k": PARAMS.k,
+            "m": PARAMS.m,
+            "clusters": [
+                cluster.to_dict()
+                for window in published
+                for cluster in window.private_clusters()
+            ],
+        }
+        with store._write() as db:
+            db.execute("DELETE FROM meta WHERE key = 'published_generation'")
+            db.execute(
+                "CREATE TABLE publication (id INTEGER PRIMARY KEY CHECK (id = 0), "
+                "generation INTEGER NOT NULL, payload TEXT NOT NULL)"
+            )
+            db.execute(
+                "INSERT INTO publication VALUES (0, ?, ?)",
+                (generation, json.dumps(payload)),
+            )
+
+
+class TestEarlierReleaseStore:
+    def test_blob_store_takes_a_delta_then_a_noop(self, tmp_path):
+        """A store with the retired publication blob keeps working: the
+        delta reuses its windows and refreshes its pubstore by diff, the
+        blob table is dropped, and the next empty run is the no-op path."""
+        stream = _stream(
+            tmp_path / "s", max_records_in_memory=40, pubstore_dir=tmp_path / "p"
+        )
+        IncrementalPipeline(PARAMS, stream).run(append=RECORDS)
+        _downgrade_to_publication_blob(tmp_path / "s")
+
+        appended = [frozenset({"late-a", "late-b"})]
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        published = pipeline.run(append=appended)
+        report = pipeline.last_report
+        assert not report.noop
+        assert report.windows_reused > 0
+        assert report.pubstore_refreshed and report.pubstore_tops_kept > 0
+        expected = _canonical(_cold(RECORDS + appended, max_records_in_memory=40))
+        assert _canonical(published) == expected
+        with ShardStore(tmp_path / "s") as store:
+            assert store.published_generation == store.generation
+            assert (
+                store._db.execute(
+                    "SELECT name FROM sqlite_master WHERE name = 'publication'"
+                ).fetchone()
+                is None
+            )
+
+        fresh = IncrementalPipeline(PARAMS, stream)
+        again = fresh.run()
+        assert fresh.last_report.noop
+        assert _canonical(again) == expected
+        with PublicationStore(tmp_path / "p") as pub:
+            assert pub.load_publication().to_dict() == again.to_dict()
