@@ -7,7 +7,7 @@ the same deployment.  Two ways to serve them:
   handles all N requests, so the interpreter, the imported libraries, the
   engine and the interning vocabulary are paid once and shared;
 * **cold** -- each request is a fresh one-shot invocation (the pre-service
-  pattern: a CLI call or a script invoking ``anonymize()`` per request),
+  pattern: a CLI call or a script running a fresh engine per request),
   i.e. a new Python process that imports the library, reads the input and
   runs the pipeline from scratch.
 
@@ -50,15 +50,16 @@ NUM_REQUESTS = 5
 #: Anonymization parameters shared by both sides (paper defaults).
 SERVICE_CONFIG = ServiceConfig(k=5, m=2, max_cluster_size=30)
 
-#: The cold side: one fresh interpreter per request, running the legacy
-#: one-shot entry point end to end (import, read, anonymize, write).
+#: The cold side: one fresh interpreter per request, running a one-shot
+#: engine end to end (import, read, anonymize, write).
 _COLD_SCRIPT = """
-import sys, warnings
-warnings.simplefilter("ignore", DeprecationWarning)
-from repro import anonymize
+import sys
+from repro import AnonymizationParams, Disassociator
 from repro.datasets.io import read_records, write_disassociated_json
 dataset = read_records(sys.argv[1])
-published = anonymize(dataset, k=5, m=2, max_cluster_size=30)
+published = Disassociator(
+    AnonymizationParams(k=5, m=2, max_cluster_size=30)
+).anonymize(dataset)
 write_disassociated_json(published, sys.argv[2])
 """
 

@@ -151,6 +151,6 @@ def test_sharded_scale(benchmark):
     write_bench_json("sharded", payload)
     assert payload["deterministic"]
     for entry in payload["workloads"].values():
-        # The sharded path pays routing + spill I/O + global verify; it must
+        # The sharded path pays routing + store I/O + global verify; it must
         # stay within a small constant factor of the single pass.
         assert entry["sharded_vs_single"] < 5.0

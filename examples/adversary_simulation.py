@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import anonymize
+from repro import AnonymizationParams, Disassociator
 from repro.analysis.attack import published_candidates, simulate_attack, vulnerable_combinations
 from repro.datasets.real_proxies import load_proxy
 
@@ -23,7 +23,9 @@ def main() -> None:
     print(f"click-stream log: {clicks.stats().as_row()}")
 
     k, m = 5, 2
-    published = anonymize(clicks, k=k, m=m, max_cluster_size=30)
+    published = Disassociator(
+        AnonymizationParams(k=k, m=m, max_cluster_size=30)
+    ).anonymize(clicks)
     report = simulate_attack(clicks, published)
 
     print(f"\nattack model: adversary knows up to m={m} terms per user, k={k}")

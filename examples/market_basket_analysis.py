@@ -18,7 +18,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import anonymize, reconstruct
+from repro import AnonymizationParams, Disassociator, reconstruct
 from repro.analysis.queries import top_terms
 from repro.baselines.diffpart import publish_with_diffpart
 from repro.baselines.suppression import anonymize_with_suppression
@@ -39,7 +39,9 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # disassociation
     # ------------------------------------------------------------------ #
-    published = anonymize(sales, k=5, m=2, max_cluster_size=30)
+    published = Disassociator(
+        AnonymizationParams(k=5, m=2, max_cluster_size=30)
+    ).anonymize(sales)
     world = reconstruct(published, seed=1)
     disassociation_tkd = tkd_reconstructed(sales, published, top_k=100, max_size=2, seed=1)
     disassociation_re = relative_error_reconstructed(sales, published, rank_range=(0, 20), seed=1)

@@ -44,9 +44,9 @@ def main() -> None:
 
     # --- anonymize -------------------------------------------------------
     # The service facade is the production entry point: it keeps the worker
-    # pool, engines and vocabulary warm across requests.  (The
-    # one-shot ``anonymize(dataset, k=3, m=2)`` shim produces bit-for-bit
-    # the same publication.)
+    # pool, engines and vocabulary warm across requests.  (A one-off
+    # ``Disassociator(AnonymizationParams(k=3, m=2)).anonymize(dataset)``
+    # produces bit-for-bit the same publication.)
     with AnonymizationService(ServiceConfig(k=3, m=2, max_cluster_size=6)) as service:
         published = service.run(dataset).publication
     print(f"published: {published}")

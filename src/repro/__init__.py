@@ -30,9 +30,8 @@ Quickstart::
     sample_world = reconstruct(published, seed=0)
 
 The long-lived :class:`AnonymizationService` (:mod:`repro.service`) is
-the recommended entry point; the one-shot :func:`anonymize` helper
-remains as a deprecation-shimmed wrapper with bit-for-bit identical
-output.
+the recommended entry point; a one-off call can use
+``Disassociator(AnonymizationParams(...)).anonymize(dataset)`` directly.
 """
 
 from repro.core import (
@@ -53,12 +52,11 @@ from repro.core import (
     TermChunk,
     TransactionDataset,
     Vocabulary,
-    anonymize,
     audit,
     reconstruct,
     verify_km_anonymity,
 )
-from repro.stream import ShardedPipeline, ShardedReport, StreamParams
+from repro.stream import ShardedPipeline, StreamParams
 from repro.service import (
     AnonymizationRequest,
     AnonymizationService,
@@ -119,13 +117,11 @@ __all__ = [
     "ServiceSaturatedError",
     "SharedChunk",
     "ShardedPipeline",
-    "ShardedReport",
     "SimpleCluster",
     "StreamParams",
     "TermChunk",
     "TransactionDataset",
     "anonymization_service",
-    "anonymize",
     "audit",
     "reconstruct",
     "verify_km_anonymity",

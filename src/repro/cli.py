@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-records-in-memory",
         type=int,
         default=DEFAULT_MAX_RECORDS_IN_MEMORY,
-        help="bound on resident records in --stream mode: planner sample, "
-        "spill buffers and per-shard windows all stay under this "
+        help="bound on resident records in --stream mode: the planner "
+        "sample and every per-shard window stay under this "
         f"(default {DEFAULT_MAX_RECORDS_IN_MEMORY})",
     )
     anonymize.add_argument(
@@ -122,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument(
         "--spill-dir",
         default=None,
-        help="directory for --stream spill files (default: a temporary "
-        "directory); spills are throwaway -- to make a run recoverable, "
-        "use --store-dir with --delta-id",
+        help="where --stream creates its throwaway shard store (default: "
+        "the system temporary directory); it is removed after the run -- "
+        "to make a run recoverable, use --store-dir with --delta-id",
     )
     anonymize.add_argument(
         "--deadline",

@@ -39,7 +39,6 @@ from repro.core.engine import (
     RefinePhase,
     VerifyPhase,
     VerticalPhase,
-    anonymize,
 )
 from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
 from repro.core.reconstruct import Reconstructor, reconstruct
@@ -71,7 +70,6 @@ __all__ = [
     "VerifyPhase",
     "VerticalPhase",
     "Vocabulary",
-    "anonymize",
     "audit",
     "combination_supports",
     "find_all_km_violations",

@@ -3,8 +3,9 @@
 A :class:`Deadline` is a wall-clock budget anchored at creation time.  The
 service layer opens a :func:`scope` around each request's execution and the
 pipeline layers call :func:`check` at phase boundaries (between HORPART /
-VERPART / REFINE / VERIFY in the engine, and between plan / spill / window
-/ merge / repair steps in the streaming executor).  A request that blows
+VERPART / REFINE / VERIFY in the engine, between the window / merge /
+repair steps of a sharded run, and every ``max_records_in_memory``
+records of a streamed store insert).  A request that blows
 its budget therefore aborts at the *next* boundary with
 :class:`~repro.exceptions.DeadlineExceededError` rather than being killed
 mid-phase -- committed store state stays consistent and the engine pool

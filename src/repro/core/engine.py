@@ -42,7 +42,6 @@ Typical usage::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
@@ -542,8 +541,7 @@ def _force_sensitive_to_term_chunk(
 
 def _fill_report(report, published: DisassociatedDataset) -> None:
     # `report` is any object with the cluster-stat fields: used for
-    # AnonymizationReport and repro.stream's ShardedReport and
-    # IncrementalReport.
+    # AnonymizationReport and repro.stream's IncrementalReport.
     from repro.core.clusters import JointCluster
 
     leaves = published.simple_clusters()
@@ -561,49 +559,9 @@ def _fill_report(report, published: DisassociatedDataset) -> None:
 def __getattr__(name: str):
     # Lazy re-exports from repro.stream: the streaming subsystem builds on
     # this module, so a top-level import here would be circular.
-    if name in ("ShardedPipeline", "StreamParams", "ShardedReport"):
+    if name in ("ShardedPipeline", "StreamParams"):
         from repro import stream
 
         return getattr(stream, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def anonymize(
-    dataset: TransactionDataset,
-    k: int = 5,
-    m: int = 2,
-    max_cluster_size: int = DEFAULT_MAX_CLUSTER_SIZE,
-    refine: bool = True,
-    max_join_size: Optional[int] = None,
-    sensitive_terms=(),
-    verify: bool = True,
-) -> DisassociatedDataset:
-    """Functional one-call interface to the disassociation pipeline.
-
-    .. deprecated:: 1.1
-        Compatibility shim over :class:`repro.service.AnonymizationService`;
-        the output is bit-for-bit identical, but a one-shot call rebuilds
-        the warm state (engines, vocabulary) the service exists to
-        amortize.  Serving more than one request?  Hold a
-        service and call :meth:`~repro.service.AnonymizationService.run`.
-    """
-    warnings.warn(
-        "anonymize() is a one-shot compatibility shim; use "
-        "repro.service.AnonymizationService for repeated requests",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Imported lazily: the service layer builds on this module.
-    from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
-
-    config = ServiceConfig(
-        k=k,
-        m=m,
-        max_cluster_size=max_cluster_size,
-        refine=refine,
-        max_join_size=max_join_size,
-        sensitive_terms=frozenset(sensitive_terms),
-        verify=verify,
-    )
-    with AnonymizationService(config) as service:
-        return service.run(AnonymizationRequest(dataset, mode="batch")).publication

@@ -1,7 +1,7 @@
 """Dataset substrate: file I/O, synthetic generation and real-data proxies.
 
 * :mod:`repro.datasets.io` -- transaction-file, JSONL and JSON
-  readers/writers, plus the streaming ``iter_*`` variants used by
+  readers/writers, plus the streaming ``iter_*`` readers that feed
   :mod:`repro.stream`.
 * :mod:`repro.datasets.quest` -- IBM Quest-style synthetic generator.
 * :mod:`repro.datasets.scenarios` -- Zipf market-basket and session
@@ -11,8 +11,6 @@
 """
 
 from repro.datasets.io import (
-    append_jsonl,
-    iter_batches,
     iter_jsonl,
     iter_records,
     iter_transactions,
@@ -53,12 +51,10 @@ __all__ = [
     "QuestGenerator",
     "RealDatasetProfile",
     "ZipfBasketConfig",
-    "append_jsonl",
     "available_datasets",
     "generate_clickstream",
     "generate_quest",
     "generate_zipf_basket",
-    "iter_batches",
     "iter_jsonl",
     "iter_records",
     "iter_transactions",

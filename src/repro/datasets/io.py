@@ -5,16 +5,16 @@ Three on-disk formats are supported:
 * **transaction files** -- one record per line, terms separated by a
   delimiter (space by default), the format used by the classic market-basket
   datasets (POS/WV1/WV2 were distributed this way);
-* **JSONL** -- one JSON list of terms per line; the spill/interchange format
-  of the streaming subsystem (:mod:`repro.stream`), chosen because it can be
-  appended to and read back record-by-record without parsing the whole file;
+* **JSONL** -- one JSON list of non-empty string terms per line; an
+  interchange format the streaming subsystem (:mod:`repro.stream`) reads
+  record-by-record without parsing the whole file;
 * **JSON** -- for both plain datasets and disassociated publications
   (clusters, chunks and parameters), used by the CLI and the examples.
 
 Every ``read_*`` function has a streaming ``iter_*`` counterpart that yields
 one record (``frozenset`` of terms) at a time without materializing the
 dataset, so arbitrarily large files can be processed under a fixed memory
-bound; :func:`iter_batches` groups any record iterable into bounded batches.
+bound.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.core.clusters import DisassociatedDataset
-from repro.core.dataset import Record, TransactionDataset, ensure_record, normalize_record
+from repro.core.dataset import Record, TransactionDataset
 from repro.exceptions import DatasetFormatError
 
 PathLike = Union[str, Path]
@@ -85,9 +85,11 @@ def write_transactions(
 def iter_jsonl(path: PathLike) -> Iterator[Record]:
     """Stream a JSONL dataset one record at a time (constant memory).
 
-    Each non-blank line must be a JSON list of terms; anything else raises
-    :class:`~repro.exceptions.DatasetFormatError` with the offending line
-    number.
+    Each non-blank line must be a non-empty JSON list of non-empty
+    strings; anything else -- including numbers, ``null``, nested lists
+    and ``""`` terms, which would otherwise be coerced to strings that
+    collide with real terms -- raises
+    :class:`~repro.exceptions.DatasetFormatError` naming the file and line.
     """
     path = Path(path)
     try:
@@ -106,7 +108,13 @@ def iter_jsonl(path: PathLike) -> Iterator[Record]:
                     raise DatasetFormatError(
                         f"{path}:{line_number}: expected a non-empty JSON list of terms"
                     )
-                yield normalize_record(terms)
+                for term in terms:
+                    if not isinstance(term, str) or not term:
+                        raise DatasetFormatError(
+                            f"{path}:{line_number}: term {term!r} is not a "
+                            "non-empty string"
+                        )
+                yield frozenset(terms)
     except OSError as exc:
         raise DatasetFormatError(f"cannot read JSONL file {path}: {exc}") from exc
 
@@ -116,15 +124,6 @@ def read_jsonl(path: PathLike) -> TransactionDataset:
     return TransactionDataset(iter_jsonl(path))
 
 
-def _dump_jsonl(records: Iterable[Iterable], path: PathLike, mode: str) -> int:
-    count = 0
-    with Path(path).open(mode, encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(sorted(str(t) for t in record)) + "\n")
-            count += 1
-    return count
-
-
 def write_jsonl(records: Iterable[Iterable], path: PathLike) -> int:
     """Write records as JSONL (terms sorted within each record); returns the count.
 
@@ -132,20 +131,16 @@ def write_jsonl(records: Iterable[Iterable], path: PathLike) -> int:
     :class:`TransactionDataset`), so arbitrarily large streams can be spooled
     to disk without being materialized.
     """
-    return _dump_jsonl(records, path, "w")
-
-
-def append_jsonl(records: Iterable[Iterable], path: PathLike) -> int:
-    """Append records to a JSONL file (creating it if missing); returns the count.
-
-    This is the primitive the streaming shard spiller relies on: shard files
-    are grown buffer-by-buffer while routing, never held in memory whole.
-    """
-    return _dump_jsonl(records, path, "a")
+    count = 0
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(sorted(str(t) for t in record)) + "\n")
+            count += 1
+    return count
 
 
 # --------------------------------------------------------------------------- #
-# format dispatch and batching
+# format dispatch
 # --------------------------------------------------------------------------- #
 def sniff_format(path: PathLike) -> str:
     """Guess the record format of ``path`` from its extension."""
@@ -181,25 +176,6 @@ def iter_records(
 def read_records(path: PathLike, format: str = "auto", delimiter: str = None) -> TransactionDataset:
     """Read a whole dataset file in any supported format."""
     return TransactionDataset(iter_records(path, format=format, delimiter=delimiter))
-
-
-def iter_batches(records: Iterable[Iterable], batch_size: int) -> Iterator[list[Record]]:
-    """Group any record iterable into lists of at most ``batch_size`` records.
-
-    The batch under construction is the only state held, so chaining this
-    onto :func:`iter_transactions` / :func:`iter_jsonl` bounds peak resident
-    records at ``batch_size`` regardless of file size.
-    """
-    if batch_size < 1:
-        raise DatasetFormatError(f"batch_size must be >= 1, got {batch_size}")
-    batch: list[Record] = []
-    for record in records:
-        batch.append(ensure_record(record))
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 # --------------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 Production code is threaded with named **injection points** -- cheap
 ``faults.check("stream.merge")`` calls at the places a real deployment can
-die: between engine phases, around the streaming spill / window / merge
-/ repair steps, in the persistent stores, and in the service layer's
+die: between engine phases, around the streaming window / merge /
+repair steps, in the shard and publication stores, and in the service layer's
 request execution.  With no plan armed a check is a single attribute read;
 tests and CI arm a :class:`FaultPlan` to make a *specific* arrival of a
 *specific* point raise :class:`~repro.exceptions.FaultInjected`, so
@@ -32,8 +32,6 @@ enumerate "crash at every point"):
 ``engine.vertical``       before VERPART
 ``engine.refine``         before REFINE
 ``engine.verify``         before the publication re-audit
-``stream.plan``           before the shard planner is built
-``stream.spill``          at every spill-buffer flush
 ``stream.window``         before each window's engine run
 ``stream.merge``          before the merge phase
 ``stream.verify``         before the global boundary repair
@@ -41,6 +39,7 @@ enumerate "crash at every point"):
 ``store.open``            before a persistent shard store is opened/created
 ``store.validate``        before the store's fingerprint/plan validation
 ``store.mutate``          before a delta's records mutation is committed
+                          (a cold run's streamed insert is one such mutation)
 ``store.compact``         before the store is compacted (``VACUUM``)
 ``pubstore.open``         before a publication store is opened/created
 ``pubstore.build``        at an index (re)build's start and again before its
@@ -83,8 +82,6 @@ INJECTION_POINTS = (
     "engine.vertical",
     "engine.refine",
     "engine.verify",
-    "stream.plan",
-    "stream.spill",
     "stream.window",
     "stream.merge",
     "stream.verify",
@@ -103,7 +100,9 @@ INJECTION_POINTS = (
 class FaultSpec:
     """One trigger: fire at a named injection point on a condition.
 
-    Exactly one of ``hit`` (fire on the Nth arrival, 1-based) and
+    ``point`` must be one of :data:`INJECTION_POINTS`: a misspelled point
+    would arm a trigger that never fires.  Exactly one of ``hit`` (fire
+    on the Nth arrival, 1-based) and
     ``probability`` (fire per arrival with this probability, from the
     plan's seeded generator) must be set.  ``transient`` is carried onto
     the raised :class:`~repro.exceptions.FaultInjected` and decides whether
@@ -116,6 +115,11 @@ class FaultSpec:
     transient: bool = True
 
     def __post_init__(self):
+        if self.point not in INJECTION_POINTS:
+            raise ParameterError(
+                f"unknown fault injection point {self.point!r}; known points: "
+                + ", ".join(INJECTION_POINTS)
+            )
         if (self.hit is None) == (self.probability is None):
             raise ParameterError(
                 "FaultSpec needs exactly one trigger: hit=N or probability=p "

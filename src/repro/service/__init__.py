@@ -25,8 +25,7 @@ The public surface of the service layer:
   together with its deadline (``AnonymizationRequest.deadline`` /
   ``ServiceConfig.default_deadline``).
 
-The legacy one-shot entry point :func:`repro.anonymize` and the CLI are
-thin shims over this layer.
+The CLI is a thin caller of this layer.
 """
 
 from repro.service.config import ENV_PREFIX, RetryPolicy, ServiceConfig

@@ -154,7 +154,8 @@ class ServiceConfig:
         shards: shard count for requests routed to the streaming pipeline.
         max_records_in_memory: streaming bound on resident records.
         shard_strategy: streaming record routing (``hash`` / ``horpart``).
-        spill_dir: directory for streaming spill files (``None``: temp dir).
+        spill_dir: where streamed runs create their throwaway shard store
+            (``None``: the system temporary directory).
         store_dir: directory of the persistent incremental shard store
             (:mod:`repro.stream.store`).  Required by ``"delta"`` requests;
             like ``spill_dir``, the location is the store's identity, not a

@@ -141,7 +141,8 @@ class PublicationResult:
         publication: the published :class:`DisassociatedDataset`.
         report: the run's report --
             :class:`~repro.core.engine.AnonymizationReport` for batch runs,
-            :class:`~repro.stream.ShardedReport` for streamed ones.
+            :class:`~repro.stream.IncrementalReport` for streamed and
+            delta ones.
         mode: the mode the request was actually routed to (``"batch"``,
             ``"stream"`` or ``"delta"`` -- never ``"auto"``).
         config: the (override-merged) :class:`ServiceConfig` of the run.

@@ -7,22 +7,24 @@ stream and anonymizing each shard in bounded-memory windows:
 
 * :mod:`repro.stream.planner`  -- record-to-shard routing (content hash or
   HORPART-guided split-term bitmask);
-* :mod:`repro.stream.executor` -- :class:`ShardedPipeline`: spill, window,
-  anonymize, merge;
+* :mod:`repro.stream.executor` -- :class:`ShardedPipeline`: route, window,
+  anonymize, merge, verify -- a cold run over a throwaway shard store;
 * :mod:`repro.stream.boundary` -- the global verification pass that
   re-audits the merged publication across shard boundaries and demotes
   boundary-violating terms (the shard-boundary verification rule is
   documented in that module's docstring);
-* :mod:`repro.stream.store` -- the persistent :class:`ShardStore` (one
-  SQLite file) and :class:`IncrementalPipeline`: long-lived delta runs
+* :mod:`repro.stream.store` -- the :class:`ShardStore` (one SQLite file,
+  the record substrate of every sharded run) and
+  :class:`IncrementalPipeline`: long-lived delta runs
   that append/delete records and re-anonymize only the windows whose
   content changed, publishing bit-for-bit what a cold run over the
   mutated dataset would.  It is the one recoverable path: a build or
   delta interrupted at any point finishes when re-run (same
   ``delta_id``, or no delta at all).
 
-:class:`ShardedPipeline` runs are cold and keep no durable state; their
-spill files are throwaway.
+:class:`ShardedPipeline` runs are cold and keep no durable state: their
+store is removed when the run ends.  Both pipelines report an
+:class:`IncrementalReport`.
 
 Typical usage::
 
@@ -46,7 +48,6 @@ from repro.stream.executor import (
     DEFAULT_MAX_RECORDS_IN_MEMORY,
     DEFAULT_SHARDS,
     ShardedPipeline,
-    ShardedReport,
     StreamParams,
     WindowMemo,
     relabel_cluster,
@@ -81,7 +82,6 @@ __all__ = [
     "ShardPlanner",
     "ShardStore",
     "ShardedPipeline",
-    "ShardedReport",
     "StreamParams",
     "WindowMemo",
     "build_planner",

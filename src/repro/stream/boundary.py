@@ -7,7 +7,7 @@ shards therefore cannot weaken the guarantee of any individual cluster --
 but the sharded path introduces boundaries the single-pass engine never
 has: records are cut into shards by the planner and into bounded-memory
 windows inside each shard, so a cluster is built from a *window's* view of
-the data, and a routing or windowing defect (duplicated spill buffer,
+the data, and a routing or windowing defect (a duplicated record batch,
 truncated window, a planner that is not a partition of the stream) would
 surface as a cluster whose chunks are not actually k^m-anonymous.
 

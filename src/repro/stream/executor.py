@@ -2,21 +2,21 @@
 
 :class:`ShardedPipeline` anonymizes datasets too large for one
 :class:`~repro.core.engine.Pipeline` pass, under a hard bound on resident
-records (``max_records_in_memory``).  One streaming pass over the input:
+records (``max_records_in_memory``).  A run is one build of a throwaway
+:class:`~repro.stream.store.ShardStore` in a temporary directory, removed
+afterwards whether or not the run failed:
 
-1. **plan**   -- buffer the first ``max_records_in_memory`` records as a
-   sample and build the shard planner from it (:mod:`repro.stream.planner`);
-2. **shard**  -- route every record (sample first, then the rest of the
-   stream) to its shard's JSONL spill file, through write buffers that are
-   flushed whenever the total buffered count reaches the memory bound;
-3. **anonymize** -- for each shard in order, read the spill file back in
-   windows of at most ``max_records_in_memory`` records and run the
-   existing engine on each window;
-4. **merge**  -- concatenate the per-window cluster lists with
+1. **route**  -- stream every record into the store's one mutation
+   transaction, routed to its shard (a ``horpart`` plan is built from the
+   first ``max_records_in_memory`` records, :mod:`repro.stream.planner`);
+2. **window** -- for each shard in order, read its records back in
+   arrival-order windows of at most ``max_records_in_memory`` records and
+   run the existing engine on each window;
+3. **merge**  -- concatenate the per-window cluster lists with
    deterministic relabeling (``S<shard>W<window>.<label>``), so the merged
    publication is identical for any interleaving and shared-chunk
    contribution keys stay consistent for reconstruction;
-5. **verify** -- audit every window's clusters with the independent
+4. **verify** -- audit every window's clusters with the independent
    auditor (the guarantee is per cluster, so the windows' verdicts are
    the merged dataset's); if one fails, run the global boundary pass
    (:mod:`repro.stream.boundary`) over the merged dataset and demote
@@ -24,29 +24,28 @@ records (``max_records_in_memory``).  One streaming pass over the input:
 
 Shards are processed *sequentially* by design: running shards concurrently
 would multiply resident records by the number of shards and void the memory
-bound.  Multi-host sharding (one shard per host) is the natural next step
-and only needs the spill files shipped.
+bound.
 
-Runs are deliberately not durable: spill files are throwaway, and a
-crashed run is simply re-run.  The recoverable path is the persistent
-shard store (:mod:`repro.stream.store`), whose
-:class:`~repro.stream.store.IncrementalPipeline` publishes the same bytes
-and finishes an interrupted build on re-run.  Both pipelines share this
-module's run tail (:func:`publish_merged`, which the incremental pipeline
-runs with a :class:`WindowMemo` of audited window products) and
-window-engine handling (:func:`window_engine_for`).  The streaming phases double as cooperative
-cancellation points: each visits a :mod:`repro.faults` injection point
-and checks the ambient request deadline (:mod:`repro.core.deadline`).
+The durable counterpart is the long-lived store's
+:class:`~repro.stream.store.IncrementalPipeline`: it runs the same steps
+over a store that outlives the run, re-anonymizes only the windows a delta
+changed, and finishes an interrupted build on re-run.  A cold run is
+simply re-run instead.  Both pipelines share this module's run tail
+(:func:`publish_merged`, which delta runs give a :class:`WindowMemo` of
+audited window products) and window-engine handling
+(:func:`window_engine_for`).  Every step visits a :mod:`repro.faults`
+injection point and checks the ambient request deadline
+(:mod:`repro.core.deadline`), so a run cancels cooperatively.
 
 **Scope of the memory bound.**  ``max_records_in_memory`` bounds the
-*original-record working set*: the planner sample, the spill buffers and
-the window each engine run operates on.  That is where disassociation's
-superlinear costs live (HORPART/VERPART/REFINE over a window), so it is
-the bound that makes window size -- not dataset size -- the complexity
-driver.  The *output* (published clusters accumulated by merge and walked
-by the global verify) necessarily grows with the dataset, as it does for
-any API that returns the publication; private per-record data is stripped
-from the returned clusters so they hold only what would be serialized.
+*original-record working set*: the planner sample and the window each
+engine run operates on.  That is where disassociation's superlinear costs
+live (HORPART/VERPART/REFINE over a window), so it is the bound that makes
+window size -- not dataset size -- the complexity driver.  The *output*
+(published clusters accumulated by merge and walked by the global verify)
+necessarily grows with the dataset, as it does for any API that returns
+the publication; private per-record data is stripped from the returned
+clusters so they hold only what would be serialized.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -74,15 +73,14 @@ from repro.core.clusters import (
 )
 from repro.core import deadline
 from repro.core.codec import cluster_from_payload
-from repro.core.dataset import Record, TransactionDataset, ensure_record
+from repro.core.dataset import TransactionDataset
 from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
 from repro.core.verification import audit
-from repro.core.vocab import Vocabulary
-from repro.datasets.io import append_jsonl, iter_batches, iter_jsonl, iter_records
+from repro.datasets.io import iter_records
 from repro.exceptions import ParameterError
 from repro.pubstore.schema import cluster_digests, top_digest
 from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
-from repro.stream.planner import STRATEGIES, build_planner
+from repro.stream.planner import STRATEGIES
 
 PathLike = Union[str, Path]
 
@@ -101,15 +99,14 @@ class StreamParams:
     Attributes:
         shards: number of shards records are routed into.
         max_records_in_memory: hard bound on the original-record working
-            set (planner sample, spill buffers and per-window datasets all
-            respect it); the accumulated output clusters are proportional
-            to the dataset, like any returned publication (see the module
-            docstring).
+            set (planner sample and per-window datasets respect it); the
+            accumulated output clusters are proportional to the dataset,
+            like any returned publication (see the module docstring).
         strategy: shard routing strategy (``hash`` or ``horpart``).
-        spill_dir: directory for the shard spill files.  ``None`` (default)
-            uses a temporary directory removed after the run; an explicit
-            path is created if needed and the spill files are left in place
-            for inspection.  Spills are never read back by a later run:
+        spill_dir: where :class:`ShardedPipeline` creates its throwaway
+            store: a new temporary directory under this path (created if
+            needed), removed after the run.  ``None`` (default): under the
+            system's temporary directory.  Nothing in it outlives the run:
             crash recovery goes through ``store_dir``.
         store_dir: directory of the persistent incremental shard store
             (:mod:`repro.stream.store`).  Ignored by :class:`ShardedPipeline`
@@ -147,116 +144,6 @@ class StreamParams:
             raise ParameterError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-
-
-@dataclass
-class ShardedReport:
-    """Timings and structural statistics of one sharded streaming run.
-
-    Mirrors :class:`~repro.core.engine.AnonymizationReport` (same cluster
-    statistics, filled by the same helper) and adds the streaming-specific
-    quantities: per-shard record counts, window counts, the observed peak
-    of the original-record working set (always <=
-    ``max_records_in_memory``; output clusters are accounted separately --
-    see the module docstring) and what the global boundary pass had to
-    repair.
-    """
-
-    num_records: int = 0
-    num_shards: int = 0
-    shard_records: list = field(default_factory=list)
-    shard_windows: list = field(default_factory=list)
-    peak_resident_records: int = 0
-    max_records_in_memory: int = 0
-    strategy: str = "hash"
-    planner: dict = field(default_factory=dict)
-    num_clusters: int = 0
-    num_joint_clusters: int = 0
-    num_record_chunks: int = 0
-    num_shared_chunks: int = 0
-    term_chunk_terms: int = 0
-    repair: BoundaryRepairSummary = field(default_factory=BoundaryRepairSummary)
-    plan_seconds: float = 0.0
-    shard_seconds: float = 0.0
-    anonymize_seconds: float = 0.0
-    merge_seconds: float = 0.0
-    verify_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        """Total wall time across the streaming phases."""
-        return (
-            self.plan_seconds
-            + self.shard_seconds
-            + self.anonymize_seconds
-            + self.merge_seconds
-            + self.verify_seconds
-        )
-
-    def phase_timings(self) -> dict:
-        """Phase timings as a plain dict (machine-readable perf output)."""
-        return {
-            "plan_seconds": self.plan_seconds,
-            "shard_seconds": self.shard_seconds,
-            "anonymize_seconds": self.anonymize_seconds,
-            "merge_seconds": self.merge_seconds,
-            "verify_seconds": self.verify_seconds,
-            "total_seconds": self.total_seconds,
-        }
-
-    def summary(self) -> str:
-        """One-line human readable summary of the run."""
-        return (
-            f"sharded run: {self.num_records} records over {self.num_shards} shard(s) "
-            f"({self.strategy}), {sum(self.shard_windows)} window(s), "
-            f"peak resident {self.peak_resident_records}/{self.max_records_in_memory} "
-            f"records, {self.num_clusters} clusters, "
-            f"{self.repair.total_demoted()} boundary demotion(s) "
-            f"in {self.total_seconds:.2f}s"
-        )
-
-
-def spill_path(spill_dir: Path, shard: int) -> Path:
-    """Location of one shard's spilled records inside ``spill_dir``."""
-    return Path(spill_dir) / f"shard-{shard:04d}.jsonl"
-
-
-class _ShardSpiller:
-    """Buffered writer of per-shard JSONL spill files.
-
-    Records accumulate in per-shard buffers; whenever the total buffered
-    count reaches ``buffer_bound`` every buffer is flushed (appended to its
-    shard file), so resident records never exceed the bound regardless of
-    routing skew.
-    """
-
-    def __init__(self, directory: Path, shards: int, buffer_bound: int):
-        self.paths = [spill_path(directory, index) for index in range(shards)]
-        # Start from empty files: append_jsonl would otherwise extend stale
-        # spills of a previous run in a user-provided spill_dir.
-        for path in self.paths:
-            path.write_text("", encoding="utf-8")
-        self.buffers: list[list[Record]] = [[] for _ in range(shards)]
-        self.buffer_bound = buffer_bound
-        self.buffered = 0
-        self.counts = [0] * shards
-        self.peak_buffered = 0
-
-    def add(self, shard: int, record: Record) -> None:
-        self.buffers[shard].append(record)
-        self.buffered += 1
-        self.peak_buffered = max(self.peak_buffered, self.buffered)
-        if self.buffered >= self.buffer_bound:
-            self.flush()
-
-    def flush(self) -> None:
-        faults.check("stream.spill")
-        deadline.check("stream.spill")
-        for shard, buffer in enumerate(self.buffers):
-            if buffer:
-                self.counts[shard] += append_jsonl(buffer, self.paths[shard])
-                buffer.clear()
-        self.buffered = 0
 
 
 @contextmanager
@@ -535,7 +422,7 @@ class ShardedPipeline:
                 f"{self.params.max_cluster_size})"
             )
         self.window_engine = window_engine
-        self.last_report: Optional[ShardedReport] = None
+        self.last_report = None
 
     # -- public entry points ------------------------------------------- #
     def anonymize_file(
@@ -553,109 +440,30 @@ class ShardedPipeline:
         """
         return self.run(iter(dataset))
 
-    def run(self, records: Iterator[Iterable]) -> DisassociatedDataset:
-        """Run the five streaming phases over an iterator of records."""
-        report = ShardedReport(
-            num_shards=self.stream.shards,
-            max_records_in_memory=self.stream.max_records_in_memory,
-            strategy=self.stream.strategy,
-        )
-        self.last_report = report
-        if self.stream.spill_dir is None:
-            with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
-                return self._run(records, Path(tmp), report)
-        spill_dir = Path(self.stream.spill_dir)
-        spill_dir.mkdir(parents=True, exist_ok=True)
-        return self._run(records, spill_dir, report)
+    def run(self, records: Iterable[Iterable]) -> DisassociatedDataset:
+        """Anonymize a one-shot stream of records through a throwaway store.
 
-    # -- phases --------------------------------------------------------- #
-    def _run(
-        self, records: Iterator[Iterable], spill_dir: Path, report: ShardedReport
-    ) -> DisassociatedDataset:
-        self._plan_and_spill(records, spill_dir, report)
-        windows = self._anonymize_shards(spill_dir, report)
-        return publish_merged(windows, self.params, report).published
+        The records stream into a fresh
+        :class:`~repro.stream.store.ShardStore` in a new temporary
+        directory (under ``spill_dir`` when set), every window is computed
+        and the publication is assembled without a memo.  The directory is
+        removed afterwards, whether or not the run failed; ``store_dir``
+        and ``pubstore_dir`` are ignored.
+        """
+        # Imported here: the store module builds on this one.
+        from repro.stream.store import IncrementalPipeline
 
-    def _plan_and_spill(
-        self, records: Iterator[Iterable], spill_dir: Path, report: ShardedReport
-    ) -> None:
-        """Phases 1+2: plan the shard routing, then spill every record."""
-        # plan: sample the stream head (only when the strategy needs one;
-        # hash routing is data-oblivious and streams straight through).
-        faults.check("stream.plan")
-        deadline.check("stream.plan")
-        start = time.perf_counter()
-        records = iter(records)
-        sample: list[Record] = []
-        if self.stream.strategy != "hash":
-            for record in records:
-                sample.append(ensure_record(record))
-                if len(sample) >= self.stream.max_records_in_memory:
-                    break
-        planner = build_planner(self.stream.strategy, self.stream.shards, sample)
-        report.planner = planner.describe()
-        report.peak_resident_records = max(report.peak_resident_records, len(sample))
-        report.plan_seconds = time.perf_counter() - start
-
-        # shard: route the sample, then the rest of the stream, to spills.
-        # The sample is drained record-by-record as it is routed, so sample
-        # remainder + spill buffers together never exceed the memory bound.
-        start = time.perf_counter()
-        spiller = _ShardSpiller(
-            spill_dir, self.stream.shards, self.stream.max_records_in_memory
-        )
-        sample.reverse()
-        while sample:
-            record = sample.pop()
-            spiller.add(planner.shard_of(record), record)
-        for record in records:
-            record = ensure_record(record)
-            spiller.add(planner.shard_of(record), record)
-        spiller.flush()
-        report.shard_records = list(spiller.counts)
-        report.num_records = sum(spiller.counts)
-        report.peak_resident_records = max(
-            report.peak_resident_records, spiller.peak_buffered
-        )
-        report.shard_seconds = time.perf_counter() - start
-
-    def _anonymize_shards(
-        self, spill_dir: Path, report: ShardedReport
-    ) -> list[Window]:
-        """Phase 3: per-shard windowed engine runs over the spill files."""
-        bound = self.stream.max_records_in_memory
-        start = time.perf_counter()
-        windows: list[Window] = []
-        report.shard_windows = [0] * self.stream.shards
-        with window_engine_for(self.params, self.window_engine) as engine:
-            for shard in range(self.stream.shards):
-                # One interning table per shard: every window of the shard
-                # encodes onto it, so only first-seen terms pay the intern
-                # cost.  Interning is append-only and id-insensitive
-                # decisions tie-break on the decoded string, so the output
-                # is the same as with a fresh table per window.
-                engine.vocabulary = Vocabulary()
-                path = spill_path(spill_dir, shard)
-                for window, batch in enumerate(iter_batches(iter_jsonl(path), bound)):
-                    faults.check("stream.window")
-                    deadline.check("stream.window")
-                    report.peak_resident_records = max(
-                        report.peak_resident_records, len(batch)
-                    )
-                    report.shard_windows[shard] += 1
-                    published = engine.anonymize(TransactionDataset(batch))
-                    prefix = f"S{shard}W{window}."
-                    windows.append(
-                        Window(
-                            [
-                                relabel_cluster(cluster, prefix)
-                                for cluster in published.clusters
-                            ]
-                        )
-                    )
-        report.anonymize_seconds = time.perf_counter() - start
-        return windows
-
+        parent = self.stream.spill_dir
+        if parent is not None:
+            Path(parent).mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix="repro-shards-", dir=parent) as tmp:
+            pipeline = IncrementalPipeline(
+                self.params,
+                replace(self.stream, store_dir=tmp, pubstore_dir=None),
+                window_engine=self.window_engine,
+            )
+            self.last_report = pipeline._new_report()
+            return pipeline._publish_stream(records, self.last_report)
 
 def _without_private_records(cluster: Cluster) -> Cluster:
     """The cluster tree without the private original records.

@@ -5,7 +5,7 @@ Routing must be
 
 * **stateless and deterministic** -- the same record always lands on the
   same shard, across runs, processes and hosts (so a re-run of a crashed
-  job reproduces the same spill files), and
+  job reproduces the same shards, and a delta routes like a cold run), and
 * **cheap** -- it sits on the hot path of the single streaming pass.
 
 Two strategies are provided:

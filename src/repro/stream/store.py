@@ -1,10 +1,9 @@
-"""Persistent shard store and incremental (delta) re-anonymization.
+"""Shard store and incremental (delta) re-anonymization.
 
-The sharded streaming executor (:mod:`repro.stream.executor`) recomputes
-every shard from throwaway spill files on each run, even when one record
-changed, and keeps nothing a crashed run could resume from.  This module
-is the durable path -- a long-lived incremental substrate that is also
-how an interrupted run recovers:
+The one record substrate of sharded runs.  A cold
+:class:`~repro.stream.executor.ShardedPipeline` run builds a throwaway
+store and discards it; a long-lived store is the durable path -- an
+incremental substrate that is also how an interrupted run recovers:
 
 * :class:`ShardStore` -- a single-file SQLite database (stdlib
   :mod:`sqlite3`, no extra dependencies) under ``store_dir`` holding the
@@ -39,7 +38,7 @@ existing equivalence suites):
    sample prefix on every delta (a changed plan is *rejected* with
    :class:`~repro.exceptions.StoreError` rather than silently diverging);
 3. per-shard arrival order of surviving records is preserved, so window
-   boundaries and contents match the cold run's spill batches; a window
+   boundaries and contents match the cold run's windows; a window
    with unchanged content produces unchanged clusters (vocabulary reuse
    is output-invariant, so re-running an isolated window with a fresh
    vocabulary is equivalent -- the vocabulary suite's reuse-equivalence
@@ -85,6 +84,7 @@ import json
 import sqlite3
 import time
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -174,9 +174,9 @@ def run_fingerprint(params: AnonymizationParams, stream: StreamParams) -> dict:
 
     Covers every field of :class:`~repro.core.engine.AnonymizationParams`
     and every field of :class:`~repro.stream.executor.StreamParams` except
-    the store and spill directories.  A store written under a different
-    fingerprint is refused instead of silently splicing incompatible
-    window snapshots into one publication.
+    the store, publication-store and spill directories.  A store written
+    under a different fingerprint is refused instead of silently splicing
+    incompatible window snapshots into one publication.
     """
     fingerprint = {}
     for fld in dataclasses.fields(params):
@@ -205,15 +205,14 @@ def fingerprint_matches(stored, fingerprint: dict) -> bool:
     return current == fingerprint
 
 
-def record_text(record: Iterable) -> str:
-    """The store's canonical text of one record.
+def record_text(record: frozenset) -> str:
+    """The store's canonical text of one normalized record.
 
-    Identical to the streaming spill's JSONL line
-    (:func:`repro.datasets.io.write_jsonl`: the sorted term list as JSON),
-    so the windows an incremental run batches from the store hold exactly
-    the records a cold run would read back from its spill files.
+    The sorted term list as JSON -- the same line
+    :func:`repro.datasets.io.write_jsonl` writes -- so a record reads back
+    as exactly the record that was stored.
     """
-    return json.dumps(sorted(str(t) for t in record))
+    return json.dumps(sorted(record))
 
 
 def window_fingerprint(texts: list) -> str:
@@ -247,6 +246,14 @@ def delta_digest(append: list, delete: list) -> str:
 def store_path(store_dir: PathLike) -> Path:
     """Location of the store database inside ``store_dir``."""
     return Path(store_dir) / STORE_NAME
+
+
+def _routed(records: Iterable, planner, bound: int):
+    """``(shard, text)`` insert rows; checks the deadline every ``bound`` rows."""
+    for count, record in enumerate(records, 1):
+        if count % bound == 0:
+            deadline.check("store.mutate")
+        yield planner.shard_of(record), record_text(record)
 
 
 class ShardStore(SQLiteStore):
@@ -427,7 +434,7 @@ class ShardStore(SQLiteStore):
     # -- mutation ----------------------------------------------------------- #
     def apply_delta(
         self,
-        append: list,
+        append: Iterable,
         delete: list,
         planner,
         *,
@@ -437,8 +444,12 @@ class ShardStore(SQLiteStore):
     ):
         """Apply one delta atomically; returns the planner in effect.
 
-        ``append``/``delete`` are lists of normalized records.  Deletes
-        remove the *earliest* surviving occurrence of each record (a
+        ``append`` is an iterable and ``delete`` a list of normalized
+        records.  ``append`` is consumed once, as it is inserted, so only
+        a sample-based plan's sample (its first ``max_records_in_memory``
+        records) is ever held; the ambient deadline is checked every
+        ``max_records_in_memory`` inserted records.  Deletes remove the
+        *earliest* surviving occurrence of each record (a
         record the store does not hold raises :class:`StoreError` and the
         whole delta rolls back).  Appends are routed with ``planner`` (the
         stored plan) and land after every existing record, preserving
@@ -467,22 +478,21 @@ class ShardStore(SQLiteStore):
                         f"delta deletes a record the store does not hold: {text}"
                     )
                 self._db.execute("DELETE FROM records WHERE seq = ?", (row[0],))
+            bound = stream.max_records_in_memory
+            records = iter(append)
             if stream.strategy != "hash" and self._meta("plan") is None:
                 # Fresh store: no plan can exist without records (sample-based
                 # plans are recorded in the same commit as the first records),
                 # so the sequence prefix a cold run would sample is exactly
                 # the append prefix.  Derive the routing plan from it before
                 # any record is placed.
-                planner = build_planner(
-                    stream.strategy,
-                    stream.shards,
-                    append[: stream.max_records_in_memory],
-                )
-            for record in append:
-                self._db.execute(
-                    "INSERT INTO records (shard, record) VALUES (?, ?)",
-                    (planner.shard_of(record), record_text(record)),
-                )
+                sample = list(islice(records, bound))
+                planner = build_planner(stream.strategy, stream.shards, sample)
+                records = chain(sample, records)
+            self._db.executemany(
+                "INSERT INTO records (shard, record) VALUES (?, ?)",
+                _routed(records, planner, bound),
+            )
             planner = self._reconcile_plan(planner, stream)
             generation = self.generation + 1
             self._set_meta("generation", str(generation))
@@ -576,6 +586,18 @@ class ShardStore(SQLiteStore):
             self._set_meta("published_generation", str(generation))
             db.execute("DROP TABLE IF EXISTS publication")
 
+    def _make_throwaway(self) -> None:
+        """Tune a fresh store that is removed after one run.
+
+        Durability buys it nothing, so commits write no journal file and
+        never sync (a rollback still works: the journal is kept in
+        memory).  Nothing is ever deleted from it, so the index that only
+        delete lookups use is dropped; it costs much of the insert.
+        """
+        self._db.execute("PRAGMA journal_mode=MEMORY").fetchone()
+        self._db.execute("PRAGMA synchronous=OFF")
+        self._db.execute("DROP INDEX idx_records_content")
+
     # -- maintenance ---------------------------------------------------------- #
     def compact(self) -> None:
         """Reclaim the space of deleted rows (SQLite ``VACUUM``).
@@ -594,20 +616,28 @@ class ShardStore(SQLiteStore):
 
 @dataclass
 class IncrementalReport:
-    """Timings and structural statistics of one incremental run.
+    """Timings and structural statistics of one sharded run.
 
-    Mirrors :class:`~repro.stream.executor.ShardedReport` (same cluster
-    statistics, filled by the same helper) and adds the delta-specific
-    quantities: how many records the delta appended/deleted, how many
-    windows were reused from the store versus re-anonymized, and whether
-    the run was a no-op: every window snapshot was already current, so
-    the publication was assembled from them without reading a record.
+    The report of both pipelines: a cold
+    :class:`~repro.stream.executor.ShardedPipeline` run reports an
+    initialized store with every record appended and every window
+    recomputed.  Carries the cluster statistics of
+    :class:`~repro.core.engine.AnonymizationReport` (filled by the same
+    helper), per-shard record and window counts, the observed peak of the
+    original-record working set (the planner sample and each window;
+    never above ``max_records_in_memory``), what the global boundary
+    pass had to repair, how many records the delta appended/deleted,
+    how many windows were reused from the store versus re-anonymized,
+    and whether the run was a no-op: every window snapshot was already
+    current, so the publication was assembled from them without reading
+    a record.
     """
 
     num_records: int = 0
     num_shards: int = 0
     shard_records: list = field(default_factory=list)
     shard_windows: list = field(default_factory=list)
+    peak_resident_records: int = 0
     max_records_in_memory: int = 0
     strategy: str = "hash"
     initialized: bool = False
@@ -685,17 +715,19 @@ class IncrementalReport:
         )
         if self.noop:
             return (
-                f"incremental run: no-op, publication of {self.num_records} "
+                f"sharded run: no-op, publication of {self.num_records} "
                 f"record(s) served from the store "
                 f"({self.num_clusters} clusters){pubstore} in {self.total_seconds:.2f}s"
             )
         kind = "initialized" if self.initialized else "delta"
         return (
-            f"incremental run ({kind}): {self.num_records} records over "
+            f"sharded run ({kind}): {self.num_records} records over "
             f"{self.num_shards} shard(s) ({self.strategy}), "
             f"+{self.appended}/-{self.deleted} record(s), "
             f"{self.windows_recomputed} window(s) recomputed / "
-            f"{self.windows_reused} reused, {self.num_clusters} clusters, "
+            f"{self.windows_reused} reused, peak resident "
+            f"{self.peak_resident_records}/{self.max_records_in_memory} records, "
+            f"{self.num_clusters} clusters, "
             f"{self.repair.total_demoted()} boundary demotion(s)"
             f"{pubstore} in {self.total_seconds:.2f}s"
         )
@@ -789,12 +821,7 @@ class IncrementalPipeline:
         that waits longer than the lock timeout fails with
         :class:`StoreError` and can simply be retried).
         """
-        report = IncrementalReport(
-            num_shards=self.stream.shards,
-            max_records_in_memory=self.stream.max_records_in_memory,
-            strategy=self.stream.strategy,
-        )
-        self.last_report = report
+        report = self.last_report = self._new_report()
         self.last_payload = None
         start = time.perf_counter()
         # Exclusive: one run per store at a time.  Concurrent deltas (other
@@ -813,6 +840,57 @@ class IncrementalPipeline:
             store.compact()
 
     # -- phases --------------------------------------------------------- #
+    def _new_report(self) -> IncrementalReport:
+        return IncrementalReport(
+            num_shards=self.stream.shards,
+            max_records_in_memory=self.stream.max_records_in_memory,
+            strategy=self.stream.strategy,
+        )
+
+    def _publish_stream(
+        self, records: Iterable[Iterable], report: IncrementalReport
+    ) -> DisassociatedDataset:
+        """Build a fresh, throwaway store from one-shot ``records`` and publish it.
+
+        The cold path of :class:`~repro.stream.executor.ShardedPipeline`,
+        which owns ``stream.store_dir`` and removes it afterwards.  The
+        records stream into the one mutation transaction; every window is
+        computed and the run tail gets no memo and refreshes no
+        publication store -- nothing of this store outlives the run.
+        """
+        start = time.perf_counter()
+        with ShardStore(self.stream.store_dir) as store:
+            store._make_throwaway()
+            report.open_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            store.initialize(run_fingerprint(self.params, self.stream))
+            report.initialized = True
+            report.validate_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            planner = store.apply_delta(
+                (ensure_record(record) for record in records),
+                [],
+                self._planner(store),
+                stream=self.stream,
+            )
+            report.planner = planner.describe()
+            report.mutate_seconds = time.perf_counter() - start
+            self._count_records(store, report, sampled=True)
+            report.appended = report.num_records
+            windows = self._reconcile_windows(store, report, persist=False)
+        return publish_merged(windows, self.params, report).published
+
+    def _count_records(
+        self, store: ShardStore, report: IncrementalReport, *, sampled: bool
+    ) -> None:
+        """Fill the record counts; ``sampled``: the mutation read the plan's sample."""
+        report.num_records = store.num_records()
+        report.shard_records = store.shard_counts(self.stream.shards)
+        if sampled and self.stream.strategy != "hash":
+            report.peak_resident_records = min(
+                report.num_records, self.stream.max_records_in_memory
+            )
+
     def _run(
         self,
         store: ShardStore,
@@ -868,8 +946,9 @@ class IncrementalPipeline:
         report.planner = planner.describe()
         report.mutate_seconds = time.perf_counter() - start
 
-        report.num_records = store.num_records()
-        report.shard_records = store.shard_counts(self.stream.shards)
+        self._count_records(
+            store, report, sampled=bool(report.appended or report.deleted)
+        )
 
         generation = store.generation
         if store.published_generation == generation:
@@ -969,18 +1048,20 @@ class IncrementalPipeline:
         return windows
 
     def _reconcile_windows(
-        self, store: ShardStore, report: IncrementalReport
+        self, store: ShardStore, report: IncrementalReport, *, persist: bool = True
     ) -> list[Window]:
         """Bring every window snapshot up to date, reusing unchanged windows.
 
         Walks every shard's records in arrival order in bounded batches of
-        ``max_records_in_memory`` (the exact batches a cold run's spill
-        reader would produce), fingerprints each batch, and only runs the
+        ``max_records_in_memory`` (a cold run's windows), fingerprints
+        each batch, and only runs the
         engine on windows whose fingerprint is absent or stale.  Each
         recomputed window commits its snapshot independently, so a crash
         mid-reconcile repeats at most one window.  Reused windows are
         returned as their snapshot text, decoded only if the run tail
-        needs their clusters.
+        needs their clusters.  ``persist=False`` (a throwaway store) keeps
+        the recomputed windows in memory only: no snapshot is encoded or
+        written, since no later run reads one.
         """
         bound = self.stream.max_records_in_memory
         windows: list[Window] = []
@@ -1000,6 +1081,9 @@ class IncrementalPipeline:
                     if not rows:
                         break
                     after_seq = rows[-1][0]
+                    report.peak_resident_records = max(
+                        report.peak_resident_records, len(rows)
+                    )
                     texts = [row[1] for row in rows]
                     fingerprint = window_fingerprint(texts)
                     stored = store.get_window(shard, win)
@@ -1012,9 +1096,8 @@ class IncrementalPipeline:
                         if shard_vocab is None:
                             shard_vocab = Vocabulary()
                         engine.vocabulary = shard_vocab
-                        batch = [
-                            normalize_record(json.loads(t)) for t in texts
-                        ]
+                        # Stored texts are canonical: sorted non-empty strings.
+                        batch = [frozenset(json.loads(t)) for t in texts]
                         published = engine.anonymize(
                             TransactionDataset(batch)
                         )
@@ -1023,22 +1106,25 @@ class IncrementalPipeline:
                             relabel_cluster(cluster, prefix)
                             for cluster in published.clusters
                         ]
-                        store_start = time.perf_counter()
-                        # GC pauses are scoped to the snapshot encoding
-                        # burst -- whose garbage is all retained anyway --
-                        # never across engine.anonymize, whose cyclic
-                        # garbage must stay collectable on large builds.
-                        with paused_gc():
-                            snapshot = json.dumps(
-                                [cluster_to_payload(c) for c in relabeled],
-                                separators=(",", ":"),
-                            )
-                        store.put_window(
-                            shard, win, fingerprint, len(texts), snapshot
-                        )
-                        store_seconds += time.perf_counter() - store_start
-                        windows.append(Window.stored(snapshot, relabeled))
                         report.windows_recomputed += 1
+                        if not persist:
+                            windows.append(Window(relabeled))
+                        else:
+                            store_start = time.perf_counter()
+                            # GC pauses are scoped to the snapshot encoding
+                            # burst -- whose garbage is all retained anyway
+                            # -- never across engine.anonymize, whose cyclic
+                            # garbage must stay collectable on large builds.
+                            with paused_gc():
+                                snapshot = json.dumps(
+                                    [cluster_to_payload(c) for c in relabeled],
+                                    separators=(",", ":"),
+                                )
+                            store.put_window(
+                                shard, win, fingerprint, len(texts), snapshot
+                            )
+                            store_seconds += time.perf_counter() - store_start
+                            windows.append(Window.stored(snapshot, relabeled))
                     win += 1
                     if len(rows) < bound:
                         break

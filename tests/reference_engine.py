@@ -20,13 +20,21 @@ serves every oracle use::
     ReferenceDisassociator(params).anonymize(dataset)            # batch
     ShardedPipeline(params, stream,
                     window_engine=ReferenceDisassociator(params))  # stream
+
+:func:`reference_cold_run` is the oracle of the sharded paths: a cold
+sharded run computed in memory, with no shard store.  Cold runs and
+deltas share the store's routing and windowing, so comparing one with the
+other alone would compare the code with itself.
 """
 
 from __future__ import annotations
 
-from repro.core.clusters import Cluster
-from repro.core.dataset import TransactionDataset
+from dataclasses import replace
+
+from repro.core.clusters import Cluster, DisassociatedDataset, JointCluster, SimpleCluster
+from repro.core.dataset import TransactionDataset, ensure_record
 from repro.core.engine import (
+    AnonymizationParams,
     Disassociator,
     HorizontalPhase,
     Pipeline,
@@ -38,6 +46,8 @@ from repro.core.engine import (
 from repro.core.horizontal import horizontal_partition
 from repro.core.refine import _refine_reference
 from repro.core.vertical import VerticalPartitionResult, vertical_partition
+from repro.core.vocab import Vocabulary
+from repro.stream import StreamParams, build_planner, relabel_cluster, verify_and_repair
 
 
 class ReferenceHorizontalPhase(HorizontalPhase):
@@ -87,3 +97,64 @@ class ReferenceDisassociator(Disassociator):
                 VerifyPhase(),
             ]
         )
+
+
+def _strip(cluster: Cluster) -> Cluster:
+    """The cluster tree without its private original records."""
+    if isinstance(cluster, JointCluster):
+        return JointCluster(
+            [_strip(child) for child in cluster.children],
+            cluster.shared_chunks,
+            label=cluster.label,
+        )
+    return SimpleCluster(
+        size=cluster.size,
+        record_chunks=cluster.record_chunks,
+        term_chunk=cluster.term_chunk,
+        label=cluster.label,
+    )
+
+
+def reference_cold_run(
+    params: AnonymizationParams,
+    stream: StreamParams,
+    records,
+    engine_class=Disassociator,
+) -> DisassociatedDataset:
+    """What a cold sharded run publishes, computed in memory.
+
+    Routes every record with :func:`~repro.stream.build_planner` over the
+    first ``max_records_in_memory`` records (hash routing needs no
+    sample), cuts each shard's records in arrival order into windows of
+    ``max_records_in_memory``, runs ``engine_class`` (``verify`` off, one
+    :class:`~repro.core.vocab.Vocabulary` per shard) on every window,
+    relabels the windows' clusters ``S<shard>W<window>.``, repairs the
+    concatenation with :func:`~repro.stream.verify_and_repair` and strips
+    the private records.
+    """
+    records = [ensure_record(record) for record in records]
+    bound = stream.max_records_in_memory
+    sample = records[:bound] if stream.strategy != "hash" else []
+    planner = build_planner(stream.strategy, stream.shards, sample)
+    shards: list = [[] for _ in range(stream.shards)]
+    for record in records:
+        shards[planner.shard_of(record)].append(record)
+    engine = engine_class(replace(params, verify=False))
+    clusters = []
+    for shard, shard_records in enumerate(shards):
+        engine.vocabulary = Vocabulary()
+        for window, start in enumerate(range(0, len(shard_records), bound)):
+            published = engine.anonymize(
+                TransactionDataset(shard_records[start : start + bound])
+            )
+            clusters.extend(
+                relabel_cluster(cluster, f"S{shard}W{window}.")
+                for cluster in published.clusters
+            )
+    engine.close()
+    repaired, _ = verify_and_repair(
+        DisassociatedDataset(clusters, k=params.k, m=params.m)
+    )
+    return DisassociatedDataset(
+        [_strip(cluster) for cluster in repaired.clusters], k=params.k, m=params.m
+    )

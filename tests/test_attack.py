@@ -12,7 +12,7 @@ from repro.analysis.attack import (
     vulnerable_combinations,
 )
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.exceptions import ParameterError
 
 
@@ -116,7 +116,9 @@ class TestSimulateAttack:
     def test_end_to_end_on_fresh_data(self):
         records = [{"x", f"rare{i}"} for i in range(6)] + [{"x", "y"}] * 6
         dataset = TransactionDataset(records)
-        published = anonymize(dataset, k=3, m=2, max_cluster_size=8)
+        published = Disassociator(
+            AnonymizationParams(k=3, m=2, max_cluster_size=8)
+        ).anonymize(dataset)
         report = simulate_attack(dataset, published)
         assert report.original_at_risk > 0.0
         assert report.published_exposed_combinations == 0.0

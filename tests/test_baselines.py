@@ -147,10 +147,12 @@ class TestGlobalSuppressor:
     def test_suppression_loses_more_terms_than_disassociation_keeps(self, skewed_dataset):
         """The motivating claim: suppression destroys associations for far
         more terms than disassociation does."""
-        from repro.core.engine import anonymize
+        from repro.core.engine import AnonymizationParams, Disassociator
 
         suppressed = anonymize_with_suppression(skewed_dataset, k=3, m=2)
-        published = anonymize(skewed_dataset, k=3, m=2, max_cluster_size=12)
+        published = Disassociator(
+            AnonymizationParams(k=3, m=2, max_cluster_size=12)
+        ).anonymize(skewed_dataset)
         assert len(published.domain()) >= len(suppressed.dataset.domain)
 
     def test_invalid_parameters_rejected(self, skewed_dataset):

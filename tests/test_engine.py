@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.verification import audit
 from repro.exceptions import ParameterError
 from tests.conftest import make_uniform_dataset
+
+#: The paper's running example is published at k=3, m=2 in clusters of <= 6.
+PAPER_PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=6)
 
 
 class TestAnonymizationParams:
@@ -39,19 +44,19 @@ class TestAnonymizationParams:
 
 class TestDisassociator:
     def test_output_is_km_anonymous(self, paper_dataset):
-        published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
+        published = Disassociator(PAPER_PARAMS).anonymize(paper_dataset)
         assert audit(published).ok
 
     def test_total_records_preserved(self, paper_dataset):
-        published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
+        published = Disassociator(PAPER_PARAMS).anonymize(paper_dataset)
         assert published.total_records() == len(paper_dataset)
 
     def test_all_original_terms_published(self, paper_dataset):
-        published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
+        published = Disassociator(PAPER_PARAMS).anonymize(paper_dataset)
         assert published.domain() == paper_dataset.domain
 
     def test_parameters_recorded_on_output(self, paper_dataset):
-        published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
+        published = Disassociator(PAPER_PARAMS).anonymize(paper_dataset)
         assert published.k == 3 and published.m == 2
 
     def test_report_is_filled(self, paper_dataset):
@@ -65,43 +70,51 @@ class TestDisassociator:
     def test_refine_disabled_produces_only_simple_clusters(self, paper_dataset):
         from repro.core.clusters import SimpleCluster
 
-        published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6, refine=False)
+        published = Disassociator(
+            replace(PAPER_PARAMS, refine=False)
+        ).anonymize(paper_dataset)
         assert all(isinstance(c, SimpleCluster) for c in published.clusters)
         assert audit(published).ok
 
     def test_higher_k_pushes_more_terms_to_term_chunks(self):
         dataset = make_uniform_dataset(80, domain=25, record_length=5, seed=11)
-        loose = anonymize(dataset, k=2, m=2, max_cluster_size=20)
-        strict = anonymize(dataset, k=8, m=2, max_cluster_size=20)
+        loose = Disassociator(
+            AnonymizationParams(k=2, m=2, max_cluster_size=20)
+        ).anonymize(dataset)
+        strict = Disassociator(
+            AnonymizationParams(k=8, m=2, max_cluster_size=20)
+        ).anonymize(dataset)
         assert len(strict.record_chunk_terms()) <= len(loose.record_chunk_terms())
 
     def test_m_of_one_reduces_to_per_term_threshold(self, paper_dataset):
-        published = anonymize(paper_dataset, k=3, m=1, max_cluster_size=12)
+        published = Disassociator(
+            AnonymizationParams(k=3, m=1, max_cluster_size=12)
+        ).anonymize(paper_dataset)
         assert audit(published).ok
 
     def test_single_record_dataset(self):
-        published = anonymize(TransactionDataset([{"a", "b"}]), k=2, m=2, max_cluster_size=5)
+        published = Disassociator(
+            AnonymizationParams(k=2, m=2, max_cluster_size=5)
+        ).anonymize(TransactionDataset([{"a", "b"}]))
         assert published.total_records() == 1
         # a single record can never reach support 2: everything is disassociated
         assert published.record_chunk_terms() == frozenset()
         assert audit(published).ok
 
     def test_duplicate_records_dataset(self):
-        published = anonymize(TransactionDataset([{"a", "b"}] * 10), k=3, m=2, max_cluster_size=6)
+        published = Disassociator(
+            AnonymizationParams(k=3, m=2, max_cluster_size=6)
+        ).anonymize(TransactionDataset([{"a", "b"}] * 10))
         assert audit(published).ok
         assert published.lower_bound_support({"a", "b"}) >= 3
 
     def test_uniform_dataset_end_to_end(self):
         dataset = make_uniform_dataset(120, domain=40, record_length=4, seed=5)
-        published = anonymize(dataset, k=4, m=2, max_cluster_size=25)
+        published = Disassociator(
+            AnonymizationParams(k=4, m=2, max_cluster_size=25)
+        ).anonymize(dataset)
         assert audit(published).ok
         assert published.total_records() == 120
-
-    def test_anonymize_function_matches_class_api(self, paper_dataset):
-        params = AnonymizationParams(k=3, m=2, max_cluster_size=6)
-        via_class = Disassociator(params).anonymize(paper_dataset)
-        via_function = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
-        assert via_class.to_dict() == via_function.to_dict()
 
 
 class TestPipelineAPI:
@@ -189,9 +202,14 @@ class TestReattachSensitive:
         dataset = TransactionDataset(
             [{"x", "s"}, {"x"}, {"x", "s"}, {"x"}, {"x", "s"}, {"x"}]
         )
-        published = anonymize(
-            dataset, k=2, m=2, max_cluster_size=4, sensitive_terms={"s"}
-        )
+        published = Disassociator(
+            AnonymizationParams(
+                k=2,
+                m=2,
+                max_cluster_size=4,
+                sensitive_terms={"s"},
+            )
+        ).anonymize(dataset)
         assert published.total_records() == 6
         assert "s" in published.domain()
         assert audit(published).ok
@@ -200,32 +218,34 @@ class TestReattachSensitive:
 class TestSensitiveTerms:
     def test_sensitive_terms_never_appear_in_record_chunks(self, paper_dataset):
         sensitive = {"viagra", "panic disorder"}
-        published = anonymize(
-            paper_dataset, k=3, m=2, max_cluster_size=6, sensitive_terms=sensitive
-        )
+        published = Disassociator(
+            replace(PAPER_PARAMS, sensitive_terms=sensitive)
+        ).anonymize(paper_dataset)
         assert not (published.record_chunk_terms() & sensitive)
 
     def test_sensitive_terms_still_published_in_term_chunks(self, paper_dataset):
         sensitive = {"viagra", "panic disorder"}
-        published = anonymize(
-            paper_dataset, k=3, m=2, max_cluster_size=6, sensitive_terms=sensitive
-        )
+        published = Disassociator(
+            replace(PAPER_PARAMS, sensitive_terms=sensitive)
+        ).anonymize(paper_dataset)
         assert sensitive <= set(published.domain())
 
     def test_sensitive_output_still_km_anonymous(self, paper_dataset):
-        published = anonymize(
-            paper_dataset, k=3, m=2, max_cluster_size=6, sensitive_terms={"madonna"}
-        )
+        published = Disassociator(
+            replace(PAPER_PARAMS, sensitive_terms={"madonna"})
+        ).anonymize(paper_dataset)
         assert audit(published).ok
 
     def test_record_count_preserved_with_sensitive_terms(self, paper_dataset):
-        published = anonymize(
-            paper_dataset, k=3, m=2, max_cluster_size=6, sensitive_terms={"madonna"}
-        )
+        published = Disassociator(
+            replace(PAPER_PARAMS, sensitive_terms={"madonna"})
+        ).anonymize(paper_dataset)
         assert published.total_records() == len(paper_dataset)
 
     def test_all_sensitive_record_is_preserved(self):
         dataset = TransactionDataset([{"s"}, {"s", "x"}, {"x"}, {"x", "s"}])
-        published = anonymize(dataset, k=2, m=2, max_cluster_size=3, sensitive_terms={"s"})
+        published = Disassociator(
+            AnonymizationParams(k=2, m=2, max_cluster_size=3, sensitive_terms={"s"})
+        ).anonymize(dataset)
         assert published.total_records() == 4
         assert "s" in published.domain()

@@ -34,41 +34,75 @@ class TestFaultSpec:
         assert faults.FaultSpec("stream.merge", probability=1.0).probability == 1.0
 
 
+#: Stand-ins for "some point" and "another point" in the plan tests.
+P, Q = "stream.merge", "stream.verify"
+
+
+class TestUnknownPoints:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: faults.FaultSpec("stream.windw", hit=2),
+            lambda: faults.FaultSpec("p", probability=0.5),
+            lambda: faults.FaultPlan.from_text("stream.windw:2"),
+            lambda: faults.FaultPlan.from_text("stream.merge:1,stream.spil@0.5"),
+            lambda: faults.plan_from_env({faults.ENV_VAR: "stream.spil:1"}),
+            # retired with the JSONL spill: refused like any misspelling
+            lambda: faults.FaultPlan.from_text("stream.plan:1"),
+            lambda: faults.FaultPlan.from_text("stream.spill:1"),
+        ],
+        ids=[
+            "spec-misspelled",
+            "spec-placeholder",
+            "text-misspelled",
+            "text-second-trigger",
+            "env-misspelled",
+            "retired-stream.plan",
+            "retired-stream.spill",
+        ],
+    )
+    def test_unknown_point_is_refused_with_the_known_points(self, build):
+        with pytest.raises(ParameterError, match="unknown fault injection point") as excinfo:
+            build()
+        for point in faults.INJECTION_POINTS:
+            assert point in str(excinfo.value)
+
+
 class TestFaultPlan:
     def test_nth_hit_fires_exactly_once(self):
-        plan = faults.FaultPlan([faults.FaultSpec("p", hit=3)])
-        plan.check("p")
-        plan.check("p")
+        plan = faults.FaultPlan([faults.FaultSpec(P, hit=3)])
+        plan.check(P)
+        plan.check(P)
         with pytest.raises(FaultInjected) as excinfo:
-            plan.check("p")
-        assert excinfo.value.point == "p"
+            plan.check(P)
+        assert excinfo.value.point == P
         assert excinfo.value.hit == 3
         assert excinfo.value.transient is True
         # the trigger is Nth-hit, not every-hit-from-N: later arrivals pass
-        plan.check("p")
-        assert plan.hits("p") == 4
+        plan.check(P)
+        assert plan.hits(P) == 4
 
     def test_unknown_points_are_free(self):
-        plan = faults.FaultPlan([faults.FaultSpec("p", hit=1)])
-        plan.check("q")  # no trigger, no counter bump requirement
+        plan = faults.FaultPlan([faults.FaultSpec(P, hit=1)])
+        plan.check(Q)  # no trigger, no counter bump requirement
         with pytest.raises(FaultInjected):
-            plan.check("p")
+            plan.check(P)
 
     def test_non_transient_flag_carries(self):
-        plan = faults.FaultPlan([faults.FaultSpec("p", hit=1, transient=False)])
+        plan = faults.FaultPlan([faults.FaultSpec(P, hit=1, transient=False)])
         with pytest.raises(FaultInjected) as excinfo:
-            plan.check("p")
+            plan.check(P)
         assert excinfo.value.transient is False
 
     def test_probability_is_deterministic_per_seed(self):
         def fire_pattern(seed):
             plan = faults.FaultPlan(
-                [faults.FaultSpec("p", probability=0.5)], seed=seed
+                [faults.FaultSpec(P, probability=0.5)], seed=seed
             )
             pattern = []
             for _ in range(32):
                 try:
-                    plan.check("p")
+                    plan.check(P)
                     pattern.append(False)
                 except FaultInjected:
                     pattern.append(True)
@@ -79,36 +113,36 @@ class TestFaultPlan:
         assert any(fire_pattern(7))
 
     def test_reset_rearms_counters(self):
-        plan = faults.FaultPlan([faults.FaultSpec("p", hit=2)])
-        plan.check("p")
+        plan = faults.FaultPlan([faults.FaultSpec(P, hit=2)])
+        plan.check(P)
         with pytest.raises(FaultInjected):
-            plan.check("p")
+            plan.check(P)
         plan.reset()
-        plan.check("p")  # first arrival again
+        plan.check(P)  # first arrival again
         with pytest.raises(FaultInjected):
-            plan.check("p")
+            plan.check(P)
 
     def test_describe_is_json_safe_summary(self):
         plan = faults.FaultPlan(
-            [faults.FaultSpec("a", hit=1), faults.FaultSpec("b", probability=0.5)],
+            [faults.FaultSpec(P, hit=1), faults.FaultSpec(Q, probability=0.5)],
             seed=3,
         )
         try:
-            plan.check("a")
+            plan.check(P)
         except FaultInjected:
             pass
         summary = plan.describe()
         assert summary["seed"] == 3
-        assert set(summary["triggers"]) == {"a", "b"}
-        assert summary["hits"] == {"a": 1}
+        assert set(summary["triggers"]) == {P, Q}
+        assert summary["hits"] == {P: 1}
 
 
 class TestFromText:
     def test_grammar(self):
-        plan = faults.FaultPlan.from_text("stream.merge:2, engine.refine@0.25,p")
-        assert plan.points() == ["engine.refine", "p", "stream.merge"]
+        plan = faults.FaultPlan.from_text("stream.merge:2, engine.refine@0.25,store.open")
+        assert plan.points() == ["engine.refine", "store.open", "stream.merge"]
         with pytest.raises(FaultInjected):  # bare token means first hit
-            plan.check("p")
+            plan.check("store.open")
 
     def test_malformed_triggers_rejected(self):
         with pytest.raises(ParameterError):
@@ -146,11 +180,11 @@ class TestLifecycle:
 
     def test_active_scopes_and_restores(self):
         previous = faults.active_plan()
-        plan = faults.FaultPlan([faults.FaultSpec("p", hit=1)])
+        plan = faults.FaultPlan([faults.FaultSpec(P, hit=1)])
         with faults.active(plan):
             assert faults.active_plan() is plan
             with pytest.raises(FaultInjected):
-                faults.check("p")
+                faults.check(P)
         assert faults.active_plan() is previous
 
     def test_injection_point_registry_matches_plan_points(self):

@@ -3,11 +3,12 @@
 The contract under test is the tentpole property of
 :class:`repro.stream.store.IncrementalPipeline`: after *any* sequence of
 record appends and deletes, the incrementally maintained publication is
-**bit-for-bit identical** to a cold :class:`repro.stream.ShardedPipeline`
-run over the mutated dataset.  The oracle is trivial to state and
-expensive to hold -- window reuse, arrival-order preservation under
-deletes, plan stability and the boundary repair all have to line up --
-which makes it an ideal fuzz target:
+**bit-for-bit identical** to a cold sharded run over the mutated dataset
+(computed in memory by :func:`tests.reference_engine.reference_cold_run`).
+The oracle is trivial to state and expensive to hold -- window reuse,
+arrival-order preservation under deletes, plan stability and the
+boundary repair all have to line up -- which makes it an ideal fuzz
+target:
 
 * :class:`TestDifferentialFuzz` drives seeded randomized mutation
   sequences (append-only, delete-only, mixed; 30 sequences per workload
@@ -38,8 +39,9 @@ from repro.core.engine import AnonymizationParams
 from repro.core.verification import audit
 from repro.exceptions import FaultInjected
 from repro.service import AnonymizationService, ServiceConfig
-from repro.stream import IncrementalPipeline, ShardedPipeline, StreamParams, WindowMemo
+from repro.stream import IncrementalPipeline, StreamParams, WindowMemo
 from tests.conftest import make_workload
+from tests.reference_engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
 
@@ -74,7 +76,7 @@ def _cold(records, **stream_overrides):
     """The oracle: a cold sharded run over the full mutated dataset."""
     values = dict(shards=3, max_records_in_memory=100)
     values.update(stream_overrides)
-    return ShardedPipeline(PARAMS, StreamParams(**values)).run(list(records))
+    return reference_cold_run(PARAMS, StreamParams(**values), records)
 
 
 def _term_pool(records) -> list:
@@ -202,7 +204,7 @@ class TestWarmMemo:
         """The memo is the full audit, not a weaker check: one warm
         pipeline's publication passes ``audit`` after every delta and
         matches, byte for byte, a process-cold pipeline (empty memo) over
-        the same store and a cold ``ShardedPipeline`` over the records."""
+        the same store and a reference cold run over the records."""
         records = base_records["quest"]
         rng = random.Random(seed * 1000 + KINDS.index(kind) + 500)
         pool = _term_pool(records)

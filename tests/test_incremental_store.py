@@ -36,11 +36,11 @@ from repro.service import AnonymizationRequest, AnonymizationService, ServiceCon
 from repro.service.http import ServiceHTTPServer, classify_error
 from repro.stream import (
     IncrementalPipeline,
-    ShardedPipeline,
     ShardStore,
     StreamParams,
     run_fingerprint,
 )
+from tests.reference_engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
 
@@ -80,7 +80,7 @@ def _canonical(published) -> str:
 def _cold(records, **stream_overrides):
     values = dict(shards=3, max_records_in_memory=100)
     values.update(stream_overrides)
-    return ShardedPipeline(PARAMS, StreamParams(**values)).run(list(records))
+    return reference_cold_run(PARAMS, StreamParams(**values), records)
 
 
 class TestEdgeCases:

@@ -15,7 +15,7 @@ from repro.analysis.queries import rule_confidence, top_terms
 from repro.baselines.diffpart import publish_with_diffpart
 from repro.baselines.suppression import anonymize_with_suppression
 from repro.core.clusters import DisassociatedDataset
-from repro.core.engine import AnonymizationParams, Disassociator, anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.verification import audit, verify_km_anonymity
 from repro.datasets.io import read_disassociated_json, write_disassociated_json
@@ -83,7 +83,9 @@ class TestProxyWorkflow:
         return load_proxy("WV1", scale=0.004, seed=5, domain_scale=0.1)
 
     def test_anonymize_verify_and_measure(self, proxy):
-        published = anonymize(proxy, k=5, m=2, max_cluster_size=30)
+        published = Disassociator(
+            AnonymizationParams(k=5, m=2, max_cluster_size=30)
+        ).anonymize(proxy)
         assert audit(published).ok
         assert published.total_records() == len(proxy)
         deviation = tkd_reconstructed(proxy, published, top_k=50, max_size=2, seed=0)
@@ -91,7 +93,9 @@ class TestProxyWorkflow:
 
     def test_disassociation_beats_diffpart_on_tkd(self, proxy):
         """The headline comparison of Figure 11a, at test scale."""
-        published = anonymize(proxy, k=5, m=2, max_cluster_size=30)
+        published = Disassociator(
+            AnonymizationParams(k=5, m=2, max_cluster_size=30)
+        ).anonymize(proxy)
         disassociation_tkd = tkd_reconstructed(proxy, published, top_k=50, max_size=2, seed=0)
         diffpart = publish_with_diffpart(proxy, epsilon=1.0, seed=0)
         diffpart_tkd = top_k_deviation(proxy, diffpart.dataset, top_k=50, max_size=2)
@@ -99,7 +103,9 @@ class TestProxyWorkflow:
 
     def test_disassociation_preserves_more_terms_than_suppression(self, proxy):
         sample = proxy.sample(250, seed=1)
-        published = anonymize(sample, k=5, m=2, max_cluster_size=30)
+        published = Disassociator(
+            AnonymizationParams(k=5, m=2, max_cluster_size=30)
+        ).anonymize(sample)
         suppressed = anonymize_with_suppression(sample, k=5, m=2)
         assert len(published.domain()) >= len(suppressed.dataset.domain)
 

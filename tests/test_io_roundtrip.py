@@ -1,8 +1,9 @@
 """Round-trip tests for the streaming I/O layer (``repro.datasets.io``).
 
-Every on-disk format must satisfy: write -> chunked (streaming) read ->
-identical records, in order, regardless of batch size.  These are the
-guarantees the shard spiller and the windowed executor rely on.
+Every on-disk format must satisfy: write -> streaming read -> identical
+records, in order.  The sharded pipelines read their input through these
+readers, so a malformed record must be refused with the file and line,
+never coerced into a different one.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import pytest
 
 from repro.core.dataset import TransactionDataset
 from repro.datasets.io import (
-    append_jsonl,
-    iter_batches,
     iter_jsonl,
     iter_records,
     iter_transactions,
@@ -23,7 +22,7 @@ from repro.datasets.io import (
     write_jsonl,
     write_transactions,
 )
-from repro.exceptions import DatasetError, DatasetFormatError
+from repro.exceptions import DatasetFormatError
 
 
 @pytest.fixture
@@ -49,12 +48,6 @@ class TestJsonlRoundTrip:
         assert isinstance(dataset, TransactionDataset)
         assert list(dataset) == records
 
-    def test_append_grows_in_order(self, records, tmp_path):
-        path = tmp_path / "data.jsonl"
-        append_jsonl(records[:2], path)
-        append_jsonl(records[2:], path)
-        assert list(iter_jsonl(path)) == records
-
     def test_invalid_json_line_raises_with_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('["a"]\nnot json\n')
@@ -72,6 +65,20 @@ class TestJsonlRoundTrip:
         path.write_text("[]\n")
         with pytest.raises(DatasetFormatError):
             list(iter_jsonl(path))
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[1, 2]", '["a", 2]', "[null]", '[["q"]]', '[""]', '["a", true]', '[{"a": 1}]'],
+        ids=["ints", "mixed-int", "null", "nested-list", "empty-string", "bool", "object"],
+    )
+    def test_non_string_term_rejected_with_file_and_line(self, line, tmp_path):
+        """A term that is not a non-empty string is refused, not coerced
+        (``1`` would otherwise merge with the real term ``"1"``)."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('["1", "2"]\n\n' + line + "\n")
+        with pytest.raises(DatasetFormatError, match="not a non-empty string") as excinfo:
+            list(iter_jsonl(path))
+        assert f"{path}:3:" in str(excinfo.value)
 
 
 class TestTransactionsStreaming:
@@ -118,24 +125,3 @@ class TestFormatDispatch:
         with pytest.raises(DatasetFormatError, match="unknown record format"):
             list(iter_records(tmp_path / "d.txt", format="parquet"))
 
-
-class TestIterBatches:
-    @pytest.mark.parametrize("batch_size", [1, 2, 3, 100])
-    def test_batches_partition_the_stream_in_order(self, records, batch_size):
-        batches = list(iter_batches(iter(records), batch_size))
-        assert all(len(batch) <= batch_size for batch in batches)
-        assert [r for batch in batches for r in batch] == records
-
-    def test_round_trip_through_file_and_batches(self, records, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_jsonl(records, path)
-        rebuilt = [r for batch in iter_batches(iter_jsonl(path), 2) for r in batch]
-        assert rebuilt == records
-
-    def test_zero_batch_size_rejected(self):
-        with pytest.raises(DatasetFormatError):
-            list(iter_batches([{"a"}], 0))
-
-    def test_empty_record_rejected_by_normalization(self):
-        with pytest.raises(DatasetError):
-            list(iter_batches([set()], 2))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.exceptions import MiningError
 from repro.metrics import (
     dataset_ncp,
@@ -159,7 +159,9 @@ class TestRelativeErrorGeneralized:
 class TestTlost:
     def test_zero_when_every_frequent_term_is_in_a_chunk(self):
         dataset = TransactionDataset([{"a", "b"}] * 8)
-        published = anonymize(dataset, k=3, m=2, max_cluster_size=8)
+        published = Disassociator(
+            AnonymizationParams(k=3, m=2, max_cluster_size=8)
+        ).anonymize(dataset)
         assert tlost(dataset, published) == 0.0
 
     def test_bounded_between_zero_and_one(self, skewed_dataset, skewed_published):
@@ -175,7 +177,9 @@ class TestTlost:
 
     def test_empty_frequent_set_gives_zero(self):
         dataset = TransactionDataset([{"a"}, {"b"}, {"c"}, {"d"}])
-        published = anonymize(dataset, k=3, m=2, max_cluster_size=4)
+        published = Disassociator(
+            AnonymizationParams(k=3, m=2, max_cluster_size=4)
+        ).anonymize(dataset)
         assert tlost(dataset, published) == 0.0
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.anonymity import combination_supports, is_km_anonymous
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import anonymize
+from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.reconstruct import reconstruct
 from repro.core.verification import audit
 from repro.mining import apriori, fpgrowth
@@ -49,7 +49,9 @@ SETTINGS = settings(
 def test_pipeline_output_is_always_km_anonymous(records, km):
     k, m = km
     dataset = TransactionDataset(records)
-    published = anonymize(dataset, k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    published = Disassociator(
+        AnonymizationParams(k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    ).anonymize(dataset)
     report = audit(published)
     assert report.ok, report.summary()
 
@@ -59,7 +61,9 @@ def test_pipeline_output_is_always_km_anonymous(records, km):
 def test_pipeline_preserves_records_and_terms(records, km):
     k, m = km
     dataset = TransactionDataset(records)
-    published = anonymize(dataset, k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    published = Disassociator(
+        AnonymizationParams(k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    ).anonymize(dataset)
     assert published.total_records() == len(dataset)
     assert published.domain() == dataset.domain
 
@@ -69,7 +73,9 @@ def test_pipeline_preserves_records_and_terms(records, km):
 def test_reconstruction_yields_valid_world(records, km, seed):
     k, m = km
     dataset = TransactionDataset(records)
-    published = anonymize(dataset, k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    published = Disassociator(
+        AnonymizationParams(k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    ).anonymize(dataset)
     world = reconstruct(published, seed=seed)
     assert len(world) == len(dataset)
     assert all(record for record in world)
@@ -81,7 +87,9 @@ def test_reconstruction_yields_valid_world(records, km, seed):
 def test_lower_bounds_never_exceed_original_supports(records, km):
     k, m = km
     dataset = TransactionDataset(records)
-    published = anonymize(dataset, k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    published = Disassociator(
+        AnonymizationParams(k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    ).anonymize(dataset)
     for term in dataset.domain:
         assert published.lower_bound_support({term}) <= dataset.support({term})
 
@@ -92,7 +100,9 @@ def test_record_chunk_pairs_keep_exact_supports_at_least_k(records, km):
     """Lemma 1: any pair observable inside a chunk appears at least k times."""
     k, m = km
     dataset = TransactionDataset(records)
-    published = anonymize(dataset, k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    published = Disassociator(
+        AnonymizationParams(k=k, m=m, max_cluster_size=max(k + 1, 10), verify=False)
+    ).anonymize(dataset)
     for chunk in published.iter_record_chunks():
         counts = combination_supports(chunk.subrecords, m)
         assert all(value >= k for value in counts.values())
@@ -148,7 +158,9 @@ def test_reconstruction_preserves_chunk_term_supports(records, seed):
     """Terms placed in record chunks keep their exact per-chunk supports in
     every reconstruction (each sub-record is placed exactly once)."""
     dataset = TransactionDataset(records)
-    published = anonymize(dataset, k=2, m=2, max_cluster_size=10, verify=False)
+    published = Disassociator(
+        AnonymizationParams(k=2, m=2, max_cluster_size=10, verify=False)
+    ).anonymize(dataset)
     world = reconstruct(published, seed=seed)
     world_supports = world.term_supports()
     for term in published.record_chunk_terms():

@@ -5,8 +5,9 @@ killed at *any* injection point it crosses recovers when re-run -- with
 the same ``delta_id`` (the mutation commits at most once), or, once the
 mutation has committed, with no input at all (a reconcile-only run
 finishes the stale windows).  Either way the recovered publication is
-**bit-for-bit identical** to a cold :class:`ShardedPipeline` run over the
-same records, and the publication store is current afterwards.
+**bit-for-bit identical** to the in-memory reference cold run over the
+same records, and the publication store is current afterwards.  A cold
+:class:`ShardedPipeline` run that crashes leaves nothing behind.
 
 Crashes are injected deterministically with :mod:`repro.faults`; the CI
 fault matrix re-runs :class:`TestEnvDrivenFaults` with ``$REPRO_FAULTS``
@@ -27,6 +28,7 @@ from repro.exceptions import FaultInjected, StoreError
 from repro.pubstore import PublicationStore
 from repro.stream import IncrementalPipeline, ShardedPipeline, ShardStore, StreamParams
 from tests.conftest import make_workload
+from tests.reference_engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
 
@@ -67,7 +69,7 @@ def _stream(root=None) -> StreamParams:
 
 
 def _cold(records) -> str:
-    return _canonical(ShardedPipeline(PARAMS, _stream()).run(iter(records)))
+    return _canonical(reference_cold_run(PARAMS, _stream(), records))
 
 
 def _build(root, records=(), *, delta_id=LOAD):
@@ -198,19 +200,23 @@ class TestCrashRecoveryIdentity:
 
 
 class TestColdRunAfterCrash:
-    def test_crashed_spills_do_not_leak_into_next_run(self, workloads, tmp_path):
-        """Spill files are throwaway: a cold run in the spill directory of
-        a run that died mid-spill publishes only its own records."""
+    @pytest.mark.parametrize("point", ["stream.window", "store.mutate"])
+    def test_crashed_run_leaves_spill_dir_empty(self, point, workloads, tmp_path):
+        """A cold run's store is throwaway: one that dies mid-run leaves its
+        ``spill_dir`` empty, and the next run there publishes only its own
+        records."""
         spill = StreamParams(shards=3, max_records_in_memory=100, spill_dir=tmp_path)
-        plan = faults.FaultPlan([faults.FaultSpec("stream.spill", hit=2)])
+        plan = faults.FaultPlan([faults.FaultSpec(point, hit=1)])
         with faults.active(plan):
             with pytest.raises(FaultInjected):
                 ShardedPipeline(PARAMS, spill).run(iter(workloads["quest"]))
-        assert any(tmp_path.iterdir())
+        assert plan.hits(point) == 1
+        assert not any(tmp_path.iterdir())
         records = workloads["zipf"]
         published = ShardedPipeline(PARAMS, spill).run(iter(records))
         assert _canonical(published) == _cold(records)
         assert published.total_records() == len(records)
+        assert not any(tmp_path.iterdir())
 
 
 class TestEnvDrivenFaults:

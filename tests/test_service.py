@@ -10,8 +10,7 @@ Covers the :mod:`repro.service` facade end to end:
   wrap, including warm back-to-back runs sharing one vocabulary;
 * concurrent ``submit()`` determinism against sequential ``run()``;
 * engine and service lifecycle (double close, reuse after close, drain);
-* the ``anonymize`` deprecation shim emitting a warning while producing
-  an identical publication.
+* the one-shot CLI publishing what the engine publishes.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ from repro import (
     ShardedPipeline,
     StreamParams,
     TransactionDataset,
-    anonymize,
 )
 from repro.core.engine import AnonymizationReport
 from repro.datasets.io import write_jsonl
 from repro.datasets.quest import generate_quest
-from repro.stream.executor import ShardedReport
+from repro.stream import IncrementalReport
 
 from tests.conftest import PAPER_RECORDS
 
@@ -193,7 +191,7 @@ class TestRouting:
         with AnonymizationService(ROUTING_CONFIG) as service:
             result = service.run(quest(120), overrides={"auto_stream_threshold": 100})
         assert result.mode == "stream"
-        assert isinstance(result.report, ShardedReport)
+        assert isinstance(result.report, IncrementalReport)
         assert result.original is None
 
     def test_small_iterator_routes_to_batch(self):
@@ -535,21 +533,9 @@ class TestServiceLifecycle:
 
 
 # --------------------------------------------------------------------------- #
-# deprecation shims
+# one-shot CLI
 # --------------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_anonymize_warns_and_matches_engine(self, paper_dataset):
-        params = AnonymizationParams(k=3, m=2, max_cluster_size=6)
-        expected = Disassociator(params).anonymize(paper_dataset)
-        with pytest.warns(DeprecationWarning, match="compatibility shim"):
-            published = anonymize(paper_dataset, k=3, m=2, max_cluster_size=6)
-        assert published.to_dict() == expected.to_dict()
-
-    def test_shim_parameter_validation_unchanged(self, paper_dataset):
-        with pytest.raises(ParameterError):
-            with pytest.warns(DeprecationWarning):
-                anonymize(paper_dataset, k=0)
-
+class TestCliEntryPoint:
     def test_cli_anonymize_matches_direct_engine(self, tmp_path):
         from repro.cli import main
         from repro.datasets.io import read_disassociated_json, write_transactions

@@ -8,6 +8,8 @@ records resident -- and does so deterministically.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cli import main
@@ -20,14 +22,16 @@ from repro.core.clusters import (
     SimpleCluster,
     TermChunk,
 )
+from repro.core import deadline
 from repro.core.verification import audit
 from repro.datasets.io import write_jsonl, write_transactions
 from repro.datasets.quest import generate_quest
-from repro.exceptions import ParameterError
+from repro.exceptions import DeadlineExceededError, ParameterError
 from repro.experiments.harness import TEST_CONFIG, disassociate
 from repro.stream import (
     HashShardPlanner,
     HorpartShardPlanner,
+    IncrementalPipeline,
     ShardedPipeline,
     StreamParams,
     build_planner,
@@ -35,6 +39,8 @@ from repro.stream import (
     relabel_cluster,
     verify_and_repair,
 )
+from tests.conftest import make_workload
+from tests.reference_engine import ReferenceDisassociator, reference_cold_run
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +140,11 @@ class TestShardedPipeline:
         # the bound forces several windows per shard on 600 records
         assert sum(report.shard_windows) >= 4
         assert report.total_seconds > 0
+        # a cold run is one initial build of a throwaway store
+        assert report.initialized and not report.noop
+        assert (report.appended, report.deleted) == (len(quest), 0)
+        assert report.windows_recomputed == sum(report.shard_windows)
+        assert report.windows_reused == 0
 
     def test_sharded_run_is_deterministic(self, quest):
         first = ShardedPipeline(PARAMS, STREAM).anonymize(quest)
@@ -159,19 +170,28 @@ class TestShardedPipeline:
         in_memory = ShardedPipeline(PARAMS, STREAM).anonymize(quest)
         assert from_file.to_dict() == in_memory.to_dict()
 
-    def test_spill_dir_is_kept_when_explicit(self, quest, tmp_path):
+    def test_explicit_spill_dir_holds_the_store_until_the_run_ends(
+        self, quest, tmp_path, monkeypatch
+    ):
+        """The throwaway store lives in a new directory under an explicit
+        ``spill_dir`` (created if needed) while the run is going."""
         spill = tmp_path / "spill"
+        during = []
+        reconcile = IncrementalPipeline._reconcile_windows
+
+        def spy(pipeline, store, report, **kwargs):
+            during.append(sorted(p.name for p in store.directory.parent.iterdir()))
+            assert store.directory.parent == spill
+            return reconcile(pipeline, store, report, **kwargs)
+
+        monkeypatch.setattr(IncrementalPipeline, "_reconcile_windows", spy)
         pipeline = ShardedPipeline(
             PARAMS, StreamParams(shards=2, max_records_in_memory=100, spill_dir=spill)
         )
         pipeline.anonymize(quest)
-        files = sorted(spill.glob("shard-*.jsonl"))
-        assert len(files) == 2
-        # spilled records together are exactly the input (as a bag)
-        from repro.datasets.io import iter_jsonl
-
-        spilled = sorted(sorted(r) for f in files for r in iter_jsonl(f))
-        assert spilled == sorted(sorted(r) for r in quest)
+        assert len(during) == 1 and len(during[0]) == 1
+        assert during[0][0].startswith("repro-shards-")
+        assert list(spill.iterdir()) == []
 
     def test_empty_stream_publishes_empty_dataset(self):
         published = ShardedPipeline(PARAMS, STREAM).run(iter(()))
@@ -216,15 +236,54 @@ class TestShardedPipeline:
         assert result.to_dict() == expected.to_dict()
         assert audit(result.publication, k=3, m=2).ok
 
-    def test_explicit_spill_dir_holds_only_spills(self, quest, tmp_path):
-        """An explicit ``spill_dir`` is where spills go -- nothing else."""
+    def test_explicit_spill_dir_is_empty_after_the_run(self, quest, tmp_path):
+        """An explicit ``spill_dir`` keeps nothing of a finished run."""
         stream = StreamParams(shards=3, max_records_in_memory=100, spill_dir=tmp_path)
         ShardedPipeline(PARAMS, stream).anonymize(quest)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "shard-0000.jsonl",
-            "shard-0001.jsonl",
-            "shard-0002.jsonl",
-        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_deadline_expiring_mid_insert_leaves_no_store(self, quest, tmp_path):
+        """The streamed insert checks the deadline every
+        ``max_records_in_memory`` records; expiry rolls it back, raises the
+        typed error and removes the throwaway store."""
+        stream = StreamParams(shards=3, max_records_in_memory=100, spill_dir=tmp_path)
+        budget = deadline.Deadline(3600)
+        consumed = []
+
+        def records():
+            for record in quest:
+                consumed.append(record)
+                if len(consumed) == 150:
+                    budget.expires_at = time.monotonic() - 1.0
+                yield record
+
+        with deadline.scope(budget):
+            with pytest.raises(DeadlineExceededError, match="store.mutate"):
+                ShardedPipeline(PARAMS, stream).run(records())
+        # the insert stopped at the first check after expiry, mid-stream
+        assert len(consumed) == 200 < len(quest)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReferenceColdRun:
+    """``ShardedPipeline`` publishes what the in-memory reference windower does."""
+
+    @pytest.mark.parametrize("reference_windows", [False, True])
+    @pytest.mark.parametrize("strategy", ["hash", "horpart"])
+    @pytest.mark.parametrize("workload", ["quest", "zipf"])
+    def test_sharded_run_matches_reference(
+        self, workload, strategy, reference_windows
+    ):
+        records = list(
+            make_workload(workload, records=500, domain=100, avg_len=6.0, seed=3)
+        )
+        stream = StreamParams(shards=3, max_records_in_memory=90, strategy=strategy)
+        engine = ReferenceDisassociator(PARAMS) if reference_windows else None
+        published = ShardedPipeline(PARAMS, stream, window_engine=engine).run(
+            iter(records)
+        )
+        expected = reference_cold_run(PARAMS, stream, records)
+        assert published.to_dict() == expected.to_dict()
 
 
 class TestRelabel:
