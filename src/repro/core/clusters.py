@@ -508,7 +508,7 @@ class DisassociatedDataset:
 
     def __repr__(self) -> str:
         return (
-            f"DisassociatedDataset(clusters={len(self.clusters)}, "
+            f"DisassociatedDataset(clusters={len(self)}, "
             f"records={self.total_records()}, k={self.k}, m={self.m})"
         )
 
@@ -517,6 +517,11 @@ class DisassociatedDataset:
 
     def __iter__(self) -> Iterator[Cluster]:
         return iter(self.clusters)
+
+    def clusters_at(self, positions: Iterable[int]) -> Iterator[Cluster]:
+        """The top-level clusters at ascending ``positions``, in that order."""
+        clusters = self.clusters
+        return (clusters[position] for position in positions)
 
     # -- structural accessors ------------------------------------------ #
     def simple_clusters(self) -> list[SimpleCluster]:

@@ -47,7 +47,7 @@ from typing import Optional, Protocol, Sequence
 
 from repro import faults
 from repro.core import deadline
-from repro.core.clusters import Cluster, DisassociatedDataset, SimpleCluster
+from repro.core.clusters import Cluster, DisassociatedDataset, JointCluster, SimpleCluster
 from repro.core.dataset import TransactionDataset
 from repro.core.horizontal import DEFAULT_MAX_CLUSTER_SIZE, horizontal_partition_indices
 from repro.core.refine import RefineStats, refine
@@ -539,21 +539,37 @@ def _force_sensitive_to_term_chunk(
     )
 
 
+#: The cluster statistics of a report, in :func:`cluster_stats` order.
+REPORT_STATS = (
+    "num_clusters",
+    "num_joint_clusters",
+    "num_record_chunks",
+    "num_shared_chunks",
+    "term_chunk_terms",
+)
+
+
+def cluster_stats(published: DisassociatedDataset) -> tuple:
+    """The publication's :data:`REPORT_STATS` values, in that order.
+
+    Every statistic is a sum over top-level clusters, so the statistics
+    of a concatenation of publications are the element-wise sums.
+    """
+    leaves = published.simple_clusters()
+    return (
+        len(leaves),
+        sum(1 for cluster in published.clusters if isinstance(cluster, JointCluster)),
+        sum(len(leaf.record_chunks) for leaf in leaves),
+        sum(1 for cluster in published.clusters for _ in cluster.iter_shared_chunks()),
+        sum(len(leaf.term_chunk) for leaf in leaves),
+    )
+
+
 def _fill_report(report, published: DisassociatedDataset) -> None:
     # `report` is any object with the cluster-stat fields: used for
     # AnonymizationReport and repro.stream's IncrementalReport.
-    from repro.core.clusters import JointCluster
-
-    leaves = published.simple_clusters()
-    report.num_clusters = len(leaves)
-    report.num_joint_clusters = sum(
-        1 for cluster in published.clusters if isinstance(cluster, JointCluster)
-    )
-    report.num_record_chunks = sum(len(leaf.record_chunks) for leaf in leaves)
-    report.num_shared_chunks = sum(
-        1 for cluster in published.clusters for _ in cluster.iter_shared_chunks()
-    )
-    report.term_chunk_terms = sum(len(leaf.term_chunk) for leaf in leaves)
+    for name, value in zip(REPORT_STATS, cluster_stats(published)):
+        setattr(report, name, value)
 
 
 def __getattr__(name: str):

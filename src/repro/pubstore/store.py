@@ -304,10 +304,10 @@ class PublicationStore(SQLiteStore):
         if digests is None:
             digests, fingerprint = cluster_digests(published.to_dict())
         else:
-            if len(digests) != len(published.clusters):
+            if len(digests) != len(published):
                 raise ParameterError(
                     f"{len(digests)} digest(s) given for "
-                    f"{len(published.clusters)} top-level cluster(s)"
+                    f"{len(published)} top-level cluster(s)"
                 )
             fingerprint = digests_fingerprint(
                 digests, {"k": published.k, "m": published.m}
@@ -374,7 +374,7 @@ class PublicationStore(SQLiteStore):
                 "DELETE FROM cluster_terms WHERE term = ? AND top = ?", gone_pairs
             )
         builder = build_rows(
-            ((position, published.clusters[position]) for position in fresh),
+            zip(fresh, published.clusters_at(fresh)),
             term_ids=term_ids,
             next_ids=next_ids,
         )

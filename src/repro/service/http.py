@@ -38,7 +38,9 @@ Endpoints:
 
 Error mapping: every error body is ``{"error": <message>, "kind":
 <machine-readable kind>}``.  Malformed JSON / unknown knobs / invalid
-records answer ``400`` (kind ``bad_request``); unknown paths ``404``;
+records (every record must be a non-empty array of non-empty strings;
+the message names the offending index) answer ``400`` (kind
+``bad_request``); unknown paths ``404``;
 wrong methods ``405``; oversize bodies ``413`` (kind ``too_large``);
 queue saturation ``429`` with ``Retry-After`` (kind ``saturated``); a
 closed service ``503`` (kind ``closed``); a request whose transient
@@ -57,13 +59,20 @@ a client idempotency token (re-POSTing the same delta with the same
 token after a crash or ambiguous timeout never double-applies it), and
 a request conflicting with the store's durable identity (wrong
 parameters, plan drift, deleting an absent record, a reused token with
-different contents) answers ``409`` (kind ``checkpoint_conflict``).  The
-publication bytes are exactly ``service.run(...)``'s (bit-for-bit;
+different contents) answers ``409`` (kind ``checkpoint_conflict``).
+
+Responses are compact JSON (no optional whitespace), written with the
+headers in one send on a ``TCP_NODELAY`` socket.  A publication
+response's ``"publication"`` value is the result's
+:meth:`~repro.service.request.PublicationResult.to_json` text spliced in
+as is -- for a delta, the window memo's text, with no object built --
+so it parses to exactly ``service.run(...).to_dict()`` (bit-for-bit;
 covered by the test suite and the throughput benchmark).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -182,6 +191,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     max_body_bytes: int = MAX_BODY_BYTES
 
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted connection: a keep-alive client's
+    #: delayed ACK must never hold back the next response.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------- #
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -190,14 +202,33 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
     def _send_json(self, status: int, payload: dict, headers=()) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, _compact(payload).encode("utf-8"), headers)
+
+    def _send_publication(self, envelope: dict, result) -> None:
+        """Answer ``200`` with ``envelope`` plus a last ``"publication"`` key.
+
+        The publication is :meth:`PublicationResult.to_json
+        <repro.service.request.PublicationResult.to_json>`'s text, spliced
+        in as is: a delta's response builds no object for it.
+        """
+        head = _compact(envelope)[:-1]
+        body = f'{head},"publication":{result.to_json()}}}'.encode("utf-8")
+        self._send_body(200, body)
+
+    def _send_body(self, status: int, body: bytes, headers=()) -> None:
+        """Send the status line, headers and ``body`` in one write."""
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in headers:
+                self.send_header(name, value)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        self.wfile.write(head + body)
 
     def _read_json_body(self) -> dict:
         length = self.headers.get("Content-Length")
@@ -349,8 +380,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             result = job.result(timeout=0)
             payload["mode"] = result.mode
             payload["summary"] = result.summary()
-            payload["publication"] = result.to_dict()
-        elif state == "failed":
+            self._send_publication(payload, result)
+            return
+        if state == "failed":
             exc = job.exception(timeout=0)
             _, kind, _ = classify_error(exc)
             payload["error"] = str(exc)
@@ -377,13 +409,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # fast path, assembled from the stored window snapshots.  "delta_id"
             # is the client's idempotency token -- re-POSTing the same
             # delta with the same token never double-applies it.
-            records = payload.get("records", payload.get("append"))
+            append_key = "records" if "records" in payload else "append"
+            records = payload.get(append_key)
             delete = payload.get("delete")
-            for name, value in (("records", records), ("delete", delete)):
-                if value is not None and not isinstance(value, list):
-                    raise _HttpError(
-                        400, f'"{name}" must be a list of term arrays'
-                    )
+            for name, value in ((append_key, records), ("delete", delete)):
+                if value is not None:
+                    _check_records(name, value)
             if delta_id is not None and not isinstance(delta_id, str):
                 raise _HttpError(400, '"delta_id" must be a string')
         else:
@@ -393,6 +424,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 raise _HttpError(
                     400, 'body must carry a non-empty "records" list of term arrays'
                 )
+            _check_records("records", records)
         run_async = bool(payload.get("async", False))
         request_fields = {
             "mode": mode,
@@ -428,15 +460,36 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 status, {"error": str(exc), "kind": kind}, headers=headers
             )
             return
-        self._send_json(
-            200,
-            {
-                "mode": result.mode,
-                "tag": result.tag,
-                "summary": result.summary(),
-                "publication": result.to_dict(),
-            },
+        self._send_publication(
+            {"mode": result.mode, "tag": result.tag, "summary": result.summary()},
+            result,
         )
+
+
+def _check_records(name: str, records) -> None:
+    """Refuse a body's record list unless it is a list of term arrays.
+
+    Every record must be a non-empty array of non-empty strings -- the
+    JSONL reader's contract.  A number, ``null``, nested array or ``""``
+    would otherwise be coerced into a term that collides with real ones,
+    and a bare string would be split into its characters.
+    """
+    if not isinstance(records, list):
+        raise _HttpError(400, f'"{name}" must be a list of term arrays')
+    for index, record in enumerate(records):
+        if not isinstance(record, list) or not record:
+            raise _HttpError(400, f'"{name}"[{index}] is not a non-empty array of terms')
+        for term in record:
+            if not isinstance(term, str) or not term:
+                raise _HttpError(
+                    400,
+                    f'"{name}"[{index}]: term {term!r} is not a non-empty string',
+                )
+
+
+def _compact(payload: dict) -> str:
+    """A response body's JSON text, without optional whitespace."""
+    return json.dumps(payload, separators=(",", ":"))
 
 
 class _HttpError(Exception):

@@ -11,16 +11,19 @@ and the configured memory threshold; see
 
 Every execution returns a :class:`PublicationResult`: the publication plus
 the run's report, with the expensive derived artifacts (dict/JSON
-serialization, information-loss metrics) computed lazily and cached.
+serialization, information-loss metrics) computed lazily and cached.  A
+delta run's result already carries the publication's JSON text, which
+the HTTP front door sends as is.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.core.clusters import DisassociatedDataset
+from repro.core.clusters import DisassociatedDataset, paused_gc
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import ParameterError
 from repro.service.config import ServiceConfig, check_seconds
@@ -160,7 +163,7 @@ class PublicationResult:
         config: ServiceConfig,
         original: Optional[TransactionDataset] = None,
         tag: Optional[str] = None,
-        payload: Optional[dict] = None,
+        text: Optional[str] = None,
     ):
         self.publication = publication
         self.report = report
@@ -168,20 +171,41 @@ class PublicationResult:
         self.config = config
         self.original = original
         self.tag = tag
-        self._dict_cache: Optional[dict] = payload
+        self._text: Optional[str] = text
+        self._dict_cache: Optional[dict] = None
         self._metrics_cache: dict = {}
 
     def __repr__(self) -> str:
         return (
             f"PublicationResult(mode={self.mode!r}, "
-            f"clusters={len(self.publication.clusters)}, tag={self.tag!r})"
+            f"clusters={len(self.publication)}, tag={self.tag!r})"
         )
 
     def to_dict(self) -> dict:
-        """The publication's serialized form (computed once, then cached)."""
+        """The publication's serialized form (computed once, then cached).
+
+        Parsed from the run's publication text when it has one (delta
+        runs), else built from the publication.
+        """
         if self._dict_cache is None:
-            self._dict_cache = self.publication.to_dict()
+            if self._text is None:
+                self._dict_cache = self.publication.to_dict()
+            else:
+                with paused_gc():
+                    self._dict_cache = json.loads(self._text)
         return self._dict_cache
+
+    def to_json(self) -> str:
+        """The publication as compact JSON text (computed once, then cached).
+
+        A delta run's text is spliced from its windows' memoized text, so
+        no cluster object is built or serialized for it; other runs
+        encode :meth:`to_dict`.  Either way ``json.loads`` of it equals
+        :meth:`to_dict`.
+        """
+        if self._text is None:
+            self._text = json.dumps(self.to_dict(), separators=(",", ":"))
+        return self._text
 
     def save(self, path: PathLike) -> Path:
         """Write the publication as JSON; returns the written path."""

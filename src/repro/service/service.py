@@ -620,12 +620,10 @@ class AnonymizationService:
         state["mode"], state["report"] = None, None
         if request.mode == "delta":
             state["mode"] = "delta"
-            published, report, payload = self._run_delta(
-                request, config, engine, state
-            )
+            published, report, text = self._run_delta(request, config, engine, state)
             state["report"] = report
             return PublicationResult(
-                published, report, "delta", config, tag=request.tag, payload=payload
+                published, report, "delta", config, tag=request.tag, text=text
             )
         mode, stream_source, dataset = self._route(request, config)
         state["mode"] = mode
@@ -722,8 +720,8 @@ class AnonymizationService:
         once.  The service's window memo is lent to the pipeline the same
         way, so windows whose snapshots an earlier delta already published
         are not decoded, audited or serialized again.  Returns the
-        pipeline's ``to_dict`` payload with the publication, so the
-        response reuses it instead of serializing the publication again.
+        pipeline's publication text with the publication, so the response
+        sends it instead of serializing the publication again.
         """
         pipeline = IncrementalPipeline(
             config.engine_params(),
@@ -736,7 +734,7 @@ class AnonymizationService:
             delete=self._delta_records(request.delete, request),
             delta_id=state["delta_id"],
         )
-        return published, pipeline.last_report, pipeline.last_payload
+        return published, pipeline.last_report, pipeline.last_text
 
     @staticmethod
     def _delta_records(source, request: AnonymizationRequest) -> list:

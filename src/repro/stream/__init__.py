@@ -49,6 +49,7 @@ from repro.stream.executor import (
     DEFAULT_SHARDS,
     ShardedPipeline,
     StreamParams,
+    TextPublication,
     WindowMemo,
     relabel_cluster,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "ShardStore",
     "ShardedPipeline",
     "StreamParams",
+    "TextPublication",
     "WindowMemo",
     "build_planner",
     "demote_terms",

@@ -65,16 +65,21 @@ from repro.core.clusters import (
     Cluster,
     DisassociatedDataset,
     JointCluster,
-    RecordChunk,
     SharedChunk,
     SimpleCluster,
-    TermChunk,
+    cluster_from_dict,
     paused_gc,
 )
 from repro.core import deadline
 from repro.core.codec import cluster_from_payload
 from repro.core.dataset import TransactionDataset
-from repro.core.engine import AnonymizationParams, Disassociator, _fill_report
+from repro.core.engine import (
+    REPORT_STATS,
+    AnonymizationParams,
+    Disassociator,
+    _fill_report,
+    cluster_stats,
+)
 from repro.core.verification import audit
 from repro.datasets.io import iter_records
 from repro.exceptions import ParameterError
@@ -213,51 +218,49 @@ class WindowProduct:
     """What one window contributes to a publication.
 
     Disassociation's guarantee is per top-level cluster (see
-    :mod:`repro.stream.boundary`), so a window's audit verdict, its
-    public clusters and their serialized forms depend on the window's
-    clusters and ``(k, m)`` alone.
+    :mod:`repro.stream.boundary`), so a window's audit verdict, the text
+    of its public clusters and their statistics depend on the window's
+    clusters and ``(k, m)`` alone, and a publication whose windows all
+    pass is the concatenation of their products.  Only a window whose
+    clusters pass :func:`~repro.core.verification.audit` on their own
+    has a product, so a product is its window's verdict.  It holds only
+    strings, integers and tuples of them: no caller can hold (or mutate)
+    an object the memo keeps, and the collector has nothing in it to
+    scan.
 
     Attributes:
-        ok: whether the window's clusters pass
-            :func:`~repro.core.verification.audit` on their own.
-        public: the clusters without their private original records.
-        fragments: the compact JSON text of ``public``'s ``to_dict``
-            forms (``None`` unless asked).  Text, not dicts: every run
-            parses its own payload from it, so no caller ever holds an
-            object the memo keeps.
+        fragments: the compact JSON text of the public clusters'
+            ``to_dict`` forms, comma-separated -- the inside of a JSON
+            array, so a publication's text is its windows' fragments
+            spliced together.
         digests: the publication store's top-level digests of those
-            forms (``None`` unless asked).
+            forms, one per top-level cluster.
+        records: the number of original records the clusters represent.
+        stats: the clusters' :data:`~repro.core.engine.REPORT_STATS`.
     """
 
-    ok: bool
-    public: list
-    fragments: Optional[str] = None
-    digests: Optional[list] = None
+    fragments: str
+    digests: tuple
+    records: int
+    stats: tuple
 
 
-def _window_product(
-    clusters: list, k: int, m: int, *, serialize: bool
-) -> tuple[WindowProduct, Optional[list]]:
-    """Audit, strip and (with ``serialize``) serialize one window's clusters.
-
-    Returns the product and, with ``serialize``, the ``to_dict`` forms its
-    JSON text was encoded from -- fresh objects the memo never holds.
-    """
-    ok = audit(DisassociatedDataset(clusters, k=k, m=m)).ok
-    public = [_without_private_records(cluster) for cluster in clusters]
-    if not serialize:
-        return WindowProduct(ok, public), None
+def _window_product(public: list, k: int, m: int) -> WindowProduct:
+    """Serialize one window's audited public clusters into its product."""
     forms = [cluster.to_dict() for cluster in public]
-    digests = [top_digest(form) for form in forms]
-    text = json.dumps(forms, separators=(",", ":"))
-    return WindowProduct(ok, public, text, digests), forms
+    return WindowProduct(
+        json.dumps(forms, separators=(",", ":"))[1:-1],
+        tuple(top_digest(form) for form in forms),
+        sum(cluster.size for cluster in public),
+        cluster_stats(DisassociatedDataset(public, k=k, m=m)),
+    )
 
 
 class WindowMemo:
     """Process-lived products of the windows of the latest publication.
 
     Maps ``(window digest, k, m)`` to the :class:`WindowProduct` of a
-    window whose audit passed.  The key is the digest of the window's
+    window whose audit passed (a failing window has none).  The key is the digest of the window's
     snapshot bytes, computed when the window is built or read and never
     trusted from storage, so a snapshot that changed on disk misses and
     is audited again.  :func:`publish_merged` replaces the contents after
@@ -288,14 +291,93 @@ class WindowMemo:
             self._products = products
 
 
+class TextPublication(DisassociatedDataset):
+    """A publication held as its compact JSON text: a memoized run's result.
+
+    The text (:attr:`text`) is the windows' product fragments spliced
+    together -- byte for byte ``json.dumps(to_dict(), separators=(",",
+    ":"))`` of the same publication -- so a caller that only forwards it
+    (the HTTP layer) never builds a cluster object.  The clusters are
+    decoded from the text on first access of :attr:`clusters`; until
+    then :meth:`to_dict` parses the text, and ``len()`` and
+    :meth:`total_records` answer from the products.
+    :meth:`clusters_at` (the publication store's refresh) takes the
+    clusters of the windows the run computed from memory and decodes a
+    memoized window's fragments only when one of its clusters is asked
+    for.
+
+    Args:
+        k, m: the anonymity parameters.
+        windows: ``(product, public clusters or None)`` per window, in
+            publication order; the clusters are the ones the run
+            computed (``None`` for a memoized window).
+    """
+
+    def __init__(self, k: int, m: int, windows: list):
+        self.k, self.m = int(k), int(m)
+        self._windows = windows
+        self._clusters: Optional[list] = None
+        fragments = ",".join(p.fragments for p, _ in windows if p.fragments)
+        #: The publication's compact JSON text.
+        self.text = f'{{"k":{self.k},"m":{self.m},"clusters":[{fragments}]}}'
+
+    @property
+    def clusters(self) -> list:
+        """The top-level clusters, decoded from :attr:`text` on first access."""
+        if self._clusters is None:
+            with paused_gc():
+                forms = json.loads(self.text)["clusters"]
+                self._clusters = [cluster_from_dict(form) for form in forms]
+        return self._clusters
+
+    @clusters.setter
+    def clusters(self, value) -> None:
+        """Replace the clusters (:attr:`text` keeps the published form)."""
+        self._clusters = list(value)
+
+    def __len__(self) -> int:
+        if self._clusters is not None:
+            return len(self._clusters)
+        return sum(len(product.digests) for product, _ in self._windows)
+
+    def total_records(self) -> int:
+        """Number of original records represented by the publication."""
+        if self._clusters is not None:
+            return super().total_records()
+        return sum(product.records for product, _ in self._windows)
+
+    def to_dict(self) -> dict:
+        """A fresh parse of :attr:`text` (or of the decoded clusters)."""
+        if self._clusters is not None:
+            return super().to_dict()
+        with paused_gc():
+            return json.loads(self.text)
+
+    def clusters_at(self, positions: Iterable[int]) -> Iterator[Cluster]:
+        """The top-level clusters at ascending ``positions``, in that order."""
+        if self._clusters is not None:
+            yield from super().clusters_at(positions)
+            return
+        windows = iter(self._windows)
+        first = end = 0
+        for position in positions:
+            while position >= end:
+                product, clusters = next(windows)
+                first, end = end, end + len(product.digests)
+            if clusters is None:
+                forms = json.loads(f"[{product.fragments}]")
+                clusters = [cluster_from_dict(form) for form in forms]
+            yield clusters[position - first]
+
+
 class MergedPublication(NamedTuple):
     """The run tail's result (see :func:`publish_merged`)."""
 
     #: The published dataset.
     published: DisassociatedDataset
-    #: ``published.to_dict()`` (memoized runs only, else ``None``).
-    payload: Optional[dict]
-    #: The top-level digests of ``payload`` (memoized runs only).
+    #: The publication's compact JSON text (memoized runs only, else ``None``).
+    text: Optional[str]
+    #: The top-level digests of the publication (memoized runs only).
     digests: Optional[list]
 
 
@@ -309,23 +391,25 @@ def publish_merged(
 
     ``windows`` are the relabeled per-window :class:`Window` s in shard
     and window order; relabeling already made labels unique, so the
-    merge is a concatenation.  The guarantee is audited per window: each
-    window yields a :class:`WindowProduct` (its verdict and public
-    clusters), served from ``memo`` when it holds the window's digest.
-    When every window passes, the publication is the concatenation of
-    the products -- exactly what a global audit with nothing to repair
-    publishes.  Otherwise the global boundary repair runs over every
-    window's private clusters (decoded afresh from their snapshots; the
-    repair's demotions consult the private original records), and its
-    stripped result is published.  Fills ``report``'s ``merge_seconds``,
-    ``verify_seconds``, ``repair`` and cluster statistics.
+    merge is a concatenation.  The guarantee is audited per window, and
+    a window ``memo`` holds the digest of is not audited again.  When
+    every window passes, the publication is the concatenation of the
+    windows' public clusters -- exactly what a global audit with nothing
+    to repair publishes.  Otherwise the global boundary repair runs over
+    every window's private clusters (decoded afresh from their
+    snapshots; the repair's demotions consult the private original
+    records), and its stripped result is published.  Fills ``report``'s
+    ``merge_seconds``, ``verify_seconds``, ``repair`` and cluster
+    statistics.
 
-    With a ``memo`` the result also carries the ``to_dict`` payload and
-    the publication store's top-level digests, and the memo keeps the
-    passing products of this publication afterwards.  The returned
-    publication and payload are the caller's own copies: mutating them
-    never reaches the memo.  Without a memo (a cold run) nothing is
-    serialized or digested here.
+    With a ``memo`` the result also carries the publication's compact
+    JSON text and the publication store's top-level digests, and the
+    memo keeps the passing windows' :class:`WindowProduct` s afterwards.
+    When every window passes, nothing is parsed or copied: the
+    publication is a :class:`TextPublication` spliced from the products,
+    and the report's statistics are sums over them.  The memo holds only
+    text, so mutating the returned publication never reaches it.
+    Without a memo (a cold run) nothing is serialized or digested here.
     """
     faults.check("stream.merge")
     deadline.check("stream.merge")
@@ -333,56 +417,65 @@ def publish_merged(
     deadline.check("stream.verify")
     start = time.perf_counter()
     k, m = params.k, params.m
-    # (memo key, product, to_dict forms this run built or None) per window.
+    # (memo key, verdict, product or None, public clusters this run
+    # computed or None) per window.
     entries = []
-    # Products are retained and the audit's garbage is acyclic, so the
-    # collector would only rescan the growing live set here.
+    # The decoded clusters and public forms are retained and the audit's
+    # garbage is acyclic, so the collector would only rescan the growing
+    # live set here (a load or a first delta after a restart audits every
+    # window: ~1.5 s of collector passes at 100k records).
     with paused_gc():
         for window in windows:
             key = None if memo is None else (window.digest, k, m)
-            product, forms = None if key is None else memo.get(key), None
-            if product is None:
-                product, forms = _window_product(
-                    window.private_clusters(), k, m, serialize=memo is not None
-                )
-            entries.append((key, product, forms))
-    payload = digests = None
-    if all(product.ok for _, product, _ in entries):
+            product = None if key is None else memo.get(key)
+            if product is not None:
+                entries.append((key, True, product, None))
+                continue
+            clusters = window.private_clusters()
+            ok = audit(DisassociatedDataset(clusters, k=k, m=m)).ok
+            public = [_without_private_records(cluster) for cluster in clusters]
+            if ok and memo is not None:
+                product = _window_product(public, k, m)
+            entries.append((key, ok, product, public))
+    text = digests = None
+    if all(ok for _, ok, _, _ in entries):
         report.repair = BoundaryRepairSummary()
         verified = time.perf_counter()
-        public = [cluster for _, product, _ in entries for cluster in product.public]
-        if memo is not None:
-            # The caller gets its own objects: fresh cluster copies, and
-            # each window's forms as this run built them or parsed afresh
-            # from the memoized text.
-            with paused_gc():
-                public = [_public_copy(cluster) for cluster in public]
-                clusters: list = []
-                for _, product, forms in entries:
-                    clusters.extend(
-                        forms if forms is not None else json.loads(product.fragments)
-                    )
-            payload = {"k": k, "m": m, "clusters": clusters}
-            digests = [d for _, product, _ in entries for d in product.digests]
-        published = DisassociatedDataset(public, k=k, m=m)
+        if memo is None:
+            published = DisassociatedDataset(
+                [cluster for *_, public in entries for cluster in public], k=k, m=m
+            )
+            _fill_report(report, published)
+        else:
+            published = TextPublication(
+                k, m, [(product, public) for _, _, product, public in entries]
+            )
+            text = published.text
+            digests = [d for _, _, product, _ in entries for d in product.digests]
+            stats = [product.stats for _, _, product, _ in entries]
+            for name, value in zip(REPORT_STATS, map(sum, zip(*stats))):
+                setattr(report, name, value)
     else:
         merged = DisassociatedDataset(
             [c for window in windows for c in window.private_clusters()], k=k, m=m
         )
         merged, report.repair = verify_and_repair(merged)
         published = DisassociatedDataset(
-            [_public_copy(cluster) for cluster in merged.clusters], k=k, m=m
+            [_without_private_records(cluster) for cluster in merged.clusters],
+            k=k,
+            m=m,
         )
         verified = time.perf_counter()
         if memo is not None:
             payload = published.to_dict()
+            text = json.dumps(payload, separators=(",", ":"))
             digests, _ = cluster_digests(payload)
+        _fill_report(report, published)
     if memo is not None:
-        memo.replace({key: product for key, product, _ in entries if product.ok})
+        memo.replace({key: product for key, ok, product, _ in entries if ok})
     report.verify_seconds = verified - start
     report.merge_seconds = time.perf_counter() - verified
-    _fill_report(report, published)
-    return MergedPublication(published, payload, digests)
+    return MergedPublication(published, text, digests)
 
 
 class ShardedPipeline:
@@ -465,12 +558,9 @@ class ShardedPipeline:
             self.last_report = pipeline._new_report()
             return pipeline._publish_stream(records, self.last_report)
 
-def _without_private_records(cluster: Cluster) -> Cluster:
-    """The cluster tree without the private original records.
 
-    Shares the chunks with ``cluster``; see :func:`_public_copy` for a
-    copy that shares nothing mutable.
-    """
+def _without_private_records(cluster: Cluster) -> Cluster:
+    """The cluster tree without the private original records (chunks shared)."""
     if isinstance(cluster, JointCluster):
         return JointCluster(
             [_without_private_records(child) for child in cluster.children],
@@ -484,36 +574,6 @@ def _without_private_records(cluster: Cluster) -> Cluster:
         record_chunks=cluster.record_chunks,
         term_chunk=cluster.term_chunk,
         label=cluster.label,
-    )
-
-
-def _public_copy(cluster: Cluster) -> Cluster:
-    """A copy of the cluster tree without the private original records.
-
-    Every cluster, chunk, list and dict of the copy is its own; only the
-    immutable term sets are shared, so mutating the copy never reaches
-    the original.
-    """
-    if isinstance(cluster, JointCluster):
-        return JointCluster(
-            [_public_copy(child) for child in cluster.children],
-            [
-                SharedChunk._from_normalized(
-                    chunk.domain, list(chunk.subrecords), dict(chunk.contributions)
-                )
-                for chunk in cluster.shared_chunks
-            ],
-            label=cluster.label,
-        )
-    return SimpleCluster._from_normalized(
-        cluster.size,
-        [
-            RecordChunk._from_normalized(chunk.domain, list(chunk.subrecords))
-            for chunk in cluster.record_chunks
-        ],
-        TermChunk(cluster.term_chunk.terms),
-        cluster.label,
-        None,
     )
 
 

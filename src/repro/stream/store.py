@@ -785,9 +785,10 @@ class IncrementalPipeline:
         self.window_engine = window_engine
         self.memo = memo if memo is not None else WindowMemo()
         self.last_report: Optional[IncrementalReport] = None
-        #: The last run's publication in ``to_dict`` form, built once per
-        #: run and shared with callers that serialize it again.
-        self.last_payload: Optional[dict] = None
+        #: The last run's publication as compact JSON text, spliced from
+        #: the window products; callers that serialize the publication
+        #: (the HTTP response) send it as is.
+        self.last_text: Optional[str] = None
 
     # -- public entry points ------------------------------------------- #
     def run(
@@ -805,7 +806,11 @@ class IncrementalPipeline:
         :class:`~repro.exceptions.StoreError` and nothing is mutated).
         An empty delta on an up-to-date store is a no-op fast path: the
         publication is assembled from the stored window snapshots, with no
-        record scan and no engine run.
+        record scan and no engine run.  When every window passes its
+        audit (the usual case) the publication is a
+        :class:`~repro.stream.executor.TextPublication`: :attr:`last_text`
+        spliced from the window products, its clusters decoded on first
+        access only.
 
         ``delta_id`` is an optional idempotency token: a mutation is
         committed at most once per token, so the service layer (or an
@@ -822,7 +827,7 @@ class IncrementalPipeline:
         :class:`StoreError` and can simply be retried).
         """
         report = self.last_report = self._new_report()
-        self.last_payload = None
+        self.last_text = None
         start = time.perf_counter()
         # Exclusive: one run per store at a time.  Concurrent deltas (other
         # service workers, other processes on the same store_dir) queue on
@@ -962,7 +967,7 @@ class IncrementalPipeline:
         else:
             windows = self._reconcile_windows(store, report)
         merged = publish_merged(windows, self.params, report, self.memo)
-        self.last_payload = merged.payload
+        self.last_text = merged.text
         if not report.noop:
             start = time.perf_counter()
             store.mark_published(generation)

@@ -20,9 +20,15 @@ Covers the PR-7 concurrency surface:
 from __future__ import annotations
 
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from http.client import HTTPConnection
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,7 +43,11 @@ from repro import (
 from repro.core.clusters import DisassociatedDataset, SimpleCluster
 from repro.datasets.quest import generate_quest
 from repro.service import LatencyHistogram, ServiceHTTPServer
+from repro.service import http as http_module
+from repro.service import request as request_module
 from repro.stream import ShardedPipeline, ShardStore, StreamParams
+from repro.stream import executor
+from repro.stream.executor import TextPublication
 
 
 def quest(records=120, domain=40, seed=0) -> TransactionDataset:
@@ -53,8 +63,8 @@ def quest(records=120, domain=40, seed=0) -> TransactionDataset:
 BASE_CONFIG = ServiceConfig(k=3, max_cluster_size=10, verify=False)
 
 
-def http(base: str, method: str, path: str, payload=None, timeout=60):
-    """One HTTP round-trip; returns ``(status, decoded-json)``."""
+def http_raw(base: str, method: str, path: str, payload=None, timeout=60):
+    """One HTTP round-trip; returns ``(status, body bytes)``."""
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         base + path,
@@ -64,9 +74,15 @@ def http(base: str, method: str, path: str, payload=None, timeout=60):
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.load(response)
+            return response.status, response.read()
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read().decode("utf-8"))
+        return error.code, error.read()
+
+
+def http(base: str, method: str, path: str, payload=None, timeout=60):
+    """One HTTP round-trip; returns ``(status, decoded-json)``."""
+    status, body = http_raw(base, method, path, payload, timeout)
+    return status, json.loads(body.decode("utf-8"))
 
 
 @pytest.fixture()
@@ -367,10 +383,13 @@ class TestHttpEndpoints:
 
 class TestHttpDelta:
     def test_delta_serializes_its_publication_once(self, tmp_path, monkeypatch):
-        """The response is assembled from per-window products, same bytes as
-        a cold run: the load serializes every leaf cluster once, a delta
-        only the leaves of the windows it recomputed, and neither
-        serializes the whole publication again."""
+        """The response is spliced from per-window text, same bytes as a
+        cold run: the load serializes every leaf cluster once and a warm
+        delta only the leaves of the windows it recomputed.  Neither
+        serializes the whole publication, and neither parses or decodes
+        anything: no ``json.loads`` and no snapshot or public-form decode
+        in the run tail or the result.  An async delta's ``GET
+        /jobs/<id>`` answers the same publication."""
         records = [sorted(record) for record in quest(300, seed=3)]
         appended = [sorted(record) for record in quest(20, seed=4)]
         config = BASE_CONFIG.with_overrides(
@@ -381,25 +400,30 @@ class TestHttpDelta:
             store_dir=str(tmp_path / "shards"),
             pubstore_dir=str(tmp_path / "pub"),
         )
-        calls = {"publication": 0, "leaf": 0}
-        publication_to_dict = DisassociatedDataset.to_dict
-        leaf_to_dict = SimpleCluster.to_dict
+        calls: Counter = Counter()
 
-        def counting_publication(self):
-            calls["publication"] += 1
-            return publication_to_dict(self)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def counting_leaf(self):
-            calls["leaf"] += 1
-            return leaf_to_dict(self)
+            return wrapper
 
         def leaves(cluster) -> int:
             if cluster["type"] == "simple":
                 return 1
             return sum(leaves(child) for child in cluster["children"])
 
-        monkeypatch.setattr(DisassociatedDataset, "to_dict", counting_publication)
-        monkeypatch.setattr(SimpleCluster, "to_dict", counting_leaf)
+        for owner in (DisassociatedDataset, TextPublication):
+            monkeypatch.setattr(
+                owner, "to_dict", counting("publication", owner.__dict__["to_dict"])
+            )
+        monkeypatch.setattr(SimpleCluster, "to_dict", counting("leaf", SimpleCluster.to_dict))
+        for name in ("cluster_from_payload", "cluster_from_dict"):
+            monkeypatch.setattr(executor, name, counting("decode", getattr(executor, name)))
+        counted_json = SimpleNamespace(loads=counting("loads", json.loads), dumps=json.dumps)
+        monkeypatch.setattr(executor, "json", counted_json)
+        monkeypatch.setattr(request_module, "json", counted_json)
         server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
         serialized = []
         try:
@@ -409,28 +433,122 @@ class TestHttpDelta:
                 (records, [], "base"),
                 (appended, records[-5:], "d1"),
             ]:
-                calls.update(publication=0, leaf=0)
-                status, payload = http(
+                calls.clear()
+                status, body = http_raw(
                     server.url,
                     "POST",
                     "/anonymize",
                     {"mode": "delta", "records": batch, "delete": delete, "delta_id": token},
                 )
-                assert status == 200 and payload["mode"] == "delta"
+                assert status == 200
+                payload = json.loads(body)
+                assert list(payload) == ["mode", "tag", "summary", "publication"]
+                assert payload["mode"] == "delta"
                 total = sum(leaves(c) for c in payload["publication"]["clusters"])
-                serialized.append((calls["publication"], calls["leaf"], total))
+                serialized.append((dict(calls), total))
+            calls.clear()
+            status, job = http(
+                server.url, "POST", "/anonymize", {"mode": "delta", "async": True}
+            )
+            assert status == 202
+            href = job["href"]
+            while job["state"] in ("pending", "running"):
+                status, job = http(server.url, "GET", href)
+            assert (status, job["state"]) == (200, "done")
+            assert calls == Counter()
         finally:
             server.close()
         monkeypatch.undo()
-        (load_whole, load_leaves, load_total), (delta_whole, delta_leaves, total) = serialized
-        assert load_whole == delta_whole == 0
-        assert load_leaves == load_total
-        assert 0 < delta_leaves < total
+        (load, load_total), (delta, total) = serialized
+        assert load == {"leaf": load_total}
+        assert set(delta) == {"leaf"}
+        assert 0 < delta["leaf"] < total
         cold = ShardedPipeline(
             config.engine_params(),
             StreamParams(shards=2, max_records_in_memory=60),
         ).run([frozenset(r) for r in records[:-5] + appended])
-        assert payload["publication"] == cold.to_dict()
+        expected = cold.to_dict()
+        assert payload["publication"] == expected
+        assert body.endswith(
+            b',"publication":'
+            + json.dumps(expected, separators=(",", ":")).encode("utf-8")
+            + b"}"
+        )
+        assert job["publication"] == expected
+
+
+# --------------------------------------------------------------------------- #
+# the wire: TCP_NODELAY and the record contract
+# --------------------------------------------------------------------------- #
+class TestHttpWire:
+    def test_accepted_connections_disable_nagle(self, served, monkeypatch):
+        """Every accepted socket has TCP_NODELAY, and keep-alive requests
+        are not held back by the client's delayed ACK (~40 ms each)."""
+        flags = []
+        setup = http_module._ServiceRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flags.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(http_module._ServiceRequestHandler, "setup", recording_setup)
+        connection = HTTPConnection(served.host, served.port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(30):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert (response.status, json.loads(response.read())["status"]) == (
+                    200,
+                    "ok",
+                )
+                latencies.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert flags and all(flags)
+        assert statistics.median(latencies) < 0.020
+
+    #: Bodies the JSONL reader refuses too: each would publish a coerced
+    #: term (``"1"``, ``"None"``, the characters ``"a"``/``"b"``, a dict's
+    #: keys, ``""``) or an empty record.
+    BAD_RECORDS = [[1, 2], [None], "ab", {"a": 1}, [""], []]
+
+    @pytest.fixture(scope="class")
+    def delta_server(self, tmp_path_factory):
+        store_dir = tmp_path_factory.mktemp("wire") / "store"
+        config = BASE_CONFIG.with_overrides(store_dir=str(store_dir))
+        server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
+        records = [sorted(r) for r in quest(60, seed=9)]
+        status, _ = http(
+            server.url, "POST", "/anonymize", {"mode": "delta", "records": records}
+        )
+        assert status == 200
+        try:
+            yield server, store_dir, records
+        finally:
+            server.close(drain=False)
+
+    @pytest.mark.parametrize("bad", BAD_RECORDS, ids=repr)
+    @pytest.mark.parametrize("shape", ["batch", "append", "delete"])
+    def test_non_string_terms_answer_400(self, delta_server, shape, bad):
+        server, store_dir, records = delta_server
+        with ShardStore(store_dir) as store:
+            before = (store.generation, store.num_records())
+        listed = [records[0], bad]
+        if shape == "batch":
+            body, key = {"mode": "batch", "records": listed}, "records"
+        elif shape == "append":
+            body, key = {"mode": "delta", "append": listed}, "append"
+        else:
+            body, key = {"mode": "delta", "delete": listed}, "delete"
+        status, payload = http(server.url, "POST", "/anonymize", body)
+        assert (status, payload["kind"]) == (400, "bad_request")
+        assert f'"{key}"[1]' in payload["error"]
+        with ShardStore(store_dir) as store:
+            assert (store.generation, store.num_records()) == before
 
 
 # --------------------------------------------------------------------------- #

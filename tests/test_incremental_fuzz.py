@@ -35,7 +35,7 @@ import random
 import pytest
 
 from repro import faults
-from repro.core.engine import AnonymizationParams
+from repro.core.engine import REPORT_STATS, AnonymizationParams, cluster_stats
 from repro.core.verification import audit
 from repro.exceptions import FaultInjected
 from repro.service import AnonymizationService, ServiceConfig
@@ -191,8 +191,9 @@ class TestDifferentialFuzz:
 MEMO_STEPS = 4
 
 
-def _payload_text(pipeline) -> str:
-    return json.dumps(pipeline.last_payload, sort_keys=True)
+def _compact(published) -> str:
+    """The publication's compact JSON text (what a memoized run splices)."""
+    return json.dumps(published.to_dict(), separators=(",", ":"))
 
 
 class TestWarmMemo:
@@ -217,18 +218,29 @@ class TestWarmMemo:
             published = pipeline.run(append=appends, delete=deletes)
             current = _apply_oracle(current, appends, deletes)
             report = pipeline.last_report
+            cold = _cold(current, max_records_in_memory=40)
+            # Counted before anything decodes the publication's clusters.
+            assert (len(published), published.total_records()) == (
+                len(cold.clusters),
+                cold.total_records(),
+            )
+            assert [getattr(report, name) for name in REPORT_STATS] == list(
+                cluster_stats(cold)
+            )
             assert audit(published).ok
             text = _canonical(published)
-            assert _payload_text(pipeline) == text
+            assert pipeline.last_text == _compact(cold)
             assert len(pipeline.memo) <= sum(report.shard_windows)
             cold_process = IncrementalPipeline(PARAMS, stream, memo=WindowMemo())
             assert _canonical(cold_process.run()) == text
             assert cold_process.last_report.noop
-            assert text == _canonical(_cold(current, max_records_in_memory=40))
+            assert cold_process.last_text == pipeline.last_text
+            assert text == _canonical(cold)
 
     def test_caller_mutations_never_reach_the_memo(self, base_records, tmp_path):
-        """Mutating the returned publication and payload, at any depth,
-        leaves the next runs' bytes unchanged."""
+        """Mutating the returned publication's decoded clusters and its
+        ``to_dict`` form, at any depth, leaves the next runs' bytes
+        unchanged."""
         records = base_records["zipf"]
         stream = _stream(tmp_path / "store", max_records_in_memory=40)
         pipeline = IncrementalPipeline(PARAMS, stream)
@@ -258,19 +270,19 @@ class TestWarmMemo:
             payload["clusters"].pop()
             payload["k"] = 99
 
-        vandalize(first, pipeline.last_payload)
+        vandalize(first, first.to_dict())
         again = pipeline.run()
         assert pipeline.last_report.noop
         assert _canonical(again) == expected
-        assert _payload_text(pipeline) == expected
+        assert json.dumps(json.loads(pipeline.last_text), sort_keys=True) == expected
 
-        vandalize(again, pipeline.last_payload)
+        vandalize(again, again.to_dict())
         appended.append(frozenset({"m-c", "m-d"}))
         later = pipeline.run(append=appended[-1:])
         assert pipeline.last_report.windows_reused > 0
-        text = _canonical(later)
-        assert text == _canonical(_cold(records + appended, max_records_in_memory=40))
-        assert _payload_text(pipeline) == text
+        cold = _cold(records + appended, max_records_in_memory=40)
+        assert _canonical(later) == _canonical(cold)
+        assert pipeline.last_text == _compact(cold)
 
 
 #: Every injection point a delta run crosses, with the 1-based hit that

@@ -12,6 +12,8 @@ config/request model, the HTTP front door and the CLI.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import sys
 import threading
@@ -736,7 +738,9 @@ class TestWindowMemo:
         assert any(term in terms for terms in report.repair.demoted_terms.values())
         assert audit(published).ok
         assert term not in published.record_chunk_terms()
-        assert json.dumps(pipeline.last_payload, sort_keys=True) == _canonical(published)
+        assert pipeline.last_text == json.dumps(
+            published.to_dict(), separators=(",", ":")
+        )
 
         # The no-op path assembles from the same snapshots: it repairs the
         # tampered window again rather than trusting any earlier verdict.
@@ -744,6 +748,26 @@ class TestWindowMemo:
         assert pipeline.last_report.noop
         assert pipeline.last_report.repair.total_demoted() > 0
         assert _canonical(again) == _canonical(published)
+
+    def test_memo_entries_hold_only_untracked_values(self, tmp_path):
+        """A memo entry is text and numbers: nothing it references is a
+        container the cyclic collector tracks, and it holds one fragment
+        string and one digest per top-level cluster of its window."""
+        pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s", max_records_in_memory=40))
+        pipeline.run(append=RECORDS)
+        published = pipeline.run(append=[frozenset({"gc-a", "gc-b"})])
+        gc.collect()
+        products = pipeline.memo._products
+        assert len(products) == sum(pipeline.last_report.shard_windows)
+        for key, product in products.items():
+            assert not gc.is_tracked(key)
+            for field in dataclasses.fields(product):
+                value = getattr(product, field.name)
+                assert isinstance(value, (str, int, tuple)), field.name
+                assert not gc.is_tracked(value), field.name
+        assert sum(len(p.digests) for p in products.values()) == len(published)
+        fragments = ",".join(p.fragments for p in products.values())
+        assert len(json.loads(f"[{fragments}]")) == len(published)
 
     def test_service_lends_one_memo_to_every_delta(self, tmp_path):
         """Back-to-back service deltas (a fresh pipeline each) share the

@@ -43,7 +43,8 @@ from repro.pubstore import PUBSTORE_VERSION, PublicationStore, QueryEngine, pubs
 from repro.pubstore.schema import cluster_digests, publication_fingerprint
 from repro.service import AnonymizationService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
-from repro.stream import IncrementalPipeline, StreamParams
+from repro.stream import IncrementalPipeline, StreamParams, WindowMemo, executor
+from repro.stream.executor import TextPublication
 from repro.stream.store import STORE_NAME
 from tests.conftest import make_workload
 
@@ -388,6 +389,65 @@ def _downgrade_to_v1(store_dir) -> None:
         " UPDATE meta SET value = '1' WHERE key = 'version';"
     )
     db.close()
+
+
+class TestWarmMemoRefresh:
+    """A warm pipeline's publication is text; its refresh decodes a
+    memoized window only when the publication store lacks its tops."""
+
+    def _pipeline(self, tmp_path, memo, pubstore=True) -> IncrementalPipeline:
+        stream = StreamParams(
+            shards=2,
+            max_records_in_memory=20,
+            store_dir=tmp_path / "shards",
+            pubstore_dir=tmp_path / "pub" if pubstore else None,
+        )
+        return IncrementalPipeline(PARAMS, stream, memo=memo)
+
+    def test_lost_pubstore_is_rebuilt_from_memoized_windows(self, tmp_path, monkeypatch):
+        pipeline = self._pipeline(tmp_path, WindowMemo())
+        pipeline.run(append=RefreshMachine._records(random.Random(3), 90))
+        pipeline.run(append=RefreshMachine._records(random.Random(4), 5))
+        shutil.rmtree(tmp_path / "pub")
+        decoded = Counter()
+        original = executor.cluster_from_dict
+        monkeypatch.setattr(
+            executor,
+            "cluster_from_dict",
+            lambda form: decoded.update(["top"]) or original(form),
+        )
+        published = pipeline.run()
+        report = pipeline.last_report
+        assert report.noop and report.pubstore_refreshed
+        assert isinstance(published, TextPublication)
+        assert report.pubstore_tops_written == len(published)
+        assert decoded["top"] == len(published)
+        monkeypatch.undo()
+        assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
+
+    def test_stale_pubstore_decodes_only_the_windows_it_lacks(self, tmp_path, monkeypatch):
+        memo = WindowMemo()
+        pipeline = self._pipeline(tmp_path, memo)
+        pipeline.run(append=RefreshMachine._records(random.Random(5), 90))
+        # Another pipeline lends the same memo but keeps no pubstore: its
+        # delta leaves the pubstore one generation behind.
+        self._pipeline(tmp_path, memo, pubstore=False).run(
+            append=RefreshMachine._records(random.Random(6), 5)
+        )
+        decoded = Counter()
+        original = executor.cluster_from_dict
+        monkeypatch.setattr(
+            executor,
+            "cluster_from_dict",
+            lambda form: decoded.update(["top"]) or original(form),
+        )
+        published = pipeline.run()
+        report = pipeline.last_report
+        assert report.noop and report.pubstore_refreshed
+        assert 0 < report.pubstore_tops_written < len(published)
+        assert report.pubstore_tops_written <= decoded["top"] < len(published)
+        monkeypatch.undo()
+        assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
 
 
 class TestVersionUpgrade:
