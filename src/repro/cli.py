@@ -454,7 +454,7 @@ def _cmd_query(args) -> int:
         if value is not None
     }
     if args.store is not None:
-        with PublicationStore(args.store) as store, store.read_transaction():
+        with PublicationStore.reader(args.store) as store, store.read_transaction():
             payload = QueryEngine(store, seed=args.seed).execute(args.op, params)
     else:
         published = read_disassociated_json(args.publication)

@@ -37,6 +37,7 @@ this store like every other subsystem.
 from __future__ import annotations
 
 import json
+import sqlite3
 from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
@@ -115,7 +116,8 @@ class PublicationStore(SQLiteStore):
     ``exclusive=True`` acquires an advisory writer lock (a write
     transaction on the sibling ``publication.lock`` file) held until
     :meth:`close`, serializing refreshes across threads and processes;
-    read-only query opens stay lock-free.
+    read-only query opens stay lock-free.  :meth:`reader` opens an
+    existing store for queries without creating or touching anything.
     """
 
     DB_NAME = PUBSTORE_NAME
@@ -128,6 +130,22 @@ class PublicationStore(SQLiteStore):
         "another writer holds the lock on publication store {path} "
         "(waited {timeout:.1f}s); refreshes serialize per store"
     )
+
+    @classmethod
+    def reader(cls, store_dir: PathLike) -> "PublicationStore":
+        """Open the store under ``store_dir`` for queries only.
+
+        Connects to the existing database file and runs nothing else --
+        no directory or file is created, no pragma or schema statement
+        runs -- so a read of a missing store leaves the path absent and
+        raises the same "holds no publication"
+        :class:`~repro.exceptions.StoreError` as a read of an unbuilt
+        one.  The handle may move between threads (one query at a time)
+        and sees every refresh committed after its read transactions
+        begin; :meth:`replaced` tells when the path now names another
+        file.  Visits the ``pubstore.open`` fault/deadline point.
+        """
+        return cls(store_dir, create=False)
 
     @contextmanager
     def read_transaction(self) -> Iterator["PublicationStore"]:
@@ -406,21 +424,33 @@ class PublicationStore(SQLiteStore):
         """Refuse a store of another schema version, or an unbuilt one.
 
         A version-1 store has no ``tops`` table; read through this
-        version's queries it would silently look empty.
+        version's queries it would silently look empty.  A reader's file
+        that is not a publication store at all (no ``meta`` table, not
+        a database) is refused the same way.
         """
-        version = self._meta("version")
+        try:
+            version = self._meta("version")
+            built = self.initialized
+        except sqlite3.Error as exc:
+            raise StoreError(
+                f"cannot read publication store {self.path}: {exc}"
+            ) from exc
         if version is not None and version != str(PUBSTORE_VERSION):
             raise StoreError(
                 f"publication store {self.path} has version {version!r}, "
                 f"this library reads version {PUBSTORE_VERSION}"
             )
-        if not self.initialized:
-            raise StoreError(
-                f"publication store {self.path} holds no publication; "
-                "build it first (PublicationResult.save_store, "
-                "PublicationStore.from_publication, or an incremental run "
-                "with pubstore_dir set)"
-            )
+        if not built:
+            raise self._missing_error()
+
+    def _missing_error(self) -> StoreError:
+        """The error for a store with no publication, built or not on disk."""
+        return StoreError(
+            f"publication store {self.path} holds no publication; "
+            "build it first (PublicationResult.save_store, "
+            "PublicationStore.from_publication, or an incremental run "
+            "with pubstore_dir set)"
+        )
 
     def validate(self) -> None:
         """Refuse a store this library version cannot read, or an unbuilt one."""
@@ -462,26 +492,52 @@ class PublicationStore(SQLiteStore):
 
         Matches ``published.chunk_dataset().support(itemset)`` case for
         case: the empty itemset counts every chunk-dataset row, a single
-        term reads the per-term aggregate, and a larger itemset
-        intersects the term->sub-record postings.
+        term reads the per-term aggregate, a pair reads the per-pair
+        aggregate, and a larger itemset intersects the term->sub-record
+        postings (:meth:`intersection_support`).  ``pair_stats`` counts
+        exactly the sub-records holding both terms, and term-chunk rows
+        are singletons, so the pair aggregate *is* the pair's support.
         """
         self._require_built()
-        items = frozenset(str(term) for term in itemset)
+        items = sorted({str(term) for term in itemset})
         if not items:
             return self.chunk_rows
+        if len(items) == 1:
+            row = self._db.execute(
+                "SELECT s.total FROM terms t JOIN term_stats s ON s.term = t.id"
+                " WHERE t.term = ?",
+                items,
+            ).fetchone()
+        elif len(items) == 2:
+            # Pair rows are oriented by term string; an unknown term makes
+            # its id NULL, which matches no row, exactly like an absent pair.
+            row = self._db.execute(
+                "SELECT support FROM pair_stats"
+                " WHERE a = (SELECT id FROM terms WHERE term = ?)"
+                " AND b = (SELECT id FROM terms WHERE term = ?)",
+                items,
+            ).fetchone()
+        else:
+            return self.intersection_support(items)
+        return 0 if row is None else int(row[0])
+
+    def intersection_support(self, itemset: Iterable) -> int:
+        """Sub-records containing every term of ``itemset`` (two or more terms).
+
+        Intersects the posting lists rarest-first: scans the shortest
+        list and point-looks-up the rest on the ``(term, subrecord)``
+        primary key.  :meth:`support` takes this path for three or more
+        terms; for two it must agree with the pair aggregate.
+        """
+        items = {str(term) for term in itemset}
+        if len(items) < 2:
+            raise ParameterError(
+                f"intersection_support needs two or more terms, got {sorted(items)}"
+            )
         ids = self.term_ids(items)
         if len(ids) < len(items):
             return 0
-        if len(ids) == 1:
-            (tid,) = ids.values()
-            row = self._db.execute(
-                "SELECT total FROM term_stats WHERE term = ?", (tid,)
-            ).fetchone()
-            return 0 if row is None else int(row[0])
         wanted = sorted(ids.values())
-        # Intersect posting lists rarest-first: scan the shortest list and
-        # point-look-up the rest on the (term, subrecord) primary key.
-        # CROSS JOIN pins that join order against the planner.
         stats = dict(
             self._db.execute(
                 f"SELECT term, chunk_support FROM term_stats"
@@ -490,6 +546,7 @@ class PublicationStore(SQLiteStore):
             ).fetchall()
         )
         ordered = sorted(wanted, key=lambda tid: (stats.get(tid, 0), tid))
+        # CROSS JOIN pins the rarest-first join order against the planner.
         joins = " ".join(
             f"CROSS JOIN postings p{i}"
             f" ON p{i}.subrecord = p0.subrecord AND p{i}.term = ?"

@@ -418,6 +418,16 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             if delta_id is not None and not isinstance(delta_id, str):
                 raise _HttpError(400, '"delta_id" must be a string')
         else:
+            # "append" and "delete" only mean something to a delta; dropping
+            # them silently would answer 200 for a mutation never applied.
+            for key in ("append", "delete"):
+                if key in payload:
+                    raise _HttpError(
+                        400,
+                        f'"{key}" requires "mode": "delta" (got mode {mode!r}): '
+                        "only incremental runs over a persistent store take "
+                        "appends and deletes",
+                    )
             records = payload.get("records")
             delete = None
             if not isinstance(records, list) or not records:

@@ -37,6 +37,7 @@ the HTTP front door's ``GET /stats`` (see :mod:`repro.service.http`).
 from __future__ import annotations
 
 import queue
+import sqlite3
 import threading
 import time
 import uuid
@@ -59,6 +60,7 @@ from repro.exceptions import (
     RetriesExhaustedError,
     ServiceClosedError,
     ServiceSaturatedError,
+    StoreError,
 )
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
@@ -199,6 +201,11 @@ class AnonymizationService:
         #: The audited public products of the windows of the latest delta
         #: publication, lent to every delta's pipeline (thread-safe).
         self._memo = WindowMemo()
+        #: Idle publication-store read handles, checked out per query.
+        #: LIFO like the engines: one warm handle (and page cache) serves
+        #: sequential traffic, and the pool only ever holds as many
+        #: handles as queries once ran at the same time.
+        self._readers: "queue.LifoQueue" = queue.LifoQueue()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------- #
@@ -223,8 +230,9 @@ class AnonymizationService:
         :class:`~repro.exceptions.ServiceClosedError`) and only jobs
         already executing finish.  Either way every engine is closed --
         waiting for in-flight synchronous :meth:`run` calls to return their
-        engines first -- and later ``run`` /
-        ``submit`` / ``close`` calls raise
+        engines first -- as is every pooled publication-store read handle
+        (a query still running closes its handle when it finishes), and
+        later ``run`` / ``submit`` / ``query`` / ``close`` calls raise
         :class:`~repro.exceptions.ServiceClosedError`.
         """
         with self._state_lock:
@@ -251,6 +259,11 @@ class AnonymizationService:
             self._idle.get()
         for engine in self._engines:
             engine.close()
+        while True:
+            try:
+                self._readers.get_nowait().close()
+            except queue.Empty:
+                break
 
     def _cancel_pending(self) -> None:
         """Cancel every job still sitting in the queue (non-blocking)."""
@@ -338,16 +351,20 @@ class AnonymizationService:
         store under ``config.pubstore_dir`` -- bit-for-bit what the
         in-memory ``analysis`` helpers would compute over the same
         publication.  Queries execute on the caller's thread (they are
-        index lookups, not anonymization runs) against a per-call store
-        handle, so they never contend with the engine pool; the
-        configured ``default_deadline`` still applies.  Each query reads
-        one committed snapshot, so a concurrent refresh is seen either
-        wholly or not at all.
+        index lookups, not anonymization runs) on a read handle checked
+        out of the service's pool, so they never contend with the engine
+        pool and skip the store open; the configured
+        ``default_deadline`` still applies.  Each query reads one
+        committed snapshot, so a concurrent refresh is seen either
+        wholly or not at all, and the next query sees it.  A handle
+        whose store file was deleted or replaced is reopened, and one
+        whose query failed in the store is closed, not pooled.
 
         Raises :class:`~repro.exceptions.ParameterError` for a missing
         ``pubstore_dir`` or a malformed op/parameters, and
-        :class:`~repro.exceptions.StoreError` for an unbuilt or foreign
-        store (the HTTP front door maps these to 400 and 409).
+        :class:`~repro.exceptions.StoreError` for an unbuilt, missing or
+        foreign store (the HTTP front door maps these to 400 and 409).
+        Reads create nothing: a missing store directory stays absent.
         """
         self._check_open()
         if self.config.pubstore_dir is None:
@@ -356,18 +373,46 @@ class AnonymizationService:
                 "directory populated by PublicationResult.save_store or by "
                 "an incremental run with pubstore_dir set"
             )
-        from repro.pubstore import PublicationStore, QueryEngine
+        from repro.pubstore import QueryEngine
 
         budget = self.config.default_deadline
         query_deadline = deadline_mod.Deadline(budget) if budget is not None else None
         start = time.perf_counter()
         try:
             with deadline_mod.scope(query_deadline):
-                with PublicationStore(self.config.pubstore_dir) as store:
+                store = self._checkout_reader()
+                failed = False
+                try:
                     with store.read_transaction():
                         return QueryEngine(store).execute(op, params)
+                except (sqlite3.Error, StoreError):
+                    failed = True
+                    raise
+                finally:
+                    self._return_reader(store, failed)
         finally:
             self._metrics.query_finished(time.perf_counter() - start)
+
+    def _checkout_reader(self):
+        """Borrow a current read handle on the publication store, or open one."""
+        from repro.pubstore import PublicationStore
+
+        while True:
+            try:
+                store = self._readers.get_nowait()
+            except queue.Empty:
+                return PublicationStore.reader(self.config.pubstore_dir)
+            if not store.replaced():
+                return store
+            store.close()
+
+    def _return_reader(self, store, failed: bool) -> None:
+        """Pool a handle after its query; close it if it failed or we closed."""
+        with self._state_lock:
+            if not failed and not self._closed:
+                self._readers.put(store)
+                return
+        store.close()
 
     def submit(
         self,

@@ -12,6 +12,11 @@ pending write transaction per database file, tracks it correctly across
 threads and processes, and abandons it with the holder's process, so
 there are no stale locks to clean up.
 
+A *reader* open (``create=False``) is the query-side counterpart: it
+connects to an existing database file and runs nothing else, so reading
+a store that is not there creates nothing, and it remembers the file's
+identity so a long-lived reader can tell when the path was replaced.
+
 Subclasses (:class:`~repro.stream.store.ShardStore`,
 :class:`~repro.pubstore.PublicationStore`) name their file, lock file,
 schema, fault-injection point and error wording.
@@ -27,7 +32,7 @@ from typing import Iterator, Optional, Union
 
 from repro import faults
 from repro.core import deadline
-from repro.exceptions import StoreError
+from repro.exceptions import ParameterError, StoreError
 
 PathLike = Union[str, Path]
 
@@ -40,10 +45,13 @@ class SQLiteStore:
     """One SQLite database file under ``store_dir`` (see the module docstring).
 
     ``exclusive=True`` acquires the advisory lock, waiting up to
-    ``lock_timeout`` seconds; plain opens are lock-free.  Every failure
-    to create, open or lock the database raises
-    :class:`~repro.exceptions.StoreError`.  Use as a context manager (or
-    call :meth:`close`).
+    ``lock_timeout`` seconds; plain opens are lock-free.
+    ``create=False`` opens a *reader*: it connects to an existing
+    database file only (no directory, no file, no pragma, no schema
+    script) and the connection may be handed between threads, one user
+    at a time.  Every failure to create, open or lock the database
+    raises :class:`~repro.exceptions.StoreError`.  Use as a context
+    manager (or call :meth:`close`).
     """
 
     #: Database file name inside the store directory.
@@ -67,18 +75,27 @@ class SQLiteStore:
         *,
         exclusive: bool = False,
         lock_timeout: float = LOCK_TIMEOUT,
+        create: bool = True,
     ):
         faults.check(self.OPEN_POINT)
         deadline.check(self.OPEN_POINT)
         self.directory = Path(store_dir)
+        self.path = self.directory / self.DB_NAME
         self._lock_db: Optional[sqlite3.Connection] = None
+        self._identity: Optional[tuple] = None
+        if not create:
+            if exclusive:
+                raise ParameterError(
+                    "a reader open (create=False) cannot take the writer lock"
+                )
+            self._open_reader()
+            return
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(
                 f"cannot create {self.DIR_KIND} directory {store_dir}: {exc}"
             ) from exc
-        self.path = self.directory / self.DB_NAME
         if exclusive:
             self._acquire_lock(lock_timeout)
         try:
@@ -103,6 +120,50 @@ class SQLiteStore:
             self._db.close()
             self._release_lock()
             raise StoreError(f"cannot open {self.KIND} {self.path}: {exc}") from exc
+
+    def _open_reader(self) -> None:
+        """Connect to the existing database file, creating nothing.
+
+        Records the file's ``(st_dev, st_ino)`` *before* connecting, so a
+        file swapped in between can only make :meth:`replaced` answer
+        ``True`` too early (one needless reopen), never ``False`` late.
+        """
+        try:
+            self._identity = self._file_identity()
+            self._db = sqlite3.connect(
+                f"{self.path.absolute().as_uri()}?mode=rw",
+                uri=True,
+                isolation_level=None,
+                check_same_thread=False,
+            )
+        except (OSError, sqlite3.Error) as exc:
+            if not self.path.exists():
+                raise self._missing_error() from None
+            raise StoreError(f"cannot open {self.KIND} {self.path}: {exc}") from exc
+
+    def _file_identity(self) -> tuple:
+        """``(st_dev, st_ino)`` of the database file now at :attr:`path`."""
+        stat = self.path.stat()
+        return stat.st_dev, stat.st_ino
+
+    def _missing_error(self) -> StoreError:
+        """What a reader open of a path with no database file raises."""
+        return StoreError(f"{self.KIND} {self.path} does not exist")
+
+    def replaced(self) -> bool:
+        """Whether a reader's file was deleted or replaced since it opened.
+
+        A reader holds the file it opened even after the path is
+        removed or pointed at a rebuilt store, so a long-lived reader
+        must check this before trusting its answers.  Creating opens
+        do not track their file and always answer ``False``.
+        """
+        if self._identity is None:
+            return False
+        try:
+            return self._file_identity() != self._identity
+        except OSError:
+            return True
 
     def _acquire_lock(self, timeout: float) -> None:
         """Take the advisory lock, waiting up to ``timeout`` seconds.

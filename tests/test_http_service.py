@@ -550,6 +550,20 @@ class TestHttpWire:
         with ShardStore(store_dir) as store:
             assert (store.generation, store.num_records()) == before
 
+    @pytest.mark.parametrize("key", ["delete", "append"])
+    @pytest.mark.parametrize("mode", ["batch", "stream", "auto"])
+    def test_delta_keys_outside_delta_mode_answer_400(self, delta_server, mode, key):
+        """A non-delta body carrying appends or deletes is refused, not trimmed."""
+        server, store_dir, records = delta_server
+        with ShardStore(store_dir) as store:
+            before = (store.generation, store.num_records())
+        body = {"mode": mode, "records": records[:20], key: records[:3]}
+        status, payload = http(server.url, "POST", "/anonymize", body)
+        assert (status, payload["kind"]) == (400, "bad_request")
+        assert f'"{key}"' in payload["error"] and '"delta"' in payload["error"]
+        with ShardStore(store_dir) as store:
+            assert (store.generation, store.num_records()) == before
+
 
 # --------------------------------------------------------------------------- #
 # backpressure and shutdown under in-flight HTTP jobs

@@ -15,11 +15,16 @@ three front doors (``AnonymizationService.query``, HTTP ``/query``,
 from __future__ import annotations
 
 import json
+import os
 import random
+import shutil
 import sqlite3
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from itertools import combinations
 
 import pytest
 
@@ -154,6 +159,36 @@ class TestQueryParity:
             assert store.lower_bound_support(probe) == estimator.lower_bound(
                 probe
             ), probe
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_pair_supports_match_postings_and_oracle(self, workload_stores, name):
+        """2-term supports read ``pair_stats``; they must equal the posting
+        intersection and the in-memory oracle, in either term order."""
+        _, published, store = workload_stores[name]
+        dataset = published.chunk_dataset()
+        indexed, memory = QueryEngine(store), QueryEngine(published)
+        terms = sorted(dataset.term_supports())
+        together = {
+            pair for row in dataset.records for pair in combinations(sorted(row), 2)
+        }
+        rng = random.Random(13)
+        cooccurring = rng.sample(sorted(together), 25)
+        absent = [
+            pair for pair in combinations(terms[:40], 2) if pair not in together
+        ][:10]
+        unknown = [(terms[0], "never-published-term"), ("zz-unknown", terms[-1])]
+        assert len(cooccurring) == 25 and absent
+        for a, b in cooccurring + absent + unknown:
+            for pair in ([a, b], [b, a]):
+                expected = dataset.support(pair)
+                assert store.support(pair) == expected, pair
+                assert store.intersection_support(pair) == expected, pair
+                assert indexed.cooccurrence_count(pair) == memory.cooccurrence_count(
+                    pair
+                ) == expected, pair
+                assert indexed.lower_bound(pair) == memory.lower_bound(pair), pair
+        assert all(dataset.support(pair) > 0 for pair in cooccurring)
+        assert all(dataset.support(pair) == 0 for pair in absent + unknown)
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_expected_support_is_float_exact(self, workload_stores, name):
@@ -351,6 +386,23 @@ class TestLifecycle:
             with pytest.raises(StoreError):
                 QueryEngine(store)
 
+    def test_reader_creates_nothing_and_refuses_non_stores(self, tmp_path):
+        with pytest.raises(StoreError, match="holds no publication"):
+            PublicationStore.reader(tmp_path / "absent")
+        assert not (tmp_path / "absent").exists()
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "publication.sqlite").touch()
+        with PublicationStore.reader(tmp_path / "empty") as store:
+            with pytest.raises(StoreError, match="no such table"):
+                QueryEngine(store)
+        assert os.listdir(tmp_path / "empty") == ["publication.sqlite"]
+        (tmp_path / "empty" / "publication.sqlite").write_bytes(b"not sqlite" * 200)
+        with PublicationStore.reader(tmp_path / "empty") as store:
+            with pytest.raises(StoreError, match="not a database"):
+                store.top_terms(3)
+        with pytest.raises(ParameterError, match="writer lock"):
+            PublicationStore(tmp_path / "empty", exclusive=True, create=False)
+
     def test_version_mismatch_is_refused(self, tmp_path):
         published = Disassociator(PARAMS).anonymize(
             make_workload("quest", records=120, domain=30, avg_len=4.0, seed=4)
@@ -388,6 +440,9 @@ class TestFaultsAndDeadlines:
         with faults.active(faults.FaultPlan.from_text("pubstore.open:1")):
             with pytest.raises(FaultInjected):
                 PublicationStore(tmp_path / "s")
+        with faults.active(faults.FaultPlan.from_text("pubstore.open:1")):
+            with pytest.raises(FaultInjected):
+                PublicationStore.reader(tmp_path / "s")
 
     def test_crash_before_build_leaves_store_unbuilt_then_rebuild(self, tmp_path):
         published = self._publication()
@@ -583,8 +638,9 @@ class TestServiceQuery:
     def test_query_against_unbuilt_store_is_a_store_error(self, tmp_path):
         config = ServiceConfig(k=3, m=2, pubstore_dir=str(tmp_path / "missing"))
         with AnonymizationService(config) as service:
-            with pytest.raises(StoreError):
+            with pytest.raises(StoreError, match="holds no publication"):
                 service.query("top_terms")
+        assert not (tmp_path / "missing").exists()  # reads create nothing
 
     def test_queries_show_up_in_stats(self, service_store):
         service, _ = service_store
@@ -593,6 +649,220 @@ class TestServiceQuery:
         after = service.stats()
         assert after["queries"]["served"] == before + 1
         assert after["latency"]["query_seconds"]["count"] >= before + 1
+
+    # -- the read-handle pool ------------------------------------------- #
+    @staticmethod
+    def _pooled(service) -> list:
+        """The service's idle read handles, most recently returned last."""
+        return list(service._readers.queue)
+
+    @staticmethod
+    def _hold(monkeypatch, parties: int) -> None:
+        """Make ``top_terms`` queries wait until ``parties`` run at once."""
+        barrier = threading.Barrier(parties, timeout=60)
+        top_terms = PublicationStore.top_terms
+
+        def held(store, count=10):
+            barrier.wait()
+            return top_terms(store, count)
+
+        monkeypatch.setattr(PublicationStore, "top_terms", held)
+
+    @staticmethod
+    def _in_parallel(target, threads: int) -> None:
+        workers = [threading.Thread(target=target, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_refresh_between_queries_is_seen_on_the_pooled_handle(self, tmp_path):
+        records = list(make_workload("quest", records=160, domain=30, avg_len=4.0, seed=12))
+        pipeline = IncrementalPipeline(
+            PARAMS,
+            StreamParams(
+                shards=2,
+                max_records_in_memory=40,
+                store_dir=tmp_path / "shards",
+                pubstore_dir=tmp_path / "pub",
+            ),
+        )
+        first = pipeline.run(append=records[:120])
+        config = ServiceConfig(k=3, m=2, pubstore_dir=str(tmp_path / "pub"))
+        with AnonymizationService(config) as service:
+            assert service.query("top_terms", {"count": 100})["result"] == (
+                QueryEngine(first).execute("top_terms", {"count": 100})["result"]
+            )
+            (handle,) = self._pooled(service)
+            second = pipeline.run(append=records[120:], delete=records[:15])
+            oracle = QueryEngine(second)
+            pair = [term for term, _ in oracle.top_terms(2)]
+            for op, params in [
+                ("describe", {}),
+                ("top_terms", {"count": 100}),
+                ("cooccurrence_count", {"terms": pair}),
+                ("lower_bound", {"terms": pair}),
+                ("frequent_pairs", {"min_support": 2}),
+            ]:
+                answer = service.query(op, params)["result"]
+                if op == "describe":
+                    assert answer["total_records"] == second.total_records() == 145
+                else:
+                    assert answer == oracle.execute(op, params)["result"], op
+            assert self._pooled(service) == [handle]
+
+    def test_concurrent_queries_answer_correctly_within_peak_handles(
+        self, service_store, monkeypatch
+    ):
+        service, published = service_store
+        oracle = QueryEngine(published)
+        terms = [term for term, _ in oracle.top_terms(6)]
+        probes = [terms[i : i + width] for width in (1, 2, 3) for i in range(4)]
+        in_flight, peak, lock = [0], [0], threading.Lock()
+        checkout, give_back = service._checkout_reader, service._return_reader
+
+        def counted_checkout():
+            store = checkout()
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            return store
+
+        def counted_return(store, failed):
+            with lock:
+                in_flight[0] -= 1
+            give_back(store, failed)
+
+        opens, open_reader = [], PublicationStore.reader.__func__
+
+        def counted_reader(cls, store_dir):
+            opens.append(store_dir)
+            return open_reader(cls, store_dir)
+
+        monkeypatch.setattr(service, "_checkout_reader", counted_checkout)
+        monkeypatch.setattr(service, "_return_reader", counted_return)
+        monkeypatch.setattr(PublicationStore, "reader", classmethod(counted_reader))
+        self._hold(monkeypatch, 8)  # the first query of every thread overlaps
+        failures = []
+
+        def reader(index):
+            try:
+                answer = service.query("top_terms", {"count": 5})["result"]
+                assert answer == [list(row) for row in oracle.top_terms(5)]
+                for probe in probes * 3:
+                    for op in ("cooccurrence_count", "lower_bound"):
+                        got = service.query(op, {"terms": probe})["result"]
+                        assert got == oracle.execute(op, {"terms": probe})["result"]
+            except Exception as exc:  # pragma: no cover - the failure mode
+                failures.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave checkouts and returns finely
+        try:
+            self._in_parallel(reader, 8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not failures
+        # One handle per query that ever ran at once, each opened once.
+        assert peak[0] == 8
+        assert len(opens) == len(self._pooled(service)) == peak[0]
+
+    def test_close_closes_every_pooled_handle(self, tmp_path, monkeypatch):
+        published = Disassociator(PARAMS).anonymize(
+            make_workload("quest", records=150, domain=40, avg_len=4.0, seed=5)
+        )
+        PublicationStore.from_publication(published, tmp_path / "pub").close()
+        service = AnonymizationService(
+            ServiceConfig(k=3, m=2, pubstore_dir=str(tmp_path / "pub"))
+        )
+        self._hold(monkeypatch, 4)
+        self._in_parallel(lambda _: service.query("top_terms", {"count": 3}), 4)
+        monkeypatch.undo()
+        handles = self._pooled(service)
+        assert len(handles) == 4
+        # One more query is still running when the service closes.
+        entered, release = threading.Event(), threading.Event()
+        top_terms, running = PublicationStore.top_terms, []
+
+        def slow(store, count=10):
+            running.append(store)
+            entered.set()
+            release.wait(timeout=60)
+            return top_terms(store, count)
+
+        monkeypatch.setattr(PublicationStore, "top_terms", slow)
+        late = threading.Thread(target=service.query, args=("top_terms",))
+        late.start()
+        assert entered.wait(timeout=60)
+        service.close()
+        release.set()
+        late.join(timeout=60)
+        assert not late.is_alive()
+        for handle in handles + running:
+            with pytest.raises(sqlite3.ProgrammingError):
+                handle._db.execute("SELECT 1")
+        assert self._pooled(service) == []
+
+    def test_replaced_store_directory_is_reopened(self, tmp_path):
+        first, second = (
+            Disassociator(PARAMS).anonymize(
+                make_workload("quest", records=150, domain=40, avg_len=4.0, seed=seed)
+            )
+            for seed in (1, 2)
+        )
+        pub = tmp_path / "pub"
+        PublicationStore.from_publication(first, pub).close()
+        expected = {
+            name: QueryEngine(published).execute("top_terms", {"count": 100})["result"]
+            for name, published in (("first", first), ("second", second))
+        }
+        assert expected["first"] != expected["second"]
+        config = ServiceConfig(k=3, m=2, pubstore_dir=str(pub))
+        with AnonymizationService(config) as service:
+            assert service.query("top_terms", {"count": 100})["result"] == expected["first"]
+            (stale,) = self._pooled(service)
+            old_inode = os.stat(pub / "publication.sqlite").st_ino
+            shutil.rmtree(pub)
+            PublicationStore.from_publication(second, pub).close()
+            assert os.stat(pub / "publication.sqlite").st_ino != old_inode
+            assert service.query("top_terms", {"count": 100})["result"] == expected["second"]
+            assert stale not in self._pooled(service)
+            shutil.rmtree(pub)
+            with pytest.raises(StoreError, match="holds no publication"):
+                service.query("top_terms")
+            assert not pub.exists()
+            assert self._pooled(service) == []
+
+    @pytest.mark.parametrize(
+        "error",
+        [sqlite3.OperationalError("disk I/O error"), StoreError("unreadable")],
+        ids=["sqlite", "store"],
+    )
+    def test_a_handle_whose_query_raised_is_not_pooled(
+        self, service_store, monkeypatch, error
+    ):
+        service, published = service_store
+        service.query("describe")
+        (handle,) = self._pooled(service)
+        with pytest.raises(ParameterError):  # refused before any store read
+            service.query("nope")
+        assert self._pooled(service) == [handle]
+
+        def broken(store, count=10):
+            raise error
+
+        monkeypatch.setattr(PublicationStore, "top_terms", broken)
+        with pytest.raises(type(error)):
+            service.query("top_terms", {"count": 3})
+        assert self._pooled(service) == []
+        with pytest.raises(sqlite3.ProgrammingError):
+            handle._db.execute("SELECT 1")
+        monkeypatch.undo()
+        answer = service.query("top_terms", {"count": 3})["result"]
+        assert answer == [list(row) for row in QueryEngine(published).top_terms(3)]
+        (fresh,) = self._pooled(service)
+        assert fresh is not handle
 
 
 class TestHttpQuery:
@@ -668,8 +938,12 @@ class TestHttpQuery:
         try:
             status, body = self._get(server.url + "/query?op=top_terms")
             assert status == 409 and body["kind"] == "checkpoint_conflict"
+            assert "holds no publication" in body["error"]
+            status, body = self._post(server.url + "/query", {"op": "top_terms"})
+            assert status == 409 and body["kind"] == "checkpoint_conflict"
         finally:
             server.close()
+        assert not (tmp_path / "missing").exists()  # reads create nothing
 
     def test_unconfigured_service_maps_to_bad_request(self):
         server = ServiceHTTPServer(
@@ -783,3 +1057,5 @@ class TestCliQuery:
 
         rc = main(["query", "top_terms", "--store", str(tmp_path / "nothing")])
         assert rc == 2
+        assert "holds no publication" in capsys.readouterr().err
+        assert not (tmp_path / "nothing").exists()  # reads create nothing

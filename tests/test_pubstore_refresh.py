@@ -110,6 +110,12 @@ def assert_matches_fresh_build(store_dir, published, scratch) -> None:
     with PublicationStore(store_dir) as store, store.read_transaction():
         assert store.load_publication().to_dict() == published.to_dict()
         assert store.verify_against(published)
+        # A refresh adjusts pair_stats in place; 2-term supports read it.
+        dataset = published.chunk_dataset()
+        for a, b, _ in refreshed_pairs[:: max(1, len(refreshed_pairs) // 25)]:
+            assert store.support([b, a]) == store.intersection_support([a, b]) == (
+                dataset.support([a, b])
+            ), (a, b)
         indexed, memory = QueryEngine(store, seed=5), QueryEngine(published, seed=5)
         described = indexed.describe()
         for key in ("k", "m", "total_records", "chunk_rows"):
