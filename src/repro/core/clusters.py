@@ -518,10 +518,10 @@ class DisassociatedDataset:
     def __iter__(self) -> Iterator[Cluster]:
         return iter(self.clusters)
 
-    def clusters_at(self, positions: Iterable[int]) -> Iterator[Cluster]:
-        """The top-level clusters at ascending ``positions``, in that order."""
+    def forms_at(self, positions: Iterable[int]) -> Iterator[dict]:
+        """The ``to_dict`` forms of the top-level clusters at ascending ``positions``."""
         clusters = self.clusters
-        return (clusters[position] for position in positions)
+        return (clusters[position].to_dict() for position in positions)
 
     # -- structural accessors ------------------------------------------ #
     def simple_clusters(self) -> list[SimpleCluster]:

@@ -9,13 +9,17 @@ the publication object graph.
 Bit-for-bit parity is a design constraint, not an aspiration, so the
 float arithmetic replays the oracle exactly:
 
+* one statement per query reads every factor
+  (:meth:`~repro.pubstore.PublicationStore.expected_factors`);
 * candidate clusters are visited in publication order (``tops.pos``);
   clusters whose domain does not cover the itemset contribute an exact
   ``0.0`` in the oracle, so skipping them leaves the running sum
   unchanged (``x + 0.0 == x`` for every finite ``x``);
 * inside a cluster, the per-chunk ``matching / size`` factors multiply
   in the persisted enumeration order (``eord``), the same order the
-  oracle's chunk loop visits;
+  oracle's chunk loop visits; where the oracle stops at a ``0.0``
+  product, the store multiplies on, and ``0.0`` times a finite factor
+  stays ``0.0``;
 * uncovered term-chunk terms each contribute the same ``1.0 / size``
   factor, so their iteration order cannot change the product.
 
@@ -28,6 +32,8 @@ to the in-memory one.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.analysis.estimation import SupportEstimator
@@ -57,46 +63,27 @@ class StoreSupportEstimator:
     def expected_support(self, itemset: Iterable) -> float:
         """Expected original support under per-cluster independence."""
         store = self._store
-        items = frozenset(str(term) for term in itemset)
+        items = sorted({str(term) for term in itemset})
         if not items:
             return float(store.total_records)
-        ids = store.term_ids(items)
-        if len(ids) < len(items):
-            # A term outside the published domain: no cluster's domain
-            # covers the itemset, so every oracle summand is 0.0.
-            return 0.0
-        wanted = sorted(ids.values())
         total = 0.0
-        for top in store.candidate_tops(wanted, len(wanted)):
-            total += self._expected_in_top(top, wanted)
-        return total
-
-    def _expected_in_top(self, top: int, term_ids: list) -> float:
-        """One top-level cluster's expected contribution (oracle arithmetic)."""
-        store = self._store
-        size = store.top_size(top)
-        if size == 0:
-            return 0.0
-        probability = 1.0
-        covered: set = set()
-        for chunk, part in store.chunk_parts(top, term_ids):
-            covered.update(part)
-            matching = store.matching_count(chunk, part)
-            probability *= matching / size
-            if probability == 0.0:
-                return 0.0
-        uncovered = set(term_ids) - covered
-        if uncovered:
-            present = store.term_chunk_present(top, uncovered)
-            if present != uncovered:
-                # candidate_tops guaranteed full-domain coverage, so a
-                # term missing from both record chunks and term chunks
-                # cannot happen for a consistent store; mirror the
-                # oracle's "not published here" result regardless.
-                return 0.0
-            for _ in uncovered:
+        rows = store.expected_factors(items)
+        for _, group in groupby(rows, key=itemgetter(0)):
+            factors = list(group)
+            _, size, uncovered, _ = factors[0]
+            if size == 0:
+                continue
+            probability = 1.0
+            for *_, matching in factors:
+                if matching is not None:
+                    probability *= matching / size
+            # A term no chunk domain holds sits in a term chunk (the
+            # cluster's full domain covers the itemset): the oracle's
+            # minimum support, 1/size.
+            for _ in range(uncovered):
                 probability *= 1.0 / size
-        return probability * size
+            total += probability * size
+        return total
 
     def reconstructed_support(
         self, itemset: Iterable, reconstructions: int = 5

@@ -29,7 +29,7 @@ in :mod:`repro.analysis` answer without scanning the publication:
     ``eord`` (the enumeration order
     :meth:`~repro.analysis.SupportEstimator.expected_support` visits
     chunks in, used to reproduce its float products bit-for-bit).
-    ``cluster``/``top`` are the chunk->cluster inverted index.
+    ``(top, eord)`` indexes a top-level cluster's chunks in that order.
 ``chunk_terms``
     Chunk domains; the ``(term, chunk)`` primary key is the term->chunk
     inverted index.
@@ -94,7 +94,6 @@ CREATE TABLE IF NOT EXISTS clusters (
     label  TEXT NOT NULL,
     size   INTEGER NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_clusters_parent ON clusters (parent, ord);
 CREATE INDEX IF NOT EXISTS idx_clusters_top ON clusters (top);
 
 CREATE TABLE IF NOT EXISTS chunks (
@@ -105,7 +104,6 @@ CREATE TABLE IF NOT EXISTS chunks (
     eord    INTEGER NOT NULL,
     kind    TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_chunks_cluster ON chunks (cluster, ord);
 CREATE INDEX IF NOT EXISTS idx_chunks_top ON chunks (top, eord);
 
 CREATE TABLE IF NOT EXISTS chunk_terms (
@@ -114,7 +112,6 @@ CREATE TABLE IF NOT EXISTS chunk_terms (
     top   INTEGER NOT NULL,
     PRIMARY KEY (term, chunk)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_chunk_terms_chunk ON chunk_terms (chunk);
 CREATE INDEX IF NOT EXISTS idx_chunk_terms_top ON chunk_terms (top, term);
 
 CREATE TABLE IF NOT EXISTS subrecords (
@@ -138,7 +135,6 @@ CREATE TABLE IF NOT EXISTS term_chunks (
     top     INTEGER NOT NULL,
     PRIMARY KEY (term, cluster)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS idx_term_chunks_cluster ON term_chunks (cluster);
 CREATE INDEX IF NOT EXISTS idx_term_chunks_top ON term_chunks (top, term);
 
 CREATE TABLE IF NOT EXISTS cluster_terms (
@@ -169,6 +165,13 @@ CREATE TABLE IF NOT EXISTS contributions (
     count INTEGER NOT NULL,
     PRIMARY KEY (chunk, ord)
 ) WITHOUT ROWID;
+
+-- Indexes of earlier releases that no statement reads; a writer open
+-- drops them from a store that still has them.
+DROP INDEX IF EXISTS idx_clusters_parent;
+DROP INDEX IF EXISTS idx_chunks_cluster;
+DROP INDEX IF EXISTS idx_chunk_terms_chunk;
+DROP INDEX IF EXISTS idx_term_chunks_cluster;
 """
 
 #: Every data table a refresh clears when it has no snapshot to diff

@@ -40,6 +40,7 @@ import json
 import sqlite3
 from collections import defaultdict
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import (
     Dict,
@@ -79,15 +80,19 @@ from repro.pubstore.schema import (
 )
 from repro.pubstore.writer import (
     DELETE_GONE,
+    RowBuilder,
     Stats,
-    build_rows,
-    insert_rows,
     merge_stats,
     removed_stats,
 )
 from repro.storage import LOCK_TIMEOUT, SQLiteStore
 
 PathLike = Union[str, Path]
+
+#: Top-level clusters a refresh builds and inserts the rows of at a time,
+#: inside its one transaction: a first build holds one batch's rows and
+#: decoded clusters, not the whole publication's.
+REFRESH_BATCH = 64
 
 
 class BuildStats(NamedTuple):
@@ -151,12 +156,12 @@ class PublicationStore(SQLiteStore):
     def read_transaction(self) -> Iterator["PublicationStore"]:
         """Run a block of reads against one committed snapshot.
 
-        A multi-statement query (``expected_support`` walks
-        ``candidate_tops`` -> ``top_size`` -> ``chunk_parts`` ->
-        ``matching_count``) must not straddle a refresh's commit: a
-        refresh deletes the rows of the top-level clusters it replaced,
-        so a later statement could miss a cluster an earlier one
-        returned.  Inside this block every read sees the snapshot that
+        A query runs several statements (every op first reads the meta
+        header; :meth:`intersection_support` reads the term ids, their
+        statistics, then the postings), and they must not straddle a
+        refresh's commit: a refresh deletes the rows of the top-level
+        clusters it replaced and restamps the header, so a later
+        statement could disagree with an earlier one.  Inside this block every read sees the snapshot that
         was current at its first statement (WAL readers never block the
         writer, nor it them).
         """
@@ -319,8 +324,15 @@ class PublicationStore(SQLiteStore):
         """
         faults.check("pubstore.build")
         deadline.check("pubstore.build")
+        forms_at = published.forms_at
         if digests is None:
-            digests, fingerprint = cluster_digests(published.to_dict())
+            payload = published.to_dict()
+            digests, fingerprint = cluster_digests(payload)
+
+            def forms_at(positions):
+                """The forms the digest pass already built."""
+                return (payload["clusters"][position] for position in positions)
+
         else:
             if len(digests) != len(published):
                 raise ParameterError(
@@ -333,7 +345,7 @@ class PublicationStore(SQLiteStore):
         encoded_source = json.dumps(source, sort_keys=True)
         with self._write():
             with paused_gc():
-                stats = self._refresh(published, digests, encoded_source)
+                stats = self._refresh(forms_at, digests, encoded_source)
             self._set_meta("version", str(PUBSTORE_VERSION))
             self._set_meta("fingerprint", fingerprint)
             self._set_meta("generation", str(int(generation)))
@@ -341,10 +353,6 @@ class PublicationStore(SQLiteStore):
             self._set_meta("k", str(published.k))
             self._set_meta("m", str(published.m))
             self._set_meta("total_records", str(published.total_records()))
-            (subrecords,) = self._db.execute("SELECT COUNT(*) FROM subrecords").fetchone()
-            (singletons,) = self._db.execute("SELECT COUNT(*) FROM term_chunks").fetchone()
-            self._set_meta("total_subrecords", str(subrecords))
-            self._set_meta("chunk_rows", str(subrecords + singletons))
             self._set_meta("built", "1")
             # A second injection point *inside* the transaction: the
             # crash-during-refresh test arms it to prove a mid-refresh
@@ -352,15 +360,24 @@ class PublicationStore(SQLiteStore):
             faults.check("pubstore.build")
         return stats
 
-    def _refresh(
-        self, published: DisassociatedDataset, digests: List[str], source: str
-    ) -> BuildStats:
-        """Diff-and-apply ``published`` inside the open write transaction."""
+    def _refresh(self, forms_at, digests: List[str], source: str) -> BuildStats:
+        """Diff-and-apply a publication inside the open write transaction.
+
+        ``forms_at(positions)`` yields the ``to_dict`` forms of the
+        publication's top-level clusters at ascending positions; only
+        the clusters the store lacks are asked for.
+
+        Also restamps the sub-record and chunk-row totals, adjusted by
+        the rows the refresh deleted and wrote (no table is counted).
+        """
         db = self._db
         stored: Dict[str, List[int]] = defaultdict(list)
+        subrecords = singletons = 0
         if self.current and self._meta("source") == source:
             for top, digest in db.execute("SELECT id, digest FROM tops ORDER BY id"):
                 stored[digest].append(top)
+            subrecords = self._meta_int("total_subrecords")
+            singletons = self._meta_int("chunk_rows") - subrecords
         else:
             for table in DATA_TABLES:
                 db.execute(f"DELETE FROM {table}")
@@ -386,29 +403,36 @@ class PublicationStore(SQLiteStore):
             db.executemany("INSERT INTO gone_tops (id) VALUES (?)", ((top,) for top in gone))
             term_names = {tid: term for term, tid in term_ids.items()}
             removed, gone_pairs = removed_stats(db, term_names)
-            for statement in DELETE_GONE:
-                db.execute(statement)
+            deleted = {table: db.execute(sql).rowcount for table, sql in DELETE_GONE.items()}
+            subrecords -= deleted["subrecords"]
+            singletons -= deleted["term_chunks"]
             db.executemany(
                 "DELETE FROM cluster_terms WHERE term = ? AND top = ?", gone_pairs
             )
-        builder = build_rows(
-            zip(fresh, published.clusters_at(fresh)),
-            term_ids=term_ids,
-            next_ids=next_ids,
+        builder = RowBuilder(term_ids, next_ids)
+        new_tops = zip(fresh, forms_at(fresh))
+        while batch := list(islice(new_tops, REFRESH_BATCH)):
+            deadline.check("pubstore.build")
+            for position, form in batch:
+                builder.add(position, form)
+            builder.flush(db)
+        merge_stats(
+            db, builder.stats, removed, range(builder.first_new_term, builder.next_term)
         )
-        deadline.check("pubstore.build")
-        insert_rows(db, builder)
-        merge_stats(db, builder.stats, removed, (tid for tid, _ in builder.new_terms))
-        vanished = [
-            (tid,)
-            for tid in sorted({tid for tid, _ in gone_pairs})
-            if db.execute(
-                "SELECT 1 FROM cluster_terms WHERE term = ? LIMIT 1", (tid,)
-            ).fetchone()
-            is None
-        ]
-        db.executemany("DELETE FROM term_stats WHERE term = ?", vanished)
-        db.executemany("DELETE FROM terms WHERE id = ?", vanished)
+        subrecords += builder.subrecords_written
+        singletons += sum(builder.stats.term_chunk_count.values())
+        self._set_meta("total_subrecords", str(subrecords))
+        self._set_meta("chunk_rows", str(subrecords + singletons))
+        if gone_pairs:
+            # Terms of the gone clusters that no top-level cluster holds now.
+            gone_terms = json.dumps(sorted({tid for tid, _ in gone_pairs}))
+            for table, column in (("term_stats", "term"), ("terms", "id")):
+                db.execute(
+                    f"DELETE FROM {table} WHERE {column} IN"
+                    " (SELECT value FROM json_each(?)) AND NOT EXISTS"
+                    f" (SELECT 1 FROM cluster_terms c WHERE c.term = {table}.{column})",
+                    (gone_terms,),
+                )
         positions.extend(
             (top, position, digests[position])
             for top, position in zip(builder.top_ids, fresh)
@@ -591,85 +615,50 @@ class PublicationStore(SQLiteStore):
         return [((a, b), support) for a, b, support in rows]
 
     # -- expected-support navigation ------------------------------------- #
-    def candidate_tops(self, term_ids: Iterable[int], size: int) -> List[int]:
-        """Top-level clusters whose full domain covers all ``size`` terms.
+    def expected_factors(
+        self, terms: Sequence[str]
+    ) -> List[Tuple[int, int, int, Optional[int]]]:
+        """The factors of ``expected_support(terms)``, in one grouped statement.
 
-        Ordered by ``tops.pos`` -- the publication's top-level cluster
-        order -- so the store-backed estimator sums per-cluster
-        contributions in the same order as the in-memory oracle.
+        ``terms`` are distinct strings.  Returns one ``(pos, size,
+        uncovered, matching)`` row per chunk whose domain meets the
+        itemset, for every top-level cluster whose full domain covers all
+        of ``terms``: ``pos`` and ``size`` are the cluster's publication
+        position and record count, ``uncovered`` how many of the terms no
+        chunk domain of the cluster holds (they sit in its term chunks),
+        and ``matching`` how many of the chunk's sub-records contain the
+        chunk's part of the itemset.  Rows come in publication order, then
+        in the estimator's enumeration order (``eord``: shared chunks in
+        pre-order, then leaf record chunks), so the caller multiplies the
+        factors exactly like the in-memory oracle.  A covering cluster
+        none of whose chunks meets the itemset gives one row with
+        ``matching`` ``None``.  An unknown term leaves no cluster covering
+        the itemset, so there are no rows.
         """
-        wanted = sorted(set(term_ids))
-        rows = self._db.execute(
-            "SELECT id FROM tops WHERE id IN ("
-            f"SELECT top FROM cluster_terms WHERE term IN ({_marks(wanted)})"
-            " GROUP BY top HAVING COUNT(*) = ?) ORDER BY pos",
-            (*wanted, size),
+        return self._db.execute(
+            f"WITH want(term) AS (SELECT id FROM terms WHERE term IN ({_marks(terms)})),"
+            " cand(top) AS (SELECT top FROM cluster_terms WHERE term IN want"
+            " GROUP BY top HAVING COUNT(*) = ?),"
+            " parts(top, chunk, width) AS (SELECT ct.top, ct.chunk, COUNT(*)"
+            " FROM cand CROSS JOIN chunk_terms ct"
+            " ON ct.top = cand.top AND ct.term IN want GROUP BY ct.top, ct.chunk)"
+            " SELECT t.pos, cl.size,"
+            " (SELECT COUNT(*) FROM want w WHERE NOT EXISTS (SELECT 1 FROM chunk_terms u"
+            " WHERE u.top = cand.top AND u.term = w.term)),"
+            # One part term: count its postings; several: the sub-records
+            # holding all of them.
+            " CASE WHEN parts.width = 1 THEN (SELECT COUNT(*) FROM postings p"
+            " WHERE p.chunk = parts.chunk AND p.term IN want)"
+            " WHEN parts.width > 1 THEN (SELECT COUNT(*) FROM (SELECT 1 FROM postings p"
+            " WHERE p.chunk = parts.chunk AND p.term IN want"
+            " GROUP BY p.subrecord HAVING COUNT(*) = parts.width)) END"
+            " FROM cand CROSS JOIN tops t ON t.id = cand.top"
+            " CROSS JOIN clusters cl ON cl.id = cand.top"
+            " LEFT JOIN parts ON parts.top = cand.top"
+            " LEFT JOIN chunks c ON c.id = parts.chunk"
+            " ORDER BY t.pos, c.eord",
+            (*terms, len(terms)),
         ).fetchall()
-        return [top for (top,) in rows]
-
-    def top_size(self, top: int) -> int:
-        """Published record count of a top-level cluster."""
-        row = self._db.execute(
-            "SELECT size FROM clusters WHERE id = ?", (top,)
-        ).fetchone()
-        if row is None:
-            raise StoreError(f"publication store {self.path}: unknown cluster {top}")
-        return int(row[0])
-
-    def chunk_parts(
-        self, top: int, term_ids: Iterable[int]
-    ) -> List[Tuple[int, Set[int]]]:
-        """Per-chunk projections of an itemset inside one top-level cluster.
-
-        Returns ``(chunk_id, part)`` pairs -- ``part`` being the subset
-        of ``term_ids`` in that chunk's domain -- for every chunk with a
-        non-empty part, ordered by the estimator's enumeration ordinal
-        (``eord``): shared chunks in pre-order, then leaf record chunks.
-        """
-        wanted = sorted(set(term_ids))
-        rows = self._db.execute(
-            "SELECT ct.chunk, ct.term FROM chunk_terms ct"
-            " JOIN chunks c ON c.id = ct.chunk"
-            f" WHERE ct.top = ? AND ct.term IN ({_marks(wanted)})"
-            " ORDER BY c.eord",
-            (top, *wanted),
-        ).fetchall()
-        ordered: List[Tuple[int, Set[int]]] = []
-        for chunk, term in rows:
-            if ordered and ordered[-1][0] == chunk:
-                ordered[-1][1].add(term)
-            else:
-                ordered.append((chunk, {term}))
-        return ordered
-
-    def matching_count(self, chunk: int, part: Iterable[int]) -> int:
-        """How many of a chunk's sub-records contain every term in ``part``."""
-        wanted = sorted(set(part))
-        if len(wanted) == 1:
-            row = self._db.execute(
-                "SELECT COUNT(*) FROM postings WHERE chunk = ? AND term = ?",
-                (chunk, wanted[0]),
-            ).fetchone()
-            return int(row[0])
-        row = self._db.execute(
-            "SELECT COUNT(*) FROM ("
-            f"SELECT subrecord FROM postings WHERE chunk = ? AND term IN ({_marks(wanted)})"
-            " GROUP BY subrecord HAVING COUNT(*) = ?)",
-            (chunk, *wanted, len(wanted)),
-        ).fetchone()
-        return int(row[0])
-
-    def term_chunk_present(self, top: int, term_ids: Iterable[int]) -> Set[int]:
-        """Which of ``term_ids`` appear in the cluster's leaf term chunks."""
-        wanted = sorted(set(term_ids))
-        if not wanted:
-            return set()
-        rows = self._db.execute(
-            "SELECT DISTINCT term FROM term_chunks"
-            f" WHERE top = ? AND term IN ({_marks(wanted)})",
-            (top, *wanted),
-        ).fetchall()
-        return {term for (term,) in rows}
 
     # -- faithful reload -------------------------------------------------- #
     def load_publication(self) -> DisassociatedDataset:

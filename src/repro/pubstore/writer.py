@@ -1,8 +1,8 @@
 """Decompose top-level clusters into the store's relational rows.
 
-The writer walks a sequence of top-level clusters once and produces
-every table's rows, including the two orderings the query engine
-depends on:
+The writer walks the ``to_dict`` forms of a sequence of top-level
+clusters once and produces every table's rows, including the two
+orderings the query engine depends on:
 
 * ``ord`` -- the chunk's position inside its owning cluster, used by
   :meth:`PublicationStore.load_publication` to rebuild the exact tree;
@@ -26,8 +26,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import combinations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.core.clusters import JointCluster, RecordChunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import sqlite3
@@ -54,13 +52,36 @@ class Stats:
             pairs[pair] += 1
 
 
-class _RowBuilder:
-    """Accumulates every table's rows during one walk over top-level clusters."""
+class RowBuilder:
+    """Builds and inserts every table's rows, a batch of top-level clusters at a time.
+
+    ``term_ids`` (updated in place) maps the terms already interned in
+    the store to their ids; ``next_ids`` are the first free term,
+    cluster, chunk and sub-record ids.  Inside each top-level cluster
+    the ids are assigned in pre-order.  :meth:`add` walks the ``to_dict``
+    form of one top-level cluster into the pending rows and :meth:`flush`
+    inserts them; the
+    ids, :attr:`top_ids` and the aggregate :attr:`stats` carry across
+    flushes, so the rows of many batches equal those of one.
+    """
 
     def __init__(self, term_ids: Dict[str, int], next_ids: Sequence[int]) -> None:
         self.term_ids = term_ids
-        self.new_terms: List[Tuple[int, str]] = []
         self.top_ids: List[int] = []
+        self.stats = Stats()
+        self.subrecords_written = 0
+        (
+            self.first_new_term,
+            self._next_cluster,
+            self._next_chunk,
+            self._next_subrecord,
+        ) = next_ids
+        self.next_term = self.first_new_term
+        self._clear()
+
+    def _clear(self) -> None:
+        """Drop the pending rows (after a flush)."""
+        self.new_terms: List[Tuple[int, str]] = []
         self.cluster_rows: List[tuple] = []
         self.chunk_rows: List[list] = []
         self.chunk_term_rows: List[tuple] = []
@@ -68,160 +89,130 @@ class _RowBuilder:
         self.posting_rows: List[tuple] = []
         self.term_chunk_rows: List[tuple] = []
         self.contribution_rows: List[tuple] = []
-        self.stats = Stats()
         self.cluster_term_pairs: set = set()
         # eord assignment: per top-level cluster, shared chunks (walk
         # order == iter_shared_chunks pre-order) then record chunks
         # (walk order == leaves() DFS order).
         self.shared_by_top: Dict[int, List[int]] = defaultdict(list)
         self.record_by_top: Dict[int, List[int]] = defaultdict(list)
-        (
-            self._next_term,
-            self._next_cluster,
-            self._next_chunk,
-            self._next_subrecord,
-        ) = next_ids
 
     def term_id(self, term: str) -> int:
         """Intern ``term`` and return its id."""
         tid = self.term_ids.get(term)
         if tid is None:
-            tid = self._next_term
-            self._next_term += 1
+            tid = self.next_term
+            self.next_term += 1
             self.term_ids[term] = tid
             self.new_terms.append((tid, term))
         return tid
 
-    def add_chunk(
-        self, chunk: RecordChunk, owner: int, top: int, ord_: int, kind: str
-    ) -> int:
-        """Emit one record/shared chunk's rows; returns the chunk id."""
+    def add_chunk(self, chunk: dict, owner: int, top: int, ord_: int, kind: str) -> int:
+        """Emit one record/shared chunk form's rows; returns the chunk id."""
         chunk_id = self._next_chunk
         self._next_chunk += 1
-        # eord is assigned after the walk; keep a mutable placeholder.
+        # eord is assigned at the flush; keep a mutable placeholder.
         self.chunk_rows.append([chunk_id, owner, top, ord_, 0, kind])
-        for term in chunk.domain:
+        for term in chunk["domain"]:
             tid = self.term_id(term)
             self.chunk_term_rows.append((tid, chunk_id, top))
             self.cluster_term_pairs.add((tid, top))
-        for position, subrecord in enumerate(chunk.subrecords):
+        for position, subrecord in enumerate(chunk["subrecords"]):
             subrecord_id = self._next_subrecord
             self._next_subrecord += 1
             self.subrecord_rows.append((subrecord_id, chunk_id, position))
-            ids = [self.term_id(term) for term in sorted(subrecord)]
+            # A form lists a sub-record's terms sorted: the pair orientation.
+            ids = [self.term_id(term) for term in subrecord]
             for tid in ids:
                 self.posting_rows.append((tid, subrecord_id, chunk_id))
             self.stats.add_subrecord(ids)
-        contributions = getattr(chunk, "contributions", None)
-        if contributions:
-            for position, (label, count) in enumerate(contributions.items()):
-                self.contribution_rows.append(
-                    (chunk_id, position, str(label), int(count))
-                )
+        for position, (label, count) in enumerate(chunk.get("contributions", ())):
+            self.contribution_rows.append((chunk_id, position, str(label), int(count)))
         return chunk_id
 
-    def walk(self, cluster, parent: Optional[int], top: Optional[int], ord_: int) -> int:
-        """Emit ``cluster``'s subtree in pre-order; returns its cluster id."""
+    def walk(self, form: dict, parent: Optional[int], top: Optional[int], ord_: int) -> tuple:
+        """Emit a cluster form's subtree in pre-order; returns its ``(id, size)``."""
         cluster_id = self._next_cluster
         self._next_cluster += 1
         my_top = top if top is not None else cluster_id
-        if isinstance(cluster, JointCluster):
-            self.cluster_rows.append(
-                (cluster_id, parent, my_top, ord_, "joint", cluster.label, cluster.size)
-            )
-            for position, chunk in enumerate(cluster.shared_chunks):
+        if form["type"] == "joint":
+            row = [cluster_id, parent, my_top, ord_, "joint", form["label"], 0]
+            self.cluster_rows.append(row)
+            for position, chunk in enumerate(form["shared_chunks"]):
                 chunk_id = self.add_chunk(chunk, cluster_id, my_top, position, "shared")
                 self.shared_by_top[my_top].append(chunk_id)
-            for position, child in enumerate(cluster.children):
-                self.walk(child, cluster_id, my_top, position)
-        else:
-            self.cluster_rows.append(
-                (cluster_id, parent, my_top, ord_, "simple", cluster.label, cluster.size)
-            )
-            for position, chunk in enumerate(cluster.record_chunks):
-                chunk_id = self.add_chunk(chunk, cluster_id, my_top, position, "record")
-                self.record_by_top[my_top].append(chunk_id)
-            for term in cluster.term_chunk.terms:
-                tid = self.term_id(term)
-                self.term_chunk_rows.append((tid, cluster_id, my_top))
-                self.stats.term_chunk_count[tid] += 1
-                self.cluster_term_pairs.add((tid, my_top))
-        return cluster_id
+            for position, child in enumerate(form["children"]):
+                row[6] += self.walk(child, cluster_id, my_top, position)[1]
+            return cluster_id, row[6]
+        self.cluster_rows.append(
+            (cluster_id, parent, my_top, ord_, "simple", form["label"], form["size"])
+        )
+        for position, chunk in enumerate(form["record_chunks"]):
+            chunk_id = self.add_chunk(chunk, cluster_id, my_top, position, "record")
+            self.record_by_top[my_top].append(chunk_id)
+        for term in form["term_chunk"]["terms"]:
+            tid = self.term_id(term)
+            self.term_chunk_rows.append((tid, cluster_id, my_top))
+            self.stats.term_chunk_count[tid] += 1
+            self.cluster_term_pairs.add((tid, my_top))
+        return cluster_id, form["size"]
 
-    def assign_eord(self) -> None:
-        """Stamp each chunk's estimation ordinal (shared first, then record)."""
+    def add(self, position: int, form: dict) -> None:
+        """Walk the ``to_dict`` form of the top-level cluster at ``position``."""
+        self.top_ids.append(self.walk(form, None, None, position)[0])
+
+    def flush(self, db: "sqlite3.Connection") -> None:
+        """Stamp the pending chunks' ``eord`` and bulk-insert the pending rows.
+
+        Inserts everything but the aggregates (see :func:`merge_stats`).
+        Must be called inside an open transaction: the caller (the store)
+        owns BEGIN/COMMIT so a crash mid-refresh rolls back to the
+        previous consistent snapshot instead of leaving half an index
+        behind.
+        """
         eord_of: Dict[int, int] = {}
-        tops = set(self.shared_by_top) | set(self.record_by_top)
-        for top in tops:
+        for top in set(self.shared_by_top) | set(self.record_by_top):
             ordered = self.shared_by_top.get(top, []) + self.record_by_top.get(top, [])
             for position, chunk_id in enumerate(ordered):
                 eord_of[chunk_id] = position
         for row in self.chunk_rows:
             row[4] = eord_of[row[0]]
-
-
-def build_rows(
-    clusters: Iterable[Tuple[int, object]],
-    *,
-    term_ids: Dict[str, int],
-    next_ids: Sequence[int],
-) -> _RowBuilder:
-    """Walk ``(position, top-level cluster)`` pairs and return every table's rows.
-
-    ``term_ids`` (updated in place) maps the terms already interned in
-    the store to their ids; ``next_ids`` are the first free term,
-    cluster, chunk and sub-record ids.  Inside each top-level cluster
-    the ids are assigned in pre-order.
-    """
-    builder = _RowBuilder(term_ids, next_ids)
-    for position, cluster in clusters:
-        builder.top_ids.append(builder.walk(cluster, None, None, position))
-    builder.assign_eord()
-    return builder
-
-
-def insert_rows(db: "sqlite3.Connection", builder: _RowBuilder) -> None:
-    """Bulk-insert the builder's structural rows (everything but the aggregates).
-
-    Must be called inside an open transaction: the caller (the store)
-    owns BEGIN/COMMIT so a crash mid-refresh rolls back to the previous
-    consistent snapshot instead of leaving half an index behind.
-    """
-    db.executemany("INSERT INTO terms (id, term) VALUES (?, ?)", builder.new_terms)
-    db.executemany(
-        "INSERT INTO clusters (id, parent, top, ord, kind, label, size)"
-        " VALUES (?, ?, ?, ?, ?, ?, ?)",
-        builder.cluster_rows,
-    )
-    db.executemany(
-        "INSERT INTO chunks (id, cluster, top, ord, eord, kind)"
-        " VALUES (?, ?, ?, ?, ?, ?)",
-        builder.chunk_rows,
-    )
-    db.executemany(
-        "INSERT INTO chunk_terms (term, chunk, top) VALUES (?, ?, ?)",
-        builder.chunk_term_rows,
-    )
-    db.executemany(
-        "INSERT INTO subrecords (id, chunk, ord) VALUES (?, ?, ?)",
-        builder.subrecord_rows,
-    )
-    db.executemany(
-        "INSERT INTO postings (term, subrecord, chunk) VALUES (?, ?, ?)",
-        builder.posting_rows,
-    )
-    db.executemany(
-        "INSERT INTO term_chunks (term, cluster, top) VALUES (?, ?, ?)",
-        builder.term_chunk_rows,
-    )
-    db.executemany(
-        "INSERT INTO cluster_terms (term, top) VALUES (?, ?)",
-        sorted(builder.cluster_term_pairs),
-    )
-    db.executemany(
-        "INSERT INTO contributions (chunk, ord, label, count) VALUES (?, ?, ?, ?)",
-        builder.contribution_rows,
-    )
+        db.executemany("INSERT INTO terms (id, term) VALUES (?, ?)", self.new_terms)
+        db.executemany(
+            "INSERT INTO clusters (id, parent, top, ord, kind, label, size)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?)",
+            self.cluster_rows,
+        )
+        db.executemany(
+            "INSERT INTO chunks (id, cluster, top, ord, eord, kind)"
+            " VALUES (?, ?, ?, ?, ?, ?)",
+            self.chunk_rows,
+        )
+        db.executemany(
+            "INSERT INTO chunk_terms (term, chunk, top) VALUES (?, ?, ?)",
+            self.chunk_term_rows,
+        )
+        db.executemany(
+            "INSERT INTO subrecords (id, chunk, ord) VALUES (?, ?, ?)",
+            self.subrecord_rows,
+        )
+        self.subrecords_written += len(self.subrecord_rows)
+        db.executemany(
+            "INSERT INTO postings (term, subrecord, chunk) VALUES (?, ?, ?)",
+            self.posting_rows,
+        )
+        db.executemany(
+            "INSERT INTO term_chunks (term, cluster, top) VALUES (?, ?, ?)",
+            self.term_chunk_rows,
+        )
+        db.executemany(
+            "INSERT INTO cluster_terms (term, top) VALUES (?, ?)",
+            sorted(self.cluster_term_pairs),
+        )
+        db.executemany(
+            "INSERT INTO contributions (chunk, ord, label, count) VALUES (?, ?, ?, ?)",
+            self.contribution_rows,
+        )
+        self._clear()
 
 
 def removed_stats(
@@ -229,14 +220,16 @@ def removed_stats(
 ) -> Tuple[Stats, List[Tuple[int, int]]]:
     """Contributions of the top-level clusters listed in ``temp.gone_tops``.
 
-    Returns the clusters' :class:`Stats`, counted exactly like the
+    Every statement starts from ``gone_tops`` (``CROSS JOIN`` pins the
+    order against the planner), so it reads the rows of the gone
+    clusters only, never a whole table.  Returns the clusters' :class:`Stats`, counted exactly like the
     writer counts them, and their ``(term, top)`` full-domain pairs.
     """
     stats = Stats()
     subrecords: Dict[int, List[int]] = defaultdict(list)
     for subrecord, tid in db.execute(
         "SELECT p.subrecord, p.term FROM gone_tops g"
-        " JOIN chunks c ON c.top = g.id JOIN postings p ON p.chunk = c.id"
+        " CROSS JOIN chunks c ON c.top = g.id CROSS JOIN postings p ON p.chunk = c.id"
     ):
         subrecords[subrecord].append(tid)
     for ids in subrecords.values():
@@ -246,31 +239,33 @@ def removed_stats(
         dict(
             db.execute(
                 "SELECT t.term, COUNT(*) FROM gone_tops g"
-                " JOIN term_chunks t ON t.top = g.id GROUP BY t.term"
+                " CROSS JOIN term_chunks t ON t.top = g.id GROUP BY t.term"
             )
         )
     )
     pairs = db.execute(
-        "SELECT ct.term, ct.top FROM gone_tops g JOIN chunk_terms ct ON ct.top = g.id"
-        " UNION SELECT t.term, t.top FROM gone_tops g JOIN term_chunks t ON t.top = g.id"
+        "SELECT ct.term, ct.top FROM gone_tops g"
+        " CROSS JOIN chunk_terms ct ON ct.top = g.id"
+        " UNION SELECT t.term, t.top FROM gone_tops g"
+        " CROSS JOIN term_chunks t ON t.top = g.id"
     ).fetchall()
     return stats, pairs
 
 
 #: Deletes the rows of the top-level clusters listed in ``temp.gone_tops``,
-#: children before the chunks and clusters they hang off.
-DELETE_GONE = (
-    "DELETE FROM postings WHERE chunk IN"
-    " (SELECT c.id FROM gone_tops g JOIN chunks c ON c.top = g.id)",
-    "DELETE FROM subrecords WHERE chunk IN"
-    " (SELECT c.id FROM gone_tops g JOIN chunks c ON c.top = g.id)",
-    "DELETE FROM contributions WHERE chunk IN"
-    " (SELECT c.id FROM gone_tops g JOIN chunks c ON c.top = g.id)",
-    "DELETE FROM chunk_terms WHERE top IN (SELECT id FROM gone_tops)",
-    "DELETE FROM term_chunks WHERE top IN (SELECT id FROM gone_tops)",
-    "DELETE FROM chunks WHERE top IN (SELECT id FROM gone_tops)",
-    "DELETE FROM clusters WHERE top IN (SELECT id FROM gone_tops)",
-)
+#: children before the chunks and clusters they hang off; keyed by table.
+DELETE_GONE = {
+    "postings": "DELETE FROM postings WHERE chunk IN"
+    " (SELECT c.id FROM gone_tops g CROSS JOIN chunks c ON c.top = g.id)",
+    "subrecords": "DELETE FROM subrecords WHERE chunk IN"
+    " (SELECT c.id FROM gone_tops g CROSS JOIN chunks c ON c.top = g.id)",
+    "contributions": "DELETE FROM contributions WHERE chunk IN"
+    " (SELECT c.id FROM gone_tops g CROSS JOIN chunks c ON c.top = g.id)",
+    "chunk_terms": "DELETE FROM chunk_terms WHERE top IN (SELECT id FROM gone_tops)",
+    "term_chunks": "DELETE FROM term_chunks WHERE top IN (SELECT id FROM gone_tops)",
+    "chunks": "DELETE FROM chunks WHERE top IN (SELECT id FROM gone_tops)",
+    "clusters": "DELETE FROM clusters WHERE top IN (SELECT id FROM gone_tops)",
+}
 
 
 def merge_stats(
@@ -314,4 +309,4 @@ def merge_stats(
         db.execute("DELETE FROM pair_stats WHERE support = 0")
 
 
-__all__ = ["DELETE_GONE", "Stats", "build_rows", "insert_rows", "merge_stats", "removed_stats"]
+__all__ = ["DELETE_GONE", "RowBuilder", "Stats", "merge_stats", "removed_stats"]

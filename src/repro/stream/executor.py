@@ -38,14 +38,21 @@ injection point and checks the ambient request deadline
 (:mod:`repro.core.deadline`), so a run cancels cooperatively.
 
 **Scope of the memory bound.**  ``max_records_in_memory`` bounds the
-*original-record working set*: the planner sample and the window each
-engine run operates on.  That is where disassociation's superlinear costs
-live (HORPART/VERPART/REFINE over a window), so it is the bound that makes
-window size -- not dataset size -- the complexity driver.  The *output*
-(published clusters accumulated by merge and walked by the global verify)
-necessarily grows with the dataset, as it does for any API that returns
-the publication; private per-record data is stripped from the returned
-clusters so they hold only what would be serialized.
+records each engine run operates on: the planner sample and one window.
+That is where disassociation's superlinear costs live
+(HORPART/VERPART/REFINE over a window), so window size -- not dataset
+size -- is the complexity driver.  What else a run holds depends on the
+path:
+
+* a cold run keeps every window's relabeled clusters, original records
+  included, until its tail audits, merges and strips them, so its
+  resident clusters grow with the dataset;
+* a store-backed run turns each window it computes into text as soon as
+  the window's snapshot commits and its audit passes (its snapshot and
+  :class:`WindowProduct`), so it holds the cluster objects of one window
+  at a time; the text of the publication still grows with the dataset,
+  as it does for any API that returns the publication, and so does a
+  boundary repair, which decodes every window.
 """
 
 from __future__ import annotations
@@ -103,10 +110,10 @@ class StreamParams:
 
     Attributes:
         shards: number of shards records are routed into.
-        max_records_in_memory: hard bound on the original-record working
-            set (planner sample and per-window datasets respect it); the
-            accumulated output clusters are proportional to the dataset,
-            like any returned publication (see the module docstring).
+        max_records_in_memory: hard bound on the records each engine run
+            operates on (the planner sample and every window respect
+            it); what a run holds besides is path-dependent (see the
+            module docstring).
         strategy: shard routing strategy (``hash`` or ``horpart``).
         spill_dir: where :class:`ShardedPipeline` creates its throwaway
             store: a new temporary directory under this path (created if
@@ -181,11 +188,11 @@ def window_engine_for(
 
 @dataclass
 class Window:
-    """One engine window's relabeled private clusters, as the run tail sees them.
+    """One engine window as the run tail sees it.
 
     Attributes:
-        clusters: the private clusters when the run holds them in memory
-            (windows the engine just ran); ``None`` to decode them from
+        clusters: the relabeled private clusters when the run holds them
+            in memory (a cold run's windows); ``None`` to decode them from
             ``snapshot`` on demand.
         snapshot: the window's stored payload text
             (:func:`~repro.core.codec.cluster_to_payload` list), or
@@ -193,17 +200,21 @@ class Window:
         digest: the content digest of ``snapshot``'s exact text; the key
             under which a :class:`WindowMemo` keeps the window's product.
             ``None``: never memoized.
+        product: the window's :class:`WindowProduct` when the run just
+            computed and audited it; ``None`` when the tail still has to
+            look it up or audit the window (or the audit failed).
     """
 
     clusters: Optional[list] = None
     snapshot: Optional[str] = None
     digest: Optional[str] = None
+    product: Optional["WindowProduct"] = None
 
     @classmethod
-    def stored(cls, snapshot: str, clusters: Optional[list] = None) -> "Window":
+    def stored(cls, snapshot: str, product: Optional["WindowProduct"] = None) -> "Window":
         """A window read from (or just written to) a store, digest computed."""
         digest = hashlib.blake2b(snapshot.encode("utf-8"), digest_size=16)
-        return cls(clusters, snapshot, digest.hexdigest())
+        return cls(None, snapshot, digest.hexdigest(), product)
 
     def private_clusters(self) -> list:
         """The in-memory private clusters, else a fresh decode of the snapshot."""
@@ -245,8 +256,15 @@ class WindowProduct:
     stats: tuple
 
 
-def _window_product(public: list, k: int, m: int) -> WindowProduct:
-    """Serialize one window's audited public clusters into its product."""
+def window_product(clusters: list, k: int, m: int) -> Optional[WindowProduct]:
+    """Audit one window's private clusters and serialize their public form.
+
+    Returns ``None`` when the window fails its audit: a failing window
+    has no product, and the run tail falls back to the boundary repair.
+    """
+    if not audit(DisassociatedDataset(clusters, k=k, m=m)).ok:
+        return None
+    public = [_without_private_records(cluster) for cluster in clusters]
     forms = [cluster.to_dict() for cluster in public]
     return WindowProduct(
         json.dumps(forms, separators=(",", ":"))[1:-1],
@@ -301,25 +319,29 @@ class TextPublication(DisassociatedDataset):
     decoded from the text on first access of :attr:`clusters`; until
     then :meth:`to_dict` parses the text, and ``len()`` and
     :meth:`total_records` answer from the products.
-    :meth:`clusters_at` (the publication store's refresh) takes the
-    clusters of the windows the run computed from memory and decodes a
-    memoized window's fragments only when one of its clusters is asked
-    for.
+    :meth:`forms_at` (the publication store's refresh) parses a window's
+    fragments only when one of its clusters is asked for, one window at
+    a time.
 
     Args:
         k, m: the anonymity parameters.
-        windows: ``(product, public clusters or None)`` per window, in
-            publication order; the clusters are the ones the run
-            computed (``None`` for a memoized window).
+        products: the :class:`WindowProduct` of every window, in
+            publication order.
     """
 
-    def __init__(self, k: int, m: int, windows: list):
+    def __init__(self, k: int, m: int, products: list):
         self.k, self.m = int(k), int(m)
-        self._windows = windows
+        self._products = products
         self._clusters: Optional[list] = None
-        fragments = ",".join(p.fragments for p, _ in windows if p.fragments)
-        #: The publication's compact JSON text.
-        self.text = f'{{"k":{self.k},"m":{self.m},"clusters":[{fragments}]}}'
+        self._text: Optional[str] = None
+
+    @property
+    def text(self) -> str:
+        """The publication's compact JSON text, spliced on first access."""
+        if self._text is None:
+            fragments = ",".join(p.fragments for p in self._products if p.fragments)
+            self._text = f'{{"k":{self.k},"m":{self.m},"clusters":[{fragments}]}}'
+        return self._text
 
     @property
     def clusters(self) -> list:
@@ -338,13 +360,13 @@ class TextPublication(DisassociatedDataset):
     def __len__(self) -> int:
         if self._clusters is not None:
             return len(self._clusters)
-        return sum(len(product.digests) for product, _ in self._windows)
+        return sum(len(product.digests) for product in self._products)
 
     def total_records(self) -> int:
         """Number of original records represented by the publication."""
         if self._clusters is not None:
             return super().total_records()
-        return sum(product.records for product, _ in self._windows)
+        return sum(product.records for product in self._products)
 
     def to_dict(self) -> dict:
         """A fresh parse of :attr:`text` (or of the decoded clusters)."""
@@ -353,21 +375,21 @@ class TextPublication(DisassociatedDataset):
         with paused_gc():
             return json.loads(self.text)
 
-    def clusters_at(self, positions: Iterable[int]) -> Iterator[Cluster]:
-        """The top-level clusters at ascending ``positions``, in that order."""
+    def forms_at(self, positions: Iterable[int]) -> Iterator[dict]:
+        """The ``to_dict`` forms of the top-level clusters at ascending ``positions``."""
         if self._clusters is not None:
-            yield from super().clusters_at(positions)
+            yield from super().forms_at(positions)
             return
-        windows = iter(self._windows)
+        products = iter(self._products)
         first = end = 0
+        forms: list = []
         for position in positions:
-            while position >= end:
-                product, clusters = next(windows)
-                first, end = end, end + len(product.digests)
-            if clusters is None:
+            if position >= end:
+                while position >= end:
+                    product = next(products)
+                    first, end = end, end + len(product.digests)
                 forms = json.loads(f"[{product.fragments}]")
-                clusters = [cluster_from_dict(form) for form in forms]
-            yield clusters[position - first]
+            yield forms[position - first]
 
 
 class MergedPublication(NamedTuple):
@@ -375,7 +397,9 @@ class MergedPublication(NamedTuple):
 
     #: The published dataset.
     published: DisassociatedDataset
-    #: The publication's compact JSON text (memoized runs only, else ``None``).
+    #: The publication's compact JSON text when the tail built it (a
+    #: memoized run that needed the boundary repair), else ``None``: a
+    #: :class:`TextPublication` splices its own on access.
     text: Optional[str]
     #: The top-level digests of the publication (memoized runs only).
     digests: Optional[list]
@@ -391,25 +415,27 @@ def publish_merged(
 
     ``windows`` are the relabeled per-window :class:`Window` s in shard
     and window order; relabeling already made labels unique, so the
-    merge is a concatenation.  The guarantee is audited per window, and
-    a window ``memo`` holds the digest of is not audited again.  When
-    every window passes, the publication is the concatenation of the
-    windows' public clusters -- exactly what a global audit with nothing
-    to repair publishes.  Otherwise the global boundary repair runs over
-    every window's private clusters (decoded afresh from their
-    snapshots; the repair's demotions consult the private original
-    records), and its stripped result is published.  Fills ``report``'s
-    ``merge_seconds``, ``verify_seconds``, ``repair`` and cluster
+    merge is a concatenation.  The guarantee is audited per window; a
+    window that brings its own product, or whose digest ``memo`` holds,
+    is not audited again.  When every window passes, the publication is
+    the concatenation of the windows' public clusters -- exactly what a
+    global audit with nothing to repair publishes.  Otherwise the global
+    boundary repair runs over every window's private clusters (decoded
+    afresh from their snapshots; the repair's demotions consult the
+    private original records), and its stripped result is published.
+    Fills ``report``'s ``merge_seconds``, ``verify_seconds`` (added to
+    whatever auditing the caller already timed), ``repair`` and cluster
     statistics.
 
-    With a ``memo`` the result also carries the publication's compact
-    JSON text and the publication store's top-level digests, and the
-    memo keeps the passing windows' :class:`WindowProduct` s afterwards.
-    When every window passes, nothing is parsed or copied: the
-    publication is a :class:`TextPublication` spliced from the products,
-    and the report's statistics are sums over them.  The memo holds only
-    text, so mutating the returned publication never reaches it.
-    Without a memo (a cold run) nothing is serialized or digested here.
+    With a ``memo`` the result also carries the publication store's
+    top-level digests (and, after a repair, the publication's compact
+    JSON text), and the memo keeps the passing windows' :class:`WindowProduct` s afterwards.
+    No cluster object outlives a window's audit: when every window
+    passes, the publication is a :class:`TextPublication` spliced from
+    the products, and the report's statistics are sums over them.  The
+    memo holds only text, so mutating the returned publication never
+    reaches it.  Without a memo (a cold run) nothing is serialized or
+    digested here.
     """
     faults.check("stream.merge")
     deadline.check("stream.merge")
@@ -417,42 +443,40 @@ def publish_merged(
     deadline.check("stream.verify")
     start = time.perf_counter()
     k, m = params.k, params.m
-    # (memo key, verdict, product or None, public clusters this run
-    # computed or None) per window.
-    entries = []
+    # Memo runs: (memo key, product or None) per window.  Cold runs: the
+    # verdicts and the public clusters of every window.
+    entries, verdicts, public = [], [], []
     # The decoded clusters and public forms are retained and the audit's
     # garbage is acyclic, so the collector would only rescan the growing
     # live set here (a load or a first delta after a restart audits every
     # window: ~1.5 s of collector passes at 100k records).
     with paused_gc():
         for window in windows:
-            key = None if memo is None else (window.digest, k, m)
-            product = None if key is None else memo.get(key)
-            if product is not None:
-                entries.append((key, True, product, None))
+            if memo is None:
+                clusters = window.private_clusters()
+                verdicts.append(audit(DisassociatedDataset(clusters, k=k, m=m)).ok)
+                public.extend(_without_private_records(c) for c in clusters)
                 continue
-            clusters = window.private_clusters()
-            ok = audit(DisassociatedDataset(clusters, k=k, m=m)).ok
-            public = [_without_private_records(cluster) for cluster in clusters]
-            if ok and memo is not None:
-                product = _window_product(public, k, m)
-            entries.append((key, ok, product, public))
+            key = (window.digest, k, m)
+            product = (
+                window.product
+                or memo.get(key)
+                or window_product(window.private_clusters(), k, m)
+            )
+            entries.append((key, product))
+            verdicts.append(product is not None)
     text = digests = None
-    if all(ok for _, ok, _, _ in entries):
+    if all(verdicts):
         report.repair = BoundaryRepairSummary()
         verified = time.perf_counter()
         if memo is None:
-            published = DisassociatedDataset(
-                [cluster for *_, public in entries for cluster in public], k=k, m=m
-            )
+            published = DisassociatedDataset(public, k=k, m=m)
             _fill_report(report, published)
         else:
-            published = TextPublication(
-                k, m, [(product, public) for _, _, product, public in entries]
-            )
-            text = published.text
-            digests = [d for _, _, product, _ in entries for d in product.digests]
-            stats = [product.stats for _, _, product, _ in entries]
+            products = [product for _, product in entries]
+            published = TextPublication(k, m, products)
+            digests = [d for product in products for d in product.digests]
+            stats = [product.stats for product in products]
             for name, value in zip(REPORT_STATS, map(sum, zip(*stats))):
                 setattr(report, name, value)
     else:
@@ -472,8 +496,8 @@ def publish_merged(
             digests, _ = cluster_digests(payload)
         _fill_report(report, published)
     if memo is not None:
-        memo.replace({key: product for key, ok, product, _ in entries if ok})
-    report.verify_seconds = verified - start
+        memo.replace({key: product for key, product in entries if product is not None})
+    report.verify_seconds += verified - start
     report.merge_seconds = time.perf_counter() - verified
     return MergedPublication(published, text, digests)
 

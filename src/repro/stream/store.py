@@ -105,6 +105,7 @@ from repro.stream.executor import (
     publish_merged,
     relabel_cluster,
     window_engine_for,
+    window_product,
 )
 from repro.stream.planner import HashShardPlanner, HorpartShardPlanner, build_planner
 
@@ -967,7 +968,7 @@ class IncrementalPipeline:
         else:
             windows = self._reconcile_windows(store, report)
         merged = publish_merged(windows, self.params, report, self.memo)
-        self.last_text = merged.text
+        del windows
         if not report.noop:
             start = time.perf_counter()
             store.mark_published(generation)
@@ -978,6 +979,9 @@ class IncrementalPipeline:
         self._refresh_pubstore(
             merged.published, generation, fingerprint, report, merged.digests
         )
+        # Spliced after the refresh, so the text and the refresh's
+        # working set are never resident together.
+        self.last_text = merged.text or merged.published.text
         return merged.published
 
     def _refresh_pubstore(
@@ -1062,17 +1066,21 @@ class IncrementalPipeline:
         each batch, and only runs the
         engine on windows whose fingerprint is absent or stale.  Each
         recomputed window commits its snapshot independently, so a crash
-        mid-reconcile repeats at most one window.  Reused windows are
-        returned as their snapshot text, decoded only if the run tail
+        mid-reconcile repeats at most one window.  A recomputed window is
+        audited right after its commit and kept as its snapshot text and
+        :class:`~repro.stream.executor.WindowProduct` only, so the run
+        holds the cluster objects of one window at a time; reused windows
+        are returned as their snapshot text, decoded only if the run tail
         needs their clusters.  ``persist=False`` (a throwaway store) keeps
-        the recomputed windows in memory only: no snapshot is encoded or
-        written, since no later run reads one.
+        the recomputed windows' clusters in memory instead: no snapshot is
+        encoded or written, since no later run reads one.
         """
         bound = self.stream.max_records_in_memory
         windows: list[Window] = []
         report.shard_windows = [0] * self.stream.shards
+        k, m = self.params.k, self.params.m
         start = time.perf_counter()
-        store_seconds = 0.0
+        store_seconds = verify_seconds = 0.0
         with window_engine_for(self.params, self.window_engine) as engine:
             for shard in range(self.stream.shards):
                 # One interning table per shard (lazy: only shards that
@@ -1117,8 +1125,8 @@ class IncrementalPipeline:
                         else:
                             store_start = time.perf_counter()
                             # GC pauses are scoped to the snapshot encoding
-                            # burst -- whose garbage is all retained anyway
-                            # -- never across engine.anonymize, whose cyclic
+                            # and the audit -- whose garbage is acyclic --
+                            # never across engine.anonymize, whose cyclic
                             # garbage must stay collectable on large builds.
                             with paused_gc():
                                 snapshot = json.dumps(
@@ -1128,15 +1136,24 @@ class IncrementalPipeline:
                             store.put_window(
                                 shard, win, fingerprint, len(texts), snapshot
                             )
-                            store_seconds += time.perf_counter() - store_start
-                            windows.append(Window.stored(snapshot, relabeled))
+                            verify_start = time.perf_counter()
+                            store_seconds += verify_start - store_start
+                            # The window's published form is final once it
+                            # passes its audit: the run keeps its text only.
+                            with paused_gc():
+                                product = window_product(relabeled, k, m)
+                            verify_seconds += time.perf_counter() - verify_start
+                            windows.append(Window.stored(snapshot, product))
                     win += 1
                     if len(rows) < bound:
                         break
                 report.shard_windows[shard] = win
                 store.drop_windows_from(shard, win)
         report.store_seconds += store_seconds
-        report.anonymize_seconds = time.perf_counter() - start - store_seconds
+        report.verify_seconds += verify_seconds
+        report.anonymize_seconds = (
+            time.perf_counter() - start - store_seconds - verify_seconds
+        )
         return windows
 
 

@@ -20,6 +20,7 @@ Covers the PR-7 concurrency surface:
 from __future__ import annotations
 
 import json
+import re
 import socket
 import statistics
 import threading
@@ -386,10 +387,11 @@ class TestHttpDelta:
         """The response is spliced from per-window text, same bytes as a
         cold run: the load serializes every leaf cluster once and a warm
         delta only the leaves of the windows it recomputed.  Neither
-        serializes the whole publication, and neither parses or decodes
-        anything: no ``json.loads`` and no snapshot or public-form decode
-        in the run tail or the result.  An async delta's ``GET
-        /jobs/<id>`` answers the same publication."""
+        serializes the whole publication, no cluster object is decoded,
+        and nothing is parsed but by the publication-store refresh: one
+        ``json.loads`` per window it writes top-level clusters of --
+        every window on the load, only recomputed ones on the delta.  An
+        async delta's ``GET /jobs/<id>`` answers the same publication."""
         records = [sorted(record) for record in quest(300, seed=3)]
         appended = [sorted(record) for record in quest(20, seed=4)]
         config = BASE_CONFIG.with_overrides(
@@ -445,7 +447,7 @@ class TestHttpDelta:
                 assert list(payload) == ["mode", "tag", "summary", "publication"]
                 assert payload["mode"] == "delta"
                 total = sum(leaves(c) for c in payload["publication"]["clusters"])
-                serialized.append((dict(calls), total))
+                serialized.append((dict(calls), total, payload))
             calls.clear()
             status, job = http(
                 server.url, "POST", "/anonymize", {"mode": "delta", "async": True}
@@ -459,7 +461,17 @@ class TestHttpDelta:
         finally:
             server.close()
         monkeypatch.undo()
-        (load, load_total), (delta, total) = serialized
+        (load, load_total, first), (delta, total, _) = serialized
+        # The publication-store refresh parses the text of each window it
+        # writes top-level clusters of: every window on the load, only
+        # recomputed ones on the delta.
+        parsed, recomputed = [], []
+        for counted, body_ in ((load, first), (delta, payload)):
+            match = re.search(r"(\d+) window\(s\) recomputed", body_["summary"])
+            recomputed.append(int(match.group(1)))
+            parsed.append(counted.pop("loads"))
+        assert parsed[0] == recomputed[0]
+        assert 0 < parsed[1] <= recomputed[1] < recomputed[0]
         assert load == {"leaf": load_total}
         assert set(delta) == {"leaf"}
         assert 0 < delta["leaf"] < total

@@ -17,6 +17,7 @@ import gc
 import json
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.stream import (
     StreamParams,
     run_fingerprint,
 )
+from tests.conftest import make_workload
 from tests.reference_engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
@@ -684,6 +686,36 @@ class TestStoreConcurrency:
             with pytest.raises(StoreError):
                 ShardStore(tmp_path / "s")
         assert len(os.listdir(fd_dir)) == before
+
+
+class TestResidentMemory:
+    def test_traced_peak_stays_flat_as_windows_grow(self, tmp_path):
+        """A store-backed run with a publication store holds text, not
+        cluster objects, for every window it is not computing, and writes
+        the publication store a batch of top-level clusters at a time: its
+        traced peak over 32 windows stays within 1.5x of its peak over 8
+        (keeping every window's clusters to the run tail grew it ~4x)."""
+        peaks = []
+        for windows in (8, 32):
+            records = list(
+                make_workload("quest", records=250 * windows, domain=200, avg_len=5.0, seed=3)
+            )
+            stream = StreamParams(
+                shards=1,
+                max_records_in_memory=250,
+                store_dir=tmp_path / f"shards{windows}",
+                pubstore_dir=tmp_path / f"pub{windows}",
+            )
+            pipeline = IncrementalPipeline(PARAMS, stream)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                pipeline.run(append=records)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert pipeline.last_report.shard_windows == [windows]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def _tamper_window(store_dir, shard: int, win: int) -> str:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
 import sqlite3
 import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -40,7 +42,8 @@ from repro.core.codec import cluster_from_payload, cluster_to_payload
 from repro.core.engine import AnonymizationParams, Disassociator
 from repro.exceptions import FaultInjected, StoreError
 from repro.pubstore import PUBSTORE_VERSION, PublicationStore, QueryEngine, pubstore_path
-from repro.pubstore.schema import cluster_digests, publication_fingerprint
+from repro.pubstore import store as pubstore_store
+from repro.pubstore.schema import _SCHEMA, cluster_digests, publication_fingerprint
 from repro.service import AnonymizationService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
 from repro.stream import IncrementalPipeline, StreamParams, WindowMemo, executor
@@ -398,8 +401,9 @@ def _downgrade_to_v1(store_dir) -> None:
 
 
 class TestWarmMemoRefresh:
-    """A warm pipeline's publication is text; its refresh decodes a
-    memoized window only when the publication store lacks its tops."""
+    """A warm pipeline's publication is text; its refresh parses a
+    memoized window's text only when the publication store lacks its
+    tops, and builds no cluster object."""
 
     def _pipeline(self, tmp_path, memo, pubstore=True) -> IncrementalPipeline:
         stream = StreamParams(
@@ -410,24 +414,39 @@ class TestWarmMemoRefresh:
         )
         return IncrementalPipeline(PARAMS, stream, memo=memo)
 
+    @staticmethod
+    def _count_decodes(monkeypatch) -> Counter:
+        """Count window-text parses and cluster decodes in the run tail."""
+        counted = Counter()
+        loads, decode = json.loads, executor.cluster_from_dict
+        monkeypatch.setattr(
+            executor,
+            "json",
+            SimpleNamespace(
+                loads=lambda text: counted.update(["window"]) or loads(text),
+                dumps=json.dumps,
+            ),
+        )
+        monkeypatch.setattr(
+            executor,
+            "cluster_from_dict",
+            lambda form: counted.update(["cluster"]) or decode(form),
+        )
+        return counted
+
     def test_lost_pubstore_is_rebuilt_from_memoized_windows(self, tmp_path, monkeypatch):
         pipeline = self._pipeline(tmp_path, WindowMemo())
         pipeline.run(append=RefreshMachine._records(random.Random(3), 90))
         pipeline.run(append=RefreshMachine._records(random.Random(4), 5))
         shutil.rmtree(tmp_path / "pub")
-        decoded = Counter()
-        original = executor.cluster_from_dict
-        monkeypatch.setattr(
-            executor,
-            "cluster_from_dict",
-            lambda form: decoded.update(["top"]) or original(form),
-        )
+        counted = self._count_decodes(monkeypatch)
         published = pipeline.run()
         report = pipeline.last_report
         assert report.noop and report.pubstore_refreshed
         assert isinstance(published, TextPublication)
         assert report.pubstore_tops_written == len(published)
-        assert decoded["top"] == len(published)
+        # Every window's text is parsed once; no cluster object is built.
+        assert counted == Counter({"window": len(pipeline.memo)})
         monkeypatch.undo()
         assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
 
@@ -440,18 +459,13 @@ class TestWarmMemoRefresh:
         self._pipeline(tmp_path, memo, pubstore=False).run(
             append=RefreshMachine._records(random.Random(6), 5)
         )
-        decoded = Counter()
-        original = executor.cluster_from_dict
-        monkeypatch.setattr(
-            executor,
-            "cluster_from_dict",
-            lambda form: decoded.update(["top"]) or original(form),
-        )
+        counted = self._count_decodes(monkeypatch)
         published = pipeline.run()
         report = pipeline.last_report
         assert report.noop and report.pubstore_refreshed
         assert 0 < report.pubstore_tops_written < len(published)
-        assert report.pubstore_tops_written <= decoded["top"] < len(published)
+        assert set(counted) == {"window"}
+        assert 0 < counted["window"] < len(memo)
         monkeypatch.undo()
         assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
 
@@ -556,21 +570,22 @@ class TestOneSnapshotPerQuery:
     def test_query_straddling_a_refresh_reads_the_old_snapshot(
         self, tmp_path, monkeypatch
     ):
-        """A refresh commits between two statements of one expected_support."""
+        """A refresh commits between the header check and the grouped
+        statement of one expected_support."""
         first, second = _publication(9), _publication(10)
         PublicationStore.from_publication(first, tmp_path / "pub").close()
         probe = [term for term, _ in QueryEngine(first).top_terms(2)]
         expected = QueryEngine(first).expected_support(probe)
-        top_size = PublicationStore.top_size
+        expected_factors = PublicationStore.expected_factors
         refreshed = []
 
-        def refresh_then_read(self, top):
+        def refresh_then_read(self, terms):
             if not refreshed:
                 with PublicationStore(self.directory, exclusive=True) as writer:
                     refreshed.append(writer.build(second, generation=1))
-            return top_size(self, top)
+            return expected_factors(self, terms)
 
-        monkeypatch.setattr(PublicationStore, "top_size", refresh_then_read)
+        monkeypatch.setattr(PublicationStore, "expected_factors", refresh_then_read)
         config = ServiceConfig(k=3, m=2, pubstore_dir=str(tmp_path / "pub"))
         with AnonymizationService(config) as service:
             answer = service.query("expected_support", {"terms": probe})
@@ -624,3 +639,168 @@ class TestOneSnapshotPerQuery:
         assert not failures
         assert seen
         assert {answer["result"] for answer in seen} <= answers
+
+
+# --------------------------------------------------------------------------- #
+# batched writes
+# --------------------------------------------------------------------------- #
+class TestBatchedRefresh:
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_batches_write_what_one_batch_writes(self, tmp_path, monkeypatch, batch):
+        """A refresh that builds and inserts ``batch`` top-level clusters at a
+        time leaves a store identical to a single-batch refresh: same
+        reload, same ``describe()``, same aggregates and query answers,
+        on the first build and on a delta that deletes and writes tops."""
+        records = list(make_workload("quest", records=200, domain=30, avg_len=4.0, seed=21))
+        appended = list(make_workload("quest", records=60, domain=30, avg_len=4.0, seed=22))
+        pipelines = {
+            size: IncrementalPipeline(
+                PARAMS,
+                StreamParams(
+                    shards=2,
+                    max_records_in_memory=40,
+                    store_dir=tmp_path / f"shards{size}",
+                    pubstore_dir=tmp_path / f"pub{size}",
+                ),
+            )
+            for size in (batch, 10**9)
+        }
+        for step, delta in enumerate(
+            [dict(append=records), dict(append=appended, delete=records[-6:])]
+        ):
+            written = []
+            for size, pipeline in pipelines.items():
+                monkeypatch.setattr(pubstore_store, "REFRESH_BATCH", size)
+                published = pipeline.run(**delta)
+                written.append(pipeline.last_report.pubstore_tops_written)
+            assert written[0] == written[1] > batch, (step, written)
+            (batched, whole) = (tmp_path / f"pub{size}" for size in pipelines)
+            assert _aggregates(batched) == _aggregates(whole)
+            with PublicationStore(batched) as a, PublicationStore(whole) as b:
+                assert a.load_publication().to_dict() == b.load_publication().to_dict()
+                assert a.load_publication().to_dict() == published.to_dict()
+                described = [store.describe() for store in (a, b)]
+                for entry in described:
+                    entry.pop("path")
+                assert described[0] == described[1]
+                engines = QueryEngine(a, seed=5), QueryEngine(b, seed=5)
+                for probe in _probes(published, seed=step):
+                    for op in ("cooccurrence_count", "expected_support", "lower_bound"):
+                        answers = [e.execute(op, {"terms": probe}) for e in engines]
+                        assert answers[0] == answers[1], (op, probe)
+                oracle = QueryEngine(published)
+                for engine in engines:
+                    assert engine.top_terms(1000) == oracle.top_terms(1000)
+                    assert engine.frequent_pairs(1) == oracle.frequent_pairs(1)
+
+
+# --------------------------------------------------------------------------- #
+# statement plans
+# --------------------------------------------------------------------------- #
+#: Tables a refresh must never read in full: each is one of the store's
+#: largest, and a refresh touches only the rows of the clusters it changed.
+NEVER_SCANNED = ("postings", "term_chunks", "chunk_terms")
+
+
+def _plans(db, statements) -> dict:
+    """``EXPLAIN QUERY PLAN`` detail lines of every reading statement."""
+    plans = {}
+    for sql in statements:
+        if sql.split(None, 1)[0].upper() in ("SELECT", "WITH", "DELETE"):
+            plans[sql] = [row[3] for row in db.execute("EXPLAIN QUERY PLAN " + sql)]
+    return plans
+
+
+class TestStatementPlans:
+    def test_refresh_starts_from_gone_tops_and_every_index_is_read(self, tmp_path):
+        """The plan of every statement of a refresh that deletes and writes
+        top-level clusters: the read-back starts from ``gone_tops``, no
+        statement scans ``postings``, ``term_chunks`` or ``chunk_terms``
+        in full, and every index the schema declares is used by at least
+        one refresh or query statement."""
+        records = list(make_workload("quest", records=200, domain=30, avg_len=4.0, seed=21))
+        stream = StreamParams(shards=2, max_records_in_memory=40, store_dir=tmp_path / "s")
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        first = pipeline.run(append=records)
+        second = pipeline.run(
+            append=list(make_workload("quest", records=25, domain=30, avg_len=4.0, seed=22)),
+            delete=records[-6:],
+        )
+        PublicationStore.from_publication(first, tmp_path / "pub").close()
+        statements: list = []
+        with PublicationStore(tmp_path / "pub", exclusive=True) as writer:
+            writer._db.set_trace_callback(statements.append)
+            stats = writer.build(second, generation=1)
+            writer._db.set_trace_callback(None)
+            assert stats.tops_written and stats.tops_kept
+            refresh = _plans(writer._db, statements)
+        assert any("gone_tops" in sql for sql in refresh)
+        for sql, plan in refresh.items():
+            if sql.startswith("SELECT") and " FROM gone_tops g" in sql:
+                # Every member of the read-back starts from gone_tops.
+                tables = [line for line in plan if line.startswith(("SCAN", "SEARCH"))]
+                assert tables[0] == "SCAN g", (sql, plan)
+                assert tables.count("SCAN g") == sql.count(" FROM gone_tops g"), (sql, plan)
+            for line in plan:
+                assert not line.startswith(tuple(f"SCAN {t}" for t in NEVER_SCANNED)), (
+                    sql,
+                    plan,
+                )
+                # Aliases: p = postings, t = term_chunks, ct = chunk_terms.
+                assert not line.startswith(("SCAN p", "SCAN t ", "SCAN ct")), (sql, plan)
+
+        statements.clear()
+        with PublicationStore.reader(tmp_path / "pub") as reader:
+            reader._db.set_trace_callback(statements.append)
+            engine = QueryEngine(reader, seed=3)
+            terms = [term for term, _ in engine.top_terms(3)]
+            for op, params in [
+                ("describe", {}),
+                ("top_terms", {"count": 5}),
+                ("frequent_pairs", {"min_support": 2}),
+                ("reconstructed_support", {"terms": terms[:2], "reconstructions": 1}),
+            ] + [
+                (op, {"terms": terms[:width]})
+                for op in ("cooccurrence_count", "containment_ratio", "lower_bound", "expected_support")
+                for width in (1, 2, 3)
+            ]:
+                engine.execute(op, params)
+            reader._db.set_trace_callback(None)
+            queries = _plans(reader._db, statements)
+        used = " ".join(line for plan in [*refresh.values(), *queries.values()] for line in plan)
+        declared = re.findall(r"CREATE INDEX IF NOT EXISTS (\w+)", _SCHEMA)
+        assert declared
+        for index in declared:
+            assert f"INDEX {index} " in used, index
+
+    def test_writer_open_drops_the_retired_indexes(self, tmp_path):
+        """A store that still carries indexes no statement reads loses them
+        on its next writer open; a reader open leaves the file alone."""
+        PublicationStore.from_publication(_publication(3), tmp_path / "pub").close()
+        retired = {
+            "idx_clusters_parent": "clusters (parent, ord)",
+            "idx_chunks_cluster": "chunks (cluster, ord)",
+            "idx_chunk_terms_chunk": "chunk_terms (chunk)",
+            "idx_term_chunks_cluster": "term_chunks (cluster)",
+        }
+
+        def indexes() -> set:
+            db = sqlite3.connect(pubstore_path(tmp_path / "pub"))
+            try:
+                rows = db.execute("SELECT name FROM sqlite_master WHERE type = 'index'")
+                return {name for (name,) in rows}
+            finally:
+                db.close()
+
+        db = sqlite3.connect(pubstore_path(tmp_path / "pub"))
+        for name, target in retired.items():
+            db.execute(f"CREATE INDEX {name} ON {target}")
+        db.commit()
+        db.close()
+        assert set(retired) <= indexes()
+        with PublicationStore.reader(tmp_path / "pub") as reader:
+            assert reader.describe()["version"] == PUBSTORE_VERSION
+        assert set(retired) <= indexes()
+        with PublicationStore(tmp_path / "pub", exclusive=True) as writer:
+            assert writer.describe()["version"] == PUBSTORE_VERSION
+        assert not set(retired) & indexes()
