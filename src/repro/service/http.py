@@ -65,7 +65,7 @@ Responses are compact JSON (no optional whitespace), written with the
 headers in one send on a ``TCP_NODELAY`` socket.  A publication
 response's ``"publication"`` value is the result's
 :meth:`~repro.service.request.PublicationResult.to_json` text spliced in
-as is -- for a delta, the window memo's text, with no object built --
+as is -- for a delta, its stored window products' text, with no object built --
 so it parses to exactly ``service.run(...).to_dict()`` (bit-for-bit;
 covered by the test suite and the throughput benchmark).
 """

@@ -198,7 +198,7 @@ class PublicationResult:
     def to_json(self) -> str:
         """The publication as compact JSON text (computed once, then cached).
 
-        A delta run's text is spliced from its windows' memoized text, so
+        A delta run's text is spliced from its windows' stored products, so
         no cluster object is built or serialized for it; other runs
         encode :meth:`to_dict`.  Either way ``json.loads`` of it equals
         :meth:`to_dict`.

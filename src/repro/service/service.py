@@ -65,7 +65,7 @@ from repro.exceptions import (
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.request import AnonymizationRequest, PublicationResult
-from repro.stream.executor import ShardedPipeline, WindowMemo
+from repro.stream.executor import ShardedPipeline
 from repro.stream.store import IncrementalPipeline
 
 #: Queue item telling a worker thread to exit.
@@ -198,9 +198,6 @@ class AnonymizationService:
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.max_pending)
         self._workers: list[threading.Thread] = []
         self._metrics = ServiceMetrics()
-        #: The audited public products of the windows of the latest delta
-        #: publication, lent to every delta's pipeline (thread-safe).
-        self._memo = WindowMemo()
         #: Idle publication-store read handles, checked out per query.
         #: LIFO like the engines: one warm handle (and page cache) serves
         #: sequential traffic, and the pool only ever holds as many
@@ -762,9 +759,9 @@ class AnonymizationService:
         source.  The recomputed windows run on the service's warm engine,
         exactly like streamed requests, and the request-scoped ``delta_id`` makes transparent
         retries of a transiently failed delta apply the mutation at most
-        once.  The service's window memo is lent to the pipeline the same
-        way, so windows whose snapshots an earlier delta already published
-        are not decoded, audited or serialized again.  Returns the
+        once.  The store keeps every window's audited product, so windows
+        an earlier delta (or an earlier process) already published are not
+        decoded, audited or serialized again.  Returns the
         pipeline's publication text with the publication, so the response
         sends it instead of serializing the publication again.
         """
@@ -772,14 +769,13 @@ class AnonymizationService:
             config.engine_params(),
             config.stream_params(),
             window_engine=engine,
-            memo=self._memo,
         )
         published = pipeline.run(
             append=self._delta_records(request.source, request),
             delete=self._delta_records(request.delete, request),
             delta_id=state["delta_id"],
         )
-        return published, pipeline.last_report, pipeline.last_text
+        return published, pipeline.last_report, published.text
 
     @staticmethod
     def _delta_records(source, request: AnonymizationRequest) -> list:

@@ -50,7 +50,6 @@ from repro.stream.executor import (
     ShardedPipeline,
     StreamParams,
     TextPublication,
-    WindowMemo,
     relabel_cluster,
 )
 from repro.stream.planner import (
@@ -85,7 +84,6 @@ __all__ = [
     "ShardedPipeline",
     "StreamParams",
     "TextPublication",
-    "WindowMemo",
     "build_planner",
     "demote_terms",
     "record_fingerprint",

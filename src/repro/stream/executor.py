@@ -31,8 +31,8 @@ The durable counterpart is the long-lived store's
 over a store that outlives the run, re-anonymizes only the windows a delta
 changed, and finishes an interrupted build on re-run.  A cold run is
 simply re-run instead.  Both pipelines share this module's run tail
-(:func:`publish_merged`, which delta runs give a :class:`WindowMemo` of
-audited window products) and window-engine handling
+(:func:`publish_merged`, which a store-backed run hands the audited
+window products its store keeps) and window-engine handling
 (:func:`window_engine_for`).  Every step visits a :mod:`repro.faults`
 injection point and checks the ambient request deadline
 (:mod:`repro.core.deadline`), so a run cancels cooperatively.
@@ -47,25 +47,23 @@ path:
 * a cold run keeps every window's relabeled clusters, original records
   included, until its tail audits, merges and strips them, so its
   resident clusters grow with the dataset;
-* a store-backed run turns each window it computes into text as soon as
-  the window's snapshot commits and its audit passes (its snapshot and
-  :class:`WindowProduct`), so it holds the cluster objects of one window
-  at a time; the text of the publication still grows with the dataset,
-  as it does for any API that returns the publication, and so does a
-  boundary repair, which decodes every window.
+* a store-backed run turns each window it computes or reads into its
+  :class:`WindowProduct` as soon as the window's audit passes, keeping
+  no snapshot text, so it holds the cluster objects of one window at a
+  time; the text of the publication still grows with the dataset, as it
+  does for any API that returns the publication, and so does a boundary
+  repair, which re-reads and decodes every window.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import tempfile
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from repro import faults
 from repro.core.clusters import (
@@ -90,7 +88,7 @@ from repro.core.engine import (
 from repro.core.verification import audit
 from repro.datasets.io import iter_records
 from repro.exceptions import ParameterError
-from repro.pubstore.schema import cluster_digests, top_digest
+from repro.pubstore.schema import top_digest
 from repro.stream.boundary import BoundaryRepairSummary, verify_and_repair
 from repro.stream.planner import STRATEGIES
 
@@ -191,37 +189,24 @@ class Window:
     """One engine window as the run tail sees it.
 
     Attributes:
-        clusters: the relabeled private clusters when the run holds them
-            in memory (a cold run's windows); ``None`` to decode them from
-            ``snapshot`` on demand.
-        snapshot: the window's stored payload text
-            (:func:`~repro.core.codec.cluster_to_payload` list), or
-            ``None`` for a cold run's in-memory windows.
-        digest: the content digest of ``snapshot``'s exact text; the key
-            under which a :class:`WindowMemo` keeps the window's product.
-            ``None``: never memoized.
-        product: the window's :class:`WindowProduct` when the run just
-            computed and audited it; ``None`` when the tail still has to
-            look it up or audit the window (or the audit failed).
+        clusters: a cold run's relabeled private clusters; ``None`` for a
+            stored window.
+        product: a stored window's :class:`WindowProduct`; ``None`` when
+            the window failed its audit (or is a cold run's).
+        snapshot: a stored window's reader of its snapshot text (its
+            :func:`~repro.core.codec.cluster_to_payload` list), called
+            only when a boundary repair must decode every window.
     """
 
     clusters: Optional[list] = None
-    snapshot: Optional[str] = None
-    digest: Optional[str] = None
     product: Optional["WindowProduct"] = None
+    snapshot: Optional[Callable[[], str]] = None
 
-    @classmethod
-    def stored(cls, snapshot: str, product: Optional["WindowProduct"] = None) -> "Window":
-        """A window read from (or just written to) a store, digest computed."""
-        digest = hashlib.blake2b(snapshot.encode("utf-8"), digest_size=16)
-        return cls(None, snapshot, digest.hexdigest(), product)
 
-    def private_clusters(self) -> list:
-        """The in-memory private clusters, else a fresh decode of the snapshot."""
-        if self.clusters is not None:
-            return self.clusters
-        with paused_gc():
-            return [cluster_from_payload(item) for item in json.loads(self.snapshot)]
+def decode_snapshot(snapshot: str) -> list:
+    """The private clusters of one stored window snapshot's text."""
+    with paused_gc():
+        return [cluster_from_payload(item) for item in json.loads(snapshot)]
 
 
 @dataclass(frozen=True)
@@ -236,7 +221,7 @@ class WindowProduct:
     clusters pass :func:`~repro.core.verification.audit` on their own
     has a product, so a product is its window's verdict.  It holds only
     strings, integers and tuples of them: no caller can hold (or mutate)
-    an object the memo keeps, and the collector has nothing in it to
+    an object the store keeps, and the collector has nothing in it to
     scan.
 
     Attributes:
@@ -264,6 +249,11 @@ def window_product(clusters: list, k: int, m: int) -> Optional[WindowProduct]:
     """
     if not audit(DisassociatedDataset(clusters, k=k, m=m)).ok:
         return None
+    return _public_product(clusters, k, m)
+
+
+def _public_product(clusters: list, k: int, m: int) -> WindowProduct:
+    """The product of private clusters already known to pass their audit."""
     public = [_without_private_records(cluster) for cluster in clusters]
     forms = [cluster.to_dict() for cluster in public]
     return WindowProduct(
@@ -274,43 +264,8 @@ def window_product(clusters: list, k: int, m: int) -> Optional[WindowProduct]:
     )
 
 
-class WindowMemo:
-    """Process-lived products of the windows of the latest publication.
-
-    Maps ``(window digest, k, m)`` to the :class:`WindowProduct` of a
-    window whose audit passed (a failing window has none).  The key is the digest of the window's
-    snapshot bytes, computed when the window is built or read and never
-    trusted from storage, so a snapshot that changed on disk misses and
-    is audited again.  :func:`publish_merged` replaces the contents after
-    every run with the products of the publication it assembled, which
-    bounds the memo by one publication without a size knob.  Thread-safe:
-    a service lends one memo to the pipelines of all its workers.  Runs
-    over different stores replace each other's products; that costs
-    the next run its hits, never its correctness, because a product
-    depends only on the key.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._products: dict = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._products)
-
-    def get(self, key: tuple) -> Optional[WindowProduct]:
-        """The product memoized under ``key``, or ``None``."""
-        with self._lock:
-            return self._products.get(key)
-
-    def replace(self, products: dict) -> None:
-        """Keep exactly ``products`` (key -> :class:`WindowProduct`)."""
-        with self._lock:
-            self._products = products
-
-
 class TextPublication(DisassociatedDataset):
-    """A publication held as its compact JSON text: a memoized run's result.
+    """A publication held as its compact JSON text: a store-backed run's result.
 
     The text (:attr:`text`) is the windows' product fragments spliced
     together -- byte for byte ``json.dumps(to_dict(), separators=(",",
@@ -357,6 +312,11 @@ class TextPublication(DisassociatedDataset):
         """Replace the clusters (:attr:`text` keeps the published form)."""
         self._clusters = list(value)
 
+    @property
+    def digests(self) -> list:
+        """The publication store's top-level digests, in publication order."""
+        return [digest for product in self._products for digest in product.digests]
+
     def __len__(self) -> int:
         if self._clusters is not None:
             return len(self._clusters)
@@ -392,50 +352,28 @@ class TextPublication(DisassociatedDataset):
             yield forms[position - first]
 
 
-class MergedPublication(NamedTuple):
-    """The run tail's result (see :func:`publish_merged`)."""
-
-    #: The published dataset.
-    published: DisassociatedDataset
-    #: The publication's compact JSON text when the tail built it (a
-    #: memoized run that needed the boundary repair), else ``None``: a
-    #: :class:`TextPublication` splices its own on access.
-    text: Optional[str]
-    #: The top-level digests of the publication (memoized runs only).
-    digests: Optional[list]
-
-
 def publish_merged(
-    windows: list,
-    params: AnonymizationParams,
-    report,
-    memo: Optional[WindowMemo] = None,
-) -> MergedPublication:
+    windows: list, params: AnonymizationParams, report
+) -> DisassociatedDataset:
     """The shared run tail: merge, global boundary repair, strip, report.
 
     ``windows`` are the relabeled per-window :class:`Window` s in shard
-    and window order; relabeling already made labels unique, so the
-    merge is a concatenation.  The guarantee is audited per window; a
-    window that brings its own product, or whose digest ``memo`` holds,
-    is not audited again.  When every window passes, the publication is
-    the concatenation of the windows' public clusters -- exactly what a
-    global audit with nothing to repair publishes.  Otherwise the global
-    boundary repair runs over every window's private clusters (decoded
-    afresh from their snapshots; the repair's demotions consult the
-    private original records), and its stripped result is published.
-    Fills ``report``'s ``merge_seconds``, ``verify_seconds`` (added to
-    whatever auditing the caller already timed), ``repair`` and cluster
-    statistics.
+    and window order, all of them a cold run's or all of them stored;
+    relabeling already made labels unique, so the merge is a
+    concatenation.  The guarantee is audited per window: a stored window
+    arrives audited (with its product, or ``None`` when it failed), and a
+    cold run's windows are audited here.  When every window passes, the
+    publication is the concatenation of the windows' public clusters --
+    exactly what a global audit with nothing to repair publishes.
+    Otherwise the global boundary repair runs over every window's private
+    clusters (stored ones decoded afresh from their snapshots), and its
+    stripped result is published.  Fills ``report``'s ``merge_seconds``,
+    ``verify_seconds`` (added to whatever auditing the caller already
+    timed), ``repair`` and cluster statistics.
 
-    With a ``memo`` the result also carries the publication store's
-    top-level digests (and, after a repair, the publication's compact
-    JSON text), and the memo keeps the passing windows' :class:`WindowProduct` s afterwards.
-    No cluster object outlives a window's audit: when every window
-    passes, the publication is a :class:`TextPublication` spliced from
-    the products, and the report's statistics are sums over them.  The
-    memo holds only text, so mutating the returned publication never
-    reaches it.  Without a memo (a cold run) nothing is serialized or
-    digested here.
+    Stored windows publish a :class:`TextPublication` spliced from their
+    products (after a repair, from the repaired publication's one
+    product), so no cluster object is built when they all pass.
     """
     faults.check("stream.merge")
     deadline.check("stream.merge")
@@ -443,63 +381,46 @@ def publish_merged(
     deadline.check("stream.verify")
     start = time.perf_counter()
     k, m = params.k, params.m
-    # Memo runs: (memo key, product or None) per window.  Cold runs: the
-    # verdicts and the public clusters of every window.
-    entries, verdicts, public = [], [], []
-    # The decoded clusters and public forms are retained and the audit's
-    # garbage is acyclic, so the collector would only rescan the growing
-    # live set here (a load or a first delta after a restart audits every
-    # window: ~1.5 s of collector passes at 100k records).
-    with paused_gc():
-        for window in windows:
-            if memo is None:
-                clusters = window.private_clusters()
+    stored = all(window.clusters is None for window in windows)
+    if stored:
+        products = [window.product for window in windows]
+        passed = all(product is not None for product in products)
+    else:
+        verdicts, public = [], []
+        # The public clusters are retained and the audit's garbage is
+        # acyclic, so the collector would only rescan the growing live set
+        # (0.15-0.3 s of a 100k-record run's tail).
+        with paused_gc():
+            for window in windows:
+                clusters = window.clusters
                 verdicts.append(audit(DisassociatedDataset(clusters, k=k, m=m)).ok)
                 public.extend(_without_private_records(c) for c in clusters)
-                continue
-            key = (window.digest, k, m)
-            product = (
-                window.product
-                or memo.get(key)
-                or window_product(window.private_clusters(), k, m)
-            )
-            entries.append((key, product))
-            verdicts.append(product is not None)
-    text = digests = None
-    if all(verdicts):
+        passed = all(verdicts)
+    if passed:
         report.repair = BoundaryRepairSummary()
-        verified = time.perf_counter()
-        if memo is None:
-            published = DisassociatedDataset(public, k=k, m=m)
-            _fill_report(report, published)
-        else:
-            products = [product for _, product in entries]
-            published = TextPublication(k, m, products)
-            digests = [d for product in products for d in product.digests]
-            stats = [product.stats for product in products]
-            for name, value in zip(REPORT_STATS, map(sum, zip(*stats))):
-                setattr(report, name, value)
     else:
-        merged = DisassociatedDataset(
-            [c for window in windows for c in window.private_clusters()], k=k, m=m
+        private = (
+            decode_snapshot(window.snapshot()) if stored else window.clusters
+            for window in windows
         )
+        merged = DisassociatedDataset([c for cs in private for c in cs], k=k, m=m)
         merged, report.repair = verify_and_repair(merged)
-        published = DisassociatedDataset(
-            [_without_private_records(cluster) for cluster in merged.clusters],
-            k=k,
-            m=m,
-        )
-        verified = time.perf_counter()
-        if memo is not None:
-            payload = published.to_dict()
-            text = json.dumps(payload, separators=(",", ":"))
-            digests, _ = cluster_digests(payload)
+        if stored:
+            products = [_public_product(merged.clusters, k, m)]
+        else:
+            public = [_without_private_records(c) for c in merged.clusters]
+    verified = time.perf_counter()
+    if stored:
+        published = TextPublication(k, m, products)
+        stats = [product.stats for product in products]
+        for name, value in zip(REPORT_STATS, map(sum, zip(*stats))):
+            setattr(report, name, value)
+    else:
+        published = DisassociatedDataset(public, k=k, m=m)
         _fill_report(report, published)
-    if memo is not None:
-        memo.replace({key: product for key, product in entries if product is not None})
     report.verify_seconds += verified - start
     report.merge_seconds = time.perf_counter() - verified
-    return MergedPublication(published, text, digests)
+    return published
 
 
 class ShardedPipeline:
@@ -563,8 +484,8 @@ class ShardedPipeline:
         The records stream into a fresh
         :class:`~repro.stream.store.ShardStore` in a new temporary
         directory (under ``spill_dir`` when set), every window is computed
-        and the publication is assembled without a memo.  The directory is
-        removed afterwards, whether or not the run failed; ``store_dir``
+        and the publication is assembled from their clusters.  The
+        directory is removed afterwards, whether or not the run failed; ``store_dir``
         and ``pubstore_dir`` are ignored.
         """
         # Imported here: the store module builds on this one.

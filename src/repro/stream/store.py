@@ -9,12 +9,13 @@ incremental substrate that is also how an interrupted run recovers:
   :mod:`sqlite3`, no extra dependencies) under ``store_dir`` holding the
   run's identity (parameter fingerprint + shard plan), every routed record
   in arrival order, and one relabeled cluster snapshot per *engine
-  window*; the publication is the concatenation of the window snapshots,
-  so it is never stored a second time;
+  window* with its audited public form (``window_products``); the
+  publication is the concatenation of the window products, so it is
+  never stored a second time;
 * :class:`IncrementalPipeline` -- accepts record appends/deletes, routes
-  them with the stored plan, re-anonymizes **only the windows whose
-  content changed**, audits every window whose snapshot bytes the process
-  has not audited yet (falling back to the global boundary repair when
+  them with the stored plan, re-anonymizes and audits **only the windows
+  whose content changed** (plus any stored window without a product for
+  its snapshot bytes; falling back to the global boundary repair when
   one fails), and publishes a dataset **bit-for-bit identical** to a cold
   :class:`~repro.stream.executor.ShardedPipeline` run over the mutated
   dataset.
@@ -84,6 +85,7 @@ import json
 import sqlite3
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -100,8 +102,10 @@ from repro.storage import LOCK_TIMEOUT, SQLiteStore
 from repro.stream.boundary import BoundaryRepairSummary
 from repro.stream.executor import (
     StreamParams,
+    TextPublication,
     Window,
-    WindowMemo,
+    WindowProduct,
+    decode_snapshot,
     publish_merged,
     relabel_cluster,
     window_engine_for,
@@ -135,6 +139,16 @@ CREATE TABLE IF NOT EXISTS windows (
     fingerprint TEXT NOT NULL,
     num_records INTEGER NOT NULL,
     clusters    TEXT NOT NULL,
+    PRIMARY KEY (shard, win)
+);
+CREATE TABLE IF NOT EXISTS window_products (
+    shard     INTEGER NOT NULL,
+    win       INTEGER NOT NULL,
+    digest    TEXT NOT NULL,
+    fragments TEXT NOT NULL,
+    digests   TEXT NOT NULL,
+    records   INTEGER NOT NULL,
+    stats     TEXT NOT NULL,
     PRIMARY KEY (shard, win)
 );
 CREATE TABLE IF NOT EXISTS applied_deltas (
@@ -217,7 +231,7 @@ def record_text(record: frozenset) -> str:
 
 
 def window_fingerprint(texts: list) -> str:
-    """Content fingerprint of one window (ordered record texts)."""
+    """Content fingerprint of ordered texts (a window's records, or its snapshot)."""
     digest = hashlib.blake2b(digest_size=16)
     for text in texts:
         digest.update(text.encode("utf-8"))
@@ -260,7 +274,7 @@ def _routed(records: Iterable, planner, bound: int):
 class ShardStore(SQLiteStore):
     """The persistent substrate of incremental anonymization runs.
 
-    One SQLite file per store directory, holding four tables:
+    One SQLite file per store directory, holding five tables:
 
     ======================  ================================================
     ``meta``                schema version, parameter fingerprint, shard
@@ -273,6 +287,9 @@ class ShardStore(SQLiteStore):
                             window, keyed by ``(shard, window)`` with the
                             window's content fingerprint; in shard and
                             window order they are the publication
+    ``window_products``     each passing window's public form, keyed like
+                            ``windows`` and stamped with the digest of
+                            the snapshot it was derived from
     ``applied_deltas``      the idempotency token and content digest of
                             every committed delta
     ======================  ================================================
@@ -534,16 +551,39 @@ class ShardStore(SQLiteStore):
 
     # -- windows ------------------------------------------------------------ #
     def get_window(self, shard: int, win: int) -> Optional[tuple]:
-        """The stored ``(fingerprint, clusters_json)`` of a window, or ``None``."""
-        return self._db.execute(
-            "SELECT fingerprint, clusters FROM windows WHERE shard = ? AND win = ?",
+        """A window's stored ``(fingerprint, clusters_json, product)``, or ``None``.
+
+        ``product`` is ``None`` unless the stored product was derived from
+        exactly the snapshot text read here (its digest matches), so a
+        snapshot rewritten on disk is audited again.
+        """
+        row = self._db.execute(
+            "SELECT w.fingerprint, w.clusters, p.digest, p.fragments, p.digests, "
+            "p.records, p.stats FROM windows AS w LEFT JOIN window_products AS p "
+            "USING (shard, win) WHERE shard = ? AND win = ?",
             (shard, win),
         ).fetchone()
+        if row is None:
+            return None
+        fingerprint, clusters, digest, fragments, digests, records, stats = row
+        if digest != window_fingerprint([clusters]):
+            return fingerprint, clusters, None
+        digests, stats = tuple(json.loads(digests)), tuple(json.loads(stats))
+        return fingerprint, clusters, WindowProduct(fragments, digests, records, stats)
 
     def put_window(
-        self, shard: int, win: int, fingerprint: str, num_records: int, clusters: str
+        self,
+        shard: int,
+        win: int,
+        fingerprint: str,
+        num_records: int,
+        clusters: str,
+        product: Optional[WindowProduct],
     ) -> None:
-        """Durably replace one window snapshot (its own commit)."""
+        """Durably replace one window snapshot and its product (one commit).
+
+        ``product`` is ``None`` for a window that failed its audit.
+        """
         with self._write() as db:
             db.execute(
                 "INSERT OR REPLACE INTO windows "
@@ -551,18 +591,47 @@ class ShardStore(SQLiteStore):
                 "VALUES (?, ?, ?, ?, ?)",
                 (shard, win, fingerprint, num_records, clusters),
             )
+            if product is not None:
+                self._put_product(shard, win, clusters, product)
+
+    def put_product(
+        self, shard: int, win: int, clusters: str, product: WindowProduct
+    ) -> None:
+        """Record the product of an already stored snapshot (one commit)."""
+        with self._write():
+            self._put_product(shard, win, clusters, product)
+
+    def _put_product(
+        self, shard: int, win: int, clusters: str, product: WindowProduct
+    ) -> None:
+        self._db.execute(
+            "INSERT OR REPLACE INTO window_products VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (
+                shard,
+                win,
+                window_fingerprint([clusters]),
+                product.fragments,
+                json.dumps(product.digests),
+                product.records,
+                json.dumps(product.stats),
+            ),
+        )
 
     def drop_windows_from(self, shard: int, win: int) -> int:
-        """Delete the shard's window snapshots at indices ``>= win``.
+        """Delete the shard's window snapshots and products at indices ``>= win``.
 
         Deletes shrink a shard's record sequence, so trailing windows of
         an earlier run can outlive the records that produced them; the
         reconcile pass prunes them the moment the true window count is
-        known.  Returns the number of rows dropped.
+        known.  Returns the number of snapshots dropped.
         """
-        cursor = self._db.execute(
-            "DELETE FROM windows WHERE shard = ? AND win >= ?", (shard, win)
-        )
+        with self._write() as db:
+            db.execute(
+                "DELETE FROM window_products WHERE shard = ? AND win >= ?", (shard, win)
+            )
+            cursor = db.execute(
+                "DELETE FROM windows WHERE shard = ? AND win >= ?", (shard, win)
+            )
         return cursor.rowcount
 
     # -- publication --------------------------------------------------------- #
@@ -748,18 +817,13 @@ class IncrementalPipeline:
             windows on; the service layer passes its long-lived engine.
             Borrowed engines get their parameters/vocabulary restored and
             are never closed.
-        memo: optionally a caller-owned
-            :class:`~repro.stream.executor.WindowMemo` holding the audited
-            public products of the windows of the latest publication; the
-            service layer lends one memo to every delta's pipeline, so
-            windows whose snapshot bytes did not change are not decoded,
-            audited or serialized again.  Without it the pipeline owns a
-            private memo, warm across its own runs.
 
     :meth:`run` handles both the initial build (an empty store appends the
     whole dataset) and every later delta uniformly, and always returns the
     full publication of the mutated dataset -- bit-for-bit what a cold
-    :class:`ShardedPipeline` run over it would publish.
+    :class:`ShardedPipeline` run over it would publish.  A fresh pipeline
+    (a restarted service, a CLI delta) is as warm as a long-lived one:
+    every window's audited product lives in the store.
     """
 
     def __init__(
@@ -768,7 +832,6 @@ class IncrementalPipeline:
         stream: Optional[StreamParams] = None,
         *,
         window_engine: Optional[Disassociator] = None,
-        memo: Optional[WindowMemo] = None,
     ):
         self.params = params if params is not None else AnonymizationParams()
         self.stream = stream if stream is not None else StreamParams()
@@ -784,12 +847,7 @@ class IncrementalPipeline:
                 f"{self.params.max_cluster_size})"
             )
         self.window_engine = window_engine
-        self.memo = memo if memo is not None else WindowMemo()
         self.last_report: Optional[IncrementalReport] = None
-        #: The last run's publication as compact JSON text, spliced from
-        #: the window products; callers that serialize the publication
-        #: (the HTTP response) send it as is.
-        self.last_text: Optional[str] = None
 
     # -- public entry points ------------------------------------------- #
     def run(
@@ -798,7 +856,7 @@ class IncrementalPipeline:
         delete: Iterable[Iterable] = (),
         *,
         delta_id: Optional[str] = None,
-    ) -> DisassociatedDataset:
+    ) -> TextPublication:
         """Apply a delta and return the full (mutated) publication.
 
         ``append`` records land after every existing record; ``delete``
@@ -807,11 +865,11 @@ class IncrementalPipeline:
         :class:`~repro.exceptions.StoreError` and nothing is mutated).
         An empty delta on an up-to-date store is a no-op fast path: the
         publication is assembled from the stored window snapshots, with no
-        record scan and no engine run.  When every window passes its
-        audit (the usual case) the publication is a
-        :class:`~repro.stream.executor.TextPublication`: :attr:`last_text`
-        spliced from the window products, its clusters decoded on first
-        access only.
+        record scan and no engine run.  The publication is a
+        :class:`~repro.stream.executor.TextPublication`: its compact JSON
+        ``text`` is spliced from the window products (callers that
+        serialize the publication, like the HTTP response, send it as
+        is), its clusters decoded on first access only.
 
         ``delta_id`` is an optional idempotency token: a mutation is
         committed at most once per token, so the service layer (or an
@@ -828,7 +886,6 @@ class IncrementalPipeline:
         :class:`StoreError` and can simply be retried).
         """
         report = self.last_report = self._new_report()
-        self.last_text = None
         start = time.perf_counter()
         # Exclusive: one run per store at a time.  Concurrent deltas (other
         # service workers, other processes on the same store_dir) queue on
@@ -861,8 +918,8 @@ class IncrementalPipeline:
         The cold path of :class:`~repro.stream.executor.ShardedPipeline`,
         which owns ``stream.store_dir`` and removes it afterwards.  The
         records stream into the one mutation transaction; every window is
-        computed and the run tail gets no memo and refreshes no
-        publication store -- nothing of this store outlives the run.
+        computed, no product is written and no publication store is
+        refreshed -- nothing of this store outlives the run.
         """
         start = time.perf_counter()
         with ShardStore(self.stream.store_dir) as store:
@@ -884,7 +941,7 @@ class IncrementalPipeline:
             self._count_records(store, report, sampled=True)
             report.appended = report.num_records
             windows = self._reconcile_windows(store, report, persist=False)
-        return publish_merged(windows, self.params, report).published
+        return publish_merged(windows, self.params, report)
 
     def _count_records(
         self, store: ShardStore, report: IncrementalReport, *, sampled: bool
@@ -904,7 +961,7 @@ class IncrementalPipeline:
         delete: list,
         delta_id: Optional[str],
         report: IncrementalReport,
-    ) -> DisassociatedDataset:
+    ) -> TextPublication:
         fingerprint = run_fingerprint(self.params, self.stream)
         start = time.perf_counter()
         if store.initialized:
@@ -967,7 +1024,7 @@ class IncrementalPipeline:
             windows = self._stored_windows(store)
         else:
             windows = self._reconcile_windows(store, report)
-        merged = publish_merged(windows, self.params, report, self.memo)
+        published = publish_merged(windows, self.params, report)
         del windows
         if not report.noop:
             start = time.perf_counter()
@@ -976,21 +1033,15 @@ class IncrementalPipeline:
         # A crash between the publication and the pubstore refresh leaves
         # the pubstore one generation behind; the next run (a no-op when
         # nothing else changed) heals it.
-        self._refresh_pubstore(
-            merged.published, generation, fingerprint, report, merged.digests
-        )
-        # Spliced after the refresh, so the text and the refresh's
-        # working set are never resident together.
-        self.last_text = merged.text or merged.published.text
-        return merged.published
+        self._refresh_pubstore(published, generation, fingerprint, report)
+        return published
 
     def _refresh_pubstore(
         self,
-        published: DisassociatedDataset,
+        published: TextPublication,
         generation: int,
         fingerprint: dict,
         report: IncrementalReport,
-        digests: list,
     ) -> None:
         """Bring the queryable publication store in step with this run.
 
@@ -1020,7 +1071,7 @@ class IncrementalPipeline:
                 written, kept = pub.build(
                     published,
                     generation=generation,
-                    digests=digests,
+                    digests=published.digests,
                     source=fingerprint,
                 )
                 report.pubstore_refreshed = True
@@ -1047,14 +1098,34 @@ class IncrementalPipeline:
         return HorpartShardPlanner(self.stream.shards, plan.get("split_terms", []))
 
     def _stored_windows(self, store: ShardStore) -> list[Window]:
-        """Every stored window snapshot, in shard and window order."""
+        """Every stored window, in shard and window order."""
         windows: list[Window] = []
         for shard in range(self.stream.shards):
             win = 0
             while (stored := store.get_window(shard, win)) is not None:
-                windows.append(Window.stored(stored[1]))
+                windows.append(self._stored_window(store, shard, win, stored))
                 win += 1
         return windows
+
+    def _stored_window(
+        self, store: ShardStore, shard: int, win: int, stored: tuple
+    ) -> Window:
+        """A stored window (its :meth:`ShardStore.get_window` row) for the run tail.
+
+        A window without a valid product (a store written before products
+        were kept, or a snapshot rewritten on disk) is audited here, and
+        its product written back when it passes.  The snapshot text is not
+        kept: a boundary repair re-reads it.
+        """
+        _, snapshot, product = stored
+        if product is None:
+            with paused_gc():
+                product = window_product(
+                    decode_snapshot(snapshot), self.params.k, self.params.m
+                )
+            if product is not None:
+                store.put_product(shard, win, snapshot, product)
+        return Window(product=product, snapshot=partial(_snapshot, store, shard, win))
 
     def _reconcile_windows(
         self, store: ShardStore, report: IncrementalReport, *, persist: bool = True
@@ -1064,15 +1135,15 @@ class IncrementalPipeline:
         Walks every shard's records in arrival order in bounded batches of
         ``max_records_in_memory`` (a cold run's windows), fingerprints
         each batch, and only runs the
-        engine on windows whose fingerprint is absent or stale.  Each
-        recomputed window commits its snapshot independently, so a crash
-        mid-reconcile repeats at most one window.  A recomputed window is
-        audited right after its commit and kept as its snapshot text and
-        :class:`~repro.stream.executor.WindowProduct` only, so the run
-        holds the cluster objects of one window at a time; reused windows
-        are returned as their snapshot text, decoded only if the run tail
-        needs their clusters.  ``persist=False`` (a throwaway store) keeps
-        the recomputed windows' clusters in memory instead: no snapshot is
+        engine on windows whose fingerprint is absent or stale.  A
+        recomputed window is audited and commits its snapshot and
+        :class:`~repro.stream.executor.WindowProduct` together,
+        independently of the other windows, so a crash mid-reconcile
+        repeats at most one window; the run keeps its product only, so it
+        holds the cluster objects of one window at a time.  Reused windows
+        are taken as their stored products (:meth:`_stored_window`).
+        ``persist=False`` (a throwaway store) keeps the recomputed
+        windows' clusters in memory instead: no snapshot or product is
         encoded or written, since no later run reads one.
         """
         bound = self.stream.max_records_in_memory
@@ -1101,7 +1172,7 @@ class IncrementalPipeline:
                     fingerprint = window_fingerprint(texts)
                     stored = store.get_window(shard, win)
                     if stored is not None and stored[0] == fingerprint:
-                        windows.append(Window.stored(stored[1]))
+                        windows.append(self._stored_window(store, shard, win, stored))
                         report.windows_reused += 1
                     else:
                         faults.check("stream.window")
@@ -1133,17 +1204,24 @@ class IncrementalPipeline:
                                     [cluster_to_payload(c) for c in relabeled],
                                     separators=(",", ":"),
                                 )
-                            store.put_window(
-                                shard, win, fingerprint, len(texts), snapshot
-                            )
-                            verify_start = time.perf_counter()
-                            store_seconds += verify_start - store_start
-                            # The window's published form is final once it
-                            # passes its audit: the run keeps its text only.
-                            with paused_gc():
+                                verify_start = time.perf_counter()
                                 product = window_product(relabeled, k, m)
-                            verify_seconds += time.perf_counter() - verify_start
-                            windows.append(Window.stored(snapshot, product))
+                            verified = time.perf_counter()
+                            store.put_window(
+                                shard, win, fingerprint, len(texts), snapshot, product
+                            )
+                            verify_seconds += verified - verify_start
+                            store_seconds += (
+                                verify_start - store_start + time.perf_counter() - verified
+                            )
+                            # The window's published form is final once it
+                            # passes its audit: the run keeps its product only.
+                            windows.append(
+                                Window(
+                                    product=product,
+                                    snapshot=partial(_snapshot, store, shard, win),
+                                )
+                            )
                     win += 1
                     if len(rows) < bound:
                         break
@@ -1155,6 +1233,11 @@ class IncrementalPipeline:
             time.perf_counter() - start - store_seconds - verify_seconds
         )
         return windows
+
+
+def _snapshot(store: ShardStore, shard: int, win: int) -> str:
+    """Re-read one window's snapshot text (a boundary repair decodes it)."""
+    return store.get_window(shard, win)[1]
 
 
 class _PrefixRoutingPlanner:

@@ -14,9 +14,10 @@ target:
   sequences (append-only, delete-only, mixed; 30 sequences per workload
   family, 2 delta steps each) over the three paper-shaped workloads and
   compares canonical publication JSON after the final step;
-* :class:`TestWarmMemo` keeps one pipeline (one window memo) across a
-  random delta sequence and checks every generation against the full
-  audit, a process-cold pipeline and a cold run, and that callers
+* :class:`TestStoredProducts` keeps one pipeline across a random delta
+  sequence and checks every generation against the full audit, a fresh
+  pipeline reading the stored window products, one that must audit every
+  window again (products removed) and a cold run, and that callers
   mutating what a run returned never change what the next run publishes;
 * :class:`TestCrashResume` kills a delta run at every injection point it
   crosses (store open/validate/mutate, window, merge, verify) and checks
@@ -39,7 +40,7 @@ from repro.core.engine import REPORT_STATS, AnonymizationParams, cluster_stats
 from repro.core.verification import audit
 from repro.exceptions import FaultInjected
 from repro.service import AnonymizationService, ServiceConfig
-from repro.stream import IncrementalPipeline, StreamParams, WindowMemo
+from repro.stream import IncrementalPipeline, ShardStore, StreamParams
 from tests.conftest import make_workload
 from tests.reference_engine import reference_cold_run
 
@@ -187,25 +188,35 @@ class TestDifferentialFuzz:
         )
 
 
-#: Delta steps per warm-memo sequence; every one is checked.
-MEMO_STEPS = 4
+#: Delta steps per stored-product sequence; every one is checked.
+PRODUCT_STEPS = 4
 
 
 def _compact(published) -> str:
-    """The publication's compact JSON text (what a memoized run splices)."""
+    """The publication's compact JSON text (what a store-backed run splices)."""
     return json.dumps(published.to_dict(), separators=(",", ":"))
 
 
-class TestWarmMemo:
+def _window_keys(store_dir) -> tuple:
+    """The ``(shard, win)`` keys of the store's snapshots and of its products."""
+    with ShardStore(store_dir) as store:
+        return tuple(
+            store._db.execute(f"SELECT shard, win FROM {table} ORDER BY shard, win").fetchall()
+            for table in ("windows", "window_products")
+        )
+
+
+class TestStoredProducts:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_generation_equals_full_audit_and_cold_runs(
         self, kind, seed, base_records, tmp_path
     ):
-        """The memo is the full audit, not a weaker check: one warm
+        """Stored products are the full audit, not a weaker check: one
         pipeline's publication passes ``audit`` after every delta and
-        matches, byte for byte, a process-cold pipeline (empty memo) over
-        the same store and a reference cold run over the records."""
+        matches, byte for byte, a fresh pipeline over the same store, a
+        fresh pipeline that audits every window again (products removed)
+        and a reference cold run over the records."""
         records = base_records["quest"]
         rng = random.Random(seed * 1000 + KINDS.index(kind) + 500)
         pool = _term_pool(records)
@@ -213,7 +224,7 @@ class TestWarmMemo:
         pipeline = IncrementalPipeline(PARAMS, stream)
         pipeline.run(append=records)
         current = list(records)
-        for _ in range(MEMO_STEPS):
+        for _ in range(PRODUCT_STEPS):
             appends, deletes = _random_delta(rng, current, pool, kind)
             published = pipeline.run(append=appends, delete=deletes)
             current = _apply_oracle(current, appends, deletes)
@@ -229,15 +240,21 @@ class TestWarmMemo:
             )
             assert audit(published).ok
             text = _canonical(published)
-            assert pipeline.last_text == _compact(cold)
-            assert len(pipeline.memo) <= sum(report.shard_windows)
-            cold_process = IncrementalPipeline(PARAMS, stream, memo=WindowMemo())
-            assert _canonical(cold_process.run()) == text
-            assert cold_process.last_report.noop
-            assert cold_process.last_text == pipeline.last_text
+            assert published.text == _compact(cold)
+            windows, products = _window_keys(tmp_path / "store")
+            assert len(windows) == sum(report.shard_windows)
+            assert products == windows
+            fresh = IncrementalPipeline(PARAMS, stream)
+            assert fresh.run().text == published.text
+            assert fresh.last_report.noop
+            with ShardStore(tmp_path / "store") as store, store._write() as db:
+                db.execute("DELETE FROM window_products")
+            audited = IncrementalPipeline(PARAMS, stream)
+            assert audited.run().text == published.text
+            assert _window_keys(tmp_path / "store")[1] == windows
             assert text == _canonical(cold)
 
-    def test_caller_mutations_never_reach_the_memo(self, base_records, tmp_path):
+    def test_caller_mutations_never_reach_the_store(self, base_records, tmp_path):
         """Mutating the returned publication's decoded clusters and its
         ``to_dict`` form, at any depth, leaves the next runs' bytes
         unchanged."""
@@ -274,7 +291,7 @@ class TestWarmMemo:
         again = pipeline.run()
         assert pipeline.last_report.noop
         assert _canonical(again) == expected
-        assert json.dumps(json.loads(pipeline.last_text), sort_keys=True) == expected
+        assert json.dumps(json.loads(again.text), sort_keys=True) == expected
 
         vandalize(again, again.to_dict())
         appended.append(frozenset({"m-c", "m-d"}))
@@ -282,7 +299,7 @@ class TestWarmMemo:
         assert pipeline.last_report.windows_reused > 0
         cold = _cold(records + appended, max_records_in_memory=40)
         assert _canonical(later) == _canonical(cold)
-        assert pipeline.last_text == _compact(cold)
+        assert later.text == _compact(cold)
 
 
 #: Every injection point a delta run crosses, with the 1-based hit that

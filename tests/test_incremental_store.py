@@ -41,8 +41,11 @@ from repro.stream import (
     IncrementalPipeline,
     ShardStore,
     StreamParams,
+    executor,
     run_fingerprint,
 )
+from repro.stream import store as store_module
+from repro.stream.executor import decode_snapshot
 from tests.conftest import make_workload
 from tests.reference_engine import reference_cold_run
 
@@ -723,12 +726,12 @@ def _tamper_window(store_dir, shard: int, win: int) -> str:
 
     A term held by a single sub-record joins the first record chunk of
     the window's first simple cluster that has one.  The window's
-    record-text fingerprint is kept, so the reconcile pass still reuses
-    the snapshot.  Returns the planted term.
+    record-text fingerprint and its stored product are kept, so the
+    reconcile pass still reuses the snapshot.  Returns the planted term.
     """
     term = "tampered-term"
     with ShardStore(store_dir) as store:
-        fingerprint, text = store.get_window(shard, win)
+        fingerprint, text, _ = store.get_window(shard, win)
         clusters = [cluster_from_payload(item) for item in json.loads(text)]
         leaf = next(
             leaf
@@ -751,16 +754,153 @@ def _tamper_window(store_dir, shard: int, win: int) -> str:
     return term
 
 
-class TestWindowMemo:
+def _keys(store_dir, table: str) -> list:
+    """The ``(shard, win)`` keys of a shard store table, in order."""
+    with ShardStore(store_dir) as store:
+        return store._db.execute(
+            f"SELECT shard, win FROM {table} ORDER BY shard, win"
+        ).fetchall()
+
+
+def _drop_window_products(store_dir) -> None:
+    """Rewrite a shard store as releases before ``window_products`` left it.
+
+    Those kept the window snapshots only; the next open creates the
+    (empty) products table.
+    """
+    with ShardStore(store_dir) as store, store._write() as db:
+        db.execute("DROP TABLE window_products")
+
+
+def _count_audits(monkeypatch) -> list:
+    """Record every window audit (``window_product`` call) a run makes."""
+    audits: list = []
+    audit_window = executor.window_product
+
+    def counted(clusters, k, m):
+        audits.append(len(clusters))
+        return audit_window(clusters, k, m)
+
+    monkeypatch.setattr(executor, "window_product", counted)
+    monkeypatch.setattr(store_module, "window_product", counted)
+    return audits
+
+
+def _delta_config(store_dir, **overrides) -> ServiceConfig:
+    return ServiceConfig(
+        k=3,
+        m=2,
+        max_cluster_size=12,
+        shards=3,
+        max_records_in_memory=40,
+        store_dir=str(store_dir),
+        **overrides,
+    )
+
+
+class TestWindowProducts:
+    def test_fresh_pipeline_audits_only_recomputed_windows(self, tmp_path, monkeypatch):
+        """A pipeline that did not build the store (a restart, a CLI
+        delta) audits exactly the windows its delta recomputes, and none
+        on a no-op: every other window's product comes from the store."""
+        stream = _stream(tmp_path / "s", max_records_in_memory=40)
+        IncrementalPipeline(PARAMS, stream).run(append=RECORDS)
+        appended = [frozenset({"fresh-a", "fresh-b"})]
+        audits = _count_audits(monkeypatch)
+
+        fresh = IncrementalPipeline(PARAMS, stream)
+        published = fresh.run(append=appended, delete=RECORDS[-2:])
+        report = fresh.last_report
+        assert report.windows_reused > 0
+        assert len(audits) == report.windows_recomputed
+        expected = _cold(RECORDS[:-2] + appended, max_records_in_memory=40)
+        assert published.text == json.dumps(expected.to_dict(), separators=(",", ":"))
+
+        audits.clear()
+        again = IncrementalPipeline(PARAMS, stream)
+        assert again.run().text == published.text
+        assert again.last_report.noop
+        assert audits == []
+
+    def test_fresh_service_audits_only_recomputed_windows(self, tmp_path, monkeypatch):
+        """The same through the service: each delta runs on a service that
+        did not see the store's earlier deltas."""
+        config = _delta_config(tmp_path / "s")
+        with AnonymizationService(config) as service:
+            service.run(RECORDS, mode="delta")
+        audits = _count_audits(monkeypatch)
+        appended = [frozenset({"svc-a", "svc-b"})]
+        with AnonymizationService(config) as service:
+            result = service.run(appended, mode="delta")
+        assert result.report.windows_reused > 0
+        assert len(audits) == result.report.windows_recomputed
+        assert _canonical(result.publication) == _canonical(
+            _cold(RECORDS + appended, max_records_in_memory=40)
+        )
+        audits.clear()
+        with AnonymizationService(config) as service:
+            again = service.run(None, mode="delta")
+        assert again.report.noop
+        assert audits == []
+        assert again.to_json() == result.to_json()
+
+    def test_store_without_products_backfills_them(self, tmp_path, monkeypatch):
+        """A store written before products were kept publishes the same
+        bytes: its first run audits every window where it is read and
+        writes the products back, so the next delta audits only the
+        windows it recomputes."""
+        stream = _stream(
+            tmp_path / "s", max_records_in_memory=40, pubstore_dir=tmp_path / "p"
+        )
+        text = IncrementalPipeline(PARAMS, stream).run(append=RECORDS).text
+        windows = _keys(tmp_path / "s", "windows")
+        _drop_window_products(tmp_path / "s")
+        assert _keys(tmp_path / "s", "window_products") == []
+        audits = _count_audits(monkeypatch)
+
+        backfill = IncrementalPipeline(PARAMS, stream)
+        assert backfill.run().text == text
+        assert backfill.last_report.noop
+        assert len(audits) == len(windows)
+        assert _keys(tmp_path / "s", "window_products") == windows
+
+        audits.clear()
+        appended = [frozenset({"back-a", "back-b"})]
+        delta = IncrementalPipeline(PARAMS, stream)
+        published = delta.run(append=appended)
+        assert delta.last_report.windows_reused > 0
+        assert len(audits) == delta.last_report.windows_recomputed
+        assert _canonical(published) == _canonical(
+            _cold(RECORDS + appended, max_records_in_memory=40)
+        )
+        with PublicationStore(tmp_path / "p") as pub:
+            assert pub.load_publication().to_dict() == published.to_dict()
+
+    def test_shrinking_delete_leaves_no_orphan_products(self, tmp_path):
+        """Deletes that drop a shard's trailing windows drop their
+        products in the same pass: every product row has its window."""
+        stream = _stream(tmp_path / "s", max_records_in_memory=40)
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        pipeline.run(append=RECORDS)
+        before = _keys(tmp_path / "s", "window_products")
+        assert before == _keys(tmp_path / "s", "windows")
+        pipeline.run(delete=RECORDS[:80])
+        windows = sum(pipeline.last_report.shard_windows)
+        assert windows < len(before)
+        assert _keys(tmp_path / "s", "window_products") == _keys(tmp_path / "s", "windows")
+        assert len(_keys(tmp_path / "s", "windows")) == windows
+
     def test_tampered_snapshot_is_audited_again_and_repaired(self, tmp_path):
-        """A warm memo never vouches for bytes it has not seen: a window
-        snapshot rewritten on disk (same record-text fingerprint) is
-        audited again by the next delta and repaired by demotion."""
+        """A stored product never vouches for bytes it was not derived
+        from: a window snapshot rewritten on disk (same record-text
+        fingerprint, product row kept) is audited again by the next delta
+        and repaired by demotion, and gets no product."""
         stream = _stream(tmp_path / "s", max_records_in_memory=40)
         pipeline = IncrementalPipeline(PARAMS, stream)
         pipeline.run(append=RECORDS)
         pipeline.run(append=[frozenset({"warm-a", "warm-b"})])
-        assert len(pipeline.memo) == sum(pipeline.last_report.shard_windows)
+        products = _keys(tmp_path / "s", "window_products")
+        assert len(products) == sum(pipeline.last_report.shard_windows)
         term = _tamper_window(tmp_path / "s", shard=0, win=0)
 
         published = pipeline.run(append=[frozenset({"next-a", "next-b"})])
@@ -770,9 +910,9 @@ class TestWindowMemo:
         assert any(term in terms for terms in report.repair.demoted_terms.values())
         assert audit(published).ok
         assert term not in published.record_chunk_terms()
-        assert pipeline.last_text == json.dumps(
-            published.to_dict(), separators=(",", ":")
-        )
+        assert published.text == json.dumps(published.to_dict(), separators=(",", ":"))
+        with ShardStore(tmp_path / "s") as store:
+            assert store.get_window(0, 0)[2] is None
 
         # The no-op path assembles from the same snapshots: it repairs the
         # tampered window again rather than trusting any earlier verdict.
@@ -781,66 +921,33 @@ class TestWindowMemo:
         assert pipeline.last_report.repair.total_demoted() > 0
         assert _canonical(again) == _canonical(published)
 
-    def test_memo_entries_hold_only_untracked_values(self, tmp_path):
-        """A memo entry is text and numbers: nothing it references is a
-        container the cyclic collector tracks, and it holds one fragment
-        string and one digest per top-level cluster of its window."""
-        pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s", max_records_in_memory=40))
-        pipeline.run(append=RECORDS)
+    def test_products_hold_only_untracked_values(self, tmp_path):
+        """A product read from the store is text and numbers: nothing it
+        references is a container the cyclic collector tracks, and it
+        holds one fragment string and one digest per top-level cluster of
+        its window."""
+        stream = _stream(tmp_path / "s", max_records_in_memory=40)
+        IncrementalPipeline(PARAMS, stream).run(append=RECORDS)
+        pipeline = IncrementalPipeline(PARAMS, stream)
         published = pipeline.run(append=[frozenset({"gc-a", "gc-b"})])
         gc.collect()
-        products = pipeline.memo._products
+        products = published._products
         assert len(products) == sum(pipeline.last_report.shard_windows)
-        for key, product in products.items():
-            assert not gc.is_tracked(key)
+        for product in products:
             for field in dataclasses.fields(product):
                 value = getattr(product, field.name)
                 assert isinstance(value, (str, int, tuple)), field.name
                 assert not gc.is_tracked(value), field.name
-        assert sum(len(p.digests) for p in products.values()) == len(published)
-        fragments = ",".join(p.fragments for p in products.values())
+        assert sum(len(p.digests) for p in products) == len(published)
+        fragments = ",".join(p.fragments for p in products)
         assert len(json.loads(f"[{fragments}]")) == len(published)
 
-    def test_service_lends_one_memo_to_every_delta(self, tmp_path):
-        """Back-to-back service deltas (a fresh pipeline each) share the
-        service's memo: only the windows a delta recomputed are new."""
-        config = ServiceConfig(
-            k=3,
-            m=2,
-            max_cluster_size=12,
-            shards=3,
-            max_records_in_memory=40,
-            store_dir=str(tmp_path / "s"),
-        )
-        with AnonymizationService(config) as service:
-            service.run(RECORDS, mode="delta")
-            products = dict(service._memo._products)
-            result = service.run([frozenset({"svc-a", "svc-b"})], mode="delta")
-            current = service._memo._products
-        assert result.report.windows_reused > 0
-        assert len(current) == sum(result.report.shard_windows)
-        kept = [key for key in current if key in products]
-        assert len(kept) == result.report.windows_reused
-        assert all(current[key] is products[key] for key in kept)
-        assert _canonical(result.publication) == _canonical(
-            _cold(RECORDS + [frozenset({"svc-a", "svc-b"})], max_records_in_memory=40)
-        )
-
-
-    def test_concurrent_deltas_on_two_stores_share_one_memo(self, tmp_path):
+    def test_concurrent_deltas_on_two_stores(self, tmp_path):
         """Three service workers interleave delta chains over two stores
-        through the one memo (switch interval shortened to force thread
-        switches inside it): every publication still matches its cold
-        oracle, and the memo holds at most one publication's windows."""
-        config = ServiceConfig(
-            k=3,
-            m=2,
-            max_cluster_size=12,
-            shards=3,
-            max_records_in_memory=40,
-            store_dir=str(tmp_path / "unused"),
-            workers=3,
-        )
+        (switch interval shortened to force thread switches): every
+        publication still matches its cold oracle, and each store ends
+        with exactly one product per window."""
+        config = _delta_config(tmp_path / "unused", workers=3)
         failures: list = []
 
         def chain(service, name):
@@ -872,15 +979,15 @@ class TestWindowMemo:
                 for thread in threads:
                     thread.join(timeout=300)
                 assert not any(thread.is_alive() for thread in threads)
-                windows = []
-                for name in ("left", "right"):
-                    with ShardStore(tmp_path / name) as store:
-                        counts = store.shard_counts(3)
-                    windows.append(sum(-(-count // 40) for count in counts))
-                assert len(service._memo) <= max(windows)
         finally:
             sys.setswitchinterval(interval)
         assert failures == []
+        for name in ("left", "right"):
+            with ShardStore(tmp_path / name) as store:
+                counts = store.shard_counts(3)
+            windows = _keys(tmp_path / name, "windows")
+            assert len(windows) == sum(-(-count // 40) for count in counts)
+            assert _keys(tmp_path / name, "window_products") == windows
 
 
 def _downgrade_to_publication_blob(store_dir) -> None:
@@ -901,7 +1008,7 @@ def _downgrade_to_publication_blob(store_dir) -> None:
             "clusters": [
                 cluster.to_dict()
                 for window in published
-                for cluster in window.private_clusters()
+                for cluster in decode_snapshot(window.snapshot())
             ],
         }
         with store._write() as db:

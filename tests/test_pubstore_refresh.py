@@ -46,7 +46,7 @@ from repro.pubstore import store as pubstore_store
 from repro.pubstore.schema import _SCHEMA, cluster_digests, publication_fingerprint
 from repro.service import AnonymizationService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
-from repro.stream import IncrementalPipeline, StreamParams, WindowMemo, executor
+from repro.stream import IncrementalPipeline, StreamParams, executor
 from repro.stream.executor import TextPublication
 from repro.stream.store import STORE_NAME
 from tests.conftest import make_workload
@@ -400,19 +400,19 @@ def _downgrade_to_v1(store_dir) -> None:
     db.close()
 
 
-class TestWarmMemoRefresh:
-    """A warm pipeline's publication is text; its refresh parses a
-    memoized window's text only when the publication store lacks its
-    tops, and builds no cluster object."""
+class TestStoredProductRefresh:
+    """A store-backed run's publication is text; its refresh parses a
+    stored window product's text only when the publication store lacks
+    its tops, and builds no cluster object."""
 
-    def _pipeline(self, tmp_path, memo, pubstore=True) -> IncrementalPipeline:
+    def _pipeline(self, tmp_path, pubstore=True) -> IncrementalPipeline:
         stream = StreamParams(
             shards=2,
             max_records_in_memory=20,
             store_dir=tmp_path / "shards",
             pubstore_dir=tmp_path / "pub" if pubstore else None,
         )
-        return IncrementalPipeline(PARAMS, stream, memo=memo)
+        return IncrementalPipeline(PARAMS, stream)
 
     @staticmethod
     def _count_decodes(monkeypatch) -> Counter:
@@ -434,29 +434,28 @@ class TestWarmMemoRefresh:
         )
         return counted
 
-    def test_lost_pubstore_is_rebuilt_from_memoized_windows(self, tmp_path, monkeypatch):
-        pipeline = self._pipeline(tmp_path, WindowMemo())
-        pipeline.run(append=RefreshMachine._records(random.Random(3), 90))
-        pipeline.run(append=RefreshMachine._records(random.Random(4), 5))
+    def test_lost_pubstore_is_rebuilt_from_stored_products(self, tmp_path, monkeypatch):
+        self._pipeline(tmp_path).run(append=RefreshMachine._records(random.Random(3), 90))
+        self._pipeline(tmp_path).run(append=RefreshMachine._records(random.Random(4), 5))
         shutil.rmtree(tmp_path / "pub")
         counted = self._count_decodes(monkeypatch)
+        pipeline = self._pipeline(tmp_path)
         published = pipeline.run()
         report = pipeline.last_report
         assert report.noop and report.pubstore_refreshed
         assert isinstance(published, TextPublication)
         assert report.pubstore_tops_written == len(published)
         # Every window's text is parsed once; no cluster object is built.
-        assert counted == Counter({"window": len(pipeline.memo)})
+        assert counted == Counter({"window": len(published._products)})
         monkeypatch.undo()
         assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
 
     def test_stale_pubstore_decodes_only_the_windows_it_lacks(self, tmp_path, monkeypatch):
-        memo = WindowMemo()
-        pipeline = self._pipeline(tmp_path, memo)
+        pipeline = self._pipeline(tmp_path)
         pipeline.run(append=RefreshMachine._records(random.Random(5), 90))
-        # Another pipeline lends the same memo but keeps no pubstore: its
-        # delta leaves the pubstore one generation behind.
-        self._pipeline(tmp_path, memo, pubstore=False).run(
+        # Another pipeline keeps no pubstore: its delta leaves the pubstore
+        # one generation behind.
+        self._pipeline(tmp_path, pubstore=False).run(
             append=RefreshMachine._records(random.Random(6), 5)
         )
         counted = self._count_decodes(monkeypatch)
@@ -465,7 +464,7 @@ class TestWarmMemoRefresh:
         assert report.noop and report.pubstore_refreshed
         assert 0 < report.pubstore_tops_written < len(published)
         assert set(counted) == {"window"}
-        assert 0 < counted["window"] < len(memo)
+        assert 0 < counted["window"] < len(published._products)
         monkeypatch.undo()
         assert_matches_fresh_build(tmp_path / "pub", published, tmp_path)
 
