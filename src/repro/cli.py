@@ -59,11 +59,9 @@ from repro.datasets.io import (
     read_records,
     write_transactions,
 )
-from repro.datasets.quest import generate_quest
-from repro.datasets.real_proxies import available_datasets, load_proxy
+from repro.datasets.real_proxies import available_datasets
 from repro.datasets.scenarios import SCENARIOS
 from repro.exceptions import ReproError
-from repro.experiments.harness import ExperimentConfig, evaluate as evaluate_metrics
 from repro.pubstore import QUERY_OPS
 from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
 from repro.service.http import DEFAULT_HOST, DEFAULT_PORT, ServiceHTTPServer
@@ -122,9 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument(
         "--spill-dir",
         default=None,
-        help="where --stream creates its throwaway shard store (default: "
-        "the system temporary directory); it is removed after the run -- "
-        "to make a run recoverable, use --store-dir with --delta-id",
+        help="where --stream creates its throwaway shard store of records, "
+        "window snapshots and products (~26 MB per 100k records; default: the "
+        "system temporary directory); removed after the run -- to make a run "
+        "recoverable, use --store-dir with --delta-id",
     )
     anonymize.add_argument(
         "--deadline",
@@ -384,6 +383,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from repro.experiments.harness import ExperimentConfig, evaluate as evaluate_metrics
+
     original = read_records(args.original)
     published = read_disassociated_json(args.published)
     config = ExperimentConfig(
@@ -395,6 +396,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # The generators need numpy, which no other command loads.
+    from repro.datasets.quest import generate_quest
+    from repro.datasets.real_proxies import load_proxy
+
     if args.profile == "QUEST":
         dataset = generate_quest(
             num_transactions=args.records,

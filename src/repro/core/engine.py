@@ -476,7 +476,8 @@ class Disassociator:
         )
         self.build_pipeline().run(ctx)
         published = ctx.publish()
-        _fill_report(report, published)
+        for name, value in zip(REPORT_STATS, cluster_stats(published)):
+            setattr(report, name, value)
         return published
 
 # ------------------------------------------------------------------ #
@@ -563,13 +564,6 @@ def cluster_stats(published: DisassociatedDataset) -> tuple:
         sum(1 for cluster in published.clusters for _ in cluster.iter_shared_chunks()),
         sum(len(leaf.term_chunk) for leaf in leaves),
     )
-
-
-def _fill_report(report, published: DisassociatedDataset) -> None:
-    # `report` is any object with the cluster-stat fields: used for
-    # AnonymizationReport and repro.stream's IncrementalReport.
-    for name, value in zip(REPORT_STATS, cluster_stats(published)):
-        setattr(report, name, value)
 
 
 def __getattr__(name: str):

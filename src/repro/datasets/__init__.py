@@ -25,7 +25,6 @@ from repro.datasets.io import (
     write_jsonl,
     write_transactions,
 )
-from repro.datasets.quest import QuestConfig, QuestGenerator, generate_quest
 from repro.datasets.real_proxies import (
     DEFAULT_SCALE,
     PROFILES,
@@ -41,6 +40,17 @@ from repro.datasets.scenarios import (
     generate_clickstream,
     generate_zipf_basket,
 )
+
+
+def __getattr__(name: str):
+    # The generators import numpy on use and the Quest module on access,
+    # so start-up (the CLI) never loads it.
+    if name in ("QuestConfig", "QuestGenerator", "generate_quest"):
+        from repro.datasets import quest
+
+        return getattr(quest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_SCALE",

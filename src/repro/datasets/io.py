@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Union
 
-from repro.core.clusters import DisassociatedDataset
+from repro.core.clusters import DisassociatedDataset, canonical_json
 from repro.core.dataset import Record, TransactionDataset
 from repro.exceptions import DatasetFormatError
 
@@ -193,16 +193,6 @@ def read_dataset_json(path: PathLike) -> TransactionDataset:
     return TransactionDataset.from_lists(payload)
 
 
-def canonical_json(payload) -> str:
-    """Canonical compact JSON: sorted keys, no whitespace.
-
-    The form publications are written and fingerprinted in.  Indentation
-    would force the standard library's pure-Python encoder, several
-    times slower and larger on a full publication.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def write_dataset_json(dataset: TransactionDataset, path: PathLike) -> None:
     """Write a plain dataset as a JSON list of sorted term lists."""
     Path(path).write_text(canonical_json(dataset.to_lists()), encoding="utf-8")
@@ -219,5 +209,6 @@ def read_disassociated_json(path: PathLike) -> DisassociatedDataset:
 
 
 def write_disassociated_json(published: DisassociatedDataset, path: PathLike) -> None:
-    """Write a disassociated publication as JSON (clusters, chunks, k, m)."""
-    Path(path).write_text(canonical_json(published.to_dict()), encoding="utf-8")
+    """Write a publication as canonical JSON, part by part (``canonical_parts``)."""
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(published.canonical_parts())

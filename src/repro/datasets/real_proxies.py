@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import ParameterError
 
@@ -110,6 +108,8 @@ def _generate(
     domain_size: int,
     seed: Optional[int],
 ) -> TransactionDataset:
+    import numpy as np  # imported on use: the CLI lists the profiles without it
+
     rng = np.random.default_rng(seed)
 
     # Zipf-like item popularity over the (scaled) domain.

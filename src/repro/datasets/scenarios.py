@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import ParameterError
 
@@ -79,6 +77,8 @@ def generate_zipf_basket(
         zipf_exponent=zipf_exponent,
         seed=seed,
     )
+    import numpy as np  # imported on use: the CLI lists the scenarios without it
+
     rng = np.random.default_rng(config.seed)
     ranks = np.arange(1, config.domain_size + 1, dtype=float)
     popularity = 1.0 / np.power(ranks, config.zipf_exponent)
@@ -158,6 +158,8 @@ def generate_clickstream(
         seed=seed,
         **extra,
     )
+    import numpy as np  # imported on use: the CLI lists the scenarios without it
+
     rng = np.random.default_rng(config.seed)
     pages_per_section = config.num_pages // config.num_sections
 

@@ -56,7 +56,7 @@ import hashlib
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.datasets.io import canonical_json
+from repro.core.clusters import canonical_json
 
 #: File name of the publication store inside its directory.
 PUBSTORE_NAME = "publication.sqlite"

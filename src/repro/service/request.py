@@ -12,8 +12,8 @@ and the configured memory threshold; see
 Every execution returns a :class:`PublicationResult`: the publication plus
 the run's report, with the expensive derived artifacts (dict/JSON
 serialization, information-loss metrics) computed lazily and cached.  A
-delta run's result already carries the publication's JSON text, which
-the HTTP front door sends as is.
+sharded run's (stream or delta) publication already is its JSON text,
+which the HTTP front door sends as is.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.core.clusters import DisassociatedDataset, paused_gc
+from repro.core.clusters import DisassociatedDataset
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import ParameterError
 from repro.service.config import ServiceConfig, check_seconds
+from repro.stream.executor import TextPublication
 
 PathLike = Union[str, Path]
 
@@ -163,7 +164,6 @@ class PublicationResult:
         config: ServiceConfig,
         original: Optional[TransactionDataset] = None,
         tag: Optional[str] = None,
-        text: Optional[str] = None,
     ):
         self.publication = publication
         self.report = report
@@ -171,7 +171,7 @@ class PublicationResult:
         self.config = config
         self.original = original
         self.tag = tag
-        self._text: Optional[str] = text
+        self._text: Optional[str] = None
         self._dict_cache: Optional[dict] = None
         self._metrics_cache: dict = {}
 
@@ -181,34 +181,38 @@ class PublicationResult:
             f"clusters={len(self.publication)}, tag={self.tag!r})"
         )
 
-    def to_dict(self) -> dict:
-        """The publication's serialized form (computed once, then cached).
+    @property
+    def _spliced(self) -> bool:
+        """Whether the publication still is its window products (stream, delta)."""
+        publication = self.publication
+        return isinstance(publication, TextPublication) and publication.spliced
 
-        Parsed from the run's publication text when it has one (delta
-        runs), else built from the publication.
-        """
+    def to_dict(self) -> dict:
+        """The publication's serialized form (computed once, then cached)."""
         if self._dict_cache is None:
-            if self._text is None:
-                self._dict_cache = self.publication.to_dict()
-            else:
-                with paused_gc():
-                    self._dict_cache = json.loads(self._text)
+            self._dict_cache = self.publication.to_dict()
         return self._dict_cache
 
     def to_json(self) -> str:
         """The publication as compact JSON text (computed once, then cached).
 
-        A delta run's text is spliced from its windows' stored products, so
-        no cluster object is built or serialized for it; other runs
-        encode :meth:`to_dict`.  Either way ``json.loads`` of it equals
+        A sharded run's text is spliced from its windows' products, so no
+        cluster object is built or serialized for it; other runs encode
+        :meth:`to_dict`.  Either way ``json.loads`` of it equals
         :meth:`to_dict`.
         """
         if self._text is None:
-            self._text = json.dumps(self.to_dict(), separators=(",", ":"))
+            if self._spliced:
+                self._text = self.publication.text
+            else:
+                self._text = json.dumps(self.to_dict(), separators=(",", ":"))
         return self._text
 
     def save(self, path: PathLike) -> Path:
-        """Write the publication as JSON; returns the written path."""
+        """Write the publication as canonical JSON; returns the written path.
+
+        A sharded run's publication is written one window at a time.
+        """
         from repro.datasets.io import write_disassociated_json
 
         path = Path(path)
@@ -222,13 +226,13 @@ class PublicationResult:
         :class:`~repro.pubstore.PublicationStore` under ``path`` and
         returns it **open**, so the caller can query immediately or
         ``close()`` it for later ``repro query`` / HTTP ``/query`` use.
-        The serialized form cached by :meth:`to_dict` is reused, so
-        saving both JSON and a store serializes the publication once.
+        A sharded run's publication hands over its products' digests and
+        is read one window at a time; any other is serialized and digested
+        by the build.
         """
         from repro.pubstore import PublicationStore
-        from repro.pubstore.schema import cluster_digests
 
-        digests, _ = cluster_digests(self.to_dict())
+        digests = self.publication.digests if self._spliced else None
         return PublicationStore.from_publication(self.publication, path, digests=digests)
 
     def metrics(

@@ -662,10 +662,10 @@ class AnonymizationService:
         state["mode"], state["report"] = None, None
         if request.mode == "delta":
             state["mode"] = "delta"
-            published, report, text = self._run_delta(request, config, engine, state)
+            published, report = self._run_delta(request, config, engine, state)
             state["report"] = report
             return PublicationResult(
-                published, report, "delta", config, tag=request.tag, text=text
+                published, report, "delta", config, tag=request.tag
             )
         mode, stream_source, dataset = self._route(request, config)
         state["mode"] = mode
@@ -761,9 +761,7 @@ class AnonymizationService:
         retries of a transiently failed delta apply the mutation at most
         once.  The store keeps every window's audited product, so windows
         an earlier delta (or an earlier process) already published are not
-        decoded, audited or serialized again.  Returns the
-        pipeline's publication text with the publication, so the response
-        sends it instead of serializing the publication again.
+        decoded, audited or serialized again.
         """
         pipeline = IncrementalPipeline(
             config.engine_params(),
@@ -775,7 +773,7 @@ class AnonymizationService:
             delete=self._delta_records(request.delete, request),
             delta_id=state["delta_id"],
         )
-        return published, pipeline.last_report, published.text
+        return published, pipeline.last_report
 
     @staticmethod
     def _delta_records(source, request: AnonymizationRequest) -> list:

@@ -24,7 +24,7 @@ stream and anonymizing each shard in bounded-memory windows:
 
 :class:`ShardedPipeline` runs are cold and keep no durable state: their
 store is removed when the run ends.  Both pipelines report an
-:class:`IncrementalReport`.
+:class:`IncrementalReport` and return a :class:`TextPublication`.
 
 Typical usage::
 

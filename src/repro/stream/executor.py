@@ -12,14 +12,14 @@ afterwards whether or not the run failed:
 2. **window** -- for each shard in order, read its records back in
    arrival-order windows of at most ``max_records_in_memory`` records and
    run the existing engine on each window;
-3. **merge**  -- concatenate the per-window cluster lists with
-   deterministic relabeling (``S<shard>W<window>.<label>``), so the merged
-   publication is identical for any interleaving and shared-chunk
-   contribution keys stay consistent for reconstruction;
-4. **verify** -- audit every window's clusters with the independent
+3. **verify** -- relabel each window's clusters deterministically
+   (``S<shard>W<window>.<label>``), audit them with the independent
    auditor (the guarantee is per cluster, so the windows' verdicts are
-   the merged dataset's); if one fails, run the global boundary pass
-   (:mod:`repro.stream.boundary`) over the merged dataset and demote
+   the merged dataset's) and store the window's snapshot and
+   :class:`WindowProduct`;
+4. **merge**  -- splice the products into a :class:`TextPublication`; if
+   a window failed its audit, run the global boundary pass
+   (:mod:`repro.stream.boundary`) over every window's snapshot and demote
    boundary-violating terms until the audit passes.
 
 Shards are processed *sequentially* by design: running shards concurrently
@@ -30,9 +30,9 @@ The durable counterpart is the long-lived store's
 :class:`~repro.stream.store.IncrementalPipeline`: it runs the same steps
 over a store that outlives the run, re-anonymizes only the windows a delta
 changed, and finishes an interrupted build on re-run.  A cold run is
-simply re-run instead.  Both pipelines share this module's run tail
-(:func:`publish_merged`, which a store-backed run hands the audited
-window products its store keeps) and window-engine handling
+simply re-run instead.  Both pipelines share the store's window pass,
+this module's run tail (:func:`publish_merged`, which takes the audited
+window products) and window-engine handling
 (:func:`window_engine_for`).  Every step visits a :mod:`repro.faults`
 injection point and checks the ambient request deadline
 (:mod:`repro.core.deadline`), so a run cancels cooperatively.
@@ -41,18 +41,11 @@ injection point and checks the ambient request deadline
 records each engine run operates on: the planner sample and one window.
 That is where disassociation's superlinear costs live
 (HORPART/VERPART/REFINE over a window), so window size -- not dataset
-size -- is the complexity driver.  What else a run holds depends on the
-path:
-
-* a cold run keeps every window's relabeled clusters, original records
-  included, until its tail audits, merges and strips them, so its
-  resident clusters grow with the dataset;
-* a store-backed run turns each window it computes or reads into its
-  :class:`WindowProduct` as soon as the window's audit passes, keeping
-  no snapshot text, so it holds the cluster objects of one window at a
-  time; the text of the publication still grows with the dataset, as it
-  does for any API that returns the publication, and so does a boundary
-  repair, which re-reads and decodes every window.
+size -- is the complexity driver.  Besides, cold and store-backed runs
+alike keep each window as its :class:`WindowProduct` once its audit
+passes, its snapshot in the store, so a run holds one window's cluster
+objects at a time; the products' text grows with the dataset, and so
+does a boundary repair, which decodes every window.
 """
 
 from __future__ import annotations
@@ -72,6 +65,7 @@ from repro.core.clusters import (
     JointCluster,
     SharedChunk,
     SimpleCluster,
+    canonical_json,
     cluster_from_dict,
     paused_gc,
 )
@@ -82,7 +76,6 @@ from repro.core.engine import (
     REPORT_STATS,
     AnonymizationParams,
     Disassociator,
-    _fill_report,
     cluster_stats,
 )
 from repro.core.verification import audit
@@ -186,21 +179,18 @@ def window_engine_for(
 
 @dataclass
 class Window:
-    """One engine window as the run tail sees it.
+    """One stored engine window as the run tail sees it.
 
     Attributes:
-        clusters: a cold run's relabeled private clusters; ``None`` for a
-            stored window.
-        product: a stored window's :class:`WindowProduct`; ``None`` when
-            the window failed its audit (or is a cold run's).
-        snapshot: a stored window's reader of its snapshot text (its
+        product: the window's :class:`WindowProduct`; ``None`` when the
+            window failed its audit.
+        snapshot: reader of the window's snapshot text (its
             :func:`~repro.core.codec.cluster_to_payload` list), called
             only when a boundary repair must decode every window.
     """
 
-    clusters: Optional[list] = None
-    product: Optional["WindowProduct"] = None
-    snapshot: Optional[Callable[[], str]] = None
+    product: Optional["WindowProduct"]
+    snapshot: Callable[[], str]
 
 
 def decode_snapshot(snapshot: str) -> list:
@@ -272,11 +262,11 @@ class TextPublication(DisassociatedDataset):
     ":"))`` of the same publication -- so a caller that only forwards it
     (the HTTP layer) never builds a cluster object.  The clusters are
     decoded from the text on first access of :attr:`clusters`; until
-    then :meth:`to_dict` parses the text, and ``len()`` and
-    :meth:`total_records` answer from the products.
-    :meth:`forms_at` (the publication store's refresh) parses a window's
-    fragments only when one of its clusters is asked for, one window at
-    a time.
+    then (while :attr:`spliced`) :meth:`to_dict` parses the text, and
+    ``len()`` and :meth:`total_records` answer from the products.
+    :meth:`forms_at` (the publication store's refresh) and
+    :meth:`canonical_parts` (the saved file) parse one window's fragments
+    at a time.
 
     Args:
         k, m: the anonymity parameters.
@@ -313,6 +303,11 @@ class TextPublication(DisassociatedDataset):
         self._clusters = list(value)
 
     @property
+    def spliced(self) -> bool:
+        """Whether the products still are the publication (clusters untouched)."""
+        return self._clusters is None
+
+    @property
     def digests(self) -> list:
         """The publication store's top-level digests, in publication order."""
         return [digest for product in self._products for digest in product.digests]
@@ -335,6 +330,25 @@ class TextPublication(DisassociatedDataset):
         with paused_gc():
             return json.loads(self.text)
 
+    def canonical_parts(self) -> Iterator[str]:
+        """The canonical JSON text of :meth:`to_dict`, one window at a time.
+
+        Each window's fragments are parsed and re-encoded with sorted keys
+        on their own, so the publication is never parsed whole.
+        """
+        if self._clusters is not None:
+            yield from super().canonical_parts()
+            return
+        yield '{"clusters":['
+        separator = ""
+        for product in self._products:
+            if product.fragments:
+                with paused_gc():
+                    forms = json.loads(f"[{product.fragments}]")
+                yield separator + ",".join(map(canonical_json, forms))
+                separator = ","
+        yield f'],"k":{self.k},"m":{self.m}}}'
+
     def forms_at(self, positions: Iterable[int]) -> Iterator[dict]:
         """The ``to_dict`` forms of the top-level clusters at ascending ``positions``."""
         if self._clusters is not None:
@@ -354,26 +368,19 @@ class TextPublication(DisassociatedDataset):
 
 def publish_merged(
     windows: list, params: AnonymizationParams, report
-) -> DisassociatedDataset:
+) -> TextPublication:
     """The shared run tail: merge, global boundary repair, strip, report.
 
-    ``windows`` are the relabeled per-window :class:`Window` s in shard
-    and window order, all of them a cold run's or all of them stored;
-    relabeling already made labels unique, so the merge is a
-    concatenation.  The guarantee is audited per window: a stored window
-    arrives audited (with its product, or ``None`` when it failed), and a
-    cold run's windows are audited here.  When every window passes, the
-    publication is the concatenation of the windows' public clusters --
-    exactly what a global audit with nothing to repair publishes.
-    Otherwise the global boundary repair runs over every window's private
-    clusters (stored ones decoded afresh from their snapshots), and its
-    stripped result is published.  Fills ``report``'s ``merge_seconds``,
-    ``verify_seconds`` (added to whatever auditing the caller already
-    timed), ``repair`` and cluster statistics.
-
-    Stored windows publish a :class:`TextPublication` spliced from their
-    products (after a repair, from the repaired publication's one
-    product), so no cluster object is built when they all pass.
+    ``windows`` are the relabeled, audited per-window :class:`Window` s in
+    shard and window order; relabeling already made labels unique, so
+    the merge is a concatenation.  When every window passes its audit,
+    the publication is spliced from their products -- exactly what a
+    global audit with nothing to repair publishes.  Otherwise the global
+    boundary repair runs over every window's snapshot, decoded afresh,
+    and the publication is the repaired clusters' one product.  Fills
+    ``report``'s ``merge_seconds``, ``verify_seconds`` (added to whatever
+    auditing the caller already timed), ``repair`` and cluster
+    statistics.
     """
     faults.check("stream.merge")
     deadline.check("stream.merge")
@@ -381,43 +388,19 @@ def publish_merged(
     deadline.check("stream.verify")
     start = time.perf_counter()
     k, m = params.k, params.m
-    stored = all(window.clusters is None for window in windows)
-    if stored:
-        products = [window.product for window in windows]
-        passed = all(product is not None for product in products)
-    else:
-        verdicts, public = [], []
-        # The public clusters are retained and the audit's garbage is
-        # acyclic, so the collector would only rescan the growing live set
-        # (0.15-0.3 s of a 100k-record run's tail).
-        with paused_gc():
-            for window in windows:
-                clusters = window.clusters
-                verdicts.append(audit(DisassociatedDataset(clusters, k=k, m=m)).ok)
-                public.extend(_without_private_records(c) for c in clusters)
-        passed = all(verdicts)
-    if passed:
+    products = [window.product for window in windows]
+    if all(product is not None for product in products):
         report.repair = BoundaryRepairSummary()
     else:
-        private = (
-            decode_snapshot(window.snapshot()) if stored else window.clusters
-            for window in windows
-        )
+        private = (decode_snapshot(window.snapshot()) for window in windows)
         merged = DisassociatedDataset([c for cs in private for c in cs], k=k, m=m)
         merged, report.repair = verify_and_repair(merged)
-        if stored:
-            products = [_public_product(merged.clusters, k, m)]
-        else:
-            public = [_without_private_records(c) for c in merged.clusters]
+        products = [_public_product(merged.clusters, k, m)]
     verified = time.perf_counter()
-    if stored:
-        published = TextPublication(k, m, products)
-        stats = [product.stats for product in products]
-        for name, value in zip(REPORT_STATS, map(sum, zip(*stats))):
-            setattr(report, name, value)
-    else:
-        published = DisassociatedDataset(public, k=k, m=m)
-        _fill_report(report, published)
+    published = TextPublication(k, m, products)
+    stats = [product.stats for product in products]
+    for name, value in zip(REPORT_STATS, map(sum, zip(*stats))):
+        setattr(report, name, value)
     report.verify_seconds += verified - start
     report.merge_seconds = time.perf_counter() - verified
     return published
@@ -465,11 +448,11 @@ class ShardedPipeline:
     # -- public entry points ------------------------------------------- #
     def anonymize_file(
         self, path: PathLike, format: str = "auto", delimiter: Optional[str] = None
-    ) -> DisassociatedDataset:
+    ) -> TextPublication:
         """Stream a dataset file through the sharded pipeline."""
         return self.run(iter_records(path, format=format, delimiter=delimiter))
 
-    def anonymize(self, dataset: TransactionDataset) -> DisassociatedDataset:
+    def anonymize(self, dataset: TransactionDataset) -> TextPublication:
         """Anonymize an in-memory dataset through the sharded path.
 
         Mostly useful for equivalence testing and benchmarks; the point of
@@ -478,15 +461,16 @@ class ShardedPipeline:
         """
         return self.run(iter(dataset))
 
-    def run(self, records: Iterable[Iterable]) -> DisassociatedDataset:
+    def run(self, records: Iterable[Iterable]) -> TextPublication:
         """Anonymize a one-shot stream of records through a throwaway store.
 
         The records stream into a fresh
         :class:`~repro.stream.store.ShardStore` in a new temporary
-        directory (under ``spill_dir`` when set), every window is computed
-        and the publication is assembled from their clusters.  The
-        directory is removed afterwards, whether or not the run failed; ``store_dir``
-        and ``pubstore_dir`` are ignored.
+        directory (under ``spill_dir`` when set), and the windows are
+        computed and published as any store run's, as a
+        :class:`TextPublication`.  The directory is removed afterwards,
+        whether or not the run failed; ``store_dir`` and ``pubstore_dir``
+        are ignored.
         """
         # Imported here: the store module builds on this one.
         from repro.stream.store import IncrementalPipeline

@@ -92,7 +92,7 @@ from typing import Iterable, Optional, Union
 
 from repro import faults
 from repro.core import deadline
-from repro.core.clusters import DisassociatedDataset, paused_gc
+from repro.core.clusters import paused_gc
 from repro.core.codec import cluster_to_payload
 from repro.core.dataset import TransactionDataset, ensure_record, normalize_record
 from repro.core.engine import AnonymizationParams, Disassociator
@@ -912,13 +912,13 @@ class IncrementalPipeline:
 
     def _publish_stream(
         self, records: Iterable[Iterable], report: IncrementalReport
-    ) -> DisassociatedDataset:
+    ) -> TextPublication:
         """Build a fresh, throwaway store from one-shot ``records`` and publish it.
 
         The cold path of :class:`~repro.stream.executor.ShardedPipeline`,
         which owns ``stream.store_dir`` and removes it afterwards.  The
-        records stream into the one mutation transaction; every window is
-        computed, no product is written and no publication store is
+        records stream into the one mutation transaction and the windows
+        are reconciled like any store run's; no publication store is
         refreshed -- nothing of this store outlives the run.
         """
         start = time.perf_counter()
@@ -940,8 +940,8 @@ class IncrementalPipeline:
             report.mutate_seconds = time.perf_counter() - start
             self._count_records(store, report, sampled=True)
             report.appended = report.num_records
-            windows = self._reconcile_windows(store, report, persist=False)
-        return publish_merged(windows, self.params, report)
+            windows = self._reconcile_windows(store, report)
+            return publish_merged(windows, self.params, report)
 
     def _count_records(
         self, store: ShardStore, report: IncrementalReport, *, sampled: bool
@@ -1128,7 +1128,7 @@ class IncrementalPipeline:
         return Window(product=product, snapshot=partial(_snapshot, store, shard, win))
 
     def _reconcile_windows(
-        self, store: ShardStore, report: IncrementalReport, *, persist: bool = True
+        self, store: ShardStore, report: IncrementalReport
     ) -> list[Window]:
         """Bring every window snapshot up to date, reusing unchanged windows.
 
@@ -1142,9 +1142,6 @@ class IncrementalPipeline:
         repeats at most one window; the run keeps its product only, so it
         holds the cluster objects of one window at a time.  Reused windows
         are taken as their stored products (:meth:`_stored_window`).
-        ``persist=False`` (a throwaway store) keeps the recomputed
-        windows' clusters in memory instead: no snapshot or product is
-        encoded or written, since no later run reads one.
         """
         bound = self.stream.max_records_in_memory
         windows: list[Window] = []
@@ -1156,8 +1153,7 @@ class IncrementalPipeline:
             for shard in range(self.stream.shards):
                 # One interning table per shard (lazy: only shards that
                 # actually recompute a window pay for it); reuse across
-                # the shard's recomputed windows mirrors the cold
-                # executor and is output-invariant.
+                # the shard's recomputed windows is output-invariant.
                 shard_vocab: Optional[Vocabulary] = None
                 after_seq, win = -1, 0
                 while True:
@@ -1182,46 +1178,38 @@ class IncrementalPipeline:
                         engine.vocabulary = shard_vocab
                         # Stored texts are canonical: sorted non-empty strings.
                         batch = [frozenset(json.loads(t)) for t in texts]
-                        published = engine.anonymize(
-                            TransactionDataset(batch)
-                        )
+                        published = engine.anonymize(TransactionDataset(batch))
                         prefix = f"S{shard}W{win}."
                         relabeled = [
                             relabel_cluster(cluster, prefix)
                             for cluster in published.clusters
                         ]
                         report.windows_recomputed += 1
-                        if not persist:
-                            windows.append(Window(relabeled))
-                        else:
-                            store_start = time.perf_counter()
-                            # GC pauses are scoped to the snapshot encoding
-                            # and the audit -- whose garbage is acyclic --
-                            # never across engine.anonymize, whose cyclic
-                            # garbage must stay collectable on large builds.
-                            with paused_gc():
-                                snapshot = json.dumps(
-                                    [cluster_to_payload(c) for c in relabeled],
-                                    separators=(",", ":"),
-                                )
-                                verify_start = time.perf_counter()
-                                product = window_product(relabeled, k, m)
-                            verified = time.perf_counter()
-                            store.put_window(
-                                shard, win, fingerprint, len(texts), snapshot, product
+                        store_start = time.perf_counter()
+                        # GC pauses are scoped to the snapshot encoding
+                        # and the audit -- whose garbage is acyclic --
+                        # never across engine.anonymize, whose cyclic
+                        # garbage must stay collectable on large builds.
+                        with paused_gc():
+                            snapshot = json.dumps(
+                                [cluster_to_payload(c) for c in relabeled],
+                                separators=(",", ":"),
                             )
-                            verify_seconds += verified - verify_start
-                            store_seconds += (
-                                verify_start - store_start + time.perf_counter() - verified
-                            )
-                            # The window's published form is final once it
-                            # passes its audit: the run keeps its product only.
-                            windows.append(
-                                Window(
-                                    product=product,
-                                    snapshot=partial(_snapshot, store, shard, win),
-                                )
-                            )
+                            verify_start = time.perf_counter()
+                            product = window_product(relabeled, k, m)
+                        verified = time.perf_counter()
+                        store.put_window(
+                            shard, win, fingerprint, len(texts), snapshot, product
+                        )
+                        verify_seconds += verified - verify_start
+                        store_seconds += (
+                            verify_start - store_start + time.perf_counter() - verified
+                        )
+                        # The window's published form is final once it
+                        # passes its audit: the run keeps its product only.
+                        windows.append(
+                            Window(product, partial(_snapshot, store, shard, win))
+                        )
                     win += 1
                     if len(rows) < bound:
                         break

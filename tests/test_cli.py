@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +35,14 @@ class TestParser:
                     "audit": ["audit", "in"]}[command]
             parsed = parser.parse_args(args)
             assert parsed.command == command
+
+    def test_start_up_imports_no_numpy(self):
+        """Only the dataset generators need numpy; the CLI imports them on use."""
+        code = "import sys, repro.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):

@@ -577,6 +577,38 @@ class TestPublicationResult:
         path = result.save(tmp_path / "published.json")
         assert read_disassociated_json(path).to_dict() == result.to_dict()
 
+    def test_stream_result_reuses_its_spliced_text_and_digests(
+        self, tmp_path, monkeypatch
+    ):
+        """A stream result sends the publication's spliced text as is and
+        builds a publication store from the products' digests, a window at
+        a time: neither encodes nor parses the whole publication."""
+        import json
+
+        from repro.core.clusters import DisassociatedDataset
+        from repro.pubstore.schema import cluster_digests
+        from repro.stream.executor import TextPublication
+
+        with AnonymizationService(ROUTING_CONFIG) as service:
+            result = service.run(quest(200), mode="stream")
+        published = result.publication
+        assert isinstance(published, TextPublication)
+        expected = json.loads(published.text)
+
+        def whole(*args):
+            raise AssertionError("the whole publication was serialized")
+
+        for owner in (DisassociatedDataset, TextPublication):
+            monkeypatch.setattr(owner, "to_dict", whole)
+        monkeypatch.setattr("repro.pubstore.schema.cluster_digests", whole)
+        assert result.to_json() is published.text
+        with result.save_store(tmp_path / "pub") as store:
+            assert store.total_records == 200
+        monkeypatch.undo()
+        assert published.spliced
+        assert published.digests == cluster_digests(expected)[0]
+        assert result.to_dict() == expected
+
     def test_metrics_use_materialized_original(self):
         dataset = TransactionDataset(PAPER_RECORDS)
         with AnonymizationService(

@@ -8,7 +8,9 @@ records resident -- and does so deterministically.
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 
 import pytest
 
@@ -21,10 +23,15 @@ from repro.core.clusters import (
     SharedChunk,
     SimpleCluster,
     TermChunk,
+    canonical_json,
 )
 from repro.core import deadline
 from repro.core.verification import audit
-from repro.datasets.io import write_jsonl, write_transactions
+from repro.datasets.io import (
+    write_disassociated_json,
+    write_jsonl,
+    write_transactions,
+)
 from repro.datasets.quest import generate_quest
 from repro.exceptions import DeadlineExceededError, ParameterError
 from repro.experiments.harness import TEST_CONFIG, disassociate
@@ -39,6 +46,7 @@ from repro.stream import (
     relabel_cluster,
     verify_and_repair,
 )
+from repro.stream.executor import TextPublication
 from tests.conftest import make_workload
 from tests.reference_engine import ReferenceDisassociator, reference_cold_run
 
@@ -284,6 +292,138 @@ class TestReferenceColdRun:
         )
         expected = reference_cold_run(PARAMS, stream, records)
         assert published.to_dict() == expected.to_dict()
+
+
+class _TamperingEngine(Disassociator):
+    """A window engine whose first window publishes a k^m-violating chunk.
+
+    A term held by a single sub-record joins the first record chunk of the
+    window's first leaf that has one, so that window fails its audit and
+    the run tail must repair the merge from the stored snapshots.
+    """
+
+    TERM = "tampered-term"
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.windows = 0
+
+    def anonymize(self, dataset):
+        published = super().anonymize(dataset)
+        self.windows += 1
+        if self.windows == 1:
+            leaf = next(
+                leaf
+                for cluster in published.clusters
+                for leaf in cluster.leaves()
+                if leaf.record_chunks
+            )
+            chunk = leaf.record_chunks[0]
+            leaf.record_chunks[0] = RecordChunk(
+                chunk.domain | {self.TERM},
+                [chunk.subrecords[0] | {self.TERM}] + list(chunk.subrecords[1:]),
+            )
+        return published
+
+
+class TestColdWindowPath:
+    """A cold run reconciles its throwaway store like any store run."""
+
+    def test_failing_window_is_repaired_from_stored_snapshots(self, quest):
+        pipeline = ShardedPipeline(
+            PARAMS, STREAM, window_engine=_TamperingEngine(PARAMS)
+        )
+        published = pipeline.anonymize(quest)
+        repair = pipeline.last_report.repair
+        assert repair.total_demoted() > 0
+        assert any(_TamperingEngine.TERM in t for t in repair.demoted_terms.values())
+        assert audit(published, k=3, m=2).ok
+        assert published.total_records() == len(quest)
+        # The repaired publication is the one product of the repaired merge.
+        assert len(published._products) == 1
+        assert len(published.digests) == len(published)
+
+    def test_traced_peak_stays_flat_as_windows_grow(self, tmp_path):
+        """A cold run keeps each window's product, not its clusters, and
+        its saved file is written a window at a time: the traced peak of a
+        run plus save over 32 windows stays within 1.5x of the peak over 8
+        (keeping every window's clusters to the run tail grew it ~3.6x,
+        saving from a whole-publication parse ~2.8x)."""
+        peaks = []
+        for windows in (8, 32):
+            records = list(
+                make_workload("quest", records=250 * windows, domain=200, avg_len=5.0, seed=3)
+            )
+            pipeline = ShardedPipeline(
+                PARAMS, StreamParams(shards=1, max_records_in_memory=250)
+            )
+            gc.collect()
+            tracemalloc.start()
+            try:
+                published = pipeline.run(iter(records))
+                write_disassociated_json(published, tmp_path / f"{windows}.json")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert pipeline.last_report.shard_windows == [windows]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+class TestCanonicalWriter:
+    """The saved file is ``canonical_json(to_dict())``, written a window at a time."""
+
+    @staticmethod
+    def _written(published, tmp_path) -> str:
+        path = tmp_path / "published.json"
+        write_disassociated_json(published, path)
+        return path.read_text(encoding="utf-8")
+
+    def _check(self, published, tmp_path) -> None:
+        text = self._written(published, tmp_path)
+        assert text == canonical_json(published.to_dict())
+
+    def test_sharded_run_is_written_window_by_window(self, quest, tmp_path):
+        published = ShardedPipeline(PARAMS, STREAM).anonymize(quest)
+        assert len(published._products) > 1
+        parts = list(published.canonical_parts())
+        assert len(parts) == len(published._products) + 2
+        self._check(published, tmp_path)
+        assert published.spliced
+
+    def test_empty_publication(self, tmp_path):
+        published = ShardedPipeline(PARAMS, STREAM).run(iter(()))
+        assert isinstance(published, TextPublication)
+        text = self._written(published, tmp_path)
+        assert text == '{"clusters":[],"k":3,"m":2}'
+        assert text == canonical_json(published.to_dict())
+
+    def test_repaired_publication_has_one_product(self, quest, tmp_path):
+        published = ShardedPipeline(
+            PARAMS, STREAM, window_engine=_TamperingEngine(PARAMS)
+        ).anonymize(quest)
+        assert len(published._products) == 1
+        self._check(published, tmp_path)
+
+    def test_replaced_clusters_are_written_from_the_clusters(self, quest, tmp_path):
+        published = ShardedPipeline(PARAMS, STREAM).anonymize(quest)
+        kept = published.clusters[:3]
+        published.clusters = kept
+        assert not published.spliced
+        expected = canonical_json(DisassociatedDataset(kept, k=3, m=2).to_dict())
+        assert self._written(published, tmp_path) == expected
+
+    def test_non_ascii_terms_are_escaped_like_ensure_ascii(self, tmp_path):
+        terms = ["caf\u00e9", "na\u00efve", "\u65e5\u672c", "\U0001f600", 'q"uo\\te']
+        records = [
+            frozenset(terms[(i + j) % len(terms)] for j in range(3)) for i in range(120)
+        ]
+        published = ShardedPipeline(
+            PARAMS, StreamParams(shards=2, max_records_in_memory=40)
+        ).run(iter(records))
+        text = self._written(published, tmp_path)
+        assert text.isascii()
+        assert "\\u00e9" in text and "\\ud83d\\ude00" in text
+        assert text == canonical_json(published.to_dict())
 
 
 class TestRelabel:
