@@ -3,7 +3,7 @@
 End-to-end ``Disassociator.anonymize`` on the synthetic QUEST benchmark
 dataset at the paper's default parameters (k=5, m=2, max_cluster_size=30,
 refine and verify enabled), run on the string reference engine
-(:class:`tests.reference_engine.ReferenceDisassociator`, the seed
+(:class:`tests.reference.engine.ReferenceDisassociator`, the seed
 implementation) and on the production engine.  The payload keeps the
 historical ``string`` / ``encoded`` key names for the two engines.
 
@@ -24,7 +24,7 @@ from repro.core.engine import AnonymizationParams, Disassociator
 from repro.datasets.quest import generate_quest
 
 from benchmarks.conftest import emit, run_once, write_bench_json
-from tests.reference_engine import ReferenceDisassociator
+from tests.reference.engine import ReferenceDisassociator
 
 #: QUEST benchmark dataset: the generator's default shape at bench scale.
 QUEST_RECORDS = 5000

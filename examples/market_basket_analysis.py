@@ -24,7 +24,7 @@ from repro.baselines.diffpart import publish_with_diffpart
 from repro.baselines.suppression import anonymize_with_suppression
 from repro.datasets.real_proxies import load_proxy
 from repro.metrics import relative_error, relative_error_reconstructed, top_k_deviation, tkd_reconstructed
-from repro.mining.fpgrowth import mine_top_k
+from repro.mining.itemsets import top_k_itemsets
 
 
 def main() -> None:
@@ -47,7 +47,8 @@ def main() -> None:
     disassociation_re = relative_error_reconstructed(sales, published, rank_range=(0, 20), seed=1)
 
     print("\nfrequent pairs the analyst recovers from a reconstructed world:")
-    original_pairs = [i for i, _s in mine_top_k(sales, top_k=40, max_size=2) if len(i) == 2][:5]
+    top_itemsets = top_k_itemsets(sales, top_k=40, max_size=2)
+    original_pairs = [itemset for itemset, _s in top_itemsets if len(itemset) == 2][:5]
     for pair in original_pairs:
         print(
             f"  {pair}: original support {sales.support(pair)}, "

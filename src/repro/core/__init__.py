@@ -40,11 +40,11 @@ from repro.core.engine import (
     VerifyPhase,
     VerticalPhase,
 )
-from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
+from repro.core.horizontal import horizontal_partition_indices
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refine import refine
 from repro.core.verification import AuditReport, audit, verify_km_anonymity
-from repro.core.vertical import satisfies_lemma2, vertical_partition, vertical_partition_fast
+from repro.core.vertical import satisfies_lemma2, vertical_partition_fast
 from repro.core.vocab import EncodedCluster, EncodedDataset, Vocabulary
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "combination_supports",
     "find_all_km_violations",
     "find_km_violation",
-    "horizontal_partition",
     "horizontal_partition_indices",
     "is_k_anonymous",
     "is_km_anonymous",
@@ -84,6 +83,5 @@ __all__ = [
     "refine",
     "satisfies_lemma2",
     "verify_km_anonymity",
-    "vertical_partition",
     "vertical_partition_fast",
 ]

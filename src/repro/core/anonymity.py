@@ -142,9 +142,10 @@ def is_k_anonymous(records: Sequence[frozenset], k: int) -> bool:
 class BitsetChunkChecker:
     """Incrementally grow a chunk domain over term *bitmasks*.
 
-    The bitset counterpart of :class:`IncrementalChunkChecker`: each term is
-    represented by an int bitmask over the cluster's rows (bit ``i`` set when
-    row ``i`` contains the term), so the support of an m-term combination is
+    VERPART and REFINE ask "does the chunk stay k^m-anonymous if term *t*
+    joins its domain?" once per candidate.  Each term is represented by an
+    int bitmask over the cluster's rows (bit ``i`` set when row ``i``
+    contains the term), so the support of an m-term combination is
     ``(mask_1 & ... & mask_m).bit_count()``.  Candidate evaluation only
     enumerates combinations that involve the new term, walking the accepted
     terms depth-first and pruning whole subtrees as soon as an AND becomes
@@ -152,7 +153,8 @@ class BitsetChunkChecker:
     each checked with one AND and one popcount instead of a record scan.
 
     Accepts any hashable term keys (string terms or int ids); decisions are
-    identical to the string checker because combination supports are.
+    identical to the record-scanning checker of the reference VERPART
+    (``tests/reference/anonymity.py``) because combination supports are.
 
     Args:
         masks: mapping from term to its row bitmask.
@@ -233,83 +235,3 @@ class BitsetChunkChecker:
         """Discard the accepted terms and start a fresh chunk domain."""
         self._accepted.clear()
         self._accepted_set.clear()
-
-
-class IncrementalChunkChecker:
-    """Incrementally grow a chunk term-set while preserving k^m-anonymity.
-
-    ``VERPART`` repeatedly asks "if I add term *t* to the current chunk
-    domain, does the projected chunk stay k^m-anonymous?".  Re-enumerating
-    every combination after each candidate is wasteful; since combinations
-    not involving *t* were already validated, only combinations containing
-    *t* need to be checked.
-
-    The checker is handed the cluster's records once.  ``try_add(term)``
-    evaluates the candidate and, when accepted, updates the internal
-    projections; ``accepted_terms`` is the chunk domain built so far.
-
-    Args:
-        records: the cluster's records (bag of term sets).
-        k, m: the anonymity parameters.
-    """
-
-    def __init__(self, records: Sequence[frozenset], k: int, m: int):
-        validate_km_parameters(k, m)
-        self._records = [frozenset(r) for r in records]
-        self._k = k
-        self._m = m
-        self._accepted: set = set()
-        # projection of each record onto the accepted terms, kept in sync
-        self._projections: list[frozenset] = [frozenset() for _ in self._records]
-
-    @property
-    def accepted_terms(self) -> frozenset:
-        """Terms accepted into the chunk domain so far."""
-        return frozenset(self._accepted)
-
-    def projections(self) -> list[frozenset]:
-        """Current record projections onto the accepted terms (includes empties)."""
-        return list(self._projections)
-
-    def would_remain_anonymous(self, term) -> bool:
-        """Check whether adding ``term`` keeps the chunk k^m-anonymous.
-
-        Only combinations that contain ``term`` are (re-)counted: every
-        combination not involving the new term has the same support as
-        before the addition, and those were already verified.
-        """
-        term = str(term)
-        if term in self._accepted:
-            return True
-        counts: Counter = Counter()
-        for record, projection in zip(self._records, self._projections):
-            if term not in record:
-                continue
-            other_terms = sorted(projection)
-            # combinations made of `term` plus up to m-1 already-accepted terms
-            counts[(term,)] += 1
-            max_extra = min(self._m - 1, len(other_terms))
-            for size in range(1, max_extra + 1):
-                for extra in combinations(other_terms, size):
-                    counts[tuple(sorted((term,) + extra))] += 1
-        return all(count >= self._k for count in counts.values())
-
-    def try_add(self, term) -> bool:
-        """Add ``term`` to the chunk domain if the chunk stays k^m-anonymous.
-
-        Returns ``True`` when the term was accepted.
-        """
-        term = str(term)
-        if not self.would_remain_anonymous(term):
-            return False
-        self._accepted.add(term)
-        self._projections = [
-            projection | {term} if term in record else projection
-            for record, projection in zip(self._records, self._projections)
-        ]
-        return True
-
-    def reset(self) -> None:
-        """Discard the accepted terms and start a fresh chunk domain."""
-        self._accepted.clear()
-        self._projections = [frozenset() for _ in self._records]

@@ -19,16 +19,15 @@ phases.  Parameters are grouped in :class:`AnonymizationParams`, validated
 once, and recorded on the output.
 
 There is one execution core.  The string transcription of the algorithm
-(:func:`~repro.core.horizontal.horizontal_partition`,
-:func:`~repro.core.vertical.vertical_partition` and the reference REFINE
-driver) is kept as the equivalence oracle only: the test suite plugs it in
+(HORPART, VERPART and REFINE over string records) is test-only code, the
+equivalence oracle in ``tests/reference/``: the test suite plugs it in
 through :meth:`Disassociator.build_pipeline` and checks that both publish
 identical datasets.
 
-For datasets too large for one pass, :class:`ShardedPipeline` (re-exported
-here from :mod:`repro.stream`) runs this same pipeline per bounded-memory
-window inside each shard of a streamed input, then merges and globally
-re-verifies; see :mod:`repro.stream` for the streaming semantics.
+For datasets too large for one pass, :class:`repro.stream.ShardedPipeline`
+runs this same pipeline per bounded-memory window inside each shard of a
+streamed input, then merges and globally re-verifies; see
+:mod:`repro.stream` for the streaming semantics.
 
 Typical usage::
 
@@ -564,14 +563,3 @@ def cluster_stats(published: DisassociatedDataset) -> tuple:
         sum(1 for cluster in published.clusters for _ in cluster.iter_shared_chunks()),
         sum(len(leaf.term_chunk) for leaf in leaves),
     )
-
-
-def __getattr__(name: str):
-    # Lazy re-exports from repro.stream: the streaming subsystem builds on
-    # this module, so a top-level import here would be circular.
-    if name in ("ShardedPipeline", "StreamParams"):
-        from repro import stream
-
-        return getattr(stream, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-

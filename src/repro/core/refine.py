@@ -15,9 +15,11 @@ from such terms, provided that
 REFINE repeatedly orders the clusters by the contents of their (virtual)
 term chunks and merges adjacent pairs until no merge is applied.
 
-:func:`refine` runs the incremental, cache-aware driver, with **bit-for-bit
-identical output** to the reference formulation (:func:`_refine_reference`,
-preserved as the oracle the equivalence suite holds it to):
+:func:`refine` runs the incremental, cache-aware driver over term
+bitmasks, with **bit-for-bit identical output** to the paper's string
+formulation (every pass re-attempts every adjacent pair and re-projects
+every record; the oracle in ``tests/reference/refine.py`` that the
+equivalence suite holds this module to):
 
 * rejected merge attempts are **memoized** (:class:`MergeMemo`) keyed by
   the pair's ``(identity, virtual-term-chunk)`` fingerprints -- a failed
@@ -40,12 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.anonymity import (
-    BitsetChunkChecker,
-    is_k_anonymous,
-    is_km_anonymous,
-    validate_km_parameters,
-)
+from repro.core.anonymity import BitsetChunkChecker, validate_km_parameters
 from repro.core.clusters import Cluster, JointCluster, SharedChunk, SimpleCluster, TermChunk
 from repro.core.vocab import SubrecordArena, cluster_masks, iter_mask_bits
 from repro.exceptions import RefinementError
@@ -308,24 +305,6 @@ class _JointMaskBuilder:
                     joint[term] = joint.get(term, 0) | (mask << offset)
         return joint
 
-    def select_domains(
-        self, candidates: frozenset, restricted_terms: frozenset, k: int, m: int
-    ) -> tuple[list[frozenset], Optional[BitsetChunkChecker], bool, dict]:
-        """Greedy shared-chunk domain selection over the joint masks.
-
-        Assembles the joint masks for ``candidates`` and delegates to
-        :func:`_select_domains_from_masks`; ``supports`` maps each
-        positive-support candidate to its joint support (which for a placed
-        term equals its support inside its shared chunk, so the Equation-1
-        criterion never needs materialized chunks).
-        """
-        masks = self.joint_masks(candidates)
-        supports = {term: mask.bit_count() for term, mask in masks.items()}
-        domains, checker, single_round = _select_domains_from_masks(
-            masks, self.num_rows, supports, restricted_terms, k, m
-        )
-        return domains, checker, single_round, supports
-
     def build_chunks(
         self, domains: Sequence[frozenset]
     ) -> tuple[list[SharedChunk], frozenset]:
@@ -473,169 +452,6 @@ def _select_domains_from_masks(
     return domains, checker, single_round
 
 
-def build_shared_chunks(
-    leaves: Sequence[SimpleCluster],
-    refining_terms: frozenset,
-    restricted_terms: frozenset,
-    k: int,
-    m: int,
-    use_bitsets: bool = True,
-) -> tuple[list[SharedChunk], frozenset]:
-    """Greedily build shared chunks over ``refining_terms``.
-
-    Each leaf contributes the projection of its original records onto the
-    part of the refining terms that lies in *its own* term chunk (so a
-    record never contributes the same association to both a record chunk and
-    a shared chunk).
-
-    Args:
-        leaves: the simple clusters under the prospective joint cluster.
-        refining_terms: candidate terms to lift out of the term chunks.
-        restricted_terms: the ``T^r`` of Property 1 (terms appearing in
-            record or shared chunks of the descendant clusters); a shared
-            chunk touching any of them must be k-anonymous.
-        k, m: anonymity parameters.
-        use_bitsets: select chunk domains over term bitmasks (AND + popcount
-            per combination) instead of re-projecting every record per
-            candidate.  Both selectors make identical greedy decisions; the
-            reference selector is kept as the verification baseline.
-
-    Returns:
-        ``(shared_chunks, placed_terms)`` where ``placed_terms`` are the
-        refining terms that actually made it into a shared chunk (the rest
-        stay in the term chunks).
-    """
-    validate_km_parameters(k, m)
-    if use_bitsets:
-        builder = _JointMaskBuilder(leaves)
-        domains, _checker, _single, _supports = builder.select_domains(
-            frozenset(refining_terms), restricted_terms, k, m
-        )
-        return builder.build_chunks(domains)
-
-    # Reference path: full re-projection of every record.
-    per_leaf_sources: list[tuple[SimpleCluster, list[frozenset]]] = []
-    for leaf in leaves:
-        liftable = leaf.term_chunk.terms & refining_terms
-        originals = leaf.original_records or []
-        per_leaf_sources.append(
-            (leaf, [record & liftable for record in originals])
-        )
-
-    rows = [record for _leaf, records in per_leaf_sources for record in records]
-    domains = _select_domains_reference(rows, refining_terms, restricted_terms, k, m)
-
-    shared_chunks: list[SharedChunk] = []
-    placed: set = set()
-    for domain in domains:
-        subrecords: list[frozenset] = []
-        contributions: dict = {}
-        for leaf, records in per_leaf_sources:
-            leaf_subrecords = [record & domain for record in records]
-            non_empty = [p for p in leaf_subrecords if p]
-            contributions[leaf.label] = len(non_empty)
-            subrecords.extend(non_empty)
-        shared_chunks.append(SharedChunk(domain, subrecords, contributions))
-        placed.update(domain)
-    return shared_chunks, frozenset(placed)
-
-
-def _select_domains_reference(
-    rows: Sequence[frozenset],
-    refining_terms: frozenset,
-    restricted_terms: frozenset,
-    k: int,
-    m: int,
-) -> list[frozenset]:
-    """Reference greedy domain selection: full re-projection per candidate."""
-    supports: Counter = Counter()
-    for projection in rows:
-        supports.update(projection)
-
-    remaining = sorted(
-        (t for t in refining_terms if supports[t] > 0),
-        key=lambda t: (-supports[t], t),
-    )
-
-    domains: list[frozenset] = []
-    while remaining:
-        accepted: list[str] = []
-        skipped: list[str] = []
-        for term in remaining:
-            candidate = frozenset(accepted) | {term}
-            projections = [record & candidate for record in rows]
-            non_empty = [p for p in projections if p]
-            anonymous = is_km_anonymous(non_empty, k, m)
-            if anonymous and candidate & restricted_terms:
-                anonymous = is_k_anonymous(non_empty, k)
-            if anonymous:
-                accepted.append(term)
-            else:
-                skipped.append(term)
-        if not accepted:
-            break
-        domains.append(frozenset(accepted))
-        remaining = skipped
-    return domains
-
-
-def _candidate_is_k_anonymous(
-    row_projections: Sequence[set], term_mask: int, term, k: int
-) -> bool:
-    """k-anonymity of the row projections if ``term`` were accepted.
-
-    Every distinct non-empty projection (current accepted terms, plus
-    ``term`` for the rows whose bit is set in ``term_mask``) must occur at
-    least ``k`` times.
-    """
-    counts: Counter = Counter()
-    for row_index, projection in enumerate(row_projections):
-        if (term_mask >> row_index) & 1:
-            counts[frozenset(projection) | {term}] += 1
-        elif projection:
-            counts[frozenset(projection)] += 1
-    return all(count >= k for count in counts.values())
-
-
-# --------------------------------------------------------------------------- #
-# Equation-1 merge criterion
-# --------------------------------------------------------------------------- #
-def merge_criterion(
-    shared_chunks: Sequence[SharedChunk],
-    refining_terms: frozenset,
-    leaves: Sequence[SimpleCluster],
-    joint_size: int,
-) -> bool:
-    """Equation 1 of the paper: accept the merge when lifting the refining
-    terms into shared chunks attributes them to records at least as
-    confidently as leaving them in the member term chunks.
-
-    The left-hand side is the total support of the refining terms inside the
-    new shared chunks divided by the joint-cluster size; the right-hand side
-    is the number of refining-term occurrences in the member term chunks
-    divided by the total size of the members that contain them.
-    """
-    if joint_size == 0 or not refining_terms:
-        return False
-    lhs_numerator = 0
-    for chunk in shared_chunks:
-        chunk_supports = chunk.term_supports()
-        lhs_numerator += sum(chunk_supports.get(t, 0) for t in refining_terms)
-    lhs = lhs_numerator / joint_size
-
-    rhs_numerator = 0
-    rhs_denominator = 0
-    for leaf in leaves:
-        present = leaf.term_chunk.terms & refining_terms
-        if present:
-            rhs_numerator += len(present)
-            rhs_denominator += leaf.size
-    if rhs_denominator == 0:
-        return False
-    rhs = rhs_numerator / rhs_denominator
-    return lhs >= rhs
-
-
 # --------------------------------------------------------------------------- #
 # merging a pair of clusters
 # --------------------------------------------------------------------------- #
@@ -646,7 +462,6 @@ def try_merge(
     m: int,
     max_join_size: Optional[int] = None,
     excluded_terms: frozenset = frozenset(),
-    use_bitsets: bool = True,
     support_cache: Optional[dict] = None,
     _refining_candidates: Optional[frozenset] = None,
     _leaves: Optional[list] = None,
@@ -688,69 +503,56 @@ def try_merge(
         _leaves_with_originals(left) + _leaves_with_originals(right)
     )
 
-    if use_bitsets:
-        restricted = (
-            _restricted_parts[0] | _restricted_parts[1]
-            if _restricted_parts is not None
-            else left.record_chunk_terms() | right.record_chunk_terms()
-        )
-        # Eligibility first: a refining term's joint support is the sum of
-        # the members' liftable supports, so terms that cannot reach k --
-        # and pairs with no eligible term at all -- are rejected from two
-        # cached dicts before any joint mask is assembled.
-        supports_left = _liftable_supports(left, support_cache)
-        supports_right = _liftable_supports(right, support_cache)
-        eligible_supports = {}
-        get_left = supports_left.get
-        get_right = supports_right.get
-        for term in refining_candidates:
-            support = get_left(term, 0) + get_right(term, 0)
-            if support >= k:
-                eligible_supports[term] = support
-        if not eligible_supports:
-            return MergeOutcome(
-                None, reason="no k^m-anonymous shared chunk could be built"
-            )
-        if _pair_masks is not None:
-            # Cluster-level masks from the driver: the pair's joint masks
-            # are two dict probes and a shift per eligible term, and the
-            # eligibility sums double as the selection supports.
-            (masks_left, rows_left), (masks_right, rows_right) = _pair_masks
-            pair_masks = {
-                term: masks_left.get(term, 0)
-                | (masks_right.get(term, 0) << rows_left)
-                for term in eligible_supports
-            }
-            num_rows = rows_left + rows_right
-        else:
-            pair_masks = None
-            num_rows = None
-        eligible = frozenset(eligible_supports)
-        # Domains are selected first and the Equation-1 criterion is
-        # evaluated straight from the joint-support popcounts; the shared
-        # chunks are materialized only for accepted merges (rejected
-        # attempts never pay for sub-record assembly).
-        domains, placed, supports, failure = _select_chunks_bitset(
-            leaves, eligible, restricted, k, m,
-            masks=pair_masks, num_rows=num_rows,
-            supports=eligible_supports if pair_masks is not None else None,
-        )
-        if failure:
-            return MergeOutcome(None, reason=failure)
-        if not _criterion_from_supports(supports, placed, leaves, joint_size):
-            return MergeOutcome(None, reason="Equation-1 criterion rejected the merge")
-        shared_chunks, placed = _JointMaskBuilder(leaves, arena=_arena).build_chunks(
-            domains
-        )
+    restricted = (
+        _restricted_parts[0] | _restricted_parts[1]
+        if _restricted_parts is not None
+        else left.record_chunk_terms() | right.record_chunk_terms()
+    )
+    # Eligibility first: a refining term's joint support is the sum of the
+    # members' liftable supports, so terms that cannot reach k -- and pairs
+    # with no eligible term at all -- are rejected from two cached dicts
+    # before any joint mask is assembled.
+    supports_left = _liftable_supports(left, support_cache)
+    supports_right = _liftable_supports(right, support_cache)
+    eligible_supports = {}
+    get_left = supports_left.get
+    get_right = supports_right.get
+    for term in refining_candidates:
+        support = get_left(term, 0) + get_right(term, 0)
+        if support >= k:
+            eligible_supports[term] = support
+    if not eligible_supports:
+        return MergeOutcome(None, reason="no k^m-anonymous shared chunk could be built")
+    if _pair_masks is not None:
+        # Cluster-level masks from the driver: the pair's joint masks are
+        # two dict probes and a shift per eligible term, and the
+        # eligibility sums double as the selection supports.
+        (masks_left, rows_left), (masks_right, rows_right) = _pair_masks
+        pair_masks = {
+            term: masks_left.get(term, 0) | (masks_right.get(term, 0) << rows_left)
+            for term in eligible_supports
+        }
+        num_rows = rows_left + rows_right
     else:
-        restricted = left.record_chunk_terms() | right.record_chunk_terms()
-        shared_chunks, placed, failure = _build_chunks_reference(
-            leaves, refining_candidates, restricted, k, m
-        )
-        if failure:
-            return MergeOutcome(None, reason=failure)
-        if not merge_criterion(shared_chunks, placed, leaves, joint_size):
-            return MergeOutcome(None, reason="Equation-1 criterion rejected the merge")
+        pair_masks = None
+        num_rows = None
+    eligible = frozenset(eligible_supports)
+    # Domains are selected first and the Equation-1 criterion is evaluated
+    # straight from the joint-support popcounts; the shared chunks are
+    # materialized only for accepted merges (rejected attempts never pay
+    # for sub-record assembly).
+    domains, placed, supports, failure = _select_chunks_bitset(
+        leaves, eligible, restricted, k, m,
+        masks=pair_masks, num_rows=num_rows,
+        supports=eligible_supports if pair_masks is not None else None,
+    )
+    if failure:
+        return MergeOutcome(None, reason=failure)
+    if not _criterion_from_supports(supports, placed, leaves, joint_size):
+        return MergeOutcome(None, reason="Equation-1 criterion rejected the merge")
+    shared_chunks, placed = _JointMaskBuilder(leaves, arena=_arena).build_chunks(
+        domains
+    )
 
     # The lifted terms leave the member term chunks.
     for leaf in leaves:
@@ -851,8 +653,11 @@ def _criterion_from_supports(
 
     A placed term's support inside its shared chunk equals its joint mask's
     popcount (the chunk's sub-records are exactly the rows whose projection
-    is non-empty), so the left-hand side of :func:`merge_criterion` is the
-    sum of the placed supports -- no chunk materialization needed.
+    is non-empty), so Equation 1's left-hand side -- the placed terms'
+    total support inside the shared chunks over the joint size -- is the
+    sum of the placed supports: no chunk materialization needed.  The
+    right-hand side is the number of placed-term occurrences in the member
+    term chunks over the total size of the members that hold them.
     """
     if joint_size == 0 or not placed:
         return False
@@ -868,30 +673,6 @@ def _criterion_from_supports(
     if rhs_denominator == 0:
         return False
     return lhs >= rhs_numerator / rhs_denominator
-
-
-def _build_chunks_reference(
-    leaves: Sequence[SimpleCluster],
-    refining_candidates: frozenset,
-    restricted: frozenset,
-    k: int,
-    m: int,
-) -> tuple[list[SharedChunk], frozenset, str]:
-    """Reference shared-chunk construction with the Lemma-2 hold-back loop."""
-    shared_chunks: list[SharedChunk] = []
-    placed: frozenset = frozenset()
-    while refining_candidates:
-        shared_chunks, placed = build_shared_chunks(
-            leaves, refining_candidates, restricted, k, m, use_bitsets=False
-        )
-        if not shared_chunks or not placed:
-            return [], frozenset(), "no k^m-anonymous shared chunk could be built"
-        at_risk = _leaves_needing_a_term(leaves, placed, k, m)
-        if not at_risk:
-            return shared_chunks, placed, ""
-        held_back = _hold_back_terms(at_risk, placed)
-        refining_candidates = refining_candidates - held_back
-    return [], frozenset(), "every refining term is needed by a leaf's term chunk"
 
 
 def _leaves_needing_a_term(
@@ -940,23 +721,14 @@ def _hold_back_terms(at_risk: Sequence[SimpleCluster], placed: frozenset) -> fro
 # --------------------------------------------------------------------------- #
 # the REFINE driver
 # --------------------------------------------------------------------------- #
-def _ordering_key(cluster: Cluster, tcs: Counter) -> tuple:
-    """Ordering key for REFINE: the (virtual) term chunk rendered as a tuple of
-    terms sorted by descending term-chunk support, compared lexicographically."""
-    return _ordering_key_for_terms(virtual_term_chunk(cluster), tcs)
-
-
-def _ordering_key_for_terms(terms: frozenset, tcs: Counter) -> tuple:
-    ordered = sorted(terms, key=lambda t: (-tcs[t], t))
-    # Clusters with empty term chunks sort last: they have nothing to refine.
-    return (len(ordered) == 0, tuple(ordered))
-
-
 def _ordering_key_ranked(terms: frozenset, rank: dict) -> tuple:
-    """Same key as :func:`_ordering_key_for_terms`, via a global rank table.
+    """REFINE's ordering key for a cluster's (virtual) term chunk.
 
-    ``rank`` orders every term by ``(-tcs[term], term)`` once per pass, so
-    each cluster's terms sort on a single C-level int lookup instead of a
+    The key renders the terms as a tuple sorted by descending term-chunk
+    support (``tcs``), compared lexicographically; clusters with empty
+    term chunks sort last, since they have nothing to refine.  ``rank``
+    orders every term by ``(-tcs[term], term)`` once per pass, so each
+    cluster's terms sort on a single C-level int lookup instead of a
     tuple-building lambda; the produced key still holds the string terms,
     so cross-cluster comparisons are unchanged.
     """
@@ -1284,62 +1056,6 @@ def refine(
             ordered, state, memo, k, m, max_join_size,
             excluded_terms, stats, tcs=tcs,
         )
-        if not changed:
-            break
-    return current
-
-
-def _refine_reference(
-    clusters: Sequence[Cluster],
-    k: int,
-    m: int,
-    max_passes: int = 50,
-    max_join_size: Optional[int] = 240,
-    excluded_terms: frozenset = frozenset(),
-    use_bitsets: bool = True,
-) -> list[Cluster]:
-    """The reference REFINE driver: every pass re-attempts every adjacent pair.
-
-    No memoization, no mask cache -- the pre-optimization formulation,
-    preserved verbatim as the oracle :func:`refine` is tested against.  It
-    is not called by the engine.  ``use_bitsets=False`` also swaps the
-    per-attempt shared-chunk selection for the record-scanning reference
-    (:func:`try_merge`'s string path), as the string oracle engine does;
-    the default keeps the bitset selector so the two drivers can be
-    compared on their own.
-    """
-    current: list[Cluster] = list(clusters)
-    for _pass in range(max_passes):
-        if len(current) < 2:
-            break
-        # term-chunk support of each term across the current clusters
-        tcs: Counter = Counter()
-        for cluster in current:
-            tcs.update(virtual_term_chunk(cluster))
-        ordered = sorted(current, key=lambda c: _ordering_key(c, tcs))
-
-        merged: list[Cluster] = []
-        changed = False
-        index = 0
-        while index < len(ordered):
-            if index + 1 < len(ordered):
-                outcome = try_merge(
-                    ordered[index],
-                    ordered[index + 1],
-                    k,
-                    m,
-                    max_join_size=max_join_size,
-                    excluded_terms=excluded_terms,
-                    use_bitsets=use_bitsets,
-                )
-                if outcome.joint is not None:
-                    merged.append(outcome.joint)
-                    changed = True
-                    index += 2
-                    continue
-            merged.append(ordered[index])
-            index += 1
-        current = merged
         if not changed:
             break
     return current

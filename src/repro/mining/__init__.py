@@ -1,16 +1,12 @@
 """Frequent-itemset mining substrate and generalization hierarchies.
 
-* :mod:`repro.mining.itemsets` -- exhaustive small-itemset supports, top-K.
-* :mod:`repro.mining.apriori` -- level-wise Apriori miner.
-* :mod:`repro.mining.fpgrowth` -- FP-growth miner (same results, faster).
+* :mod:`repro.mining.itemsets` -- exhaustive small-itemset supports, top-K
+  (what the tKd and relative-error metrics count with; its oracle, a
+  level-wise Apriori miner, is the test suite's ``tests/reference/apriori.py``).
 * :mod:`repro.mining.hierarchy` -- balanced generalization hierarchies,
   NCP cost, multi-level (ML) transaction expansion.
 """
 
-from repro.mining.apriori import mine_frequent_itemsets as apriori_mine_frequent_itemsets
-from repro.mining.apriori import mine_top_k as apriori_mine_top_k
-from repro.mining.fpgrowth import mine_frequent_itemsets as fpgrowth_mine_frequent_itemsets
-from repro.mining.fpgrowth import mine_top_k as fpgrowth_mine_top_k
 from repro.mining.hierarchy import GeneralizationHierarchy, expand_with_ancestors
 from repro.mining.itemsets import (
     canonical,
@@ -22,12 +18,8 @@ from repro.mining.itemsets import (
 
 __all__ = [
     "GeneralizationHierarchy",
-    "apriori_mine_frequent_itemsets",
-    "apriori_mine_top_k",
     "canonical",
     "expand_with_ancestors",
-    "fpgrowth_mine_frequent_itemsets",
-    "fpgrowth_mine_top_k",
     "itemset_supports",
     "pair_supports",
     "top_k_itemset_set",

@@ -1,9 +1,10 @@
-"""Apriori frequent-itemset mining (Agrawal & Srikant style).
+"""Apriori frequent-itemset mining (Agrawal & Srikant style): the itemset oracle.
 
-Used as the reference miner for the tKd / tKd-ML2 metrics and as the
-violation detector of the generalization and suppression baselines.  The
-implementation is a straightforward level-wise Apriori with the classic
-candidate-generation + pruning steps; it is exact and deterministic.
+The metrics count itemsets with :mod:`repro.mining.itemsets` (exhaustive
+enumeration of small itemsets, top-K by sorting).  This level-wise Apriori,
+with the classic candidate-generation + pruning steps, reaches the same
+supports by a different route, so the test suite holds the production
+module to it.  It is exact and deterministic.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 The library runs one execution core (interned terms, int bitmasks, the
 incremental REFINE driver).  The original string transcription of the
 paper's algorithm is kept as its end-to-end oracle:
-:func:`~repro.core.horizontal.horizontal_partition`,
-:func:`~repro.core.vertical.vertical_partition` (over the record-scanning
-:class:`~repro.core.anonymity.IncrementalChunkChecker`) and the reference
-REFINE driver with record-scanning shared-chunk selection
-(:func:`~repro.core.refine._refine_reference` with ``use_bitsets=False``).
+:func:`~tests.reference.horizontal.horizontal_partition`,
+:func:`~tests.reference.vertical.vertical_partition` (over the
+record-scanning :class:`~tests.reference.anonymity.IncrementalChunkChecker`)
+and the reference REFINE driver with record-scanning shared-chunk
+selection (:func:`~tests.reference.refine._refine_reference`).
 
 It is plugged in through the pipeline extension point, not a parameter:
 :class:`ReferenceDisassociator` is a :class:`~repro.core.engine.Disassociator`
@@ -26,7 +26,6 @@ sharded run computed in memory, with no shard store.  Cold runs and
 deltas share the store's routing and windowing, so comparing one with the
 other alone would compare the code with itself.
 """
-
 from __future__ import annotations
 
 from dataclasses import replace
@@ -43,11 +42,12 @@ from repro.core.engine import (
     VerifyPhase,
     VerticalPhase,
 )
-from repro.core.horizontal import horizontal_partition
-from repro.core.refine import _refine_reference
-from repro.core.vertical import VerticalPartitionResult, vertical_partition
+from repro.core.vertical import VerticalPartitionResult
 from repro.core.vocab import Vocabulary
 from repro.stream import StreamParams, build_planner, relabel_cluster, verify_and_repair
+from tests.reference.horizontal import horizontal_partition
+from tests.reference.refine import _refine_reference
+from tests.reference.vertical import vertical_partition
 
 
 class ReferenceHorizontalPhase(HorizontalPhase):
@@ -80,7 +80,6 @@ class ReferenceRefinePhase(RefinePhase):
             params.m,
             max_join_size=max_join_size,
             excluded_terms=params.sensitive_terms,
-            use_bitsets=False,
         )
 
 

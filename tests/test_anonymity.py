@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.anonymity import (
-    IncrementalChunkChecker,
     combination_supports,
     find_all_km_violations,
     find_km_violation,
@@ -14,6 +13,7 @@ from repro.core.anonymity import (
     validate_km_parameters,
 )
 from repro.exceptions import ParameterError
+from tests.reference.anonymity import IncrementalChunkChecker
 
 
 def records(*groups):

@@ -2,12 +2,13 @@
 
 The interned/bitset engine (:class:`~repro.core.engine.Disassociator`)
 must produce *identical* published datasets to the pre-refactor string
-pipeline (:class:`~tests.reference_engine.ReferenceDisassociator`), for
+pipeline (:class:`~tests.reference.engine.ReferenceDisassociator`), for
 every phase individually and end to end, batch and streamed, and the
 incremental REFINE driver (:func:`~repro.core.refine.refine`) must match
-the reference driver (:func:`~repro.core.refine._refine_reference`).  The bitset chunk checker and the sub-record
-assembly are held to the record-scanning checker, the exhaustive violation
-search and the plain row projection.  Each oracle runs on the paper-shaped
+the reference driver (:func:`~tests.reference.refine._refine_reference`).
+The bitset chunk checker and the sub-record assembly are held to the
+record-scanning checker, the exhaustive violation search and the plain row
+projection.  Each oracle runs on the paper-shaped
 generators and on stress shapes: many small clusters, clusters past a
 thousand rows, m=3 and sensitive terms.  These tests are the contract that
 lets every future performance change swap internals without moving the
@@ -23,21 +24,24 @@ import pytest
 
 from repro.core.anonymity import (
     BitsetChunkChecker,
-    IncrementalChunkChecker,
     find_km_violation,
     is_km_anonymous,
     km_anonymous_batch,
 )
 from repro.core.dataset import TransactionDataset
 from repro.core.engine import AnonymizationParams, Disassociator
-from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
-from repro.core.refine import _refine_reference, refine
+from repro.core.horizontal import horizontal_partition_indices
+from repro.core.refine import refine
 from repro.core.verification import verify_km_anonymity
-from repro.core.vertical import vertical_partition, vertical_partition_fast
+from repro.core.vertical import vertical_partition_fast
 from repro.core.vocab import EncodedDataset, SubrecordArena
 from repro.stream import ShardedPipeline, StreamParams
 from tests.conftest import PAPER_RECORDS, make_workload
-from tests.reference_engine import ReferenceDisassociator
+from tests.reference.anonymity import IncrementalChunkChecker
+from tests.reference.engine import ReferenceDisassociator
+from tests.reference.horizontal import horizontal_partition
+from tests.reference.refine import _refine_reference
+from tests.reference.vertical import vertical_partition
 
 
 def make_seeded_dataset(seed: int, num_records: int = 400) -> TransactionDataset:
@@ -131,7 +135,7 @@ class TestPhaseEquivalence:
                 for i, part in enumerate(horizontal_partition(dataset, 20))
             ]
 
-        reference = _refine_reference(clusters(), 3, 2, use_bitsets=False)
+        reference = _refine_reference(clusters(), 3, 2)
         fast = refine(clusters(), 3, 2)
         assert [c.to_dict() for c in reference] == [c.to_dict() for c in fast]
 

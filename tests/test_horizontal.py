@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dataset import TransactionDataset
-from repro.core.horizontal import horizontal_partition, partition_sizes
 from repro.exceptions import ParameterError
 from tests.conftest import make_uniform_dataset
+from tests.reference.horizontal import horizontal_partition, partition_sizes
 
 
 class TestHorizontalPartition:

@@ -4,7 +4,7 @@ The contract under test is the tentpole property of
 :class:`repro.stream.store.IncrementalPipeline`: after *any* sequence of
 record appends and deletes, the incrementally maintained publication is
 **bit-for-bit identical** to a cold sharded run over the mutated dataset
-(computed in memory by :func:`tests.reference_engine.reference_cold_run`).
+(computed in memory by :func:`tests.reference.engine.reference_cold_run`).
 The oracle is trivial to state and expensive to hold -- window reuse,
 arrival-order preservation under deletes, plan stability and the
 boundary repair all have to line up -- which makes it an ideal fuzz
@@ -42,7 +42,7 @@ from repro.exceptions import FaultInjected
 from repro.service import AnonymizationService, ServiceConfig
 from repro.stream import IncrementalPipeline, ShardStore, StreamParams
 from tests.conftest import make_workload
-from tests.reference_engine import reference_cold_run
+from tests.reference.engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
 

@@ -47,7 +47,7 @@ from repro.stream import (
 from repro.stream import store as store_module
 from repro.stream.executor import decode_snapshot
 from tests.conftest import make_workload
-from tests.reference_engine import reference_cold_run
+from tests.reference.engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the Apriori miner (repro.mining.apriori)."""
+"""Unit tests for the Apriori miner, the oracle of :mod:`repro.mining.itemsets`."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.dataset import TransactionDataset
 from repro.exceptions import MiningError
-from repro.mining.apriori import mine_frequent_itemsets, mine_top_k
-from repro.mining.itemsets import itemset_supports
+from repro.mining.itemsets import itemset_supports, top_k_itemsets
+from tests.reference.apriori import mine_frequent_itemsets, mine_top_k
 
 
 class TestMineFrequentItemsets:
@@ -22,12 +22,24 @@ class TestMineFrequentItemsets:
         assert frequent[("a", "b")] == 4
         assert ("a", "c") not in frequent  # support 2
 
-    def test_matches_exhaustive_enumeration(self, paper_dataset):
-        frequent = mine_frequent_itemsets(paper_dataset, min_support=3)
+    @pytest.mark.parametrize(
+        "fixture,min_support,max_size",
+        [
+            ("paper_dataset", 1, 6),
+            ("paper_dataset", 2, 2),
+            ("paper_dataset", 3, 6),
+            ("paper_dataset", 4, 6),
+            ("skewed_dataset", 6, 3),
+            ("tiny_dataset", 1, 3),
+        ],
+    )
+    def test_matches_exhaustive_enumeration(self, fixture, min_support, max_size, request):
+        dataset = request.getfixturevalue(fixture)
+        frequent = mine_frequent_itemsets(dataset, min_support, max_size=max_size)
         exhaustive = {
             itemset: support
-            for itemset, support in itemset_supports(paper_dataset, max_size=6).items()
-            if support >= 3
+            for itemset, support in itemset_supports(dataset, max_size=max_size).items()
+            if support >= min_support
         }
         assert frequent == exhaustive
 
@@ -73,11 +85,14 @@ class TestMineTopK:
         assert supports == sorted(supports, reverse=True)
         assert top == mine_top_k(skewed_dataset, top_k=20, max_size=2)
 
-    def test_agrees_with_exhaustive_top_k(self, paper_dataset):
-        from repro.mining.itemsets import top_k_itemsets
-
-        assert mine_top_k(paper_dataset, top_k=15, max_size=2) == top_k_itemsets(
-            paper_dataset, top_k=15, max_size=2
+    @pytest.mark.parametrize(
+        "fixture,top_k,max_size",
+        [("paper_dataset", 15, 2), ("paper_dataset", 12, 3), ("skewed_dataset", 20, 3)],
+    )
+    def test_agrees_with_exhaustive_top_k(self, fixture, top_k, max_size, request):
+        dataset = request.getfixturevalue(fixture)
+        assert mine_top_k(dataset, top_k=top_k, max_size=max_size) == top_k_itemsets(
+            dataset, top_k=top_k, max_size=max_size
         )
 
     def test_empty_dataset_returns_empty_list(self):

@@ -12,11 +12,12 @@ import pytest
 from repro.core.anonymity import is_k_anonymous, is_km_anonymous
 from repro.core.clusters import JointCluster, RecordChunk, SharedChunk, SimpleCluster, TermChunk
 from repro.core.dataset import TransactionDataset
-from repro.core.refine import build_shared_chunks, merge_criterion
 from repro.core.reconstruct import reconstruct
 from repro.core.verification import audit
-from repro.core.vertical import satisfies_lemma2, vertical_partition
+from repro.core.vertical import satisfies_lemma2
 from tests.conftest import EXAMPLE1_RECORDS, PAPER_RECORDS
+from tests.reference.refine import build_shared_chunks, merge_criterion
+from tests.reference.vertical import vertical_partition
 
 
 class TestFigure2:

@@ -7,15 +7,10 @@ import pytest
 from repro.core.anonymity import is_km_anonymous
 from repro.core.clusters import JointCluster, SimpleCluster, TermChunk
 from repro.core.dataset import TransactionDataset
-from repro.core.refine import (
-    build_shared_chunks,
-    merge_criterion,
-    refine,
-    try_merge,
-    virtual_term_chunk,
-)
-from repro.core.vertical import vertical_partition
+from repro.core.refine import refine, try_merge, virtual_term_chunk
 from repro.exceptions import RefinementError
+from tests.reference.refine import build_shared_chunks, merge_criterion
+from tests.reference.vertical import vertical_partition
 
 
 @pytest.fixture

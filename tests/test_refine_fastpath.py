@@ -27,21 +27,15 @@ from repro.core.anonymity import (
 from repro.core.clusters import SimpleCluster, TermChunk
 from repro.core.dataset import TransactionDataset
 from repro.core.engine import AnonymizationParams, Disassociator
-from repro.core.horizontal import horizontal_partition, horizontal_partition_indices
-from repro.core.refine import (
-    MergeMemo,
-    RefineStats,
-    _candidate_is_k_anonymous,
-    _ProjectionClasses,
-    _refine_reference,
-    refine,
-    try_merge,
-)
-from repro.core.vertical import vertical_partition
+from repro.core.horizontal import horizontal_partition_indices
+from repro.core.refine import MergeMemo, RefineStats, _ProjectionClasses, refine, try_merge
 from repro.core.vocab import EncodedDataset
 from repro.datasets.quest import generate_quest
 from repro.datasets.scenarios import generate_clickstream, generate_zipf_basket
-from tests.reference_engine import ReferenceDisassociator
+from tests.reference.engine import ReferenceDisassociator
+from tests.reference.horizontal import horizontal_partition
+from tests.reference.refine import _candidate_is_k_anonymous, _refine_reference
+from tests.reference.vertical import vertical_partition
 
 
 # --------------------------------------------------------------------------- #
@@ -99,7 +93,6 @@ class TestRandomizedEquivalence:
             3,
             2,
             max_join_size=160,
-            use_bitsets=False,
         )
         stats = RefineStats()
         optimized = refine(
@@ -135,7 +128,6 @@ class TestRandomizedEquivalence:
                 _verpart_clusters(dataset, 2, 2, 12),
                 2,
                 2,
-                use_bitsets=False,
             )
             optimized = refine(_verpart_clusters(dataset, 2, 2, 12), 2, 2)
             assert [c.to_dict() for c in reference] == [

@@ -28,7 +28,7 @@ from repro.exceptions import FaultInjected, StoreError
 from repro.pubstore import PublicationStore
 from repro.stream import IncrementalPipeline, ShardedPipeline, ShardStore, StreamParams
 from tests.conftest import make_workload
-from tests.reference_engine import reference_cold_run
+from tests.reference.engine import reference_cold_run
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
 

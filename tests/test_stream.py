@@ -48,7 +48,7 @@ from repro.stream import (
 )
 from repro.stream.executor import TextPublication
 from tests.conftest import make_workload
-from tests.reference_engine import ReferenceDisassociator, reference_cold_run
+from tests.reference.engine import ReferenceDisassociator, reference_cold_run
 
 
 @pytest.fixture(scope="module")
@@ -216,14 +216,6 @@ class TestShardedPipeline:
         single = Disassociator(PARAMS).anonymize(quest)
         stripped = [relabel_cluster(c, "S0W0.") for c in single.clusters]
         assert DisassociatedDataset(stripped, k=3, m=2).to_dict() == sharded.to_dict()
-
-    def test_engine_module_re_exports_sharded_pipeline(self):
-        from repro.core import engine
-
-        assert engine.ShardedPipeline is ShardedPipeline
-        assert engine.StreamParams is StreamParams
-        with pytest.raises(AttributeError):
-            engine.NoSuchThing
 
     def test_service_stream_request_from_file(self, quest, tmp_path):
         """A ``mode="stream"`` service request over a file publishes the

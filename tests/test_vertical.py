@@ -8,15 +8,14 @@ from repro.core.anonymity import is_km_anonymous
 from repro.core.dataset import TransactionDataset
 from repro.core.vertical import (
     _MaskCoverage,
-    _RecordCoverage,
     demote_for_lemma2,
     satisfies_lemma2,
     subrecord_bound,
-    vertical_partition,
     vertical_partition_fast,
 )
 from repro.core.vocab import EncodedCluster
 from repro.exceptions import ParameterError
+from tests.reference.vertical import _RecordCoverage, vertical_partition
 
 
 @pytest.fixture

@@ -7,11 +7,7 @@ import random
 
 import pytest
 
-from repro.core.anonymity import (
-    BitsetChunkChecker,
-    IncrementalChunkChecker,
-    combination_supports,
-)
+from repro.core.anonymity import BitsetChunkChecker, combination_supports
 from repro.core.dataset import TransactionDataset
 from repro.core.engine import AnonymizationParams, Disassociator
 from repro.core.vocab import (
@@ -28,6 +24,7 @@ from tests.conftest import (
     make_uniform_dataset,
     make_workload,
 )
+from tests.reference.anonymity import IncrementalChunkChecker
 
 
 class TestVocabulary:
