@@ -51,6 +51,17 @@ class TestItemsetSupports:
     def test_empty_dataset(self):
         assert itemset_supports(TransactionDataset([]), max_size=2) == {}
 
+    def test_singleton_supports_are_exact(self, tiny_dataset):
+        counts = itemset_supports(tiny_dataset, max_size=1)
+        assert counts == {(term,): s for term, s in tiny_dataset.term_supports().items()}
+
+    def test_every_pair_support_is_exact(self, tiny_dataset):
+        counts = itemset_supports(tiny_dataset, max_size=2)
+        pairs = {itemset: s for itemset, s in counts.items() if len(itemset) == 2}
+        assert pairs
+        for itemset, support in pairs.items():
+            assert support == tiny_dataset.support(itemset)
+
     def test_supports_match_dataset_support(self, paper_dataset):
         counts = itemset_supports(paper_dataset, max_size=2)
         for itemset, support in list(counts.items())[:20]:
@@ -103,6 +114,12 @@ class TestTopKItemsets:
     def test_invalid_top_k_rejected(self, tiny_dataset):
         with pytest.raises(MiningError):
             top_k_itemsets(tiny_dataset, top_k=0)
+
+    def test_empty_dataset_returns_empty(self):
+        assert top_k_itemsets(TransactionDataset([]), top_k=3) == []
+
+    def test_high_min_support_returns_nothing(self, tiny_dataset):
+        assert top_k_itemsets(tiny_dataset, top_k=10, min_support=100) == []
 
     def test_top_k_itemset_set_matches_itemsets(self, paper_dataset):
         as_list = top_k_itemsets(paper_dataset, top_k=7, max_size=2)
