@@ -68,8 +68,7 @@ def main() -> None:
     report = engine.last_report
     print(
         f"anonymized {report.num_records} users into {report.num_clusters} clusters "
-        f"({report.num_record_chunks} record chunks, {report.num_shared_chunks} shared chunks) "
-        f"in {report.total_seconds:.2f}s"
+        f"({report.num_record_chunks} record chunks, {report.num_shared_chunks} shared chunks)"
     )
     print(f"audit: {audit(published).summary()}")
 

@@ -39,6 +39,7 @@ from repro.core.clusters import (
     DisassociatedDataset,
     JointCluster,
     SimpleCluster,
+    paused_gc,
 )
 from repro.core.vertical import satisfies_lemma2
 from repro.exceptions import AnonymityViolationError
@@ -143,9 +144,12 @@ def audit(
     validate_km_parameters(k, m)
     report = AuditReport()
     chunk_jobs: list = []
-    for cluster in published.clusters:
-        _collect_cluster(cluster, k, m, report, chunk_jobs)
-    _audit_chunk_jobs(chunk_jobs, k, m, report)
+    # Every collected chunk is retained until the verdicts are in, and
+    # the sweep's garbage is acyclic: collections would free nothing.
+    with paused_gc():
+        for cluster in published.clusters:
+            _collect_cluster(cluster, k, m, report, chunk_jobs)
+        _audit_chunk_jobs(chunk_jobs, k, m, report)
     return report
 
 

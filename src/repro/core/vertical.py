@@ -51,7 +51,6 @@ def vertical_partition_fast(
     k: int,
     m: int,
     label: str = "P",
-    enforce_lemma2: bool = True,
 ) -> VerticalPartitionResult:
     """Bitset VERPART (identical output to the record-scanning oracle).
 
@@ -66,7 +65,6 @@ def vertical_partition_fast(
         records: the cluster's records (any iterable of term sets).
         k, m: anonymity parameters.
         label: stable cluster label used downstream.
-        enforce_lemma2: when ``True`` (default) enforce the Lemma-2 bound.
     """
     validate_km_parameters(k, m)
     record_list = [_as_record(r) for r in records]
@@ -97,7 +95,7 @@ def vertical_partition_fast(
         remaining = skipped
 
     demoted: set = set()
-    if enforce_lemma2 and not term_chunk_terms:
+    if not term_chunk_terms:
         coverage = _MaskCoverage(masks, chunk_domains)
         demoted = demote_for_lemma2(coverage, supports, k, m, len(record_list))
         term_chunk_terms.update(demoted)
@@ -192,37 +190,21 @@ class _MaskCoverage:
         return [frozenset(d) for d in self._domains if d]
 
 
-def demote_for_lemma2(
-    coverage,
-    supports,
-    k: int,
-    m: int,
-    size: int,
-    until_bound: bool = False,
-) -> set:
-    """Demote least frequent record-chunk terms until Lemma 2 holds.
+def demote_for_lemma2(coverage, supports, k: int, m: int, size: int) -> set:
+    """Demote the least frequent record-chunk term when Lemma 2 fails.
 
     Operates on a coverage tracker (:class:`_MaskCoverage`, or the
-    record-scanning one of the reference VERPART) so each demotion only
-    updates the affected domain.  With the default ``until_bound=False``
-    the loop stops after the first demotion (the demoted term repopulates
-    the term chunk, which already satisfies Lemma 2); ``until_bound=True``
-    keeps demoting until the sub-record bound itself is met (only tests
-    that exercise consecutive demotions pass it).
+    record-scanning one of the reference VERPART) so the demotion only
+    updates the affected domain.  One demotion always suffices: the
+    demoted term repopulates the term chunk, which already satisfies
+    Lemma 2.
 
-    Returns the set of demoted terms; ``coverage`` is updated in place.
+    Returns the set of demoted terms (empty, or the one victim);
+    ``coverage`` is updated in place.
     """
-    demoted: set = set()
-    while True:
-        if demoted and not until_bound:
-            break  # a non-empty term chunk always satisfies Lemma 2
-        num_domains = coverage.num_domains()
-        if num_domains == 0:
-            break
-        if coverage.total() >= subrecord_bound(size, k, m, num_domains):
-            break
-        # Demote the least frequent term currently assigned to a record chunk.
-        victim = min(coverage.assigned_terms(), key=lambda t: (supports[t], t))
-        demoted.add(victim)
-        coverage.remove_term(victim)
-    return demoted
+    num_domains = coverage.num_domains()
+    if num_domains == 0 or coverage.total() >= subrecord_bound(size, k, m, num_domains):
+        return set()
+    victim = min(coverage.assigned_terms(), key=lambda t: (supports[t], t))
+    coverage.remove_term(victim)
+    return {victim}

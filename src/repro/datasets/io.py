@@ -24,7 +24,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Union
 
-from repro.core.clusters import DisassociatedDataset, canonical_json
+from repro.core.clusters import DisassociatedDataset, canonical_json, paused_gc
 from repro.core.dataset import Record, TransactionDataset
 from repro.exceptions import DatasetFormatError
 
@@ -202,7 +202,10 @@ def read_disassociated_json(path: PathLike) -> DisassociatedDataset:
     """Read a disassociated publication from its JSON form."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        # The parsed tree is retained whole: collections would rescan it
+        # and free nothing.
+        with paused_gc():
+            payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read published JSON {path}: {exc}") from exc
     return DisassociatedDataset.from_dict(payload)

@@ -61,13 +61,14 @@ a request conflicting with the store's durable identity (wrong
 parameters, plan drift, deleting an absent record, a reused token with
 different contents) answers ``409`` (kind ``checkpoint_conflict``).
 
-Responses are compact JSON (no optional whitespace), written with the
-headers in one send on a ``TCP_NODELAY`` socket.  A publication
-response's ``"publication"`` value is the result's
-:meth:`~repro.service.request.PublicationResult.to_json` text spliced in
-as is -- for a delta, its stored window products' text, with no object built --
-so it parses to exactly ``service.run(...).to_dict()`` (bit-for-bit;
-covered by the test suite and the throughput benchmark).
+Responses are compact JSON (no optional whitespace) on a
+``TCP_NODELAY`` socket; a small one is written with its headers in one
+send.  A publication response's ``"publication"`` value is the result's
+:meth:`~repro.service.request.PublicationResult.to_json` text -- for a
+delta, its stored window products' fragments, written one window at a
+time with no object built and the text never joined -- so it parses to
+exactly ``service.run(...).to_dict()`` (bit-for-bit; covered by the test
+suite and the throughput benchmark).
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ DEFAULT_PORT = 8350
 #: Hard cap on request bodies (a dataset larger than this should be
 #: streamed from a file or object store, not POSTed inline).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: A response is written in pieces of at least this many bytes (the
+#: last excepted): small parts are gathered, a window's fragments go out
+#: in one write.
+_WRITE_BYTES = 64 * 1024
 
 #: Keys a ``POST /anonymize`` body may carry; any other key is refused
 #: (a misspelled or retired field must not be silently ignored).
@@ -202,33 +208,51 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
     def _send_json(self, status: int, payload: dict, headers=()) -> None:
-        self._send_body(status, _compact(payload).encode("utf-8"), headers)
+        self._send_parts(status, [_compact(payload)], headers)
 
     def _send_publication(self, envelope: dict, result) -> None:
         """Answer ``200`` with ``envelope`` plus a last ``"publication"`` key.
 
         The publication is :meth:`PublicationResult.to_json
-        <repro.service.request.PublicationResult.to_json>`'s text, spliced
-        in as is: a delta's response builds no object for it.
+        <repro.service.request.PublicationResult.to_json>`'s text, sent
+        in the parts it is made of (:meth:`PublicationResult.json_parts
+        <repro.service.request.PublicationResult.json_parts>`): a delta's
+        response builds no object for it and never splices it.
         """
         head = _compact(envelope)[:-1]
-        body = f'{head},"publication":{result.to_json()}}}'.encode("utf-8")
-        self._send_body(200, body)
+        self._send_parts(200, [f'{head},"publication":', *result.json_parts(), "}"])
 
-    def _send_body(self, status: int, body: bytes, headers=()) -> None:
-        """Send the status line, headers and ``body`` in one write."""
+    def _send_parts(self, status: int, parts: list, headers=()) -> None:
+        """Send the status line, headers and the UTF-8 text of ``parts``.
+
+        ``Content-Length`` is summed over the parts, so the body is never
+        joined.  Parts are written as they come, gathered into writes of
+        at least :data:`_WRITE_BYTES` (the status line and headers ride
+        with the first part), so a window's fragments cost one write and
+        a small body goes out with its headers in one.
+        """
+        length = sum(
+            len(part) if part.isascii() else len(part.encode("utf-8"))
+            for part in parts
+        )
         wfile, self.wfile = self.wfile, io.BytesIO()
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(length))
             for name, value in headers:
                 self.send_header(name, value)
             self.end_headers()
-            head = self.wfile.getvalue()
+            pending = bytearray(self.wfile.getvalue())
         finally:
             self.wfile = wfile
-        self.wfile.write(head + body)
+        for part in parts:
+            pending += part.encode("utf-8")
+            if len(pending) >= _WRITE_BYTES:
+                self.wfile.write(pending)
+                pending = bytearray()
+        if pending:
+            self.wfile.write(pending)
 
     def _read_json_body(self) -> dict:
         length = self.headers.get("Content-Length")
@@ -482,19 +506,23 @@ def _check_records(name: str, records) -> None:
     Every record must be a non-empty array of non-empty strings -- the
     JSONL reader's contract.  A number, ``null``, nested array or ``""``
     would otherwise be coerced into a term that collides with real ones,
-    and a bare string would be split into its characters.
+    and a bare string would be split into its characters.  Each term is
+    replaced in place by one shared string per distinct term, so a large
+    body holds every term's text once rather than once per occurrence.
     """
     if not isinstance(records, list):
         raise _HttpError(400, f'"{name}" must be a list of term arrays')
+    terms: dict = {}
     for index, record in enumerate(records):
         if not isinstance(record, list) or not record:
             raise _HttpError(400, f'"{name}"[{index}] is not a non-empty array of terms')
-        for term in record:
+        for position, term in enumerate(record):
             if not isinstance(term, str) or not term:
                 raise _HttpError(
                     400,
                     f'"{name}"[{index}]: term {term!r} is not a non-empty string',
                 )
+            record[position] = terms.setdefault(term, term)
 
 
 def _compact(payload: dict) -> str:

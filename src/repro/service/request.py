@@ -12,8 +12,8 @@ and the configured memory threshold; see
 Every execution returns a :class:`PublicationResult`: the publication plus
 the run's report, with the expensive derived artifacts (dict/JSON
 serialization, information-loss metrics) computed lazily and cached.  A
-sharded run's (stream or delta) publication already is its JSON text,
-which the HTTP front door sends as is.
+sharded run's (stream or delta) publication already is its JSON text, in
+window fragments the HTTP front door sends one after another.
 """
 
 from __future__ import annotations
@@ -207,6 +207,20 @@ class PublicationResult:
             else:
                 self._text = json.dumps(self.to_dict(), separators=(",", ":"))
         return self._text
+
+    def json_parts(self) -> list:
+        """:meth:`to_json` as a list of strings that concatenate to it.
+
+        A sharded run's publication is handed over as its windows'
+        fragments (:meth:`TextPublication.text_parts
+        <repro.stream.executor.TextPublication.text_parts>`), so a writer
+        that sends the parts in turn (the HTTP response) never splices
+        the text; any other result is its :meth:`to_json` text as the one
+        part.
+        """
+        if self._text is None and self._spliced:
+            return self.publication.text_parts()
+        return [self.to_json()]
 
     def save(self, path: PathLike) -> Path:
         """Write the publication as canonical JSON; returns the written path.

@@ -776,17 +776,20 @@ class AnonymizationService:
         return published, pipeline.last_report
 
     @staticmethod
-    def _delta_records(source, request: AnonymizationRequest) -> list:
-        """Materialize one side of a delta into a record list (``None``: empty)."""
+    def _delta_records(source, request: AnonymizationRequest):
+        """One side of a delta as a record source (``None``: empty).
+
+        Nothing is copied: a list or a dataset is iterated as it is, and
+        a path is opened afresh on every attempt -- which is what lets a
+        retry replay it -- and read as the pipeline consumes it.
+        """
         if source is None:
-            return []
-        if isinstance(source, TransactionDataset):
-            return list(source.records)
+            return ()
         if isinstance(source, (str, Path)):
-            return list(
-                iter_records(source, format=request.format, delimiter=request.delimiter)
+            return iter_records(
+                source, format=request.format, delimiter=request.delimiter
             )
-        return list(source)
+        return source
 
 
 def anonymization_service(**config_fields) -> AnonymizationService:

@@ -264,7 +264,8 @@ class TextPublication(DisassociatedDataset):
     decoded from the text on first access of :attr:`clusters`; until
     then (while :attr:`spliced`) :meth:`to_dict` parses the text, and
     ``len()`` and :meth:`total_records` answer from the products.
-    :meth:`forms_at` (the publication store's refresh) and
+    :meth:`text_parts` (the HTTP response) hands the fragments over
+    unjoined, and :meth:`forms_at` (the publication store's refresh) and
     :meth:`canonical_parts` (the saved file) parse one window's fragments
     at a time.
 
@@ -284,9 +285,25 @@ class TextPublication(DisassociatedDataset):
     def text(self) -> str:
         """The publication's compact JSON text, spliced on first access."""
         if self._text is None:
-            fragments = ",".join(p.fragments for p in self._products if p.fragments)
-            self._text = f'{{"k":{self.k},"m":{self.m},"clusters":[{fragments}]}}'
+            self._text = "".join(self.text_parts())
         return self._text
+
+    def text_parts(self) -> list:
+        """:attr:`text` as the strings it is spliced from, without splicing it.
+
+        The header, each window's fragments (the products' own strings,
+        not copies), the separators between them and the closing
+        brackets: a writer that sends them in turn never holds the
+        publication's text twice.
+        """
+        parts = [f'{{"k":{self.k},"m":{self.m},"clusters":[']
+        for product in self._products:
+            if product.fragments:
+                if len(parts) > 1:
+                    parts.append(",")
+                parts.append(product.fragments)
+        parts.append("]}")
+        return parts
 
     @property
     def clusters(self) -> list:

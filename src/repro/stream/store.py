@@ -239,22 +239,33 @@ def window_fingerprint(texts: list) -> str:
     return digest.hexdigest()
 
 
-def delta_digest(append: list, delete: list) -> str:
+def delta_digest(append: Iterable, delete: Iterable) -> str:
     """Content fingerprint of one delta (ordered appends, then deletes).
 
     Stored with the delta's idempotency token so a replay is recognized
     only when it carries the *same* mutation -- reusing a ``delta_id``
     for a different delta is a caller bug and is refused instead of
-    silently dropping the new mutation.
+    silently dropping the new mutation.  :meth:`ShardStore.apply_delta`
+    computes the same digest from the texts it inserts; this function
+    streams over a replay's records once.
     """
     digest = hashlib.blake2b(digest_size=16)
     for record in append:
-        digest.update(record_text(record).encode("utf-8"))
-        digest.update(b"\n")
+        _digest_line(digest, record_text(record))
+    return _digest_deletes(digest, delete)
+
+
+def _digest_line(digest, text: str) -> None:
+    """Feed one record text (and its line break) to a delta digest."""
+    digest.update(text.encode("utf-8"))
+    digest.update(b"\n")
+
+
+def _digest_deletes(digest, delete: Iterable) -> str:
+    """Finish a delta digest after its appends: a separator, then the deletes."""
     digest.update(b"--\n")
     for record in delete:
-        digest.update(record_text(record).encode("utf-8"))
-        digest.update(b"\n")
+        _digest_line(digest, record_text(record))
     return digest.hexdigest()
 
 
@@ -263,12 +274,17 @@ def store_path(store_dir: PathLike) -> Path:
     return Path(store_dir) / STORE_NAME
 
 
-def _routed(records: Iterable, planner, bound: int):
-    """``(shard, text)`` insert rows; checks the deadline every ``bound`` rows."""
+def _routed(records: Iterable, planner, bound: int, digest):
+    """``(shard, text)`` insert rows; each text also feeds the delta ``digest``.
+
+    Checks the deadline every ``bound`` rows.
+    """
     for count, record in enumerate(records, 1):
         if count % bound == 0:
             deadline.check("store.mutate")
-        yield planner.shard_of(record), record_text(record)
+        text = record_text(record)
+        _digest_line(digest, text)
+        yield planner.shard_of(record), text
 
 
 class ShardStore(SQLiteStore):
@@ -458,15 +474,16 @@ class ShardStore(SQLiteStore):
         *,
         stream: StreamParams,
         delta_id: Optional[str] = None,
-        digest: Optional[str] = None,
-    ):
-        """Apply one delta atomically; returns the planner in effect.
+    ) -> tuple:
+        """Apply one delta atomically; returns ``(planner in effect, appended)``.
 
         ``append`` is an iterable and ``delete`` a list of normalized
         records.  ``append`` is consumed once, as it is inserted, so only
         a sample-based plan's sample (its first ``max_records_in_memory``
         records) is ever held; the ambient deadline is checked every
-        ``max_records_in_memory`` inserted records.  Deletes remove the
+        ``max_records_in_memory`` inserted records, and a record that
+        fails to arrive (a malformed input line) rolls the whole delta
+        back.  Deletes remove the
         *earliest* surviving occurrence of each record (a
         record the store does not hold raises :class:`StoreError` and the
         whole delta rolls back).  Appends are routed with ``planner`` (the
@@ -478,12 +495,14 @@ class ShardStore(SQLiteStore):
         windows under a different routing would diverge from a cold run.
 
         On a fresh store the plan is derived from the appended records'
-        prefix and recorded; ``delta_id`` (when given, with the delta's
-        ``digest``) is recorded in the ``applied_deltas`` table in the
-        same commit, making retries of the same delta idempotent.
+        prefix and recorded; ``delta_id`` (when given) is recorded in the
+        ``applied_deltas`` table in the same commit, with the
+        :func:`delta_digest` of the texts just inserted and deleted,
+        making retries of the same delta idempotent.
         """
         faults.check("store.mutate")
         deadline.check("store.mutate")
+        digest = hashlib.blake2b(digest_size=16)
         with self._write():
             for record in delete:
                 text = record_text(record)
@@ -507,10 +526,10 @@ class ShardStore(SQLiteStore):
                 sample = list(islice(records, bound))
                 planner = build_planner(stream.strategy, stream.shards, sample)
                 records = chain(sample, records)
-            self._db.executemany(
+            appended = self._db.executemany(
                 "INSERT INTO records (shard, record) VALUES (?, ?)",
-                _routed(records, planner, bound),
-            )
+                _routed(records, planner, bound, digest),
+            ).rowcount
             planner = self._reconcile_plan(planner, stream)
             generation = self.generation + 1
             self._set_meta("generation", str(generation))
@@ -519,9 +538,9 @@ class ShardStore(SQLiteStore):
                 self._db.execute(
                     "INSERT OR REPLACE INTO applied_deltas "
                     "(delta_id, generation, digest) VALUES (?, ?, ?)",
-                    (delta_id, generation, digest if digest is not None else ""),
+                    (delta_id, generation, _digest_deletes(digest, delete)),
                 )
-        return planner
+        return planner, appended
 
     def _reconcile_plan(self, planner, stream: StreamParams):
         """Validate (or first record) the plan against the mutated sequence."""
@@ -863,6 +882,10 @@ class IncrementalPipeline:
         removes the earliest surviving occurrence of each given record
         (a record the store does not hold raises
         :class:`~repro.exceptions.StoreError` and nothing is mutated).
+        ``append`` is consumed once, record by record, as it is inserted
+        (or, for a replayed ``delta_id``, as its digest is checked), so a
+        file reader or generator is never held whole; ``delete`` is read
+        into a list.
         An empty delta on an up-to-date store is a no-op fast path: the
         publication is assembled from the stored window snapshots, with no
         record scan and no engine run.  The publication is a
@@ -893,7 +916,7 @@ class IncrementalPipeline:
         store = ShardStore(self.stream.store_dir, exclusive=True)
         report.open_seconds = time.perf_counter() - start
         try:
-            return self._run(store, list(append), list(delete), delta_id, report)
+            return self._run(store, append, list(delete), delta_id, report)
         finally:
             store.close()
 
@@ -930,7 +953,7 @@ class IncrementalPipeline:
             report.initialized = True
             report.validate_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            planner = store.apply_delta(
+            planner, _ = store.apply_delta(
                 (ensure_record(record) for record in records),
                 [],
                 self._planner(store),
@@ -957,7 +980,7 @@ class IncrementalPipeline:
     def _run(
         self,
         store: ShardStore,
-        append: list,
+        append: Iterable,
         delete: list,
         delta_id: Optional[str],
         report: IncrementalReport,
@@ -976,12 +999,17 @@ class IncrementalPipeline:
             report.initialized = True
         report.validate_seconds = time.perf_counter() - start
 
-        append = [ensure_record(record) for record in append]
+        append = (ensure_record(record) for record in append)
+        # One record is peeked to tell an empty append from a non-empty one.
+        first = next(append, None)
+        if first is not None:
+            append = chain((first,), append)
         delete = [ensure_record(record) for record in delete]
+        mutates = first is not None or bool(delete)
         planner = self._planner(store)
         start = time.perf_counter()
         applied = None
-        if (append or delete) and delta_id is not None:
+        if mutates and delta_id is not None:
             applied = store.applied_digest(delta_id)
         if applied is not None:
             # A previous attempt committed this exact delta before dying;
@@ -996,16 +1024,11 @@ class IncrementalPipeline:
                     "tokens must be unique per logical delta"
                 )
             report.delta_replayed = True
-        elif append or delete:
-            planner = store.apply_delta(
-                append,
-                delete,
-                planner,
-                stream=self.stream,
-                delta_id=delta_id,
-                digest=delta_digest(append, delete) if delta_id is not None else None,
+        elif mutates:
+            planner, report.appended = store.apply_delta(
+                append, delete, planner, stream=self.stream, delta_id=delta_id
             )
-            report.appended, report.deleted = len(append), len(delete)
+            report.deleted = len(delete)
         report.planner = planner.describe()
         report.mutate_seconds = time.perf_counter() - start
 
@@ -1014,14 +1037,17 @@ class IncrementalPipeline:
         )
 
         generation = store.generation
+        windows = None
         if store.published_generation == generation:
             # No-op fast path: every window snapshot is current (covers
             # both an empty delta and the idempotent replay of a fully
             # completed one).  No record scan, no engine: the publication
-            # is assembled from the stored windows.
+            # is assembled from the stored windows -- unless one of them
+            # fails its audit, which the reconcile pass then recomputes.
+            windows = self._stored_windows(store)
+        if windows is not None:
             report.noop = True
             report.shard_windows = [0] * self.stream.shards
-            windows = self._stored_windows(store)
         else:
             windows = self._reconcile_windows(store, report)
         published = publish_merged(windows, self.params, report)
@@ -1097,25 +1123,33 @@ class IncrementalPipeline:
             )
         return HorpartShardPlanner(self.stream.shards, plan.get("split_terms", []))
 
-    def _stored_windows(self, store: ShardStore) -> list[Window]:
-        """Every stored window, in shard and window order."""
+    def _stored_windows(self, store: ShardStore) -> Optional[list[Window]]:
+        """Every stored window, in shard and window order.
+
+        ``None`` when a stored snapshot fails its audit: only the
+        reconcile pass can recompute it.
+        """
         windows: list[Window] = []
         for shard in range(self.stream.shards):
             win = 0
             while (stored := store.get_window(shard, win)) is not None:
-                windows.append(self._stored_window(store, shard, win, stored))
+                window = self._stored_window(store, shard, win, stored)
+                if window is None:
+                    return None
+                windows.append(window)
                 win += 1
         return windows
 
     def _stored_window(
         self, store: ShardStore, shard: int, win: int, stored: tuple
-    ) -> Window:
+    ) -> Optional[Window]:
         """A stored window (its :meth:`ShardStore.get_window` row) for the run tail.
 
         A window without a valid product (a store written before products
         were kept, or a snapshot rewritten on disk) is audited here, and
-        its product written back when it passes.  The snapshot text is not
-        kept: a boundary repair re-reads it.
+        its product written back when it passes; ``None`` when it fails,
+        so the caller recomputes it from its records.  The snapshot text
+        is not kept: a boundary repair re-reads it.
         """
         _, snapshot, product = stored
         if product is None:
@@ -1123,8 +1157,9 @@ class IncrementalPipeline:
                 product = window_product(
                     decode_snapshot(snapshot), self.params.k, self.params.m
                 )
-            if product is not None:
-                store.put_product(shard, win, snapshot, product)
+            if product is None:
+                return None
+            store.put_product(shard, win, snapshot, product)
         return Window(product=product, snapshot=partial(_snapshot, store, shard, win))
 
     def _reconcile_windows(
@@ -1135,7 +1170,8 @@ class IncrementalPipeline:
         Walks every shard's records in arrival order in bounded batches of
         ``max_records_in_memory`` (a cold run's windows), fingerprints
         each batch, and only runs the
-        engine on windows whose fingerprint is absent or stale.  A
+        engine on windows whose fingerprint is absent or stale, or whose
+        stored snapshot fails its audit (bytes rewritten on disk).  A
         recomputed window is audited and commits its snapshot and
         :class:`~repro.stream.executor.WindowProduct` together,
         independently of the other windows, so a crash mid-reconcile
@@ -1167,8 +1203,11 @@ class IncrementalPipeline:
                     texts = [row[1] for row in rows]
                     fingerprint = window_fingerprint(texts)
                     stored = store.get_window(shard, win)
+                    reused = None
                     if stored is not None and stored[0] == fingerprint:
-                        windows.append(self._stored_window(store, shard, win, stored))
+                        reused = self._stored_window(store, shard, win, stored)
+                    if reused is not None:
+                        windows.append(reused)
                         report.windows_reused += 1
                     else:
                         faults.check("stream.window")

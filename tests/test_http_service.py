@@ -489,6 +489,65 @@ class TestHttpDelta:
         assert job["publication"] == expected
 
 
+    def test_publication_responses_are_their_json_byte_for_byte(
+        self, tmp_path, monkeypatch
+    ):
+        """A delta's and a batch request's responses are, byte for byte,
+        the envelope followed by the publication's ``to_json()`` text,
+        with a ``Content-Length`` equal to the bytes read (a non-ASCII
+        term and tag included).  The delta's publication goes out in its
+        window fragments: its text is never spliced."""
+        records = [sorted(record) for record in quest(150, seed=6)]
+        records += [["café", "日本", "x"]] * 4
+        config = BASE_CONFIG.with_overrides(
+            m=2, shards=2, max_records_in_memory=40, store_dir=str(tmp_path / "shards")
+        )
+        spliced = []
+        text = TextPublication.text
+
+        def counting_text(publication):
+            spliced.append(publication)
+            return text.fget(publication)
+
+        monkeypatch.setattr(TextPublication, "text", property(counting_text))
+        tag = "größe-✓"
+        server = ServiceHTTPServer(AnonymizationService(config), port=0).start()
+        responses = {}
+        try:
+            for mode in ("delta", "batch"):
+                connection = HTTPConnection(server.host, server.port, timeout=60)
+                try:
+                    body = {"mode": mode, "records": records, "tag": tag}
+                    connection.request("POST", "/anonymize", json.dumps(body).encode())
+                    response = connection.getresponse()
+                    data = response.read()
+                    assert response.status == 200
+                    assert int(response.getheader("Content-Length")) == len(data)
+                    responses[mode] = data
+                finally:
+                    connection.close()
+        finally:
+            server.close()
+        assert spliced == []
+        monkeypatch.undo()
+        cold = ShardedPipeline(
+            config.engine_params(), StreamParams(shards=2, max_records_in_memory=40)
+        ).run([frozenset(record) for record in records])
+        with AnonymizationService(config) as service:
+            batch = service.run(TransactionDataset(records), mode="batch", tag=tag)
+        for mode, publication in (("delta", cold.text), ("batch", batch.to_json())):
+            data = responses[mode]
+            envelope = json.loads(data)
+            assert envelope["tag"] == tag
+            head = json.dumps(
+                {"mode": mode, "tag": tag, "summary": envelope["summary"]},
+                separators=(",", ":"),
+            )[:-1]
+            assert data == f'{head},"publication":{publication}}}'.encode("utf-8")
+        published = json.loads(responses["delta"])["publication"]
+        assert "café" in json.dumps(published, ensure_ascii=False)
+
+
 # --------------------------------------------------------------------------- #
 # the wire: TCP_NODELAY and the record contract
 # --------------------------------------------------------------------------- #

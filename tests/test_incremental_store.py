@@ -27,15 +27,17 @@ from repro.core.clusters import RecordChunk
 from repro.core.codec import cluster_from_payload, cluster_to_payload
 from repro.core.engine import AnonymizationParams
 from repro.core.verification import audit
-from repro.datasets.io import write_jsonl
+from repro.datasets.io import iter_jsonl, iter_records, write_jsonl
 from repro.exceptions import (
     CheckpointError,
+    DatasetFormatError,
     FaultInjected,
     ParameterError,
     StoreError,
 )
 from repro.pubstore import PublicationStore
 from repro.service import AnonymizationRequest, AnonymizationService, ServiceConfig
+from repro.service import service as service_module
 from repro.service.http import ServiceHTTPServer, classify_error
 from repro.stream import (
     IncrementalPipeline,
@@ -45,6 +47,7 @@ from repro.stream import (
     run_fingerprint,
 )
 from repro.stream import store as store_module
+from repro.stream.store import delta_digest
 from repro.stream.executor import decode_snapshot
 from tests.conftest import make_workload
 from tests.reference.engine import reference_cold_run
@@ -456,6 +459,47 @@ class TestCliDelta:
             _canonical(_cold(RECORDS[:30]))
         )
 
+    def test_malformed_line_mid_append_rolls_the_delta_back(self, tmp_path, capsys):
+        """A JSONL append is inserted as it is read: a malformed line
+        halfway through it fails the run (exit 2 at the CLI,
+        :class:`DatasetFormatError` in process) and rolls back every
+        record read before it -- records, generation and applied tokens
+        are unchanged."""
+        base = tmp_path / "base.jsonl"
+        write_jsonl(RECORDS[:60], base)
+        bad = tmp_path / "bad.jsonl"
+        write_jsonl(RECORDS[60:100], bad)
+        lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+        malformed = lines[:20] + ['["ok", 7]\n'] + lines[20:]
+        bad.write_text("".join(malformed), encoding="utf-8")
+        store_dir = tmp_path / "store"
+        common = [
+            "--k", "3", "--max-cluster-size", "12",
+            "--shards", "3", "--max-records-in-memory", "12",
+            "--store-dir", str(store_dir), "--output", str(tmp_path / "pub.json"),
+        ]
+        assert main(["anonymize", str(base), "--delta-id", "load", *common]) == 0
+
+        def state():
+            with ShardStore(store_dir) as store:
+                tokens = store._db.execute(
+                    "SELECT * FROM applied_deltas ORDER BY delta_id"
+                ).fetchall()
+                records = store._db.execute(
+                    "SELECT seq, shard, record FROM records ORDER BY seq"
+                ).fetchall()
+                return store.generation, records, tokens
+
+        before = state()
+        capsys.readouterr()
+        assert main(["anonymize", str(bad), "--delta-id", "bad", *common]) == 2
+        assert "bad.jsonl:21" in capsys.readouterr().err
+        assert state() == before
+        stream = _stream(store_dir, max_records_in_memory=12)
+        with pytest.raises(DatasetFormatError, match="bad.jsonl:21"):
+            IncrementalPipeline(PARAMS, stream).run(append=iter_records(bad))
+        assert state() == before
+
     def test_cli_append_without_store_dir_rejected(self, tmp_path, capsys):
         code = main(
             ["anonymize", "--append", "x.txt", "--output", str(tmp_path / "o.json")]
@@ -505,6 +549,91 @@ class TestIdempotencyTokens:
             pipeline.run(append=RECORDS[30:40], delta_id="once")
         # The refused delta mutated nothing.
         assert _canonical(pipeline.run()) == _canonical(baseline)
+
+    #: The records of a delta whose digest is pinned below.
+    PINNED_APPEND = [
+        frozenset({"alpha", "beta"}),
+        frozenset({"café", "日本"}),
+        frozenset({"alpha", "beta"}),
+    ]
+    PINNED_DELETE = [frozenset({"a0", "b0", "c0"})]  # RECORDS[0]
+    #: Their digest.  Stores keep the digest of every token they applied,
+    #: so the bytes it covers (appends, ``--``, deletes) never change.
+    PINNED_DIGEST = "c81dac5de3dfdc86385b67c3b0e7dd35"
+
+    def test_applied_digest_is_pinned(self, tmp_path):
+        """The digest a delta commits with its token is the pinned
+        :func:`delta_digest` of its records, computed from the texts the
+        store inserts (the appends arrive as a one-shot generator); the
+        token replays for the same records and refuses different ones."""
+        assert delta_digest(self.PINNED_APPEND, self.PINNED_DELETE) == self.PINNED_DIGEST
+        pipeline = IncrementalPipeline(PARAMS, _stream(tmp_path / "s"))
+        pipeline.run(append=RECORDS[:60], delta_id="load")
+        pipeline.run(
+            append=(record for record in self.PINNED_APPEND),
+            delete=self.PINNED_DELETE,
+            delta_id="pinned",
+        )
+        assert pipeline.last_report.appended == 3
+        assert pipeline.last_report.deleted == 1
+        with ShardStore(tmp_path / "s") as store:
+            assert store.applied_digest("pinned") == self.PINNED_DIGEST
+            assert store.applied_digest("load") == delta_digest(RECORDS[:60], [])
+            generation = store.generation
+        pipeline.run(
+            append=iter(self.PINNED_APPEND), delete=self.PINNED_DELETE, delta_id="pinned"
+        )
+        assert pipeline.last_report.delta_replayed
+        with pytest.raises(StoreError, match="different contents"):
+            pipeline.run(
+                append=iter(self.PINNED_APPEND[:2]),
+                delete=self.PINNED_DELETE,
+                delta_id="pinned",
+            )
+        with ShardStore(tmp_path / "s") as store:
+            assert store.generation == generation
+            assert store.num_records() == 60 + 3 - 1
+
+    @pytest.mark.parametrize("point", ["store.mutate", "stream.window"])
+    def test_path_delta_retried_after_a_transient_fault_applies_once(
+        self, tmp_path, monkeypatch, point
+    ):
+        """A delta read from a file is replayed from a fresh reader on
+        every attempt: after a transient fault before (``store.mutate``)
+        or after (``stream.window``) its mutation commits, the retry
+        applies it exactly once.  The reader is consumed as the store
+        inserts: an attempt that dies before the mutation read one
+        record, not the file."""
+        source = tmp_path / "delta.jsonl"
+        write_jsonl(RECORDS[:90], source)
+        reads: list = []
+
+        def counting_reader(*args, **kwargs):
+            reads.append(0)
+            for record in iter_records(*args, **kwargs):
+                reads[-1] += 1
+                yield record
+
+        monkeypatch.setattr(service_module, "iter_records", counting_reader)
+        config = _delta_config(tmp_path / "store", retry="attempts=3,backoff=0")
+        plan = faults.FaultPlan([faults.FaultSpec(point, hit=1, transient=True)])
+        with AnonymizationService(config) as service, faults.active(plan):
+            result = service.run(str(source), mode="delta", delta_id="from-file")
+        assert plan.hits(point) >= 1
+        assert len(reads) == 2
+        if point == "store.mutate":
+            assert reads == [1, 90]
+        else:
+            assert reads == [90, 90]
+            assert result.report.delta_replayed
+        with ShardStore(tmp_path / "store") as store:
+            assert store.num_records() == 90
+            assert store.generation == 1
+            rows = store._db.execute("SELECT delta_id FROM applied_deltas").fetchall()
+        assert rows == [("from-file",)]
+        assert _canonical(result.publication) == _canonical(
+            _cold(RECORDS[:90], max_records_in_memory=40)
+        )
 
     def test_request_delta_id_requires_delta_mode(self):
         with pytest.raises(ParameterError, match="delta_id"):
@@ -721,6 +850,37 @@ class TestResidentMemory:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+    def test_traced_peak_stays_flat_when_the_input_is_a_file(self, tmp_path):
+        """The appended records stream from a JSONL reader into the store
+        as the run consumes them, so the input is inside the traced region
+        and still no more than a window of it is held: the traced peak of
+        a run over 32 windows stays within 1.5x of one over 8 (holding
+        the parsed input grew it past that)."""
+        peaks = []
+        for windows in (8, 32):
+            source = tmp_path / f"input{windows}.jsonl"
+            write_jsonl(
+                make_workload("quest", records=250 * windows, domain=200, avg_len=5.0, seed=3),
+                source,
+            )
+            stream = StreamParams(
+                shards=1,
+                max_records_in_memory=250,
+                store_dir=tmp_path / f"shards{windows}",
+                pubstore_dir=tmp_path / f"pub{windows}",
+            )
+            pipeline = IncrementalPipeline(PARAMS, stream)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                pipeline.run(append=iter_jsonl(source))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert pipeline.last_report.shard_windows == [windows]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def _tamper_window(store_dir, shard: int, win: int) -> str:
     """Rewrite one stored window snapshot so a record chunk breaks k^m.
 
@@ -890,36 +1050,59 @@ class TestWindowProducts:
         assert _keys(tmp_path / "s", "window_products") == _keys(tmp_path / "s", "windows")
         assert len(_keys(tmp_path / "s", "windows")) == windows
 
-    def test_tampered_snapshot_is_audited_again_and_repaired(self, tmp_path):
+    def test_tampered_snapshot_is_audited_again_and_recomputed(self, tmp_path):
         """A stored product never vouches for bytes it was not derived
         from: a window snapshot rewritten on disk (same record-text
-        fingerprint, product row kept) is audited again by the next delta
-        and repaired by demotion, and gets no product."""
+        fingerprint, product row kept) is audited again by the next delta,
+        fails, and is recomputed from its records -- nothing is demoted,
+        the publication equals a cold run, and the no-op after it
+        repairs nothing."""
         stream = _stream(tmp_path / "s", max_records_in_memory=40)
         pipeline = IncrementalPipeline(PARAMS, stream)
+        appends = [[frozenset({"warm-a", "warm-b"})], [frozenset({"next-a", "next-b"})]]
         pipeline.run(append=RECORDS)
-        pipeline.run(append=[frozenset({"warm-a", "warm-b"})])
+        pipeline.run(append=appends[0])
         products = _keys(tmp_path / "s", "window_products")
         assert len(products) == sum(pipeline.last_report.shard_windows)
         term = _tamper_window(tmp_path / "s", shard=0, win=0)
-
-        published = pipeline.run(append=[frozenset({"next-a", "next-b"})])
-        report = pipeline.last_report
-        assert report.windows_reused > 0
-        assert report.repair.total_demoted() > 0
-        assert any(term in terms for terms in report.repair.demoted_terms.values())
-        assert audit(published).ok
-        assert term not in published.record_chunk_terms()
-        assert published.text == json.dumps(published.to_dict(), separators=(",", ":"))
         with ShardStore(tmp_path / "s") as store:
             assert store.get_window(0, 0)[2] is None
 
-        # The no-op path assembles from the same snapshots: it repairs the
-        # tampered window again rather than trusting any earlier verdict.
+        published = pipeline.run(append=appends[1])
+        report = pipeline.last_report
+        assert report.windows_reused > 0
+        # The appended record's tail window and the tampered window.
+        assert report.windows_recomputed == 2
+        assert report.repair.total_demoted() == 0
+        assert audit(published).ok
+        assert term not in published.record_chunk_terms()
+        expected = _cold(RECORDS + appends[0] + appends[1], max_records_in_memory=40)
+        assert _canonical(published) == _canonical(expected)
+        assert published.text == json.dumps(published.to_dict(), separators=(",", ":"))
+        with ShardStore(tmp_path / "s") as store:
+            assert store.get_window(0, 0)[2] is not None
+
         again = pipeline.run()
         assert pipeline.last_report.noop
-        assert pipeline.last_report.repair.total_demoted() > 0
+        assert pipeline.last_report.repair.total_demoted() == 0
         assert _canonical(again) == _canonical(published)
+
+    def test_tampered_snapshot_on_the_noop_path_is_recomputed(self, tmp_path):
+        """An empty delta over a tampered window is no no-op: it falls
+        back to the reconcile pass, which recomputes that window only."""
+        stream = _stream(tmp_path / "s", max_records_in_memory=40)
+        pipeline = IncrementalPipeline(PARAMS, stream)
+        published = pipeline.run(append=RECORDS)
+        _tamper_window(tmp_path / "s", shard=1, win=0)
+
+        again = pipeline.run()
+        report = pipeline.last_report
+        assert not report.noop
+        assert report.windows_recomputed == 1
+        assert report.repair.total_demoted() == 0
+        assert _canonical(again) == _canonical(published)
+        pipeline.run()
+        assert pipeline.last_report.noop
 
     def test_products_hold_only_untracked_values(self, tmp_path):
         """A product read from the store is text and numbers: nothing it

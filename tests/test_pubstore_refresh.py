@@ -37,8 +37,7 @@ from hypothesis.stateful import (
 )
 
 from repro import faults
-from repro.core.clusters import DisassociatedDataset, RecordChunk, SimpleCluster
-from repro.core.codec import cluster_from_payload, cluster_to_payload
+from repro.core.clusters import DisassociatedDataset, RecordChunk
 from repro.core.engine import AnonymizationParams, Disassociator
 from repro.exceptions import FaultInjected, StoreError
 from repro.pubstore import PUBSTORE_VERSION, PublicationStore, QueryEngine, pubstore_path
@@ -48,7 +47,6 @@ from repro.service import AnonymizationService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
 from repro.stream import IncrementalPipeline, StreamParams, executor
 from repro.stream.executor import TextPublication
-from repro.stream.store import STORE_NAME
 from tests.conftest import make_workload
 
 PARAMS = AnonymizationParams(k=3, m=2, max_cluster_size=12)
@@ -210,9 +208,9 @@ class RefreshMachine(RuleBasedStateMachine):
     def teardown(self):
         shutil.rmtree(self.directory, ignore_errors=True)
 
-    def _run(self, append=(), delete=()):
-        # A fresh pipeline per step: no in-process window cache, so a
-        # tampered window snapshot is read back from the shard store.
+    def _run(self, append=(), delete=(), window_engine=None):
+        # A fresh pipeline per step: every window product is read back
+        # from the shard store.
         pipeline = IncrementalPipeline(
             PARAMS,
             StreamParams(
@@ -221,6 +219,7 @@ class RefreshMachine(RuleBasedStateMachine):
                 store_dir=self.directory / "shards",
                 pubstore_dir=self.directory / "pub",
             ),
+            window_engine=window_engine,
         )
         self.published = pipeline.run(append=list(append), delete=list(delete))
         self.report = pipeline.last_report
@@ -289,9 +288,10 @@ class RefreshMachine(RuleBasedStateMachine):
     @precondition(lambda self: len(self.records) > 50)
     @rule(seed=st.integers(0, 10_000))
     def demote(self, seed):
-        """Corrupt a reused window so the boundary repair has to demote."""
-        if inject_violation(self.directory / "shards"):
-            self._run(append=self._records(random.Random(seed), 1))
+        """A recomputed window fails its audit: the boundary repair demotes."""
+        engine = _ViolatingEngine(PARAMS)
+        self._run(append=self._records(random.Random(seed), 1), window_engine=engine)
+        if engine.injected:
             assert self.report.repair.total_demoted() > 0
 
     @invariant()
@@ -302,44 +302,32 @@ class RefreshMachine(RuleBasedStateMachine):
             )
 
 
-def inject_violation(store_dir) -> bool:
-    """Add a support-1 term to a simple cluster of shard 0's first window.
+class _ViolatingEngine(Disassociator):
+    """A window engine whose first window with a record chunk fails its audit.
 
-    The window keeps its fingerprint, so the next delta reuses the
-    corrupted snapshot and the global audit must demote the term.
-    Returns whether a cluster to corrupt was found.
+    A support-1 term joins that chunk in the published clusters only, so
+    the window is stored without a product and the run tail has to
+    repair the merge by demoting the term.
     """
-    db = sqlite3.connect(Path(store_dir) / STORE_NAME)
-    try:
-        row = db.execute("SELECT clusters FROM windows WHERE shard = 0 AND win = 0").fetchone()
-        clusters = [cluster_from_payload(payload) for payload in json.loads(row[0])]
-        for index, cluster in enumerate(clusters):
-            if isinstance(cluster, SimpleCluster) and cluster.record_chunks:
-                if INJECTED in cluster.domain():
-                    return False
-                first, *rest = cluster.record_chunks
-                chunk = RecordChunk(
-                    first.domain | {INJECTED},
-                    [first.subrecords[0] | {INJECTED}, *first.subrecords[1:]],
-                )
-                originals = list(cluster.original_records)
-                originals[0] = originals[0] | {INJECTED}
-                clusters[index] = SimpleCluster(
-                    cluster.size,
-                    [chunk, *rest],
-                    cluster.term_chunk,
-                    label=cluster.label,
-                    original_records=originals,
-                )
-                db.execute(
-                    "UPDATE windows SET clusters = ? WHERE shard = 0 AND win = 0",
-                    (json.dumps([cluster_to_payload(c) for c in clusters]),),
-                )
-                db.commit()
-                return True
-        return False
-    finally:
-        db.close()
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.injected = False
+
+    def anonymize(self, dataset):
+        published = super().anonymize(dataset)
+        if not self.injected:
+            for cluster in published.clusters:
+                leaf = next((leaf for leaf in cluster.leaves() if leaf.record_chunks), None)
+                if leaf is not None:
+                    first = leaf.record_chunks[0]
+                    leaf.record_chunks[0] = RecordChunk(
+                        first.domain | {INJECTED},
+                        [first.subrecords[0] | {INJECTED}, *first.subrecords[1:]],
+                    )
+                    self.injected = True
+                    break
+        return published
 
 
 TestRefreshMachine = RefreshMachine.TestCase

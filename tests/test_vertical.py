@@ -166,30 +166,14 @@ class TestIncrementalDemotion:
         assert demoted == {"x"}
         assert coverage.domains_frozen() == [frozenset({"y"})]
 
-    def test_until_bound_performs_multiple_consecutive_demotions(self):
-        # bound = 6 + 3 = 9 > 6 sub-records, and after demoting "x" the
-        # single remaining chunk still publishes 3 < 6 sub-records: the
-        # loop must demote "x" and then "y" in two consecutive steps.
-        coverage = _RecordCoverage(self.RECORDS, self.DOMAINS)
-        demoted = demote_for_lemma2(
-            coverage, self.SUPPORTS, k=3, m=2, size=6, until_bound=True
-        )
-        assert demoted == {"x", "y"}
-        assert coverage.domains_frozen() == []
-
     def test_mask_coverage_matches_record_coverage(self):
         cluster = EncodedCluster(self.RECORDS)
-        for until_bound in (False, True):
-            record_cov = _RecordCoverage(self.RECORDS, self.DOMAINS)
-            mask_cov = _MaskCoverage(cluster.masks, self.DOMAINS)
-            demoted_rec = demote_for_lemma2(
-                record_cov, self.SUPPORTS, k=3, m=2, size=6, until_bound=until_bound
-            )
-            demoted_mask = demote_for_lemma2(
-                mask_cov, self.SUPPORTS, k=3, m=2, size=6, until_bound=until_bound
-            )
-            assert demoted_rec == demoted_mask
-            assert record_cov.domains_frozen() == mask_cov.domains_frozen()
+        record_cov = _RecordCoverage(self.RECORDS, self.DOMAINS)
+        mask_cov = _MaskCoverage(cluster.masks, self.DOMAINS)
+        demoted_rec = demote_for_lemma2(record_cov, self.SUPPORTS, k=3, m=2, size=6)
+        demoted_mask = demote_for_lemma2(mask_cov, self.SUPPORTS, k=3, m=2, size=6)
+        assert demoted_rec == demoted_mask
+        assert record_cov.domains_frozen() == mask_cov.domains_frozen()
 
     def test_coverage_totals_track_incremental_updates(self):
         records = [frozenset({"a", "b"}), frozenset({"a"}), frozenset({"c"})]
